@@ -50,7 +50,6 @@ from .hecke import f_abc, f_abc_via_quadrants
 from .catalog import (
     CATALOG,
     CatalogEntry,
-    eval_at_negated_base,
     nu3,
     phi3,
     phibar0,

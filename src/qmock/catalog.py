@@ -33,7 +33,6 @@ __all__ = [
     "psibar1",
     "phibar0",
     "phibar1",
-    "eval_at_negated_base",
     "CatalogEntry",
     "CATALOG",
 ]
@@ -42,121 +41,66 @@ _R0 = RAT(0)
 _M1 = mono(-1, 0)
 
 
-def _eulerian_quotient(order, numerator_exp, factor_exps, first_factors=()):
-    """sum_n q^numerator_exp(n) / prod(1 - (+-)q^k), with the denominator
-    gaining the factors ``factor_exps(n)`` when passing from n-1 to n.
-
-    ``first_factors`` factors are installed before the n = 0 term.
-    """
+def _eulerian(order, exponent, first, factors):
+    """sum_{n >= first} q^exponent(n) * P_n, where P_n is P_(n-1) (1 for
+    n = first) times the series ``factors(n, order)``."""
     order = rat(order)
-    inv = QSeries.one(order)
-    for k, sign in first_factors:
-        inv = (inv * unit_fraction_expand(sign, k, order)).truncate(order)
+    prod = QSeries.one(order)
     total = QSeries.zero(order)
-    n = 0
-    while True:
-        e = numerator_exp(n)
-        if rat(e) >= order:
-            break
-        if n > 0:
-            for k, sign in factor_exps(n):
-                inv = (inv * unit_fraction_expand(sign, k, order)).truncate(order)
-        total = total + inv.mul_monomial(qpow(e)).truncate(order)
+    n = first
+    while exponent(n) < order:
+        for factor in factors(n, order):
+            prod = (prod * factor).truncate(order)
+        total = total + prod.mul_monomial(qpow(exponent(n))).truncate(order)
         n += 1
     return total
+
+
+def _over(sign, ks, order):
+    """The factors 1/(1 - sign*q^k) for the positive k in ks."""
+    return [unit_fraction_expand(sign, k, order) for k in ks if k > 0]
+
+
+def _times(ks):
+    """The factors 1 + q^k for the positive k in ks."""
+    return [QSeries({_R0: GR_ONE, rat(k): GR_ONE}, None) for k in ks if k > 0]
 
 
 def psi3(order):
     """psi(q) = sum_{n >= 1} q^(n^2) / (q; q^2)_n."""
-    order = rat(order)
-    inv = QSeries.one(order)
-    total = QSeries.zero(order)
-    n = 1
-    while n * n < order:
-        inv = (inv * unit_fraction_expand(1, 2 * n - 1, order)).truncate(order)
-        total = total + inv.mul_monomial(qpow(n * n)).truncate(order)
-        n += 1
-    return total
+    return _eulerian(order, lambda n: n * n, 1, lambda n, w: _over(1, [2 * n - 1], w))
 
 
 def nu3(order):
     """nu(q) = sum_{n >= 0} q^(n(n+1)) / (-q; q^2)_(n+1)."""
-    return _eulerian_quotient(
-        order,
-        lambda n: n * (n + 1),
-        lambda n: [(2 * n + 1, -1)],
-        first_factors=[(1, -1)],
-    )
+    return _eulerian(order, lambda n: n * (n + 1), 0, lambda n, w: _over(-1, [2 * n + 1], w))
 
 
 def phi3(order):
     """phi(q) = sum_{n >= 0} q^(n^2) / (-q^2; q^2)_n."""
-    return _eulerian_quotient(
-        order,
-        lambda n: n * n,
-        lambda n: [(2 * n, -1)],
-    )
+    return _eulerian(order, lambda n: n * n, 0, lambda n, w: _over(-1, [2 * n], w))
 
 
 def psibar0(order):
     """psibar0(q) = sum_{n >= 0} q^(2n^2) / (-q; q)_(2n)."""
-    return _eulerian_quotient(
-        order,
-        lambda n: 2 * n * n,
-        lambda n: [(2 * n - 1, -1), (2 * n, -1)],
-    )
+    return _eulerian(order, lambda n: 2 * n * n, 0,
+                     lambda n, w: _over(-1, [2 * n - 1, 2 * n], w))
 
 
 def psibar1(order):
     """psibar1(q) = sum_{n >= 0} q^(2n^2 + 2n) / (-q; q)_(2n+1)."""
-    return _eulerian_quotient(
-        order,
-        lambda n: 2 * n * n + 2 * n,
-        lambda n: [(2 * n, -1), (2 * n + 1, -1)],
-        first_factors=[(1, -1)],
-    )
-
-
-def _sum_with_growing_product(order, exp_fn, new_factor_exps, first_exps):
-    """sum_n q^exp_fn(n) * (-q; q)_(...), the positive-product companions."""
-    order = rat(order)
-    prod = QSeries.one(order)
-    for k in first_exps:
-        prod = (prod * QSeries({_R0: GR_ONE, rat(k): GR_ONE}, None)).truncate(order)
-    total = QSeries.zero(order)
-    n = 0
-    while rat(exp_fn(n)) < order:
-        if n > 0:
-            for k in new_factor_exps(n):
-                prod = (prod * QSeries({_R0: GR_ONE, rat(k): GR_ONE}, None)).truncate(order)
-        total = total + prod.mul_monomial(qpow(exp_fn(n))).truncate(order)
-        n += 1
-    return total
+    return _eulerian(order, lambda n: 2 * n * n + 2 * n, 0,
+                     lambda n, w: _over(-1, [2 * n, 2 * n + 1], w))
 
 
 def phibar0(order):
     """phibar0(q) = sum_{n >= 0} q^n (-q; q)_(2n+1)."""
-    return _sum_with_growing_product(
-        order,
-        lambda n: n,
-        lambda n: [2 * n, 2 * n + 1],
-        first_exps=[1],
-    )
+    return _eulerian(order, lambda n: n, 0, lambda n, w: _times([2 * n, 2 * n + 1]))
 
 
 def phibar1(order):
     """phibar1(q) = sum_{n >= 0} q^n (-q; q)_(2n)."""
-    return _sum_with_growing_product(
-        order,
-        lambda n: n,
-        lambda n: [2 * n - 1, 2 * n],
-        first_exps=[],
-    )
-
-
-def eval_at_negated_base(series):
-    """F(-q) from the expansion of F(q); integer exponents required."""
-    return series.negate_base()
+    return _eulerian(order, lambda n: n, 0, lambda n, w: _times([2 * n - 1, 2 * n]))
 
 
 def _quot(order, build_num, build_den):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import json
 import os
 import sys
@@ -15,6 +16,7 @@ from importlib import resources
 
 from ._rational import rat, num_den
 from .dsl import (
+    EVALUATION_ERRORS,
     CorpusSyntaxError,
     ExpressionSyntaxError,
     IdentityRecord,
@@ -23,7 +25,7 @@ from .dsl import (
     parse_corpus,
     verify_identity,
 )
-from .series import QSeriesError, format_series
+from .series import format_series
 
 DEFAULT_ORDER_ENV = "QMOCK_DEFAULT_ORDER"
 _BUILTIN_DEFAULT_ORDER = "100"
@@ -68,7 +70,7 @@ def cmd_expand(args):
     try:
         order = _parse_order(args.order)
         series = evaluate(ast, order)
-    except (QSeriesError, ValueError, ZeroDivisionError, OverflowError) as exc:
+    except EVALUATION_ERRORS as exc:
         print(f"evaluation error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     if args.json:
@@ -110,33 +112,28 @@ def cmd_verify(args):
     return {"PASS": 0, "FAIL": 1, "ERROR": 3}[report.status]
 
 
-def _verify_payload(payload):
-    """Worker for process pools; takes and returns plain picklable data."""
-    ident, anchor, order_text, lhs_text, rhs_text = payload
-    record = IdentityRecord(
-        id=ident,
-        anchor=anchor,
-        order=_parse_order(order_text),
-        lhs=parse(lhs_text),
-        rhs=parse(rhs_text),
-        lhs_text=lhs_text,
-        rhs_text=rhs_text,
-    )
-    report = verify_identity(record)
-    return report
+def _verify_payload(record):
+    """Worker for process pools; takes a record and returns its report."""
+    return verify_identity(record)
+
+
+def _pool_report(future, record):
+    try:
+        return future.result()
+    except RecursionError:  # an AST too deep to pickle: verify it here
+        return _verify_payload(record)
 
 
 def run_corpus(records, order_override=None, jobs=1):
     """Verify every record; returns reports sorted by id."""
-    payloads = []
-    for rec in records:
-        order = order_override if order_override is not None else rec.order
-        payloads.append((rec.id, rec.anchor, str(order), rec.lhs_text, rec.rhs_text))
-    if jobs > 1 and len(payloads) > 1:
+    if order_override is not None:
+        records = [dataclasses.replace(rec, order=order_override) for rec in records]
+    if jobs > 1 and len(records) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_verify_payload, payloads))
+            futures = [pool.submit(_verify_payload, rec) for rec in records]
+            reports = [_pool_report(f, rec) for f, rec in zip(futures, records)]
     else:
-        reports = [_verify_payload(p) for p in payloads]
+        reports = [_verify_payload(rec) for rec in records]
     return sorted(reports, key=lambda r: r.id)
 
 

@@ -47,6 +47,7 @@ __all__ = [
     "ArityError",
     "EvaluationError",
     "CorpusSyntaxError",
+    "EVALUATION_ERRORS",
     "Literal",
     "QPow",
     "Add",
@@ -81,6 +82,11 @@ class ArityError(ExpressionSyntaxError):
 
 class EvaluationError(QSeriesError):
     """An expression is structurally valid but not evaluable (bad argument kind)."""
+
+
+# What evaluating an expression raises on bad input; RecursionError for
+# expressions too deep to walk.
+EVALUATION_ERRORS = (QSeriesError, ValueError, ZeroDivisionError, OverflowError, RecursionError)
 
 
 class CorpusSyntaxError(QSeriesError):
@@ -143,30 +149,29 @@ class Call:
     args: tuple
 
 
-# argument slot kinds: m = monomial, r = rational, n = integer, e = expression
+# name -> (argument slot kinds, module, engine function name).  Slot kinds:
+# m = monomial, b = base (a monomial with positive exponent), r = rational,
+# n = integer, e = expression.  The engine function is looked up in its
+# module when the call is made, so a rebound module attribute takes effect.
+# Rows without a module (the catalog series, subq, negq) have their own
+# paths in _eval_call.
 FUNCTIONS = {
-    "poch_inf": "mm",
-    "poch_fin": "mmn",
-    "j": "mm",
-    "J": "rr",
-    "JB": "rr",
-    "Jm": "r",
-    "m": "mmm",
-    "f": "nnnmmm",
-    "g": "mm",
-    "g_abc": "nnnmmmmm",
-    "h_abc": "nnnmmmmm",
-    "theta_np": "nnmmm",
-    "theta_abc": "nnnmmm",
-    "psi": "m",
-    "nu": "m",
-    "phi": "m",
-    "psibar0": "m",
-    "psibar1": "m",
-    "phibar0": "m",
-    "phibar1": "m",
-    "subq": "er",
-    "negq": "e",
+    "poch_inf": ("mb", theta, "pochhammer_infinite"),
+    "poch_fin": ("mmn", theta, "pochhammer_finite"),
+    "j": ("mb", theta, "jacobi_theta"),
+    "J": ("rr", theta, "J"),
+    "JB": ("rr", theta, "Jbar"),
+    "Jm": ("r", theta, "Jm"),
+    "m": ("mbm", appell, "appell_m"),
+    "f": ("nnnmmb", hecke, "f_abc"),
+    "g": ("mb", appell, "universal_g_eulerian"),
+    "g_abc": ("nnnmmbmm", appell, "g_abc"),
+    "h_abc": ("nnnmmbmm", appell, "h_abc"),
+    "theta_np": ("nnmmb", appell, "theta_np"),
+    "theta_abc": ("nnnmmb", appell, "theta_abc"),
+    **{name: ("b", None, None) for name in catalog.CATALOG},
+    "subq": ("er", None, None),
+    "negq": ("e", None, None),
 }
 
 
@@ -363,7 +368,7 @@ class _Parser:
                     self.next()
                     args.append(self.expr())
                 self.expect(")")
-                want = len(FUNCTIONS[tok.text])
+                want = len(FUNCTIONS[tok.text][0])
                 if len(args) != want:
                     raise ArityError(
                         f"{tok.text} takes {want} arguments, got {len(args)}",
@@ -382,7 +387,12 @@ class _Parser:
 
 def parse(text):
     """Parse an expression into its AST."""
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        tok = parser.peek()
+        raise ExpressionSyntaxError("expression nested too deeply", tok.line, tok.col) from None
 
 
 # --------------------------------------------------------------------------
@@ -465,6 +475,13 @@ def _fold_monomial(node):
     )
 
 
+def _fold_base(node):
+    m = _fold_monomial(node)
+    if m.exp <= 0:
+        raise EvaluationError(f"base argument must have positive exponent, got {m}")
+    return m
+
+
 def _fold_const(node):
     """Constant value of a q-free subexpression (zero allowed)."""
     if isinstance(node, Literal):
@@ -512,113 +529,50 @@ def _eval(node, w):
         return _eval(node.left, w) * _eval(node.right, w)
     if isinstance(node, Div):
         num = _eval(node.left, w)
-        den = _eval(node.right, w)
-        return num * den.invert(order=w)
+        return num * _eval_divisor(node.right, w).invert(order=w)
     if isinstance(node, Pow):
-        base = _eval(node.base, w)
         if node.exponent < 0:
-            base = base.invert(order=w)
-            return base ** (-node.exponent)
-        return base ** node.exponent
+            return _eval_divisor(node.base, w).invert(order=w) ** (-node.exponent)
+        return _eval(node.base, w) ** node.exponent
     if isinstance(node, Call):
         return _eval_call(node, w)
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def _require_base(m):
-    if m.exp <= 0:
-        raise EvaluationError(f"base argument must have positive exponent, got {m}")
-    return m
+def _eval_divisor(node, w):
+    """A series to be inverted.  While it is zero to its precision, its
+    leading term lies at or past that precision, so it is evaluated again at
+    the working order 2w + 1, three times at most, before inverting it fails
+    with ZeroSeries."""
+    den = _eval(node, w)
+    for _ in range(3):
+        if den.terms or den.precision is None:
+            break
+        w = 2 * w + 1
+        den = _eval(node, w)
+    return den
+
+
+_FOLD = {"m": _fold_monomial, "b": _fold_base, "r": _fold_rational, "n": _fold_int}
 
 
 def _eval_call(node, w):
-    name = node.name
-    a = node.args
-    if name == "j":
-        return theta.jacobi_theta(_fold_monomial(a[0]), _require_base(_fold_monomial(a[1])), w)
-    if name == "J":
-        return theta.J(_fold_rational(a[0]), _fold_rational(a[1]), w)
-    if name == "JB":
-        return theta.Jbar(_fold_rational(a[0]), _fold_rational(a[1]), w)
-    if name == "Jm":
-        return theta.Jm(_fold_rational(a[0]), w)
-    if name == "poch_inf":
-        return theta.pochhammer_infinite(
-            _fold_monomial(a[0]), _require_base(_fold_monomial(a[1])), w
-        )
-    if name == "poch_fin":
-        return theta.pochhammer_finite(
-            _fold_monomial(a[0]), _fold_monomial(a[1]), _fold_int(a[2]), order=w
-        )
-    if name == "m":
-        return appell.appell_m(
-            _fold_monomial(a[0]),
-            _require_base(_fold_monomial(a[1])),
-            _fold_monomial(a[2]),
-            w,
-        )
-    if name == "g":
-        return appell.universal_g_eulerian(
-            _fold_monomial(a[0]), _require_base(_fold_monomial(a[1])), w
-        )
-    if name == "f":
-        return hecke.f_abc(
-            _fold_int(a[0]),
-            _fold_int(a[1]),
-            _fold_int(a[2]),
-            _fold_monomial(a[3]),
-            _fold_monomial(a[4]),
-            _require_base(_fold_monomial(a[5])),
-            w,
-        )
-    if name in ("g_abc", "h_abc"):
-        fn = appell.g_abc if name == "g_abc" else appell.h_abc
-        return fn(
-            _fold_int(a[0]),
-            _fold_int(a[1]),
-            _fold_int(a[2]),
-            _fold_monomial(a[3]),
-            _fold_monomial(a[4]),
-            _require_base(_fold_monomial(a[5])),
-            _fold_monomial(a[6]),
-            _fold_monomial(a[7]),
-            w,
-        )
-    if name == "theta_np":
-        return appell.theta_np(
-            _fold_int(a[0]),
-            _fold_int(a[1]),
-            _fold_monomial(a[2]),
-            _fold_monomial(a[3]),
-            _require_base(_fold_monomial(a[4])),
-            w,
-        )
-    if name == "theta_abc":
-        return appell.theta_abc(
-            _fold_int(a[0]),
-            _fold_int(a[1]),
-            _fold_int(a[2]),
-            _fold_monomial(a[3]),
-            _fold_monomial(a[4]),
-            _require_base(_fold_monomial(a[5])),
-            w,
-        )
-    if name in catalog.CATALOG:
-        arg = _fold_monomial(a[0])
-        if arg.exp <= 0:
-            raise EvaluationError(
-                f"{name} takes an argument c*q^e with e > 0, got {arg}"
-            )
-        inner = catalog.CATALOG[name].eulerian(w / arg.exp)
-        return inner.substitute_monomial(arg)
+    name, args = node.name, node.args
     if name == "subq":
-        k = _fold_rational(a[1])
+        k = _fold_rational(args[1])
         if k <= 0:
             raise NonPositivePower(f"subq power must be positive, got {k}")
-        return _eval(a[0], w / k).substitute_power(k)
+        return _eval(args[0], w / k).substitute_power(k)
     if name == "negq":
-        return _eval(a[0], w).negate_base()
-    raise EvaluationError(f"no evaluator for function {name!r}")
+        return _eval(args[0], w).negate_base()
+    if name not in FUNCTIONS:
+        raise EvaluationError(f"no evaluator for function {name!r}")
+    kinds, module, attr = FUNCTIONS[name]
+    values = [_FOLD[kind](arg) for kind, arg in zip(kinds, args)]
+    if module is None:  # a catalog series at the base monomial u
+        (u,) = values
+        return catalog.CATALOG[name].eulerian(w / u.exp).substitute_monomial(u)
+    return getattr(module, attr)(*values, w)
 
 
 def evaluate(node, order, retries=3):
@@ -688,7 +642,7 @@ def verify_identity(record):
     start = time.perf_counter()
     try:
         diff = evaluate(Sub(record.lhs, record.rhs), record.order)
-    except (QSeriesError, ValueError, ZeroDivisionError, OverflowError) as exc:
+    except EVALUATION_ERRORS as exc:
         return VerificationReport(
             id=record.id,
             status="ERROR",

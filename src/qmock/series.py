@@ -459,10 +459,8 @@ class QSeries:
             if order is None:
                 raise ValueError("order is required to invert an exact multi-term series")
             relative = rat(order) + d
-        if relative <= 0:
-            raise InsufficientPrecision(
-                "series precision does not reach past its leading term"
-            )
+        if relative <= 0:  # the inverse starts at q^-d, at or past the order
+            return QSeries.zero(relative - d)
         lead_inv = lead.inverse()
         unit = {e - d: c * lead_inv for e, c in self.terms.items() if e - d < relative}
         del unit[_R0]
@@ -547,13 +545,6 @@ class QSeries:
         return " ".join(parts)
 
 
-def _wrap_real(value):
-    g = GaussianRational.__new__(GaussianRational)
-    g.re = value
-    g.im = _R0
-    return g
-
-
 def _wrap(re, im):
     g = GaussianRational.__new__(GaussianRational)
     g.re = re
@@ -585,7 +576,7 @@ def _mul_terms(ta, tb, bound):
                 v = ra * rb
                 acc = get(e)
                 out[e] = v if acc is None else acc + v
-        return {e: _wrap_real(r) for e, r in out.items() if r}
+        return {e: _wrap(r, _R0) for e, r in out.items() if r}
     out_re = {}
     out_im = {}
     for ea, ra, ia in a_items:

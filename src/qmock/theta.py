@@ -22,7 +22,6 @@ from .series import (
 
 __all__ = [
     "as_base",
-    "base_pow",
     "pochhammer_finite",
     "pochhammer_infinite",
     "jacobi_theta",
@@ -41,11 +40,6 @@ def as_base(b):
     if isinstance(b, QMonomial):
         return b
     return qpow(rat(b))
-
-
-def base_pow(base, k):
-    """base^k as a monomial; fractional k needs base coefficient 1."""
-    return base ** k
 
 
 def _one_minus(m):

@@ -6,7 +6,6 @@ import pytest
 
 from qmock.catalog import (
     CATALOG,
-    eval_at_negated_base,
     nu3,
     phi3,
     phibar0,
@@ -76,7 +75,7 @@ class TestNegatedBase:
     def test_twist_matches_reinstantiated_sum(self):
         # nu(-q) recomputed from scratch with alternating signs
         order = 40
-        twisted = eval_at_negated_base(nu3(order))
+        twisted = nu3(order).negate_base()
         from qmock.series import unit_fraction_expand
 
         # under q -> -q the factors 1 + (-q)^(2i+1) become 1 - q^(2i+1),
@@ -100,19 +99,19 @@ class TestNegatedBase:
         phi = phi3(order)
         half = order // 2
         assert phibar0(half).substitute_power(2).mul_monomial(mono(2, 2)).agrees_with(
-            psi + eval_at_negated_base(psi)
+            psi + psi.negate_base()
         )
         assert phibar1(half).substitute_power(2).mul_monomial(mono(2, 1)).agrees_with(
-            psi - eval_at_negated_base(psi)
+            psi - psi.negate_base()
         )
         assert (psibar0(half).substitute_power(2) * 2).agrees_with(
-            phi + eval_at_negated_base(phi)
+            phi + phi.negate_base()
         )
         assert psibar1(half).substitute_power(2).mul_monomial(mono(2, 1)).agrees_with(
-            phi - eval_at_negated_base(phi)
+            phi - phi.negate_base()
         )
 
     def test_fractional_exponent_rejected(self):
         s = QSeries({Fraction(1, 2): 1}, 3)
         with pytest.raises(FractionalExponent):
-            eval_at_negated_base(s)
+            s.negate_base()

@@ -27,6 +27,13 @@ lhs = 1/(1-q)
 rhs = poch_inf(q^2, q)/Jm(1)
 """
 
+DEEP = "(" * 600 + "q" + ")" * 600
+
+
+def long_sum(n):
+    return "+".join(["q"] * n)
+
+
 FAILING_CORPUS = SMALL_CORPUS + """
 [identity planted]
 anchor = "off by q^5"
@@ -56,6 +63,16 @@ class TestExpand:
         code, _, err = run(capsys, "expand", "m(1,q,1)", "--order", "5")
         assert code == 3
         assert "DegenerateZ" in err
+
+    def test_deep_nesting_exit_2(self, capsys):
+        code, _, err = run(capsys, "expand", DEEP, "--order", "5")
+        assert code == 2
+        assert "nested too deeply" in err
+
+    def test_too_long_sum_exit_3(self, capsys):
+        code, _, err = run(capsys, "expand", long_sum(1200), "--order", "5")
+        assert code == 3
+        assert "RecursionError" in err
 
     def test_json_schema(self, capsys):
         code, out, _ = run(capsys, "expand", "1/(2-2*q)", "--order", "3", "--json")
@@ -118,6 +135,32 @@ class TestCorpus:
         path.write_text("[identity x]\nanchor = broken\n")
         code, _, err = run(capsys, "corpus", str(path))
         assert code == 2
+
+    def test_deep_stanza_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "deep.qid"
+        path.write_text(SMALL_CORPUS + f'\n[identity deep]\nanchor = "x"\norder = 5\nlhs = {DEEP}\nrhs = q\n')
+        code, _, err = run(capsys, "corpus", str(path))
+        assert code == 2
+        assert "'deep'" in err and "nested too deeply" in err
+
+    def test_too_long_stanza_errors_alone(self, capsys, tmp_path):
+        # 1200 terms are too deep to evaluate; 400 are too deep to send to a
+        # worker process but evaluate, so the pool verifies them in place
+        stanzas = "".join(
+            f'\n[identity sum-{n}]\nanchor = "x"\norder = 5\nlhs = {long_sum(n)}\nrhs = {n}q\n'
+            for n in (400, 1200)
+        )
+        path = tmp_path / "long.qid"
+        path.write_text(FAILING_CORPUS + stanzas)
+        for jobs in ("1", "2"):
+            code, out, _ = run(capsys, "corpus", str(path), "--json", "--stable", "--jobs", jobs)
+            assert code == 1
+            reports = {r["id"]: r for r in json.loads(out)}
+            assert {i: r["status"] for i, r in reports.items()} == {
+                "pass-1": "PASS", "pass-2": "PASS", "planted": "FAIL",
+                "sum-400": "PASS", "sum-1200": "ERROR",
+            }
+            assert reports["sum-1200"]["detail"].startswith("RecursionError")
 
     def test_order_override(self, capsys, tmp_path):
         path = tmp_path / "fail.qid"

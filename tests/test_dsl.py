@@ -1,17 +1,21 @@
 """Expression language: parsing, printing, evaluation, verification, corpus."""
 
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+from qmock import appell, catalog, hecke, theta
 from qmock._rational import rat
 from qmock.dsl import (
+    FUNCTIONS,
     Add,
     ArityError,
     Call,
     CorpusSyntaxError,
     Div,
+    EvaluationError,
     ExpressionSyntaxError,
     IdentityRecord,
     Literal,
@@ -27,7 +31,7 @@ from qmock.dsl import (
     to_text,
     verify_identity,
 )
-from qmock.series import GaussianRational, GR_I
+from qmock.series import GaussianRational, GR_I, QSeriesError, mono, qpow
 
 from oracles import series_to_dict
 
@@ -76,6 +80,13 @@ class TestParse:
 
     def test_imaginary_unit(self):
         assert parse("i") == Literal(GR_I)
+
+    def test_deep_nesting_is_a_syntax_error(self):
+        deep = "(" * 600 + "q" + ")" * 600
+        with pytest.raises(ExpressionSyntaxError, match="nested too deeply"):
+            parse(deep)
+        with pytest.raises(CorpusSyntaxError, match="nested too deeply"):
+            parse_corpus(f'[identity a]\nanchor = "x"\norder = 5\nlhs = {deep}\nrhs = q\n')
 
     def test_precedence(self):
         assert parse("1+2*3") == Add(
@@ -153,6 +164,13 @@ class TestEvaluate:
         out = evaluate(parse("Jm(2)/J(1,2)"), 30)
         assert out.precision == 30
 
+    def test_divisor_led_at_or_past_the_order(self):
+        # psi(q) is zero below q^1; 1/(i - q^-1) = -q/(1 - iq) starts at q^1
+        out = evaluate(parse("1/psi(q)"), 1)
+        assert series_to_dict(out) == {-1: 1, 0: -1}
+        out = evaluate(parse("1/(i - q^-1)"), 1)
+        assert out.is_zero() and out.precision == 1
+
     def test_negq(self):
         out = evaluate(parse("negq(psi(q)) + psi(q)"), 30)
         want = evaluate(parse("2*q^2*phibar0(q^2)"), 30)
@@ -163,6 +181,89 @@ class TestEvaluate:
         assert out.agrees_with(evaluate(parse("Jm(3)"), 30))
         half = evaluate(parse("subq(1/(1-q), 1/2)"), 2)
         assert series_to_dict(half) == {0: 1, Fraction(1, 2): 1, 1: 1, Fraction(3, 2): 1}
+
+
+class TestOrderAgreement:
+    def test_random_asts_agree_across_orders(self):
+        rnd = random.Random(2012)
+        for _ in range(1000):
+            ast = _random_ast(rnd)
+            n = rnd.randint(1, 8)
+            k = rnd.randint(1, 6)
+            results = []
+            for order in (n, n + k):
+                try:
+                    results.append(evaluate(ast, order))
+                except QSeriesError as exc:
+                    results.append(type(exc))
+            lo, hi = results
+            if isinstance(lo, type) or isinstance(hi, type):
+                assert lo == hi, to_text(ast)
+            else:
+                assert lo.precision == n and hi.precision == n + k, to_text(ast)
+                assert lo.agrees_with(hi), to_text(ast)
+
+
+R = Fraction
+X, Y = mono(-1, R(2, 5)), mono(2, R(4, 5))
+
+# every DSL function: the arguments of a sample call, and the direct engine
+# call that it must equal at order w
+DIRECT = {
+    "poch_inf": ("-q^(1/2), q^2", lambda w: theta.pochhammer_infinite(mono(-1, R(1, 2)), qpow(2), w)),
+    "poch_fin": ("q^-1, -q, 4", lambda w: theta.pochhammer_finite(qpow(-1), mono(-1, 1), 4, order=w)),
+    "j": ("-q, q^3", lambda w: theta.jacobi_theta(mono(-1, 1), qpow(3), w)),
+    "J": ("1, 5", lambda w: theta.J(1, 5, w)),
+    "JB": ("2, 7", lambda w: theta.Jbar(2, 7, w)),
+    "Jm": ("3/2", lambda w: theta.Jm(R(3, 2), w)),
+    "m": ("q, q^12, q^2", lambda w: appell.appell_m(qpow(1), qpow(12), qpow(2), w)),
+    "f": ("1, 2, 1, -q^(2/5), 2q^(4/5), q",
+          lambda w: hecke.f_abc(1, 2, 1, X, Y, qpow(1), w)),
+    "g": ("-q, q^8", lambda w: appell.universal_g_eulerian(mono(-1, 1), qpow(8), w)),
+    "g_abc": ("1, 3, 1, -q^(2/5), 2q^(4/5), q, -1, -1",
+              lambda w: appell.g_abc(1, 3, 1, X, Y, qpow(1), mono(-1), mono(-1), w)),
+    "h_abc": ("1, 2, 1, -q^(2/5), 2q^(4/5), q, -1, -1",
+              lambda w: appell.h_abc(1, 2, 1, X, Y, qpow(1), mono(-1), mono(-1), w)),
+    "theta_np": ("1, 2, -q^(2/5), 2q^(4/5), q",
+                 lambda w: appell.theta_np(1, 2, X, Y, qpow(1), w)),
+    "theta_abc": ("1, 2, 1, -q^(2/5), 2q^(4/5), q",
+                  lambda w: appell.theta_abc(1, 2, 1, X, Y, qpow(1), w)),
+    "psi": ("q", catalog.psi3),
+    "nu": ("q", catalog.nu3),
+    "phi": ("q", catalog.phi3),
+    "psibar0": ("q", catalog.psibar0),
+    "psibar1": ("q", catalog.psibar1),
+    "phibar0": ("q", catalog.phibar0),
+    "phibar1": ("-q^2", lambda w: catalog.phibar1(R(w, 2)).substitute_monomial(mono(-1, 2))),
+    "subq": ("Jm(1), 2", lambda w: theta.Jm(2, w)),
+    "negq": ("psi(q)", lambda w: catalog.psi3(w).negate_base()),
+}
+
+
+class TestDispatchTable:
+    def test_every_function_sampled(self):
+        assert set(DIRECT) == set(FUNCTIONS)
+
+    @pytest.mark.parametrize("name", sorted(FUNCTIONS))
+    def test_call_equals_engine(self, name):
+        args, direct = DIRECT[name]
+        order = 6
+        got = evaluate(parse(f"{name}({args})"), order)
+        want = direct(order)
+        assert want.precision >= order
+        assert got.precision == order
+        assert got.terms == want.truncate(order).terms
+
+    @pytest.mark.parametrize("name", sorted(n for n, row in FUNCTIONS.items() if "b" in row[0]))
+    def test_base_slots_need_positive_exponent(self, name):
+        args = [a.strip() for a in DIRECT[name][0].split(",")]
+        for i, kind in enumerate(FUNCTIONS[name][0]):
+            if kind != "b":
+                continue
+            for bad in ("q^0", "q^-1"):
+                call = f"{name}({', '.join(args[:i] + [bad] + args[i + 1:])})"
+                with pytest.raises(EvaluationError, match="positive exponent"):
+                    evaluate(parse(call), 6)
 
 
 class TestVerify:
@@ -245,3 +346,4 @@ class TestShippedCorpus:
         records = parse_corpus(shipped_corpus_path().read_text(encoding="utf-8"))
         assert len(records) >= 150
         assert len({r.id for r in records}) == len(records)
+        assert pickle.loads(pickle.dumps(records)) == records
