@@ -1,8 +1,8 @@
 """Rational ground type.
 
 All exponents and coefficient parts are exact rationals.  gmpy2.mpq is used
-when available (5-10x faster than fractions.Fraction and hash-compatible
-with it); otherwise the stdlib Fraction is a drop-in replacement.
+when available (faster than fractions.Fraction and hash-compatible with it);
+otherwise the stdlib Fraction is a drop-in replacement.
 """
 
 from fractions import Fraction

@@ -11,7 +11,7 @@ output-sensitive enumeration that provably drops no term.
 from __future__ import annotations
 
 from ._rational import RAT, rat, floor
-from .series import QSeries
+from .series import QSeries, add_term
 from .theta import as_base
 
 __all__ = ["f_abc", "f_abc_via_quadrants"]
@@ -63,16 +63,6 @@ def _accumulate_quadrant(out, a, b, c, x, y, base, order, negative):
             val = -val
         return val
 
-    def add(u, v):
-        e = exponent(u, v)
-        cval = coeff(u, v)
-        acc = out.get(e)
-        s = cval if acc is None else acc + cval
-        if s.is_zero():
-            out.pop(e, None)
-        else:
-            out[e] = s
-
     # column vertex for fixed row u, and the row index beyond which the
     # exponent increases in u for every column
     if negative:
@@ -95,11 +85,11 @@ def _accumulate_quadrant(out, a, b, c, x, y, base, order, negative):
             v0 = max(0, floor(col_vertex(u)))
             v = v0
             while v >= 0 and exponent(u, v) < order:
-                add(u, v)
+                add_term(out, exponent(u, v), coeff(u, v))
                 v -= 1
             v = v0 + 1
             while exponent(u, v) < order:
-                add(u, v)
+                add_term(out, exponent(u, v), coeff(u, v))
                 v += 1
         u += 1
 
@@ -153,10 +143,5 @@ def f_abc_via_quadrants(a, b, c, x, y, base, order):
                 val = -val
             if r < 0:
                 val = -val
-            acc = out.get(e)
-            tot = val if acc is None else acc + val
-            if tot.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = tot
+            add_term(out, e, val)
     return QSeries(out, order, _clean=True)

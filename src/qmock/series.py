@@ -8,11 +8,19 @@ series is exact (a Laurent polynomial known at every order).
 
 The zero series carries an explicit precision: cancellation must not
 silently promote knowledge.
+
+Products, and through them Newton inversion, run on an integer lattice
+(``_mul_terms``): the exponents of both factors become integer indices on
+one grid and the coefficients integer numerators over a common
+denominator, and the convolution is a big-int product of the
+Kronecker-packed numerator vectors, so no rational arithmetic happens per
+term pair.  The dict of rationals stays the public view of a series.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from ._rational import RAT, rat, is_integer, as_int
 
@@ -184,7 +192,8 @@ class GaussianRational:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as its real part, which it compares equal to
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -374,12 +383,7 @@ class QSeries:
         p = _pmin(self.precision, other.precision)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            acc = out.get(e)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
+            add_term(out, e, c)
         if p is not None:
             out = {e: c for e, c in out.items() if e < p}
         return QSeries(out, p, _clean=True)
@@ -552,52 +556,175 @@ def _wrap(re, im):
     return g
 
 
+def add_term(out, e, c):
+    """Add c into out[e], dropping the entry when the sum is zero."""
+    acc = out.get(e)
+    s = c if acc is None else acc + c
+    if s.is_zero():
+        out.pop(e, None)
+    else:
+        out[e] = s
+
+
 def _mul_terms(ta, tb, bound):
     """Convolution of two term dicts, dropping exponents >= bound.
 
-    The inner loop runs on raw rational parts: series are predominantly
-    real, and skipping per-term GaussianRational construction is the single
-    biggest win in the whole engine.
+    Runs on an integer lattice.  Terms that cannot reach ``bound`` are
+    dropped; the exponents of both factors go onto one grid (the lcm L of
+    their denominators, each factor's least exponent as its offset, the gcd
+    of all index differences as the step), and each factor's coefficients
+    over one common denominator, leaving integer numerators at integer
+    indices.  Their convolution is a big-int product of the Kronecker-packed
+    vectors (one for real factors, up to three for Gaussian ones), or, for a
+    tiny product or a lattice much longer than its terms, a plain loop over
+    the term pairs.  Only the surviving coefficients are boxed as rationals.
     """
     if not ta or not tb:
         return {}
-    if len(ta) > len(tb):
-        ta, tb = tb, ta
-    a_items = [(e, c.re, c.im) for e, c in ta.items()]
-    b_items = sorted((e, c.re, c.im) for e, c in tb.items())
-    if all(not ia for _, _, ia in a_items) and all(not ib for _, _, ib in b_items):
-        out = {}
-        get = out.get
-        for ea, ra, _ in a_items:
-            for eb, rb, _ in b_items:
-                e = ea + eb
-                if bound is not None and e >= bound:
-                    break
-                v = ra * rb
-                acc = get(e)
-                out[e] = v if acc is None else acc + v
-        return {e: _wrap(r, _R0) for e, r in out.items() if r}
-    out_re = {}
-    out_im = {}
-    for ea, ra, ia in a_items:
-        for eb, rb, ib in b_items:
-            e = ea + eb
-            if bound is not None and e >= bound:
-                break
-            re = ra * rb - ia * ib
-            im = ra * ib + ia * rb
-            acc = out_re.get(e)
-            if acc is None:
-                out_re[e] = re
-                out_im[e] = im
-            else:
-                out_re[e] = acc + re
-                out_im[e] = out_im[e] + im
+    L = lcm(*{e.denominator for e in ta}, *{e.denominator for e in tb})
+    pa = _grid_points(ta, L)
+    pb = _grid_points(tb, L)
+    lo_a, lo_b = pa[0][0], pb[0][0]
+    top = None  # grid exponents x with x < top are below the bound
+    if bound is not None:
+        top = -(-int(bound.numerator) * L // int(bound.denominator))
+        pa = [p for p in pa if p[0] + lo_b < top]
+        pb = [p for p in pb if p[0] + lo_a < top]
+        if not pa or not pb:
+            return {}
+    step = gcd(*[x - lo_a for x, _ in pa], *[x - lo_b for x, _ in pb]) or 1
+    count = (pa[-1][0] - lo_a + pb[-1][0] - lo_b) // step + 1
+    if top is not None:
+        count = min(count, -((lo_a + lo_b - top) // step))
+    a, da = _numerators(pa, lo_a, step)
+    b, db = _numerators(pb, lo_b, step)
+    if len(pa) * len(pb) <= _TINY_PAIRS + _PAIRS_PER_SLOT * count:
+        slots = _convolve(a, b, count)
+    else:
+        slots = _kronecker(a, b, count)
+    base, den = lo_a + lo_b, da * db
     return {
-        e: _wrap(r, out_im[e])
-        for e, r in out_re.items()
-        if r or out_im[e]
+        _ratio(base + n * step, L): _wrap(_ratio(re, den), _ratio(im, den) if im else _R0)
+        for n, re, im in slots
     }
+
+
+def _ratio(num, den):
+    """num/den in the ground type; for den == 1 without the gcd."""
+    return RAT(num) if den == 1 else RAT(num, den)
+
+
+# The pair loop costs about one unit per term pair; the big-int product
+# about two per lattice slot, which it visits even when the slot is empty,
+# plus a fixed set-up.  So a tiny product, or one whose lattice is much
+# longer than its terms, takes the pair loop.
+_TINY_PAIRS = 64
+_PAIRS_PER_SLOT = 2
+
+
+def _grid_points(terms, L):
+    """(integer exponent on the 1/L grid, coefficient), ascending."""
+    return sorted(
+        (int(e.numerator) * (L // int(e.denominator)), c) for e, c in terms.items()
+    )
+
+
+def _numerators(points, lo, step):
+    """Lattice indices and integer numerators over one common denominator:
+    ((indices, real numerators, imaginary numerators or None), denominator)."""
+    coeffs = [c for _, c in points]
+    real = not any(c.im for c in coeffs)
+    dens = {c.re.denominator for c in coeffs}
+    if not real:
+        dens.update(c.im.denominator for c in coeffs)
+    den = lcm(*map(int, dens))
+    idx = [(x - lo) // step for x, _ in points]
+    re = [int(c.re.numerator) * (den // int(c.re.denominator)) for c in coeffs]
+    im = None if real else [
+        int(c.im.numerator) * (den // int(c.im.denominator)) for c in coeffs
+    ]
+    return (idx, re, im), den
+
+
+def _convolve(a, b, count):
+    """Nonzero (slot, re, im) of the pair-by-pair convolution below ``count``."""
+    ia, ra, xa = a
+    ib, rb, xb = b
+    acc = {}
+    get = acc.get
+    if xa is None and xb is None:
+        for i, r in zip(ia, ra):
+            for j, s in zip(ib, rb):
+                n = i + j
+                if n >= count:
+                    break
+                acc[n] = get(n, 0) + r * s
+        return [(n, v, 0) for n, v in acc.items() if v]
+    xa = xa or [0] * len(ia)
+    xb = xb or [0] * len(ib)
+    for i, r, x in zip(ia, ra, xa):
+        for j, s, y in zip(ib, rb, xb):
+            n = i + j
+            if n >= count:
+                break
+            re, im = get(n, (0, 0))
+            acc[n] = (re + r * s - x * y, im + r * y + x * s)
+    return [(n, re, im) for n, (re, im) in acc.items() if re or im]
+
+
+def _kronecker(a, b, count):
+    """Nonzero (slot, re, im) of the convolution below ``count``, by
+    Kronecker substitution: each numerator vector becomes one integer with
+    a signed value per slot of w bits, and slot n of the product of two
+    such integers is the n-th convolution coefficient."""
+    ia, ra, xa = a
+    ib, rb, xb = b
+    big_a = max(map(abs, ra + (xa or []))).bit_length()
+    big_b = max(map(abs, rb + (xb or []))).bit_length()
+    # |coefficient| <= 2 * min(len) * max|a| * max|b| < 2^(w - 1)
+    wb = (big_a + big_b + min(len(ia), len(ib)).bit_length() + 2 + 7) // 8
+    ar, br = _pack(ia, ra, wb), _pack(ib, rb, wb)
+    if xa is None and xb is None:
+        return [(n, v, 0) for n, v in enumerate(_unpack(ar * br, count, wb)) if v]
+    # Karatsuba's three products; a real factor has ai or bi = 0, which
+    # leaves two
+    ai = 0 if xa is None else _pack(ia, xa, wb)
+    bi = 0 if xb is None else _pack(ib, xb, wb)
+    rr, ii = ar * br, ai * bi
+    re, im = rr - ii, (ar + ai) * (br + bi) - rr - ii
+    return [
+        (n, r, x)
+        for n, (r, x) in enumerate(zip(_unpack(re, count, wb), _unpack(im, count, wb)))
+        if r or x
+    ]
+
+
+def _pack(idx, vals, wb):
+    """sum(v * 2^(8*wb*i)) over the values v at lattice indices i.
+
+    Every slot is written as v + 2^(8*wb - 1), which is nonnegative, and
+    the same offset in every slot is subtracted at the end."""
+    half = 1 << (8 * wb - 1)
+    zero = half.to_bytes(wb, "little")
+    size = idx[-1] + 1
+    slots = [zero] * size
+    for i, v in zip(idx, vals):
+        slots[i] = (v + half).to_bytes(wb, "little")
+    return int.from_bytes(b"".join(slots), "little") - int.from_bytes(zero * size, "little")
+
+
+def _unpack(packed, count, wb):
+    """The first ``count`` signed slots of a packed integer.
+
+    A negative slot borrows one from the slot above it.  Adding 2^(8*wb - 1)
+    to every slot first makes each slot nonnegative, so no borrow crosses a
+    slot and each reads off its own bytes."""
+    half = 1 << (8 * wb - 1)
+    size = count * wb
+    offset = int.from_bytes(half.to_bytes(wb, "little") * count, "little")
+    buf = ((packed + offset) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    from_bytes = int.from_bytes
+    return [from_bytes(buf[k:k + wb], "little") - half for k in range(0, size, wb)]
 
 
 def unit_fraction_expand(c, k, order):

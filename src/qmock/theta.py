@@ -17,6 +17,7 @@ from .series import (
     GR_ONE,
     QMonomial,
     QSeries,
+    add_term,
     qpow,
 )
 
@@ -122,25 +123,14 @@ def jacobi_theta(x, base, order):
         return c
 
     out = {}
-
-    def add(n):
-        e = exponent(n)
-        c = term(n)
-        acc = out.get(e)
-        s = c if acc is None else acc + c
-        if s.is_zero():
-            out.pop(e, None)
-        else:
-            out[e] = s
-
     vertex = _HALF - ex / eb
     n = floor(vertex)
     while exponent(n) < order:
-        add(n)
+        add_term(out, exponent(n), term(n))
         n -= 1
     n = floor(vertex) + 1
     while exponent(n) < order:
-        add(n)
+        add_term(out, exponent(n), term(n))
         n += 1
     return QSeries(out, order, _clean=True)
 

@@ -96,27 +96,28 @@ class TestParse:
         assert parse("-q^2") == Neg(QPow(rat(2)))
 
 
-def _random_ast(rnd, depth=0):
-    """Random AST in the parser's canonical shape."""
+def _random_ast(rnd, depth=0, dens=(1, 2, 7)):
+    """Random AST in the parser's canonical shape; the q-power literals have
+    exponent denominators drawn from ``dens``."""
     if depth > 3 or rnd.random() < 0.3:
         choice = rnd.randrange(3)
         if choice == 0:
             return Literal(GaussianRational(rnd.randint(0, 9)))
         if choice == 1:
             return Literal(GR_I)
-        e = rat(rnd.randint(-12, 12), rnd.choice([1, 2, 7]))
+        e = rat(rnd.randint(-12, 12), rnd.choice(dens))
         return QPow(e)
     kind = rnd.randrange(6)
     if kind == 0:
-        return Add(_random_ast(rnd, depth + 1), _random_ast(rnd, depth + 1))
+        return Add(_random_ast(rnd, depth + 1, dens), _random_ast(rnd, depth + 1, dens))
     if kind == 1:
-        return Sub(_random_ast(rnd, depth + 1), _random_ast(rnd, depth + 1))
+        return Sub(_random_ast(rnd, depth + 1, dens), _random_ast(rnd, depth + 1, dens))
     if kind == 2:
-        return Mul(_random_ast(rnd, depth + 1), _random_ast(rnd, depth + 1))
+        return Mul(_random_ast(rnd, depth + 1, dens), _random_ast(rnd, depth + 1, dens))
     if kind == 3:
-        return Div(_random_ast(rnd, depth + 1), _random_ast(rnd, depth + 1))
+        return Div(_random_ast(rnd, depth + 1, dens), _random_ast(rnd, depth + 1, dens))
     if kind == 4:
-        return Neg(_random_ast(rnd, depth + 1))
+        return Neg(_random_ast(rnd, depth + 1, dens))
     name = rnd.choice(["Jm", "J", "m", "psi", "negq"])
     if name == "Jm":
         return Call("Jm", (Literal(GaussianRational(rnd.randint(1, 6))),))
@@ -128,7 +129,7 @@ def _random_ast(rnd, depth=0):
                           Neg(Literal(GaussianRational(1)))))
     if name == "psi":
         return Call("psi", (QPow(rat(1)),))
-    return Call("negq", (_random_ast(rnd, depth + 1),))
+    return Call("negq", (_random_ast(rnd, depth + 1, dens),))
 
 
 class TestPrintRoundTrip:
@@ -202,6 +203,29 @@ class TestOrderAgreement:
             else:
                 assert lo.precision == n and hi.precision == n + k, to_text(ast)
                 assert lo.agrees_with(hi), to_text(ast)
+
+
+class TestSubqNegqCommute:
+    def test_random_integer_exponent_asts(self):
+        # f((-q)^k) is f(-q^k) for odd k and f(q^k) for even k
+        rnd = random.Random(2013)
+        for _ in range(500):
+            f = to_text(_random_ast(rnd, dens=(1,)))
+            k = rnd.randint(1, 4)
+            order = rnd.randint(1, 12)
+            want = f"subq(negq({f}), {k})" if k & 1 else f"subq({f}, {k})"
+            results = []
+            for text in (f"negq(subq({f}, {k}))", want):
+                try:
+                    results.append(evaluate(parse(text), order))
+                except QSeriesError as exc:
+                    results.append(type(exc))
+            lhs, rhs = results
+            if isinstance(lhs, type) or isinstance(rhs, type):
+                assert lhs == rhs, (f, k)
+            else:
+                assert lhs.precision == rhs.precision == order, (f, k)
+                assert lhs.agrees_with(rhs), (f, k)
 
 
 R = Fraction

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from qmock import series
+from qmock._rational import RAT
 from qmock.series import (
     BeyondPrecision,
     GaussianRational,
@@ -17,7 +19,7 @@ from qmock.series import (
     unit_fraction_expand,
 )
 
-from oracles import long_division_invert, series_to_dict, assert_dict_eq
+from oracles import long_division_invert, poly_mul, series_to_dict, assert_dict_eq
 
 
 def S(terms, precision=None):
@@ -43,6 +45,13 @@ class TestGaussianRational:
         assert z ** 4 == GaussianRational(-4)
         assert z ** -4 == GaussianRational(Fraction(-1, 4))
         assert GaussianRational(Fraction(2, 3)) ** -2 == GaussianRational(Fraction(9, 4))
+
+    def test_real_values_hash_as_their_real_part(self):
+        for x in (3, -7, Fraction(5, 12), RAT(-2, 9), 0):
+            g = GaussianRational(x)
+            assert g == x and hash(g) == hash(x)
+            assert len({g, x}) == 1
+        assert hash(GaussianRational(1, 2)) == hash(GaussianRational(Fraction(2, 2), 2))
 
 
 class TestAdd:
@@ -124,6 +133,139 @@ class TestInvert:
             prod = a * a.invert()
             assert prod.precision == prec
             assert series_to_dict(prod) == {0: 1}
+
+
+_DENS = [1, 2, 3, 7, 9, 12]
+
+
+def _fuzz_factor(rnd, den):
+    """Random term dict for the kernel fuzz: one term, a dense run on the
+    1/den grid, a wide sparse span on a 1/1000 grid, or scattered terms with
+    mixed exponent denominators; some numerators and denominators above
+    2^100; some imaginary parts."""
+    shape = rnd.choice(["one", "dense", "dense", "dense", "dense", "wide", "scattered"])
+    if shape == "one":
+        exps = [Fraction(rnd.randint(-20, 20), rnd.choice(_DENS))]
+    elif shape == "dense":
+        lo = rnd.randint(-12, 6)
+        exps = [Fraction(lo + k, den) for k in range(rnd.randint(4, 28))]
+    elif shape == "wide":
+        exps = [Fraction(0), Fraction(100), Fraction(rnd.randint(1, 999), 1000)]
+    else:
+        exps = [Fraction(rnd.randint(-24, 36), rnd.choice(_DENS))
+                for _ in range(rnd.randint(2, 10))]
+    huge = rnd.random() < 0.25
+    gaussian = rnd.random() < 0.3
+
+    def part(size):
+        num = rnd.randint(-(2 ** 130), 2 ** 130) if huge else rnd.randint(-size, size)
+        den = rnd.randint(1, 2 ** 110) if huge else rnd.choice([1, 2, 3, 5])
+        return Fraction(num, den)
+
+    out = {}
+    for e in exps:
+        c = GaussianRational(part(9), part(3) if gaussian else 0)
+        if not c.is_zero():
+            out[e] = c
+    return out
+
+
+def _parts(terms, name):
+    return {Fraction(e): Fraction(getattr(c, name)) for e, c in terms.items()
+            if getattr(c, name)}
+
+
+def _sub(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) - c
+    return {e: c for e, c in out.items() if c}
+
+
+def _assert_ground_types(s):
+    for e, c in s.terms.items():
+        assert type(e) is RAT and type(c.re) is RAT and type(c.im) is RAT
+
+
+class TestKernelAgainstOracle:
+    """The lattice kernel against the Fraction dict oracles of tests/oracles.py,
+    which see real and imaginary parts as separate real series."""
+
+    def test_products(self, monkeypatch):
+        paths = {"_kronecker": 0, "_convolve": 0}
+        for name in paths:
+            inner = getattr(series, name)
+
+            def counted(*args, _inner=inner, _name=name):
+                paths[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(series, name, counted)
+        rnd = random.Random(31)
+        for _ in range(600):
+            den = rnd.choice(_DENS)
+            ta = _fuzz_factor(rnd, den)
+            tb = _fuzz_factor(rnd, rnd.choice([den, den, rnd.choice(_DENS)]))
+            if not ta or not tb:
+                continue
+            lows = min(ta) + min(tb)
+            bound = rnd.choice([
+                None,
+                lows + Fraction(rnd.randint(1, 60), rnd.choice([1, 2, 3, 7, 12])),
+                lows - Fraction(rnd.randint(0, 3), rnd.choice([1, 9])),
+            ])
+            got = S(ta) * S(tb) if bound is None else S(ta, bound - min(tb)) * S(tb)
+            assert got.precision == bound
+            _assert_ground_types(got)
+            ar, ai, br, bi = (_parts(ta, "re"), _parts(ta, "im"),
+                              _parts(tb, "re"), _parts(tb, "im"))
+            want_re = _sub(poly_mul(ar, br, bound), poly_mul(ai, bi, bound))
+            want_im = _sub(poly_mul(ar, bi, bound),
+                           {e: -c for e, c in poly_mul(ai, br, bound).items()})
+            assert _parts(got.terms, "re") == want_re
+            assert _parts(got.terms, "im") == want_im
+        assert paths["_kronecker"] > 40 and paths["_convolve"] > 40
+
+    def test_slots_at_their_widest(self):
+        # every coefficient at its bit size's maximum, one sign: the middle
+        # of the product is as large as the packed slot width allows, and
+        # for 15 terms of 2, 6, 10 or 14 bits that width is a whole number
+        # of bytes
+        for n in (7, 15):
+            for bits in range(1, 17):
+                top = 2 ** bits - 1
+                for ca, cb in (((top, 0), (-top, 0)), ((top, top), (-top, top))):
+                    ta = {Fraction(k, 3): GaussianRational(*ca) for k in range(n)}
+                    tb = {Fraction(k, 3): GaussianRational(*cb) for k in range(n)}
+                    got = (S(ta) * S(tb)).terms
+                    want_re = _sub(poly_mul(_parts(ta, "re"), _parts(tb, "re")),
+                                   poly_mul(_parts(ta, "im"), _parts(tb, "im")))
+                    assert _parts(got, "re") == want_re
+                    assert _parts(got, "im") == _sub(
+                        poly_mul(_parts(ta, "re"), _parts(tb, "im")),
+                        {e: -c for e, c in poly_mul(_parts(ta, "im"), _parts(tb, "re")).items()})
+
+    def test_inverses(self):
+        rnd = random.Random(32)
+        for _ in range(120):
+            den = rnd.choice(_DENS)
+            low = rnd.randint(-6, 4)
+            huge = rnd.random() < 0.2
+            terms = {}
+            for k in range(rnd.randint(1, 7)):
+                num = rnd.randint(-(2 ** 110), 2 ** 110) if huge else rnd.randint(-4, 4)
+                terms[Fraction(low + rnd.randint(0, 12) * (k > 0), den)] = Fraction(
+                    num or 1, rnd.randint(1, 2 ** 105) if huge else rnd.choice([1, 2, 3]))
+            prec = Fraction(low + rnd.randint(1, 14), den)
+            a = S(terms, prec)
+            got = a.invert()
+            _assert_ground_types(got)
+            # the oracle steps through integer exponents: scale q -> q^den
+            scaled = {e * den: c for e, c in series_to_dict(a).items()}
+            want = long_division_invert(scaled, got.precision * den)
+            have = {e * den: c for e, c in series_to_dict(got).items()}
+            assert_dict_eq(have, want, got.precision * den)
+            assert set(have) <= set(want)
 
 
 class TestCoeff:
