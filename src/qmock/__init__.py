@@ -26,6 +26,7 @@ from .series import (
     DegenerateDenominator,
     DivisibilityViolation,
     InsufficientPrecision,
+    LatticeTooLarge,
 )
 from .theta import (
     J,

@@ -108,7 +108,7 @@ def appell_m(x, base, z, order):
     probe_order = max(order, _R1)
     for _ in range(4):
         probe = jacobi_theta(z, base, probe_order)
-        if probe.terms:
+        if not probe.is_zero():
             break
         probe_order = 4 * probe_order + 1
     else:

@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ._rational import RAT, rat
+from ._rational import rat
 from .appell import appell_m, eval_with_retry, universal_g_eulerian
 from .series import (
     GaussianRational,
     GR_I,
-    GR_ONE,
     QSeries,
+    lattice_series,
     mono,
     qpow,
     unit_fraction_expand,
@@ -37,8 +37,8 @@ __all__ = [
     "CATALOG",
 ]
 
-_R0 = RAT(0)
 _M1 = mono(-1, 0)
+_ONE = (1, 0, 1)
 
 
 def _eulerian(order, exponent, first, factors):
@@ -62,8 +62,8 @@ def _over(sign, ks, order):
 
 
 def _times(ks):
-    """The factors 1 + q^k for the positive k in ks."""
-    return [QSeries({_R0: GR_ONE, rat(k): GR_ONE}, None) for k in ks if k > 0]
+    """The factors 1 + q^k for the positive integers k in ks."""
+    return [lattice_series(1, [(0, _ONE), (k, _ONE)], None) for k in ks if k > 0]
 
 
 def psi3(order):

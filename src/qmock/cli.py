@@ -41,11 +41,15 @@ def _default_order():
 
 
 def _parse_order(text):
-    if "/" in text:
-        p, _, r = text.partition("/")
-        value = rat(int(p), int(r))
-    else:
-        value = rat(int(text))
+    """A positive rational order written n or p/r; ValueError otherwise."""
+    try:
+        if "/" in text:
+            p, _, r = text.partition("/")
+            value = rat(int(p), int(r))
+        else:
+            value = rat(int(text))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad order {text!r}") from None
     if value <= 0:
         raise ValueError("order must be positive")
     return value
@@ -64,11 +68,11 @@ def _series_json(series):
 def cmd_expand(args):
     try:
         ast = parse(args.expr)
-    except ExpressionSyntaxError as exc:
+        order = _parse_order(args.order)
+    except (ExpressionSyntaxError, ValueError) as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2
     try:
-        order = _parse_order(args.order)
         series = evaluate(ast, order)
     except EVALUATION_ERRORS as exc:
         print(f"evaluation error: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -95,12 +99,8 @@ def cmd_verify(args):
     try:
         lhs = parse(args.lhs)
         rhs = parse(args.rhs)
-    except ExpressionSyntaxError as exc:
-        print(f"syntax error: {exc}", file=sys.stderr)
-        return 2
-    try:
         order = _parse_order(args.order)
-    except ValueError as exc:
+    except (ExpressionSyntaxError, ValueError) as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2
     record = IdentityRecord(
@@ -138,6 +138,11 @@ def run_corpus(records, order_override=None, jobs=1):
 
 
 def cmd_corpus(args):
+    try:
+        override = _parse_order(args.order) if args.order else None
+    except ValueError as exc:
+        print(f"syntax error: {exc}", file=sys.stderr)
+        return 2
     if args.path is None:
         text = shipped_corpus_path().read_text(encoding="utf-8")
     else:
@@ -152,7 +157,6 @@ def cmd_corpus(args):
     except CorpusSyntaxError as exc:
         print(f"corpus syntax error: {exc}", file=sys.stderr)
         return 2
-    override = _parse_order(args.order) if args.order else None
     reports = run_corpus(records, order_override=override, jobs=args.jobs)
     counts = {"PASS": 0, "FAIL": 0, "ERROR": 0}
     for rep in reports:

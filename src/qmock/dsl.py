@@ -546,7 +546,7 @@ def _eval_divisor(node, w):
     with ZeroSeries."""
     den = _eval(node, w)
     for _ in range(3):
-        if den.terms or den.precision is None:
+        if not den.is_zero() or den.precision is None:
             break
         w = 2 * w + 1
         den = _eval(node, w)
@@ -659,12 +659,12 @@ def verify_identity(record):
             anchor=record.anchor,
             elapsed_ms=elapsed,
         )
-    e = min(diff.terms)
+    e = diff.low_degree()
     return VerificationReport(
         id=record.id,
         status="FAIL",
         achieved_precision=diff.precision,
-        first_mismatch=(e, diff.terms[e]),
+        first_mismatch=(e, diff.coeff(e)),
         anchor=record.anchor,
         elapsed_ms=elapsed,
     )

@@ -10,13 +10,14 @@ output-sensitive enumeration that provably drops no term.
 
 from __future__ import annotations
 
+from math import lcm
+
 from ._rational import RAT, rat, floor
-from .series import QSeries, add_term
+from .series import QSeries, as_triple, lattice_series, triple_mul, triple_pow
 from .theta import as_base
 
 __all__ = ["f_abc", "f_abc_via_quadrants"]
 
-_R0 = RAT(0)
 _HALF = RAT(1, 2)
 
 
@@ -32,16 +33,24 @@ def f_abc(a, b, c, x, y, base, order):
     _check_params(a, b, c)
     base = as_base(base)
     order = rat(order)
-    out = {}
-    _accumulate_quadrant(out, a, b, c, x, y, base, order, negative=False)
-    _accumulate_quadrant(out, a, b, c, x, y, base, order, negative=True)
-    return QSeries(out, order, _clean=True)
+    exps = (base.exp, x.exp, y.exp)
+    L = lcm(*[int(e.denominator) for e in exps])
+    grid = [int(e.numerator) * (L // int(e.denominator)) for e in exps]
+    # an exponent E/L lies below the order when E*od < on*L
+    bound = (int(order.numerator) * L, int(order.denominator))
+    coeffs = [as_triple(m.coeff) for m in (base, x, y)]
+    points = []
+    for negative in (False, True):
+        _accumulate_quadrant(points, a, b, c, grid, coeffs, bound, negative)
+    return lattice_series(L, points, order)
 
 
-def _accumulate_quadrant(out, a, b, c, x, y, base, order, negative):
-    eb, cb = base.exp, base.coeff
-    ex, cx = x.exp, x.coeff
-    ey, cy = y.exp, y.coeff
+def _accumulate_quadrant(points, a, b, c, grid, coeffs, bound, negative):
+    """Append (exponent times L, coefficient) for the quadrant's terms below
+    the bound; exponents are integers on the grid of f_abc."""
+    eb, ex, ey = grid
+    cb, cx, cy = coeffs
+    top, od = bound
 
     def rs(u, v):
         return (-1 - u, -1 - v) if negative else (u, v)
@@ -56,40 +65,38 @@ def _accumulate_quadrant(out, a, b, c, x, y, base, order, negative):
 
     def coeff(u, v):
         r, s = rs(u, v)
-        val = (cx ** r) * (cy ** s) * (cb ** int_exp(u, v))
-        if (r + s) & 1:
-            val = -val
-        if negative:
-            val = -val
+        val = triple_mul(triple_mul(triple_pow(cx, r), triple_pow(cy, s)),
+                         triple_pow(cb, int_exp(u, v)))
+        if ((r + s) & 1) != negative:
+            val = (-val[0], -val[1], val[2])
         return val
 
-    # column vertex for fixed row u, and the row index beyond which the
-    # exponent increases in u for every column
+    # floor of the column vertex for fixed row u, and the row index beyond
+    # which the exponent increases in u for every column
     if negative:
-        def col_vertex(u):
-            return (ey - eb * b * (u + 1)) / (eb * c) - RAT(3, 2)
-        row_limit = ex / (eb * a) - RAT(3, 2)
+        def col_vertex(u):  # (ey - eb*b*(u+1)) / (eb*c) - 3/2
+            return (2 * (ey - eb * b * (u + 1)) - 3 * eb * c) // (2 * eb * c)
+        row_limit = (2 * ex - 3 * eb * a) // (2 * eb * a)  # ex/(eb*a) - 3/2
     else:
-        def col_vertex(u):
-            return _HALF - (eb * b * u + ey) / (eb * c)
-        row_limit = _HALF - ex / (eb * a)
+        def col_vertex(u):  # 1/2 - (eb*b*u + ey)/(eb*c)
+            return (eb * c - 2 * (eb * b * u + ey)) // (2 * eb * c)
+        row_limit = (eb * a - 2 * ex) // (2 * eb * a)  # 1/2 - ex/(eb*a)
 
-    def row_min(u):
-        v = col_vertex(u)
-        vf = max(0, floor(v))
-        return min(exponent(u, vf), exponent(u, vf + 1))
+    def row_below(u):
+        vf = max(0, col_vertex(u))
+        return min(exponent(u, vf), exponent(u, vf + 1)) * od < top
 
     u = 0
-    while row_min(u) < order or u <= row_limit:
-        if row_min(u) < order:
-            v0 = max(0, floor(col_vertex(u)))
+    while row_below(u) or u <= row_limit:
+        if row_below(u):
+            v0 = max(0, col_vertex(u))
             v = v0
-            while v >= 0 and exponent(u, v) < order:
-                add_term(out, exponent(u, v), coeff(u, v))
+            while v >= 0 and exponent(u, v) * od < top:
+                points.append((exponent(u, v), coeff(u, v)))
                 v -= 1
             v = v0 + 1
-            while exponent(u, v) < order:
-                add_term(out, exponent(u, v), coeff(u, v))
+            while exponent(u, v) * od < top:
+                points.append((exponent(u, v), coeff(u, v)))
                 v += 1
         u += 1
 
@@ -143,5 +150,5 @@ def f_abc_via_quadrants(a, b, c, x, y, base, order):
                 val = -val
             if r < 0:
                 val = -val
-            add_term(out, e, val)
-    return QSeries(out, order, _clean=True)
+            out[e] = out.get(e, 0) + val
+    return QSeries(out, order)

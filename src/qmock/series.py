@@ -9,20 +9,29 @@ series is exact (a Laurent polynomial known at every order).
 The zero series carries an explicit precision: cancellation must not
 silently promote knowledge.
 
-Products, and through them Newton inversion, run on an integer lattice
-(``_mul_terms``): the exponents of both factors become integer indices on
-one grid and the coefficients integer numerators over a common
-denominator, and the convolution is a big-int product of the
-Kronecker-packed numerator vectors, so no rational arithmetic happens per
-term pair.  The dict of rationals stays the public view of a series.
+A series is stored on an integer lattice: slot i stands for the exponent
+(lo + step*i)/L, and holds the coefficient (re[i] + im[i]*i)/den, with
+integer numerator vectors re and im (im is None for a real series) over one
+common positive denominator.  Neither end of the vectors is zero, den shares
+no factor with all the numerators, and no slot lies at or past the
+precision.  So sums align two grids and add the vectors, shifts and
+substitutions move the grid and scale the vectors, truncation slices, and
+products (with Newton inversion through them) convolve the vectors: one
+big-int product of their Kronecker-packed forms, or a loop over the term
+pairs when the product is tiny or its lattice much longer than its terms.
+No rational number is built per term.  ``QSeries.terms`` is a read-only view
+{exponent: GaussianRational} of the same series, boxed when first read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, repeat
 from math import gcd, lcm
+from operator import add, neg, or_, sub
+from types import MappingProxyType
 
-from ._rational import RAT, rat, is_integer, as_int
+from ._rational import RAT, rat, is_integer
 
 __all__ = [
     "GaussianRational",
@@ -43,6 +52,7 @@ __all__ = [
     "DegenerateDenominator",
     "DivisibilityViolation",
     "InsufficientPrecision",
+    "LatticeTooLarge",
 ]
 
 
@@ -91,7 +101,12 @@ class DivisibilityViolation(QSeriesError):
 
 
 class InsufficientPrecision(QSeriesError):
-    """Requested precision could not be achieved after retries."""
+    """Requested precision could not be achieved, or an internal precision
+    check failed."""
+
+
+class LatticeTooLarge(QSeriesError):
+    """A series would need more lattice slots than are allocated at once."""
 
 
 _R0 = RAT(0)
@@ -161,6 +176,11 @@ class GaussianRational:
         return _coerce(other) * self.inverse()
 
     def __pow__(self, k):
+        """Integer power; a non-integral k raises FractionalExponent."""
+        if not isinstance(k, int):
+            k = rat(k)
+            if not is_integer(k):
+                raise FractionalExponent(f"({self})^({k}) needs an integer exponent")
         k = int(k)
         if not self.im:
             if not self.re and k < 0:
@@ -298,59 +318,74 @@ def _pmin(p1, p2):
     return min(p1, p2)
 
 
+def _prec(p):
+    return p if p is None or type(p) is type(_R0) else rat(p)
+
+
 class QSeries:
-    """Truncated sparse Puiseux series: term map plus a strict precision bound."""
+    """Truncated sparse Puiseux series on an integer lattice (see the module
+    docstring) with a strict precision bound."""
 
-    __slots__ = ("terms", "precision")
+    __slots__ = ("_L", "_lo", "_step", "_re", "_im", "_den", "precision", "_view")
 
-    def __init__(self, terms=None, precision=None, _clean=False):
-        if precision is not None and type(precision) is not type(_R0):
-            precision = rat(precision)
-        if terms is None:
-            terms = {}
-        if not _clean:
-            cleaned = {}
-            for e, c in terms.items():
-                if type(e) is not type(_R0):
-                    e = rat(e)
-                c = _coerce(c)
-                if c.is_zero():
-                    continue
-                if precision is not None and e >= precision:
-                    continue
-                cleaned[e] = c
-            terms = cleaned
-        self.terms = terms
-        self.precision = precision
+    def __new__(cls, terms=None, precision=None):
+        """The series of a map {exponent: coefficient}; zero coefficients and
+        exponents at or past ``precision`` are dropped."""
+        points = []
+        dens = []
+        for e, c in (terms or {}).items():
+            e = rat(e)
+            c = as_triple(_coerce(c))
+            points.append((e, c))
+            dens.append(int(e.denominator))
+        L = lcm(*dens)
+        return lattice_series(
+            L, [(int(e.numerator) * (L // int(e.denominator)), c) for e, c in points],
+            _prec(precision))
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def zero(precision=None):
-        return QSeries({}, precision, _clean=True)
+        return _make(1, 0, 1, [], None, 1, _prec(precision))
 
     @staticmethod
     def one(precision=None):
-        return QSeries({_R0: GR_ONE}, precision)
+        return _make(1, 0, 1, [1], None, 1, _prec(precision))
 
     @staticmethod
     def constant(c, precision=None):
-        return QSeries({_R0: _coerce(c)}, precision)
+        return lattice_series(1, [(0, as_triple(_coerce(c)))], _prec(precision))
 
     @staticmethod
     def from_monomial(m, precision=None):
-        return QSeries({m.exp: m.coeff}, precision)
+        e = m.exp
+        return lattice_series(int(e.denominator), [(int(e.numerator), as_triple(m.coeff))],
+                              _prec(precision))
 
     # -- inspection ----------------------------------------------------------
 
+    @property
+    def terms(self):
+        """Read-only map {exponent: GaussianRational} of the nonzero terms."""
+        view = self._view
+        if view is None:
+            L, lo, step, den, re, im = (self._L, self._lo, self._step, self._den,
+                                        self._re, self._im)
+            view = self._view = MappingProxyType({
+                _ratio(lo + step * i, L): _box(re[i], 0 if im is None else im[i], den)
+                for i in _occupied(re, im)
+            })
+        return view
+
     def is_zero(self):
         """True when no coefficient below the precision is nonzero."""
-        return not self.terms
+        return not self._re
 
     def low_degree(self):
         """Least stored exponent; for a zero series, its precision (None = exact 0)."""
-        if self.terms:
-            return min(self.terms)
+        if self._re:
+            return _ratio(self._lo, self._L)
         return self.precision
 
     def coeff(self, e):
@@ -359,21 +394,18 @@ class QSeries:
             raise BeyondPrecision(
                 f"coefficient at q^{e} requested, series known only below q^{self.precision}"
             )
-        return self.terms.get(e, GR_ZERO)
+        x, r = divmod(int(e.numerator) * self._L, int(e.denominator))
+        i, r2 = divmod(x - self._lo, self._step)
+        if r or r2 or not 0 <= i < len(self._re):
+            return GR_ZERO
+        return _box(self._re[i], 0 if self._im is None else self._im[i], self._den)
 
     def items_sorted(self):
         return sorted(self.terms.items())
 
     def agrees_with(self, other):
         """Equality on every exponent below the smaller precision."""
-        p = _pmin(self.precision, other.precision)
-        for e, c in self.terms.items():
-            if (p is None or e < p) and other.terms.get(e, GR_ZERO) != c:
-                return False
-        for e, c in other.terms.items():
-            if (p is None or e < p) and self.terms.get(e, GR_ZERO) != c:
-                return False
-        return True
+        return (self - other).is_zero()
 
     # -- ring operations -----------------------------------------------------
 
@@ -381,17 +413,33 @@ class QSeries:
         if not isinstance(other, QSeries):
             other = QSeries.constant(other)
         p = _pmin(self.precision, other.precision)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            add_term(out, e, c)
-        if p is not None:
-            out = {e: c for e, c in out.items() if e < p}
-        return QSeries(out, p, _clean=True)
+        if not other._re or not self._re:
+            s = self if self._re else other
+            return s if p is None else s.truncate(p)
+        L = lcm(self._L, other._L)
+        lo_a, step_a = _on_grid(self, L)
+        lo_b, step_b = _on_grid(other, L)
+        lo = min(lo_a, lo_b)
+        step = gcd(step_a, step_b, lo_a - lo_b)
+        den = lcm(self._den, other._den)
+        place_a = ((lo_a - lo) // step, step_a // step, den // self._den)
+        place_b = ((lo_b - lo) // step, step_b // step, den // other._den)
+        n = _slots(1 + max(o + (len(s._re) - 1) * k
+                           for s, (o, k, _) in ((self, place_a), (other, place_b))))
+        re = list(map(add, _place(self._re, n, *place_a), _place(other._re, n, *place_b)))
+        im = None
+        if self._im is not None or other._im is not None:
+            im = [0] * n if self._im is None else _place(self._im, n, *place_a)
+            if other._im is not None:
+                im = list(map(add, im, _place(other._im, n, *place_b)))
+        return _make(L, lo, step, re, im, den, p)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries({e: -c for e, c in self.terms.items()}, self.precision, _clean=True)
+        im = None if self._im is None else list(map(neg, self._im))
+        return _make(self._L, self._lo, self._step, list(map(neg, self._re)), im,
+                     self._den, self.precision)
 
     def __sub__(self, other):
         if not isinstance(other, QSeries):
@@ -415,15 +463,35 @@ class QSeries:
         if other.precision is not None and la is not None:
             q = other.precision + la
             p = q if p is None else min(p, q)
-        out = _mul_terms(self.terms, other.terms, p)
-        return QSeries(out, p, _clean=True)
+        if not self._re or not other._re:
+            return QSeries.zero(p)
+        L = lcm(self._L, other._L)
+        lo_a, step_a = _on_grid(self, L)
+        lo_b, step_b = _on_grid(other, L)
+        step = gcd(step_a, step_b)
+        lo = lo_a + lo_b
+        count = ((len(self._re) - 1) * step_a + (len(other._re) - 1) * step_b) // step + 1
+        if p is not None:
+            count = min(count, _slots_below(p, L, lo, step))
+            if count <= 0:
+                return QSeries.zero(p)
+        count = _slots(count)
+        re, im = _convolution(_spread(self, step_a // step, count),
+                              _spread(other, step_b // step, count), count)
+        return _make(L, lo, step, re, im, self._den * other._den, p)
 
     __rmul__ = __mul__
 
     def mul_monomial(self, m):
         p = None if self.precision is None else self.precision + m.exp
-        c0, e0 = m.coeff, m.exp
-        return QSeries({e + e0: c * c0 for e, c in self.terms.items()}, p, _clean=True)
+        if not self._re:
+            return QSeries.zero(p)
+        en, ed = int(m.exp.numerator), int(m.exp.denominator)
+        L = lcm(self._L, ed)
+        lo, step = _on_grid(self, L)
+        cr, ci, cd = as_triple(m.coeff)
+        re, im = _scale(self._re, self._im, cr, ci)
+        return _make(L, lo + en * (L // ed), step, re, im, self._den * cd, p)
 
     def __pow__(self, k):
         k = int(k)
@@ -447,12 +515,16 @@ class QSeries:
         exact (polynomial) input, ``order`` fixes the target precision
         instead and is mandatory unless the input is a single monomial.
         """
-        if not self.terms:
+        if not self._re:
             raise ZeroSeries("cannot invert a series that is zero to its precision")
-        d = min(self.terms)
-        lead = self.terms[d]
-        if self.precision is None and len(self.terms) == 1:
-            inv = QSeries({-d: lead.inverse()}, None, _clean=True)
+        d = self.low_degree()
+        r0 = self._re[0]
+        x0 = 0 if self._im is None else self._im[0]
+        norm = r0 * r0 + x0 * x0
+        # 1/lead = den * (r0 - x0*i) / norm
+        inv_r, inv_i = self._den * r0, -self._den * x0
+        if self.precision is None and len(self._re) == 1:
+            inv = _make(self._L, -self._lo, 1, [inv_r], [inv_i], norm, None)
             return inv if order is None else inv.truncate(order)
         # relative precision of the unit part
         if self.precision is not None:
@@ -465,32 +537,34 @@ class QSeries:
             relative = rat(order) + d
         if relative <= 0:  # the inverse starts at q^-d, at or past the order
             return QSeries.zero(relative - d)
-        lead_inv = lead.inverse()
-        unit = {e - d: c * lead_inv for e, c in self.terms.items() if e - d < relative}
-        del unit[_R0]
-        if not unit:
-            v = {_R0: GR_ONE}
-        else:
-            gap = min(unit)
-            unit[_R0] = GR_ONE
-            v = {_R0: GR_ONE}
-            p = gap
-            two = GaussianRational(2)
-            while p < relative:
-                p = min(p * 2, relative)
-                uv = _mul_terms(unit, v, p)
-                t = {e: -c for e, c in uv.items()}
-                t[_R0] = t.get(_R0, GR_ZERO) + two
-                v = _mul_terms(v, t, p)
-        out = {e - d: c * lead_inv for e, c in v.items()}
-        return QSeries(out, relative - d, _clean=True)
+        # the unit part self/lead on slots 0 .. n-1, from the exponent d on
+        n = _slots(_slots_below(relative, self._L, 0, self._step))
+        unit_r, unit_i = _scale(self._re[:n], None if self._im is None else self._im[:n], r0, -x0)
+        unit_r, unit_i, unit_den = _reduce(unit_r, unit_i, norm)
+        v_r, v_i, v_den = [1], None, 1
+        gap = next(_occupied(unit_r[1:], None if unit_i is None else unit_i[1:]), None)
+        if gap is not None:
+            # Newton: v <- v (2 - unit v), correct below twice as many slots
+            p = gap + 1
+            while p < n:
+                p = min(p * 2, n)
+                uv_r, uv_i = _convolution((unit_r, unit_i), (v_r, v_i), p)
+                uv_den = unit_den * v_den
+                t_r = list(map(neg, uv_r))
+                t_r[0] += 2 * uv_den
+                t_i = None if uv_i is None else list(map(neg, uv_i))
+                v_r, v_i = _convolution((v_r, v_i), (t_r, t_i), p)
+                v_r, v_i, v_den = _reduce(v_r, v_i, v_den * uv_den)
+        out_r, out_i = _scale(v_r, v_i, inv_r, inv_i)
+        return _make(self._L, -self._lo, self._step, out_r, out_i, v_den * norm, relative - d)
 
     # -- reshaping -----------------------------------------------------------
 
     def truncate(self, order):
-        order = rat(order)
-        p = order if self.precision is None else min(self.precision, order)
-        return QSeries({e: c for e, c in self.terms.items() if e < p}, p, _clean=True)
+        order = _prec(order)
+        if self.precision is not None and self.precision <= order:
+            return self
+        return _make(self._L, self._lo, self._step, self._re, self._im, self._den, order)
 
     def substitute_power(self, k):
         """q -> q^k termwise; exponents and the precision scale by k."""
@@ -498,22 +572,42 @@ class QSeries:
         if k <= 0:
             raise NonPositivePower(f"substitute_power requires k > 0, got {k}")
         p = None if self.precision is None else self.precision * k
-        return QSeries({e * k: c for e, c in self.terms.items()}, p, _clean=True)
+        kn, kd = int(k.numerator), int(k.denominator)
+        return _make(self._L * kd, self._lo * kn, self._step * kn,
+                     self._re, self._im, self._den, p)
 
     def substitute_monomial(self, m):
         """q -> c*q^e on an integer-exponent series (e > 0)."""
         if m.exp <= 0:
             raise NonPositivePower(f"substitution base must have positive exponent, got {m}")
-        out = {}
-        c0 = m.coeff
-        for e, c in self.terms.items():
-            if not is_integer(e):
-                raise FractionalExponent(
-                    f"q -> {m} substitution requires integer exponents, found q^{e}"
-                )
-            out[e * m.exp] = c * (c0 ** as_int(e))
         p = None if self.precision is None else self.precision * m.exp
-        return QSeries(out, p, _clean=True)
+        if not self._re:
+            return QSeries.zero(p)
+        L, lo, step, re, im = self._L, self._lo, self._step, self._re, self._im
+        # exponents are integers at the slots lo/L + (multiples of stride)
+        stride = L // gcd(L, step)
+        bad = 0 if lo % L else next(
+            (i for i in range(len(re))
+             if i % stride and (re[i] or (im is not None and im[i]))), None)
+        if bad is not None:
+            raise FractionalExponent(
+                f"q -> {m} substitution requires integer exponents, "
+                f"found q^{_ratio(lo + step * bad, L)}"
+            )
+        if stride > 1:
+            re = re[::stride]
+            im = None if im is None else im[::stride]
+        # slot i holds the integer exponent e0 + s*i; it goes to e*(e0 + s*i)
+        # with its coefficient times c^(e0 + s*i)
+        e0, s = lo // L, step * stride // L
+        den = self._den
+        if m.coeff != GR_ONE:
+            cr, ci, cd = as_triple(m.coeff ** e0)
+            re, im = _scale(re, im, cr, ci)
+            re, im, twist_den = _twist(re, im, as_triple(m.coeff ** s))
+            den *= cd * twist_den
+        en, ed = int(m.exp.numerator), int(m.exp.denominator)
+        return _make(ed, e0 * en, s * en, re, im, den, p)
 
     def negate_base(self):
         """q -> -q (integer exponents only)."""
@@ -521,21 +615,30 @@ class QSeries:
 
     # -- comparison / display --------------------------------------------------
 
+    def _key(self):
+        """The lattice data in one form for equal series: the grid spacing
+        widened to the gcd of the occupied slots, then reduced with L."""
+        re, im = self._re, self._im
+        g = gcd(*_occupied(re, im)) or 1
+        h = gcd(self._L, self._lo, self._step * g)
+        return (self._L // h, self._lo // h, self._step * g // h, tuple(re[::g]),
+                None if im is None else tuple(im[::g]), self._den)
+
     def __eq__(self, other):
         return (
             isinstance(other, QSeries)
             and self.precision == other.precision
-            and self.terms == other.terms
+            and (self is other or self._key() == other._key())
         )
 
     def __hash__(self):
-        return hash((frozenset(self.terms.items()), self.precision))
+        return hash((self._key(), self.precision))
 
     def __repr__(self):
-        return f"QSeries({self.terms!r}, precision={self.precision!r})"
+        return f"QSeries({dict(self.terms)!r}, precision={self.precision!r})"
 
     def __str__(self):
-        if not self.terms:
+        if not self._re:
             return "0"
         parts = []
         for e, c in self.items_sorted():
@@ -549,69 +652,229 @@ class QSeries:
         return " ".join(parts)
 
 
-def _wrap(re, im):
-    g = GaussianRational.__new__(GaussianRational)
-    g.re = re
-    g.im = im
-    return g
+# -- the lattice ----------------------------------------------------------------
 
-
-def add_term(out, e, c):
-    """Add c into out[e], dropping the entry when the sum is zero."""
-    acc = out.get(e)
-    s = c if acc is None else acc + c
-    if s.is_zero():
-        out.pop(e, None)
+def _make(L, lo, step, re, im, den, precision):
+    """The series with slot i at exponent (lo + step*i)/L holding
+    (re[i] + im[i]*i)/den, den > 0: slots at or past the precision are
+    dropped, zeros at both ends trimmed, and the denominator and the grid
+    reduced."""
+    n = len(re)
+    if precision is not None:
+        n = min(n, _slots_below(precision, L, lo, step))
+    k = 0
+    if im is None:
+        while n and not re[n - 1]:
+            n -= 1
+        while k < n and not re[k]:
+            k += 1
     else:
-        out[e] = s
-
-
-def _mul_terms(ta, tb, bound):
-    """Convolution of two term dicts, dropping exponents >= bound.
-
-    Runs on an integer lattice.  Terms that cannot reach ``bound`` are
-    dropped; the exponents of both factors go onto one grid (the lcm L of
-    their denominators, each factor's least exponent as its offset, the gcd
-    of all index differences as the step), and each factor's coefficients
-    over one common denominator, leaving integer numerators at integer
-    indices.  Their convolution is a big-int product of the Kronecker-packed
-    vectors (one for real factors, up to three for Gaussian ones), or, for a
-    tiny product or a lattice much longer than its terms, a plain loop over
-    the term pairs.  Only the surviving coefficients are boxed as rationals.
-    """
-    if not ta or not tb:
-        return {}
-    L = lcm(*{e.denominator for e in ta}, *{e.denominator for e in tb})
-    pa = _grid_points(ta, L)
-    pb = _grid_points(tb, L)
-    lo_a, lo_b = pa[0][0], pb[0][0]
-    top = None  # grid exponents x with x < top are below the bound
-    if bound is not None:
-        top = -(-int(bound.numerator) * L // int(bound.denominator))
-        pa = [p for p in pa if p[0] + lo_b < top]
-        pb = [p for p in pb if p[0] + lo_a < top]
-        if not pa or not pb:
-            return {}
-    step = gcd(*[x - lo_a for x, _ in pa], *[x - lo_b for x, _ in pb]) or 1
-    count = (pa[-1][0] - lo_a + pb[-1][0] - lo_b) // step + 1
-    if top is not None:
-        count = min(count, -((lo_a + lo_b - top) // step))
-    a, da = _numerators(pa, lo_a, step)
-    b, db = _numerators(pb, lo_b, step)
-    if len(pa) * len(pb) <= _TINY_PAIRS + _PAIRS_PER_SLOT * count:
-        slots = _convolve(a, b, count)
+        while n and not re[n - 1] and not im[n - 1]:
+            n -= 1
+        while k < n and not re[k] and not im[k]:
+            k += 1
+    if k or n < len(re):
+        re = re[k:n]
+        im = None if im is None else im[k:n]
+        lo += step * k
+    s = object.__new__(QSeries)
+    s.precision = precision
+    s._view = None
+    if not re:
+        s._L, s._lo, s._step, s._re, s._im, s._den = 1, 0, 1, [], None, 1
+        return s
+    if im is not None and not any(im):
+        im = None
+    re, im, den = _reduce(re, im, den)
+    if len(re) == 1:
+        step = g = gcd(L, lo)
     else:
-        slots = _kronecker(a, b, count)
-    base, den = lo_a + lo_b, da * db
-    return {
-        _ratio(base + n * step, L): _wrap(_ratio(re, den), _ratio(im, den) if im else _R0)
-        for n, re, im in slots
-    }
+        g = gcd(L, lo, step)
+    if g != 1:
+        L, lo, step = L // g, lo // g, step // g
+    s._L, s._lo, s._step, s._re, s._im, s._den = L, lo, step, re, im, den
+    return s
+
+
+def lattice_series(L, points, precision):
+    """The sum of c*q^(x/L) over ``points``, pairs of an integer x and a
+    coefficient c = (re, im, den) of integers with den > 0; points at the
+    same x add up."""
+    if precision is not None:
+        top, pd = int(precision.numerator) * L, int(precision.denominator)
+        points = [pt for pt in points if pt[0] * pd < top]
+    if not points:
+        return QSeries.zero(precision)
+    xs = [x for x, _ in points]
+    lo = min(xs)
+    step = gcd(*[x - lo for x in xs]) or 1
+    den = lcm(*[c[2] for _, c in points])
+    re = [0] * _slots((max(xs) - lo) // step + 1)
+    im = [0] * len(re) if any(c[1] for _, c in points) else None
+    for x, (r, i, d) in points:
+        k = (x - lo) // step
+        f = den // d
+        re[k] += r * f
+        if im is not None:
+            im[k] += i * f
+    return _make(L, lo, step, re, im, den, precision)
+
+
+def as_triple(c):
+    """(re, im, den): a GaussianRational as integers over one positive
+    denominator."""
+    dr, di = int(c.re.denominator), int(c.im.denominator)
+    d = dr if dr == di else lcm(dr, di)
+    return int(c.re.numerator) * (d // dr), int(c.im.numerator) * (d // di), d
+
+
+def triple_pow(t, n):
+    """t^n for a nonzero triple t = (re, im, den) and any integer n."""
+    r, i, d = t
+    if n < 0:
+        r, i, d, n = r * d, -i * d, r * r + i * i, -n
+    if not i:
+        return r ** n, 0, d ** n
+    dn = d ** n
+    pr, pi = 1, 0
+    while n:
+        if n & 1:
+            pr, pi = pr * r - pi * i, pr * i + pi * r
+        n >>= 1
+        if n:
+            r, i = r * r - i * i, 2 * r * i
+    return pr, pi, dn
+
+
+def triple_mul(s, t):
+    return s[0] * t[0] - s[1] * t[1], s[0] * t[1] + s[1] * t[0], s[2] * t[2]
 
 
 def _ratio(num, den):
     """num/den in the ground type; for den == 1 without the gcd."""
     return RAT(num) if den == 1 else RAT(num, den)
+
+
+def _box(r, x, den):
+    return GaussianRational(_ratio(r, den), _ratio(x, den) if x else _R0)
+
+
+# Longer lattices are refused rather than allocated: a few terms on grids
+# with coprime denominators can span hundreds of millions of slots.
+_MAX_SLOTS = 1 << 24
+
+
+def _slots(n):
+    """n, unless a lattice of n slots is too long to allocate."""
+    if n > _MAX_SLOTS:
+        raise LatticeTooLarge(f"the series needs {n} lattice slots, more than {_MAX_SLOTS}")
+    return n
+
+
+def _slots_below(p, L, lo, step):
+    """How many slots i >= 0 have (lo + step*i)/L < p."""
+    pn, pd = int(p.numerator), int(p.denominator)
+    return max(0, -((lo * pd - pn * L) // (step * pd)))
+
+
+def _on_grid(s, L):
+    """(lo, step) of s on the grid 1/L, a refinement of its own."""
+    f = L // s._L
+    return s._lo * f, s._step * f
+
+
+def _place(vec, n, offset, stride, factor):
+    """vec times ``factor`` at slots offset, offset + stride, ... of a zero
+    vector of length n."""
+    if factor != 1:
+        vec = list(map(factor.__mul__, vec))
+    if not offset and stride == 1 and len(vec) == n:
+        return vec
+    out = [0] * n
+    out[offset:offset + (len(vec) - 1) * stride + 1:stride] = vec
+    return out
+
+
+def _spread(s, stride, count):
+    """s's numerator vectors on a grid ``stride`` times finer, cut to the
+    slots below ``count``."""
+    keep = -(-count // stride)
+    re, im = s._re[:keep], None if s._im is None else s._im[:keep]
+    if stride == 1:
+        return re, im
+    n = (len(re) - 1) * stride + 1
+    return _place(re, n, 0, stride, 1), None if im is None else _place(im, n, 0, stride, 1)
+
+
+def _reduce(re, im, den):
+    """Numerators and denominator divided by their greatest common factor."""
+    if den == 1:
+        return re, im, den
+    g = gcd(den, *filter(None, re))
+    if im is not None and g != 1:
+        g = gcd(g, *filter(None, im))
+    if g == 1:
+        return re, im, den
+    div = g.__rfloordiv__
+    return list(map(div, re)), None if im is None else list(map(div, im)), den // g
+
+
+def _scale(re, im, cr, ci):
+    """The numerator vectors times the Gaussian integer cr + ci*i."""
+    if not ci:
+        if cr == 1:
+            return re, im
+        mul = cr.__mul__
+        return list(map(mul, re)), None if im is None else list(map(mul, im))
+    out_re = list(map(cr.__mul__, re))
+    out_im = list(map(ci.__mul__, re))
+    if im is not None:
+        out_re = list(map(sub, out_re, map(ci.__mul__, im)))
+        out_im = list(map(add, out_im, map(cr.__mul__, im)))
+    return out_re, out_im
+
+
+def _twist(re, im, w):
+    """Slot i times w^i for w = (wr + wi*i)/wd: the new numerator vectors
+    and the factor wd^(len - 1) of the denominator."""
+    wr, wi, wd = w
+    if wd == 1 and not wi and wr in (1, -1):
+        if wr == -1:
+            re = list(re)
+            re[1::2] = map(neg, re[1::2])
+            if im is not None:
+                im = list(im)
+                im[1::2] = map(neg, im[1::2])
+        return re, im, 1
+    n = len(re)
+    # slot i takes (wr + wi*i)^i * wd^(n - 1 - i)
+    dens = [1] * n
+    for i in range(n - 2, -1, -1):
+        dens[i] = dens[i + 1] * wd
+    pr, pi = 1, 0
+    fr, fi = [], []
+    for d in dens:
+        fr.append(pr * d)
+        fi.append(pi * d)
+        pr, pi = pr * wr - pi * wi, pr * wi + pi * wr
+    from_re = list(map(int.__mul__, re, fr))
+    if not wi and im is None:
+        return from_re, None, dens[0]
+    out_re = from_re if im is None else list(map(sub, from_re, map(int.__mul__, im, fi)))
+    out_im = list(map(int.__mul__, re, fi))
+    if im is not None:
+        out_im = list(map(add, out_im, map(int.__mul__, im, fr)))
+    return out_re, out_im, dens[0]
+
+
+def _convolution(a, b, count):
+    """The first ``count`` slots of the convolution of two numerator vector
+    pairs (re, im or None): a loop over the term pairs when they are few
+    against the slots, else one Kronecker product."""
+    a, b = _cut(a, count), _cut(b, count)
+    if _nonzero(a) * _nonzero(b) <= _TINY_PAIRS + _PAIRS_PER_SLOT * count:
+        return _convolve(a, b, count)
+    return _kronecker(a, b, count)
 
 
 # The pair loop costs about one unit per term pair; the big-int product
@@ -622,95 +885,82 @@ _TINY_PAIRS = 64
 _PAIRS_PER_SLOT = 2
 
 
-def _grid_points(terms, L):
-    """(integer exponent on the 1/L grid, coefficient), ascending."""
-    return sorted(
-        (int(e.numerator) * (L // int(e.denominator)), c) for e, c in terms.items()
-    )
+def _cut(v, count):
+    re, im = v
+    if len(re) <= count:
+        return v
+    return re[:count], None if im is None else im[:count]
 
 
-def _numerators(points, lo, step):
-    """Lattice indices and integer numerators over one common denominator:
-    ((indices, real numerators, imaginary numerators or None), denominator)."""
-    coeffs = [c for _, c in points]
-    real = not any(c.im for c in coeffs)
-    dens = {c.re.denominator for c in coeffs}
-    if not real:
-        dens.update(c.im.denominator for c in coeffs)
-    den = lcm(*map(int, dens))
-    idx = [(x - lo) // step for x, _ in points]
-    re = [int(c.re.numerator) * (den // int(c.re.denominator)) for c in coeffs]
-    im = None if real else [
-        int(c.im.numerator) * (den // int(c.im.denominator)) for c in coeffs
-    ]
-    return (idx, re, im), den
+def _occupied(re, im):
+    """The indices of the nonzero slots, ascending."""
+    return compress(range(len(re)), re if im is None else map(or_, re, im))
+
+
+def _nonzero(v):
+    re, im = v
+    if im is None:
+        return len(re) - re.count(0)
+    return sum(map(bool, map(or_, re, im)))
 
 
 def _convolve(a, b, count):
-    """Nonzero (slot, re, im) of the pair-by-pair convolution below ``count``."""
-    ia, ra, xa = a
-    ib, rb, xb = b
-    acc = {}
-    get = acc.get
+    """The first ``count`` slots of the convolution, pair by pair."""
+    (ra, xa), (rb, xb) = a, b
+    out_re = [0] * count
     if xa is None and xb is None:
-        for i, r in zip(ia, ra):
-            for j, s in zip(ib, rb):
+        pb = [(j, rb[j]) for j in _occupied(rb, None)]
+        for i in _occupied(ra, None):
+            r = ra[i]
+            for j, s in pb:
                 n = i + j
                 if n >= count:
                     break
-                acc[n] = get(n, 0) + r * s
-        return [(n, v, 0) for n, v in acc.items() if v]
-    xa = xa or [0] * len(ia)
-    xb = xb or [0] * len(ib)
-    for i, r, x in zip(ia, ra, xa):
-        for j, s, y in zip(ib, rb, xb):
+                out_re[n] += r * s
+        return out_re, None
+    out_im = [0] * count
+    pb = [(j, rb[j], 0 if xb is None else xb[j]) for j in _occupied(rb, xb)]
+    for i in _occupied(ra, xa):
+        r, x = ra[i], 0 if xa is None else xa[i]
+        for j, s, y in pb:
             n = i + j
             if n >= count:
                 break
-            re, im = get(n, (0, 0))
-            acc[n] = (re + r * s - x * y, im + r * y + x * s)
-    return [(n, re, im) for n, (re, im) in acc.items() if re or im]
+            out_re[n] += r * s - x * y
+            out_im[n] += r * y + x * s
+    return out_re, out_im
 
 
 def _kronecker(a, b, count):
-    """Nonzero (slot, re, im) of the convolution below ``count``, by
-    Kronecker substitution: each numerator vector becomes one integer with
-    a signed value per slot of w bits, and slot n of the product of two
-    such integers is the n-th convolution coefficient."""
-    ia, ra, xa = a
-    ib, rb, xb = b
-    big_a = max(map(abs, ra + (xa or []))).bit_length()
-    big_b = max(map(abs, rb + (xb or []))).bit_length()
+    """The first ``count`` slots of the convolution, by Kronecker
+    substitution: each numerator vector becomes one integer with a signed
+    value per slot of w bits, and slot n of the product of two such
+    integers is the n-th convolution coefficient."""
+    (ra, xa), (rb, xb) = a, b
+    big_a = max(map(abs, ra if xa is None else ra + xa)).bit_length()
+    big_b = max(map(abs, rb if xb is None else rb + xb)).bit_length()
     # |coefficient| <= 2 * min(len) * max|a| * max|b| < 2^(w - 1)
-    wb = (big_a + big_b + min(len(ia), len(ib)).bit_length() + 2 + 7) // 8
-    ar, br = _pack(ia, ra, wb), _pack(ib, rb, wb)
+    wb = (big_a + big_b + min(len(ra), len(rb)).bit_length() + 2 + 7) // 8
+    ar, br = _pack(ra, wb), _pack(rb, wb)
     if xa is None and xb is None:
-        return [(n, v, 0) for n, v in enumerate(_unpack(ar * br, count, wb)) if v]
+        return _unpack(ar * br, count, wb), None
     # Karatsuba's three products; a real factor has ai or bi = 0, which
     # leaves two
-    ai = 0 if xa is None else _pack(ia, xa, wb)
-    bi = 0 if xb is None else _pack(ib, xb, wb)
+    ai = 0 if xa is None else _pack(xa, wb)
+    bi = 0 if xb is None else _pack(xb, wb)
     rr, ii = ar * br, ai * bi
-    re, im = rr - ii, (ar + ai) * (br + bi) - rr - ii
-    return [
-        (n, r, x)
-        for n, (r, x) in enumerate(zip(_unpack(re, count, wb), _unpack(im, count, wb)))
-        if r or x
-    ]
+    return _unpack(rr - ii, count, wb), _unpack((ar + ai) * (br + bi) - rr - ii, count, wb)
 
 
-def _pack(idx, vals, wb):
-    """sum(v * 2^(8*wb*i)) over the values v at lattice indices i.
+def _pack(vals, wb):
+    """sum(v * 2^(8*wb*i)) over the values v at slots i.
 
     Every slot is written as v + 2^(8*wb - 1), which is nonnegative, and
     the same offset in every slot is subtracted at the end."""
     half = 1 << (8 * wb - 1)
-    zero = half.to_bytes(wb, "little")
-    size = idx[-1] + 1
-    slots = [zero] * size
-    for i, v in zip(idx, vals):
-        slots[i] = (v + half).to_bytes(wb, "little")
-    return int.from_bytes(b"".join(slots), "little") - int.from_bytes(zero * size, "little")
+    slots = map(int.to_bytes, map(half.__add__, vals), repeat(wb), repeat("little"))
+    return (int.from_bytes(b"".join(slots), "little")
+            - int.from_bytes(half.to_bytes(wb, "little") * len(vals), "little"))
 
 
 def _unpack(packed, count, wb):
@@ -723,45 +973,42 @@ def _unpack(packed, count, wb):
     size = count * wb
     offset = int.from_bytes(half.to_bytes(wb, "little") * count, "little")
     buf = ((packed + offset) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-    from_bytes = int.from_bytes
-    return [from_bytes(buf[k:k + wb], "little") - half for k in range(0, size, wb)]
+    chunks = map(buf.__getitem__, map(slice, range(0, size, wb), range(wb, size + wb, wb)))
+    return list(map(half.__rsub__, map(int.from_bytes, chunks, repeat("little"))))
 
 
 def unit_fraction_expand(c, k, order):
     """Expansion of 1/(1 - c*q^k) to precision ``order``.
 
-    k > 0 gives the geometric series; k = 0 the constant 1/(1-c); k < 0 is
-    rewritten as -q^(-k)/c / (1 - q^(-k)/c) and expanded geometrically, which
-    is the ascending-power expansion valid inside the unit disk.
+    c = 0 gives the constant 1; k > 0 the geometric series; k = 0 the
+    constant 1/(1-c); k < 0 is rewritten as -q^(-k)/c / (1 - q^(-k)/c) and
+    expanded geometrically, which is the ascending-power expansion valid
+    inside the unit disk.
     """
     c = _coerce(c)
     k = rat(k)
     order = rat(order)
+    if not c:
+        return QSeries.one(order)
     if k == 0:
         if c == GR_ONE:
             raise PoleAtOne("1/(1 - q^0) is excluded: argument hit a power of q")
         return QSeries.constant((GR_ONE - c).inverse(), order)
-    out = {}
-    if k > 0:
-        n = 0
-        acc = GR_ONE
-        e = _R0
-        while e < order:
-            out[e] = acc
-            n += 1
-            acc = acc * c
-            e = k * n
-    else:
-        cinv = c.inverse()
-        n = 1
-        acc = -cinv
-        e = -k
-        while e < order:
-            out[e] = acc
-            n += 1
-            acc = acc * cinv
-            e = -k * n
-    return QSeries(out, order, _clean=True)
+    # lead * c^n at the exponents first + k*n, n >= 0
+    lead = GR_ONE
+    first = 0
+    if k < 0:
+        c = c.inverse()
+        lead = -c
+        k = -k
+        first = int(k.numerator)
+    kn, kd = int(k.numerator), int(k.denominator)
+    n = _slots(_slots_below(order, kd, first, kn))
+    if not n:
+        return QSeries.zero(order)
+    lr, li, ld = as_triple(lead)
+    re, im, den = _twist(*_scale([1] * n, None, lr, li), as_triple(c))
+    return _make(kd, first, kn, re, im, den * ld, order)
 
 
 def _format_exp(e):
@@ -786,7 +1033,7 @@ def _format_term(c, e):
 
 def format_series(s, order=None):
     """Render a series for CLI output, ascending exponents."""
-    if not s.terms:
+    if s.is_zero():
         o = order if order is not None else s.precision
         return f"0 (+O(q^{o}))" if o is not None else "0"
     return str(s)

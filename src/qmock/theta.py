@@ -11,14 +11,19 @@ cross-check.
 
 from __future__ import annotations
 
-from ._rational import RAT, rat, floor
+from math import lcm
+
+from ._rational import RAT, rat
 from .series import (
     DivergentProduct,
     GR_ONE,
     QMonomial,
     QSeries,
-    add_term,
+    as_triple,
+    lattice_series,
     qpow,
+    triple_mul,
+    triple_pow,
 )
 
 __all__ = [
@@ -33,7 +38,6 @@ __all__ = [
 ]
 
 _R0 = RAT(0)
-_HALF = RAT(1, 2)
 
 
 def as_base(b):
@@ -110,29 +114,25 @@ def jacobi_theta(x, base, order):
         raise DivergentProduct(
             f"theta sum needs a base with positive exponent, got {base}"
         )
-    eb, ex = base.exp, x.exp
-    cb, cx = base.coeff, x.coeff
-
-    def exponent(n):
-        return eb * (n * (n - 1)) / 2 + ex * n
-
-    def term(n):
-        c = (cx ** n) * (cb ** (n * (n - 1) // 2))
-        if n & 1:
-            c = -c
-        return c
-
-    out = {}
-    vertex = _HALF - ex / eb
-    n = floor(vertex)
-    while exponent(n) < order:
-        add_term(out, exponent(n), term(n))
-        n -= 1
-    n = floor(vertex) + 1
-    while exponent(n) < order:
-        add_term(out, exponent(n), term(n))
-        n += 1
-    return QSeries(out, order, _clean=True)
+    # term n sits at the exponent E(n)/L, E(n) = B*binom(n, 2) + X*n, which
+    # lies below the order on/od when E(n)*od < on*L = top
+    L = lcm(int(base.exp.denominator), int(x.exp.denominator))
+    B = int(base.exp.numerator) * (L // int(base.exp.denominator))
+    X = int(x.exp.numerator) * (L // int(x.exp.denominator))
+    top, od = int(order.numerator) * L, int(order.denominator)
+    cx, cb = as_triple(x.coeff), as_triple(base.coeff)
+    points = []
+    vertex = (B - 2 * X) // (2 * B)  # floor(1/2 - X/B), where E is least
+    for n, direction in ((vertex, -1), (vertex + 1, 1)):
+        while True:
+            binom = n * (n - 1) // 2
+            e = B * binom + X * n
+            if e * od >= top:
+                break
+            r, i, d = triple_mul(triple_pow(cx, n), triple_pow(cb, binom))
+            points.append((e, (-r, -i, d) if n & 1 else (r, i, d)))
+            n += direction
+    return lattice_series(L, points, order)
 
 
 def jacobi_theta_product(x, base, order):

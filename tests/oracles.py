@@ -82,3 +82,90 @@ def assert_dict_eq(got, want, bound):
             assert got.get(e, 0) == want.get(e, 0), (
                 f"coefficient mismatch at q^{e}: {got.get(e, 0)} != {want.get(e, 0)}"
             )
+
+
+# -- reference for the operations other than products ------------------------
+#
+# A reference series is a pair (terms, precision): terms maps Fraction
+# exponents to (re, im) pairs of Fractions, none of them (0, 0) and all
+# below the precision, a Fraction or None for an exact series.
+
+
+def ref_series(terms, precision):
+    """The reference series of a map, zero and past-precision terms dropped."""
+    return {e: c for e, c in terms.items()
+            if c != (0, 0) and (precision is None or e < precision)}, precision
+
+
+def _ref_pmin(p, q):
+    if p is None:
+        return q
+    if q is None:
+        return p
+    return min(p, q)
+
+
+def gauss_mul(c, d):
+    return c[0] * d[0] - c[1] * d[1], c[0] * d[1] + c[1] * d[0]
+
+
+def gauss_pow(c, n):
+    if n < 0:
+        norm = c[0] * c[0] + c[1] * c[1]
+        c, n = (c[0] / norm, -c[1] / norm), -n
+    out = (Fraction(1), Fraction(0))
+    for _ in range(n):
+        out = gauss_mul(out, c)
+    return out
+
+
+def ref_add(a, b):
+    out = dict(a[0])
+    for e, (r, i) in b[0].items():
+        r0, i0 = out.get(e, (0, 0))
+        out[e] = (r0 + r, i0 + i)
+    return ref_series(out, _ref_pmin(a[1], b[1]))
+
+
+def ref_neg(a):
+    return {e: (-r, -i) for e, (r, i) in a[0].items()}, a[1]
+
+
+def ref_sub(a, b):
+    return ref_add(a, ref_neg(b))
+
+
+def ref_mul_monomial(a, c, e):
+    """a times c*q^e for a coefficient pair c."""
+    return ({x + e: gauss_mul(v, c) for x, v in a[0].items()},
+            None if a[1] is None else a[1] + e)
+
+
+def ref_truncate(a, order):
+    return ref_series(a[0], order if a[1] is None else min(a[1], order))
+
+
+def ref_substitute_power(a, k):
+    return {e * k: c for e, c in a[0].items()}, None if a[1] is None else a[1] * k
+
+
+def ref_substitute_monomial(a, c, e):
+    """q -> c*q^e; ValueError when a has a fractional exponent."""
+    if any(x.denominator != 1 for x in a[0]):
+        raise ValueError("fractional exponent")
+    return ({x * e: gauss_mul(v, gauss_pow(c, int(x))) for x, v in a[0].items()},
+            None if a[1] is None else a[1] * e)
+
+
+def ref_low_degree(a):
+    return min(a[0]) if a[0] else a[1]
+
+
+def ref_coeff(a, e):
+    return a[0].get(e, (Fraction(0), Fraction(0)))
+
+
+def ref_agrees(a, b):
+    p = _ref_pmin(a[1], b[1])
+    return all(ref_coeff(a, e) == ref_coeff(b, e)
+               for e in set(a[0]) | set(b[0]) if p is None or e < p)

@@ -28,6 +28,7 @@ rhs = poch_inf(q^2, q)/Jm(1)
 """
 
 DEEP = "(" * 600 + "q" + ")" * 600
+BAD_ORDERS = ["abc", "0", "-2", "1/0"]
 
 
 def long_sum(n):
@@ -69,6 +70,18 @@ class TestExpand:
         assert code == 2
         assert "nested too deeply" in err
 
+    @pytest.mark.parametrize("order", BAD_ORDERS)
+    def test_bad_order_exit_2(self, capsys, order):
+        code, _, err = run(capsys, "expand", "psi(q)", "--order", order)
+        assert code == 2
+        assert err.startswith("syntax error")
+
+    def test_too_long_lattice_exit_3(self, capsys):
+        # three terms on the grids 1/1000 and 1/999 span 10^8 lattice slots
+        code, _, err = run(capsys, "expand", "q^(1/1000)+q^(1/999)+q^100", "--order", "5")
+        assert code == 3
+        assert "LatticeTooLarge" in err
+
     def test_too_long_sum_exit_3(self, capsys):
         code, _, err = run(capsys, "expand", long_sum(1200), "--order", "5")
         assert code == 3
@@ -107,6 +120,12 @@ class TestVerify:
     def test_syntax_exit_2(self, capsys):
         code, _, err = run(capsys, "verify", "Jm(1", "Jm(1)", "--order", "10")
         assert code == 2
+
+    @pytest.mark.parametrize("order", BAD_ORDERS)
+    def test_bad_order_exit_2(self, capsys, order):
+        code, _, err = run(capsys, "verify", "Jm(1)", "Jm(1)", "--order", order)
+        assert code == 2
+        assert err.startswith("syntax error")
 
     def test_env_default_order(self, capsys, monkeypatch):
         monkeypatch.setenv("QMOCK_DEFAULT_ORDER", "4")
@@ -161,6 +180,12 @@ class TestCorpus:
                 "sum-400": "PASS", "sum-1200": "ERROR",
             }
             assert reports["sum-1200"]["detail"].startswith("RecursionError")
+
+    @pytest.mark.parametrize("order", BAD_ORDERS)
+    def test_bad_order_exit_2(self, capsys, order):
+        code, out, err = run(capsys, "corpus", "--order", order)
+        assert code == 2
+        assert err.startswith("syntax error") and not out
 
     def test_order_override(self, capsys, tmp_path):
         path = tmp_path / "fail.qid"

@@ -9,9 +9,12 @@ from qmock import series
 from qmock._rational import RAT
 from qmock.series import (
     BeyondPrecision,
+    FractionalExponent,
     GaussianRational,
+    LatticeTooLarge,
     NonPositivePower,
     PoleAtOne,
+    QMonomial,
     QSeries,
     ZeroSeries,
     mono,
@@ -19,6 +22,7 @@ from qmock.series import (
     unit_fraction_expand,
 )
 
+import oracles
 from oracles import long_division_invert, poly_mul, series_to_dict, assert_dict_eq
 
 
@@ -45,6 +49,14 @@ class TestGaussianRational:
         assert z ** 4 == GaussianRational(-4)
         assert z ** -4 == GaussianRational(Fraction(-1, 4))
         assert GaussianRational(Fraction(2, 3)) ** -2 == GaussianRational(Fraction(9, 4))
+
+    def test_pow_needs_an_integral_exponent(self):
+        with pytest.raises(FractionalExponent):
+            GaussianRational(2) ** Fraction(1, 2)
+        with pytest.raises(FractionalExponent):
+            GaussianRational(1, 1) ** RAT(-1, 3)
+        assert GaussianRational(2) ** Fraction(6, 2) == 8
+        assert GaussianRational(1, 1) ** RAT(2) == GaussianRational(0, 2)
 
     def test_real_values_hash_as_their_real_part(self):
         for x in (3, -7, Fraction(5, 12), RAT(-2, 9), 0):
@@ -268,6 +280,135 @@ class TestKernelAgainstOracle:
             assert set(have) <= set(want)
 
 
+def _frac(x):
+    return Fraction(int(x.numerator), int(x.denominator))
+
+
+def _ref_of(s):
+    """A series as a reference series, read through its .terms view, which
+    must hold no zero coefficient and only ground-type rationals."""
+    terms = {}
+    for e, c in s.terms.items():
+        assert type(e) is RAT and type(c.re) is RAT and type(c.im) is RAT
+        assert c, f"zero coefficient stored at q^{e}"
+        terms[_frac(e)] = (_frac(c.re), _frac(c.im))
+    return terms, s.precision
+
+
+def _random_coefficient(rnd):
+    if rnd.random() < 0.2:
+        return GaussianRational(Fraction(rnd.randint(1, 2 ** 120), rnd.randint(1, 2 ** 105)),
+                                Fraction(rnd.randint(-2 ** 110, 2 ** 110), 3))
+    return GaussianRational(Fraction(rnd.choice([-3, -1, 1, 2, 5]), rnd.choice([1, 2, 3])),
+                            rnd.choice([0, 0, 1, Fraction(-1, 2)]))
+
+
+class TestOperationsAgainstReference:
+    """Sums, shifts, cuts, substitutions and the queries against the
+    Fraction dict reference of tests/oracles.py, on chains of operations so
+    that each one also sees the lattices the others leave behind."""
+
+    def _fresh(self, rnd, dens, wide):
+        if rnd.random() < 0.1:
+            return QSeries.zero(rnd.choice([None, Fraction(rnd.randint(-5, 30), rnd.choice(dens))]))
+        if wide and rnd.random() < 0.7:
+            terms = {Fraction(0): 1, Fraction(100): rnd.choice([1, -2]),
+                     Fraction(rnd.randint(1, 999), 1000): _random_coefficient(rnd)}
+            return QSeries(terms, rnd.choice([None, Fraction(rnd.randint(101, 130), rnd.choice(dens))]))
+        terms = _fuzz_factor(rnd, rnd.choice(dens))
+        terms = {e: c for e, c in terms.items() if e.denominator in dens}
+        low = min(terms, default=Fraction(0))
+        precision = rnd.choice([None, low + Fraction(rnd.randint(-2, 40), rnd.choice(dens))])
+        return QSeries(terms, precision)
+
+    def _check_queries(self, rnd, s, ref, other, other_ref):
+        assert s.is_zero() == (not ref[0])
+        assert s.low_degree() == oracles.ref_low_degree(ref)
+        probes = list(ref[0])[:4] + [Fraction(rnd.randint(-30, 60), rnd.choice(_DENS + [1000]))
+                                     for _ in range(3)]
+        for e in probes:
+            if ref[1] is not None and e >= ref[1]:
+                with pytest.raises(BeyondPrecision):
+                    s.coeff(e)
+            else:
+                c = s.coeff(e)
+                assert (c.re, c.im) == oracles.ref_coeff(ref, e)
+        assert s.agrees_with(other) == oracles.ref_agrees(ref, other_ref)
+        assert s.agrees_with(s) and s == s
+        assert (s == other) == (ref == other_ref)
+        same = QSeries(dict(s.terms), s.precision)
+        k = Fraction(rnd.randint(1, 4), rnd.randint(1, 4))
+        for t in (same, s.substitute_power(k).substitute_power(1 / k)):
+            assert t == s and hash(t) == hash(s)
+        with pytest.raises(TypeError):
+            s.terms[Fraction(0)] = GaussianRational(1)
+
+    def _step(self, rnd, pool, dens, counts):
+        (a, ra), (b, rb) = rnd.choice(pool), rnd.choice(pool)
+        op = rnd.choice(["add", "sub", "neg", "shift", "shift", "truncate",
+                         "power", "monomial", "negate"])
+        if op == "add":
+            return a + b, oracles.ref_add(ra, rb)
+        if op == "sub":
+            return a - b, oracles.ref_sub(ra, rb)
+        if op == "neg":
+            return -a, oracles.ref_neg(ra)
+        if op == "shift":
+            c = _random_coefficient(rnd)
+            e = Fraction(rnd.randint(-20, 20), rnd.choice(dens))
+            return a.mul_monomial(mono(c, e)), oracles.ref_mul_monomial(
+                ra, (_frac(c.re), _frac(c.im)), e)
+        if op == "truncate":
+            order = Fraction(rnd.randint(-10, 40), rnd.choice(dens))
+            return a.truncate(order), oracles.ref_truncate(ra, order)
+        if op == "power":
+            k = Fraction(rnd.randint(1, 3), rnd.choice([1, 1, 2, 3]))
+            return a.substitute_power(k), oracles.ref_substitute_power(ra, k)
+        if op == "monomial":
+            c = rnd.choice([GaussianRational(-1), GaussianRational(0, 1),
+                            GaussianRational(Fraction(2, 3), 1), _random_coefficient(rnd)])
+            e = Fraction(rnd.randint(1, 4), rnd.choice([1, 1, 2, 7]))
+            m = QMonomial(c, e)
+        else:
+            m = QMonomial(GaussianRational(-1), 1)
+        try:
+            want = oracles.ref_substitute_monomial(
+                ra, (_frac(m.coeff.re), _frac(m.coeff.im)), _frac(m.exp))
+        except ValueError:
+            with pytest.raises(FractionalExponent):
+                a.negate_base() if op == "negate" else a.substitute_monomial(m)
+            return None
+        counts[op] += 1
+        return (a.negate_base() if op == "negate" else a.substitute_monomial(m)), want
+
+    def test_random_chains(self):
+        rnd = random.Random(41)
+        counts = {"monomial": 0, "negate": 0}
+        # mixed denominators; then the wide 1/1000 grid, which only meets
+        # grids dividing its own so that sums stay a few 100000 slots long
+        for dens, wide, chains in ((_DENS, False, 150), ([1, 2], True, 8)):
+            for _ in range(chains):
+                pool = [(s, _ref_of(s)) for s in (self._fresh(rnd, dens, wide) for _ in range(3))]
+                for _ in range(10):
+                    out = self._step(rnd, pool, dens, counts)
+                    if out is None:
+                        continue
+                    s, want = out
+                    assert _ref_of(s) == want
+                    other, other_ref = rnd.choice(pool)
+                    self._check_queries(rnd, s, want, other, other_ref)
+                    pool.append((s, want))
+        assert counts["monomial"] > 50 and counts["negate"] > 50
+
+    def test_lattice_too_large(self):
+        # three terms on grids 1/1000 and 1/999 span 10^8 slots
+        with pytest.raises(LatticeTooLarge):
+            QSeries({Fraction(1, 1000): 1, Fraction(1, 999): 1, 100: 1})
+        a = QSeries({Fraction(1, 1000): 1, 100: 1})
+        with pytest.raises(LatticeTooLarge):
+            a + QSeries.from_monomial(qpow(Fraction(1, 999)))
+
+
 class TestCoeff:
     def test_lookup(self):
         a = S({0: 1, 1: 2}, 3)
@@ -326,6 +467,15 @@ class TestUnitFractionExpand:
     def test_constant(self):
         out = unit_fraction_expand(3, 0, 5)
         assert series_to_dict(out) == {0: Fraction(-1, 2)}
+
+    def test_zero_coefficient_is_one(self):
+        # 1/(1 - 0*q^k) = 1 for every k, with no zero terms stored
+        for k in (1, 3, Fraction(1, 2), 0, -1, Fraction(-5, 3)):
+            out = unit_fraction_expand(0, k, 5)
+            assert series_to_dict(out) == {0: 1}
+            assert out.precision == 5
+            assert str(out) == "1"
+            assert (out - 1).is_zero()
 
 
 def _random_series(rnd, max_prec=14):
