@@ -50,22 +50,24 @@ _GR_M1 = GaussianRational(-1)
 _MINUS_ONE = QMonomial(_GR_M1, _R0)
 
 
-def eval_with_retry(build, order, retries=4):
-    """Run ``build(working_order)`` until the result precision reaches ``order``.
+def eval_with_retry(build, order):
+    """Run ``build(working_order)`` until the result precision reaches ``order``,
+    retrying at most three times before ``InsufficientPrecision``.
 
     Division by series with nonzero leading exponents consumes precision by a
     structural, order-independent amount, so the shortfall of one pass is the
-    inflation needed for the next.
+    inflation needed for the next.  The block functions below and
+    ``dsl.evaluate`` share this loop.
     """
     order = rat(order)
     work = order
-    for _ in range(retries + 1):
+    for _ in range(4):
         out = build(work)
         if out.precision is None or out.precision >= order:
             return out.truncate(order)
         work = work + (order - out.precision) + 1
     raise InsufficientPrecision(
-        f"could not reach precision {order} after {retries} retries"
+        f"could not reach precision {order} after 3 retries"
     )
 
 

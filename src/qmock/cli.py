@@ -14,7 +14,7 @@ import os
 import sys
 from importlib import resources
 
-from ._rational import rat, num_den
+from ._rational import num_den
 from .dsl import (
     EVALUATION_ERRORS,
     CorpusSyntaxError,
@@ -23,6 +23,7 @@ from .dsl import (
     evaluate,
     parse,
     parse_corpus,
+    parse_order,
     verify_identity,
 )
 from .series import format_series
@@ -40,21 +41,6 @@ def _default_order():
     return os.environ.get(DEFAULT_ORDER_ENV, _BUILTIN_DEFAULT_ORDER)
 
 
-def _parse_order(text):
-    """A positive rational order written n or p/r; ValueError otherwise."""
-    try:
-        if "/" in text:
-            p, _, r = text.partition("/")
-            value = rat(int(p), int(r))
-        else:
-            value = rat(int(text))
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"bad order {text!r}") from None
-    if value <= 0:
-        raise ValueError("order must be positive")
-    return value
-
-
 def _series_json(series):
     return {
         "terms": [
@@ -68,7 +54,7 @@ def _series_json(series):
 def cmd_expand(args):
     try:
         ast = parse(args.expr)
-        order = _parse_order(args.order)
+        order = parse_order(args.order)
     except (ExpressionSyntaxError, ValueError) as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2
@@ -99,7 +85,7 @@ def cmd_verify(args):
     try:
         lhs = parse(args.lhs)
         rhs = parse(args.rhs)
-        order = _parse_order(args.order)
+        order = parse_order(args.order)
     except (ExpressionSyntaxError, ValueError) as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2
@@ -139,7 +125,7 @@ def run_corpus(records, order_override=None, jobs=1):
 
 def cmd_corpus(args):
     try:
-        override = _parse_order(args.order) if args.order else None
+        override = parse_order(args.order) if args.order else None
     except ValueError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2

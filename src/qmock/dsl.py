@@ -26,7 +26,6 @@ from . import appell, catalog, hecke, theta
 from .series import (
     GaussianRational,
     GR_I,
-    InsufficientPrecision,
     NonPositivePower,
     QMonomial,
     QSeries,
@@ -40,6 +39,7 @@ __all__ = [
     "evaluate",
     "verify_identity",
     "parse_corpus",
+    "parse_order",
     "IdentityRecord",
     "VerificationReport",
     "ExpressionSyntaxError",
@@ -575,19 +575,10 @@ def _eval_call(node, w):
     return getattr(module, attr)(*values, w)
 
 
-def evaluate(node, order, retries=3):
+def evaluate(node, order):
     """Evaluate to a series with precision >= order, retrying with an
     inflated working order when division or monomial shifts consume some."""
-    order = rat(order)
-    work = order
-    for _ in range(retries + 1):
-        value = _eval(node, work)
-        if value.precision is None or value.precision >= order:
-            return value.truncate(order)
-        work = work + (order - value.precision) + 1
-    raise InsufficientPrecision(
-        f"evaluation stuck below requested precision {order}"
-    )
+    return appell.eval_with_retry(lambda w: _eval(node, w), order)
 
 
 # --------------------------------------------------------------------------
@@ -673,6 +664,21 @@ def verify_identity(record):
 # --------------------------------------------------------------------------
 # corpus file format
 
+def parse_order(text):
+    """A positive rational order written n or p/r; ValueError otherwise."""
+    try:
+        if "/" in text:
+            p, _, r = text.partition("/")
+            value = rat(int(p), int(r))
+        else:
+            value = rat(int(text))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad order {text!r}") from None
+    if value <= 0:
+        raise ValueError("order must be positive")
+    return value
+
+
 def parse_corpus(text):
     """Parse a corpus file: blank-line separated stanzas of
 
@@ -749,16 +755,9 @@ def parse_corpus(text):
             current["anchor"] = value[1:-1]
         elif key == "order":
             try:
-                if "/" in value:
-                    p, _, r = value.partition("/")
-                    order = rat(int(p), int(r))
-                else:
-                    order = rat(int(value))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise CorpusSyntaxError(f"bad order {value!r}", lineno) from exc
-            if order <= 0:
-                raise CorpusSyntaxError("order must be positive", lineno)
-            current["order"] = order
+                current["order"] = parse_order(value)
+            except ValueError as exc:
+                raise CorpusSyntaxError(str(exc), lineno) from exc
         elif key in ("lhs", "rhs"):
             current[key] = value
         else:

@@ -513,7 +513,8 @@ class QSeries:
 
         The result is correct below ``a.precision - 2*lowdeg(a)``; for an
         exact (polynomial) input, ``order`` fixes the target precision
-        instead and is mandatory unless the input is a single monomial.
+        instead and is mandatory unless the input is a single monomial,
+        whose inverse is returned exact whatever ``order`` is.
         """
         if not self._re:
             raise ZeroSeries("cannot invert a series that is zero to its precision")
@@ -524,8 +525,7 @@ class QSeries:
         # 1/lead = den * (r0 - x0*i) / norm
         inv_r, inv_i = self._den * r0, -self._den * x0
         if self.precision is None and len(self._re) == 1:
-            inv = _make(self._L, -self._lo, 1, [inv_r], [inv_i], norm, None)
-            return inv if order is None else inv.truncate(order)
+            return _make(self._L, -self._lo, 1, [inv_r], [inv_i], norm, None)
         # relative precision of the unit part
         if self.precision is not None:
             relative = self.precision - d

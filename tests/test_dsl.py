@@ -6,7 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from qmock import appell, catalog, hecke, theta
+import importlib.util
+import pathlib
+
+from qmock import appell, catalog, dsl, hecke, theta
 from qmock._rational import rat
 from qmock.dsl import (
     FUNCTIONS,
@@ -31,7 +34,15 @@ from qmock.dsl import (
     to_text,
     verify_identity,
 )
-from qmock.series import GaussianRational, GR_I, QSeriesError, mono, qpow
+from qmock.series import (
+    GaussianRational,
+    GR_I,
+    InsufficientPrecision,
+    QSeries,
+    QSeriesError,
+    mono,
+    qpow,
+)
 
 from oracles import series_to_dict
 
@@ -182,6 +193,36 @@ class TestEvaluate:
         assert out.agrees_with(evaluate(parse("Jm(3)"), 30))
         half = evaluate(parse("subq(1/(1-q), 1/2)"), 2)
         assert series_to_dict(half) == {0: 1, Fraction(1, 2): 1, 1: 1, Fraction(3, 2): 1}
+
+
+class TestRetryCap:
+    def test_always_short_raises_after_four_passes(self, monkeypatch):
+        passes = []
+
+        def short_by_one(node, w):
+            passes.append(w)
+            return QSeries.zero(9)
+
+        monkeypatch.setattr(dsl, "_eval", short_by_one)
+        with pytest.raises(InsufficientPrecision):
+            evaluate(parse("q"), 10)
+        assert len(passes) == 4  # the first pass and three retries
+
+    def test_short_once_recovers_on_the_second_pass(self, monkeypatch):
+        passes = []
+        real_eval = dsl._eval
+
+        def short_once(node, w):
+            passes.append(w)
+            if len(passes) == 1:
+                return QSeries.zero(w - 1)
+            return real_eval(node, w)
+
+        monkeypatch.setattr(dsl, "_eval", short_once)
+        out = evaluate(parse("Jm(1)"), 10)
+        assert passes == [10, 12]
+        assert out.precision == 10
+        assert series_to_dict(out) == {0: 1, 1: -1, 2: -1, 5: 1, 7: 1}
 
 
 class TestOrderAgreement:
@@ -371,3 +412,12 @@ class TestShippedCorpus:
         assert len(records) >= 150
         assert len({r.id for r in records}) == len(records)
         assert pickle.loads(pickle.dumps(records)) == records
+
+    def test_generator_renders_the_shipped_file(self):
+        from qmock.cli import shipped_corpus_path
+
+        path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "generate_corpus.py"
+        spec = importlib.util.spec_from_file_location("generate_corpus", path)
+        generator = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(generator)
+        assert generator.render().encode("utf-8") == shipped_corpus_path().read_bytes()

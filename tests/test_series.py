@@ -123,6 +123,11 @@ class TestInvert:
         assert series_to_dict(out) == {-2: 1}
         assert out.precision is None
 
+    def test_monomial_inverse_stays_exact_past_order(self):
+        out = QSeries.from_monomial(qpow(-7)).invert(order=6)
+        assert out.precision is None
+        assert series_to_dict(out) == {7: 1}
+
     def test_against_long_division(self):
         d = {Fraction(0): Fraction(2), Fraction(1): Fraction(2)}
         want = long_division_invert(d, 6)
