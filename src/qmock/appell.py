@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from ._rational import RAT, rat, is_integer, as_int
+from ._rational import RAT, rat, floor, is_integer, as_int
 from .series import (
     DegenerateDenominator,
     DegenerateX,
@@ -29,11 +29,13 @@ from .series import (
     mono,
     unit_fraction_expand,
 )
-from .theta import Jm, as_base, jacobi_theta
+from .theta import Jm, as_base, jacobi_theta, theta_valuation
 
 __all__ = [
     "appell_m",
+    "appell_m_valuation",
     "universal_g_eulerian",
+    "universal_g_valuation",
     "universal_g_via_m",
     "g_abc",
     "h_abc",
@@ -44,7 +46,6 @@ __all__ = [
 ]
 
 _R0 = RAT(0)
-_R1 = RAT(1)
 _HALF = RAT(1, 2)
 _GR_M1 = GaussianRational(-1)
 _MINUS_ONE = QMonomial(_GR_M1, _R0)
@@ -56,8 +57,8 @@ def eval_with_retry(build, order):
 
     Division by series with nonzero leading exponents consumes precision by a
     structural, order-independent amount, so the shortfall of one pass is the
-    inflation needed for the next.  The block functions below and
-    ``dsl.evaluate`` share this loop.
+    inflation needed for the next.  The block functions below use this loop;
+    ``dsl.evaluate`` plans its working orders instead and makes one pass.
     """
     order = rat(order)
     work = order
@@ -105,17 +106,8 @@ def appell_m(x, base, z, order):
     if _is_base_power(x * z, base):
         raise DegenerateZ(f"x*z = {x * z} is an integral power of the base {base}")
 
-    # z is structurally generic, so j(z; b) is nonzero; probe until its
-    # leading term is visible
-    probe_order = max(order, _R1)
-    for _ in range(4):
-        probe = jacobi_theta(z, base, probe_order)
-        if not probe.is_zero():
-            break
-        probe_order = 4 * probe_order + 1
-    else:
-        raise DegenerateZ(f"j({z}; {base}) vanishes to far beyond the working order")
-    d = probe.low_degree()
+    # z is structurally generic, so j(z; b) is nonzero from q^d on
+    d = theta_valuation(z, base)
 
     work = order + max(d, _R0)
     total = _bilateral_sum(x, base, z, work)
@@ -125,40 +117,52 @@ def appell_m(x, base, z, order):
         ls = work
     need = order + 2 * d - min(ls, _R0)
     need = max(need, d + 1)
-    jz = probe if (probe.precision is not None and probe.precision >= need) else \
-        _theta_or_degenerate(z, base, need, exc=DegenerateZ)
-    result = total * jz.invert()
+    result = total * jacobi_theta(z, base, need).invert()
     if result.precision is not None and result.precision < order:
         raise InsufficientPrecision("internal precision accounting failed in appell_m")
     return result.truncate(order)
 
 
+def _summand_exps(x, base, z, r):
+    """(e, k): summand r of the bilateral sum is c*q^e / (1 - c'*q^k)."""
+    eb = base.exp
+    return eb * (r * (r - 1)) / 2 + z.exp * r, eb * (r - 1) + x.exp + z.exp
+
+
+def _least_exp(x, base, z, r):
+    """The least exponent of summand r once its denominator is expanded."""
+    e, k = _summand_exps(x, base, z, r)
+    return e - k if k < 0 else e
+
+
+def _vertex_limits(base, z):
+    """(lo, hi): the least exponent of summand r increases as r goes up
+    from hi or down from lo."""
+    c = z.exp / base.exp
+    return -_HALF - c, RAT(5, 2) - c
+
+
+def appell_m_valuation(x, base, z):
+    """A v such that m(x, b, z) starts at q^v or later: the least exponent
+    of the bilateral sum's summands less the exponent where j(z; b) starts.
+    None when j(z; b) vanishes."""
+    base = as_base(base)
+    d = theta_valuation(z, base)
+    if d is None:
+        return None
+    lo, hi = _vertex_limits(base, z)
+    return min(_least_exp(x, base, z, r) for r in range(floor(lo), -floor(-hi) + 1)) - d
+
+
 def _bilateral_sum(x, base, z, work):
     """sum_r (-1)^r b^binom(r,2) z^r / (1 - b^(r-1) x z) below ``work``."""
-    eb, cb = base.exp, base.coeff
-    ex, cx = x.exp, x.coeff
-    ez, cz = z.exp, z.coeff
-
-    def monomial_exp(r):
-        return eb * (r * (r - 1)) / 2 + ez * r
-
-    def denominator_exp(r):
-        return eb * (r - 1) + ex + ez
-
-    def least_exp(r):
-        k = denominator_exp(r)
-        e = monomial_exp(r)
-        return e - k if k < 0 else e
-
-    # beyond these the least exponent is increasing away from zero
-    v_limit_hi = max(_HALF - ez / eb, RAT(3, 2) - ez / eb) + 1
-    v_limit_lo = min(_HALF - ez / eb, RAT(3, 2) - ez / eb) - 1
+    cb, cx, cz = base.coeff, x.coeff, z.coeff
+    v_limit_lo, v_limit_hi = _vertex_limits(base, z)
 
     total = QSeries.zero(work)
 
     def summand(r):
-        e = monomial_exp(r)
-        k = denominator_exp(r)
+        e, k = _summand_exps(x, base, z, r)
         c = (cb ** (r * (r - 1) // 2)) * (cz ** r)
         if r & 1:
             c = -c
@@ -171,16 +175,29 @@ def _bilateral_sum(x, base, z, work):
         return expand.mul_monomial(QMonomial(c, e))
 
     r = 0
-    while least_exp(r) < work or r <= v_limit_hi:
-        if least_exp(r) < work:
+    while _least_exp(x, base, z, r) < work or r <= v_limit_hi:
+        if _least_exp(x, base, z, r) < work:
             total = total + summand(r)
         r += 1
     r = -1
-    while least_exp(r) < work or r >= v_limit_lo:
-        if least_exp(r) < work:
+    while _least_exp(x, base, z, r) < work or r >= v_limit_lo:
+        if _least_exp(x, base, z, r) < work:
             total = total + summand(r)
         r -= 1
     return total.truncate(work)
+
+
+def universal_g_valuation(x, base):
+    """A v such that g(x, b) starts at q^v or later.
+
+    In x^(-1) (-1 + sum_n b^(n^2) / ((x;b)_(n+1) (b/x;b)_n)), the n = 0 term
+    less 1 is x/(1 - x), and each later term starts no lower than the n = 1
+    term: a factor 1/(1 - c*q^k) starts at q^max(0, -k)."""
+    base = as_base(base)
+    eb, ex = base.exp, x.exp
+    first = max(ex, _R0)
+    later = eb + max(_R0, -ex) + max(_R0, -ex - eb) + max(_R0, ex - eb)
+    return min(first, later) - ex
 
 
 def universal_g_eulerian(x, base, order):

@@ -98,21 +98,23 @@ def phibar1(order):
 
 @dataclass
 class CatalogEntry:
-    """A named series with its Eulerian generator."""
+    """A named series with its Eulerian generator; the series starts at
+    q^valuation."""
 
     name: str
     eulerian: Callable
+    valuation: int
 
 
 CATALOG = {
-    name: CatalogEntry(name, generator)
-    for name, generator in [
-        ("psi", psi3),
-        ("nu", nu3),
-        ("phi", phi3),
-        ("psibar0", psibar0),
-        ("psibar1", psibar1),
-        ("phibar0", phibar0),
-        ("phibar1", phibar1),
+    name: CatalogEntry(name, generator, valuation)
+    for name, generator, valuation in [
+        ("psi", psi3, 1),
+        ("nu", nu3, 0),
+        ("phi", phi3, 0),
+        ("psibar0", psibar0, 0),
+        ("psibar1", psibar1, 0),
+        ("phibar0", phibar0, 0),
+        ("phibar1", phibar1, 0),
     ]
 }

@@ -126,6 +126,8 @@ def run_corpus(records, order_override=None, jobs=1):
 def cmd_corpus(args):
     try:
         override = parse_order(args.order) if args.order else None
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     except ValueError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2

@@ -21,11 +21,12 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from ._rational import rat, is_integer, as_int, num_den
+from ._rational import ZERO as _R0, rat, is_integer, as_int, num_den
 from . import appell, catalog, hecke, theta
 from .series import (
     GaussianRational,
     GR_I,
+    InsufficientPrecision,
     NonPositivePower,
     QMonomial,
     QSeries,
@@ -513,72 +514,259 @@ def _fold_int(node):
 
 # --------------------------------------------------------------------------
 # evaluation
-
-def _eval(node, w):
-    if isinstance(node, Literal):
-        return QSeries.constant(node.value)
-    if isinstance(node, QPow):
-        return QSeries.from_monomial(qpow(node.exponent))
-    if isinstance(node, Add):
-        return _eval(node.left, w) + _eval(node.right, w)
-    if isinstance(node, Sub):
-        return _eval(node.left, w) - _eval(node.right, w)
-    if isinstance(node, Neg):
-        return -_eval(node.operand, w)
-    if isinstance(node, Mul):
-        return _eval(node.left, w) * _eval(node.right, w)
-    if isinstance(node, Div):
-        num = _eval(node.left, w)
-        return num * _eval_divisor(node.right, w).invert(order=w)
-    if isinstance(node, Pow):
-        if node.exponent < 0:
-            return _eval_divisor(node.base, w).invert(order=w) ** (-node.exponent)
-        return _eval(node.base, w) ** node.exponent
-    if isinstance(node, Call):
-        return _eval_call(node, w)
-    raise TypeError(f"not an AST node: {node!r}")
+#
+# One pass plans the working order of every node.  A valuation is a pair
+# (v, exact): the node's series starts exactly at q^v when exact is true, at
+# q^v or later otherwise; a node without a valuation (None) has no known
+# lower bound.  Valuations are found bottom up without evaluating anything.
+# Working orders go top down: a product a*b known below w asks a for
+# w - v(b) and then b for w - low(a), where low(a) is where the evaluated a
+# starts (its precision, if it is zero below it); a divisor with an exact
+# valuation d is asked for its inverse's order plus 2d.  Each factor is
+# asked at least for its own valuation, so even a factor that comes back
+# zero starts no lower than its bound.
 
 
-def _eval_divisor(node, w):
-    """A series to be inverted.  While it is zero to its precision, its
-    leading term lies at or past that precision, so it is evaluated again at
-    the working order 2w + 1, three times at most, before inverting it fails
-    with ZeroSeries."""
-    den = _eval(node, w)
-    for _ in range(3):
-        if not den.is_zero() or den.precision is None:
-            break
-        w = 2 * w + 1
-        den = _eval(node, w)
-    return den
+def _target(w, other, own):
+    """The working order of a factor of a product known below w: w less
+    where the other factor starts (None: unknown or nowhere), and at least
+    the factor's own valuation bound."""
+    t = w if other is None else w - other
+    return t if own is None or own <= t else own
 
+
+def _bound(val):
+    return None if val is None else val[0]
+
+
+def _val_sum(a, b):
+    if a is None or b is None:
+        return None
+    if a[0] == b[0]:
+        return a[0], False  # the leading terms may cancel
+    return min(a, b)
+
+
+def _val_product(a, b):
+    if a is None or b is None:
+        return None
+    return a[0] + b[0], a[1] and b[1]
+
+
+def _val_inverse(a):
+    """1/a starts exactly where a does, negated, when a's start is exact."""
+    return None if a is None or not a[1] else (-a[0], True)
+
+
+def _val_power(a, k):
+    if k < 0:
+        a, k = _val_inverse(a), -k
+    return None if a is None else (a[0] * k, a[1])
+
+
+# the start of each engine function, from its folded arguments, and whether
+# it is exact or a lower bound
+_VALUATIONS = {
+    "j": (theta.theta_valuation, True),
+    "J": (lambda a, m: theta.theta_valuation(qpow(a), qpow(m)), True),
+    "JB": (lambda a, m: theta.theta_valuation(-qpow(a), qpow(m)), True),
+    "Jm": (lambda m: theta.theta_valuation(qpow(m), qpow(3 * m)), True),
+    "m": (appell.appell_m_valuation, False),
+    "g": (appell.universal_g_valuation, False),
+}
 
 _FOLD = {"m": _fold_monomial, "b": _fold_base, "r": _fold_rational, "n": _fold_int}
 
 
-def _eval_call(node, w):
-    name, args = node.name, node.args
-    if name == "subq":
-        k = _fold_rational(args[1])
-        if k <= 0:
-            raise NonPositivePower(f"subq power must be positive, got {k}")
-        return _eval(args[0], w / k).substitute_power(k)
-    if name == "negq":
-        return _eval(args[0], w).negate_base()
-    if name not in FUNCTIONS:
-        raise EvaluationError(f"no evaluator for function {name!r}")
-    kinds, module, attr = FUNCTIONS[name]
-    values = [_FOLD[kind](arg) for kind, arg in zip(kinds, args)]
-    if module is None:  # a catalog series at the base monomial u
-        (u,) = values
-        return catalog.CATALOG[name].eulerian(w / u.exp).substitute_monomial(u)
-    return getattr(module, attr)(*values, w)
+class _Plan:
+    """One evaluation pass over an AST: valuations memoized per node, and
+    each node's series at the working order its parent asks for."""
+
+    def __init__(self):
+        # id(node) -> valuation, and -> folded call arguments; the AST
+        # outlives the plan
+        self._vals = {}
+        self._args = {}
+
+    def valuation(self, node):
+        """The valuation of ``node`` (see above), from those of its parts."""
+        key = id(node)
+        if key in self._vals:
+            return self._vals[key]
+        if isinstance(node, Literal):
+            val = (_R0, True) if node.value else None  # 0 starts nowhere
+        elif isinstance(node, QPow):
+            val = node.exponent, True
+        elif isinstance(node, Neg):
+            val = self.valuation(node.operand)
+        elif isinstance(node, (Add, Sub)):
+            val = _val_sum(self.valuation(node.left), self.valuation(node.right))
+        elif isinstance(node, Mul):
+            val = _val_product(self.valuation(node.left), self.valuation(node.right))
+        elif isinstance(node, Div):
+            val = _val_product(self.valuation(node.left),
+                               _val_inverse(self.valuation(node.right)))
+        elif isinstance(node, Pow):
+            val = _val_power(self.valuation(node.base), node.exponent)
+        elif isinstance(node, Call):
+            try:
+                val = self._call_valuation(node)
+            except EVALUATION_ERRORS:
+                val = None  # evaluating the call raises the error
+        else:
+            raise TypeError(f"not an AST node: {node!r}")
+        self._vals[key] = val
+        return val
+
+    def _call_valuation(self, node):
+        name, args = node.name, node.args
+        if name == "subq":
+            k = _fold_rational(args[1])
+            val = self.valuation(args[0])
+            return None if val is None or k <= 0 else (val[0] * k, val[1])
+        if name == "negq":
+            return self.valuation(args[0])
+        if name in catalog.CATALOG:
+            (u,) = self._fold_args(node)
+            return catalog.CATALOG[name].valuation * u.exp, True
+        if name not in _VALUATIONS:
+            return None
+        start, exact = _VALUATIONS[name]
+        v = start(*self._fold_args(node))
+        return None if v is None else (v, exact)
+
+    def series(self, node, w):
+        """``node`` as a series known below w (or exact)."""
+        if isinstance(node, Literal):
+            return QSeries.constant(node.value)
+        if isinstance(node, QPow):
+            return QSeries.from_monomial(qpow(node.exponent))
+        if isinstance(node, Add):
+            return self.series(node.left, w) + self.series(node.right, w)
+        if isinstance(node, Sub):
+            return self.series(node.left, w) - self.series(node.right, w)
+        if isinstance(node, Neg):
+            return -self.series(node.operand, w)
+        if isinstance(node, (Mul, Div)):
+            # a*b or a/b known below w, in this frame so that a long product
+            # nests no deeper than a long sum.  A factor without a valuation
+            # is evaluated first, so that where it starts is known when its
+            # partner's order is set.
+            a, b = node.left, node.right
+            get_a, get_b = self.series, self.series
+            vb = self.valuation(b)
+            if isinstance(node, Div):
+                get_b, vb = self._inverse, _val_inverse(vb)
+            va, vb = _bound(self.valuation(a)), _bound(vb)
+            if vb is None and va is not None:
+                a, va, get_a, b, vb, get_b = b, vb, get_b, a, va, get_a
+            sa = get_a(a, _target(w, vb, va))
+            sb = get_b(b, _target(w, sa.low_degree(), vb))
+            out = sa * sb
+            if vb is None and out.precision is not None and out.precision < w:
+                # neither factor had a valuation: b's start now sets a's order
+                out = get_a(a, _target(w, sb.low_degree(), va)) * sb
+            return out
+        if isinstance(node, Pow):
+            return self._power(node.base, node.exponent, w)
+        if isinstance(node, Call):
+            return self._call(node, w)
+        raise TypeError(f"not an AST node: {node!r}")
+
+    def _power(self, base, k, w):
+        """base^k known below w: the base, or its inverse for k < 0, is
+        asked for w less (|k| - 1) times where it starts."""
+        get = self._inverse if k < 0 else self.series
+        val = self.valuation(base)
+        v = _bound(_val_inverse(val) if k < 0 else val)
+        n = abs(k)
+        s = get(base, w if v is None else _target(w, (n - 1) * v, v))
+        low = s.low_degree()
+        if v is None and low is not None and s.precision is not None \
+                and s.precision + (n - 1) * low < w:
+            s = get(base, w - (n - 1) * low)
+        return s ** n
+
+    def _inverse(self, node, w):
+        """1/node known below w."""
+        val = self.valuation(node)
+        if val is not None and val[1]:
+            d = val[0]  # asked past d, the divisor's leading term shows
+            den = self.series(node, max(w + 2 * d, d + 1))
+        else:
+            den = self._eval_divisor(node, w, _bound(val))
+        return den.invert(order=w)
+
+    def _eval_divisor(self, node, w, v):
+        """A divisor whose valuations give no exact start: a sum whose
+        leading terms may cancel, such as m(..) - m(..), or one built on m
+        or g (whose start they only bound) or on f or a block sum (whose
+        start they do not know).  It is evaluated as though it started at
+        its bound v, if it has one.  While it is zero to its precision, its
+        start lies at or past that, so it is evaluated again at 2t + 1, three
+        times at most, before inverting it fails with ZeroSeries; once its
+        start d shows, it is evaluated once more if its precision falls
+        short of w + 2d, which the inverse known below w needs."""
+        t = w if v is None else max(w + 2 * v, v + 1)
+        den = self.series(node, t)
+        for _ in range(3):
+            if not den.is_zero() or den.precision is None:
+                break
+            t = 2 * max(t, _R0) + 1
+            den = self.series(node, t)
+        if den.is_zero() or den.precision is None:
+            return den
+        need = w + 2 * den.low_degree()
+        return den if den.precision >= need else self.series(node, need)
+
+    def _fold_args(self, node):
+        key = id(node)
+        if key not in self._args:
+            kinds = FUNCTIONS[node.name][0]
+            self._args[key] = [_FOLD[kind](arg) for kind, arg in zip(kinds, node.args)]
+        return self._args[key]
+
+    def _call(self, node, w):
+        name, args = node.name, node.args
+        if name == "subq":
+            k = _fold_rational(args[1])
+            if k <= 0:
+                raise NonPositivePower(f"subq power must be positive, got {k}")
+            return self.series(args[0], w / k).substitute_power(k)
+        if name == "negq":
+            return self.series(args[0], w).negate_base()
+        if name not in FUNCTIONS:
+            raise EvaluationError(f"no evaluator for function {name!r}")
+        _, module, attr = FUNCTIONS[name]
+        values = self._fold_args(node)
+        if module is None:  # a catalog series at the base monomial u
+            (u,) = values
+            return catalog.CATALOG[name].eulerian(w / u.exp).substitute_monomial(u)
+        return getattr(module, attr)(*values, w)
+
+
+def _eval(node, order):
+    """One evaluation pass: ``node`` as a series known below ``order``, every
+    subexpression at the working order the plan gives it."""
+    return _Plan().series(node, order)
 
 
 def evaluate(node, order):
-    """Evaluate to a series with precision >= order, retrying with an
-    inflated working order when division or monomial shifts consume some."""
-    return appell.eval_with_retry(lambda w: _eval(node, w), order)
+    """Evaluate to a series with precision ``order``, in one planned pass.
+
+    The valuations of the subexpressions fix, before anything is evaluated,
+    how much precision each division and each shift by a negative power
+    will consume, so no pass is thrown away.  The precision bookkeeping of
+    ``QSeries`` checks the plan: a pass that comes back short is an internal
+    error, ``InsufficientPrecision``."""
+    order = rat(order)
+    out = _eval(node, order)
+    if out.precision is not None and out.precision < order:
+        raise InsufficientPrecision(
+            f"internal error: the planned pass reached precision {out.precision}, "
+            f"not {order}"
+        )
+    return out.truncate(order)
 
 
 # --------------------------------------------------------------------------

@@ -32,6 +32,7 @@ __all__ = [
     "pochhammer_infinite",
     "jacobi_theta",
     "jacobi_theta_product",
+    "theta_valuation",
     "J",
     "Jbar",
     "Jm",
@@ -106,6 +107,33 @@ def pochhammer_infinite(x, base, order):
     return out.truncate(order)
 
 
+def theta_valuation(x, base):
+    """The exponent where j(x; b) starts; None when x is an integral power of
+    b, where j(x; b) vanishes.
+
+    Term n of the bilateral sum lies at E(n)/L (see ``jacobi_theta``), least
+    at n = floor(1/2 - X/B) or at the n after it.  When the two tie,
+    X = -n*B, and their coefficients cancel only for x = b^-n."""
+    base = as_base(base)
+    if base.exp <= 0:
+        raise DivergentProduct(
+            f"theta sum needs a base with positive exponent, got {base}"
+        )
+    L, B, X = _theta_grid(x, base)
+    n = (B - 2 * X) // (2 * B)
+    e0, e1 = B * (n * (n - 1) // 2) + X * n, B * (n * (n + 1) // 2) + X * (n + 1)
+    if e0 == e1 and x.coeff * base.coeff ** n == GR_ONE:
+        return None
+    return RAT(min(e0, e1), L)
+
+
+def _theta_grid(x, base):
+    """(L, B, X): the exponents of b and x are B/L and X/L."""
+    L = lcm(int(base.exp.denominator), int(x.exp.denominator))
+    return (L, int(base.exp.numerator) * (L // int(base.exp.denominator)),
+            int(x.exp.numerator) * (L // int(x.exp.denominator)))
+
+
 def jacobi_theta(x, base, order):
     """j(x; b) as the bilateral sum of (-1)^n b^binom(n,2) x^n below ``order``."""
     base = as_base(base)
@@ -116,9 +144,7 @@ def jacobi_theta(x, base, order):
         )
     # term n sits at the exponent E(n)/L, E(n) = B*binom(n, 2) + X*n, which
     # lies below the order on/od when E(n)*od < on*L = top
-    L = lcm(int(base.exp.denominator), int(x.exp.denominator))
-    B = int(base.exp.numerator) * (L // int(base.exp.denominator))
-    X = int(x.exp.numerator) * (L // int(x.exp.denominator))
+    L, B, X = _theta_grid(x, base)
     top, od = int(order.numerator) * L, int(order.denominator)
     cx, cb = as_triple(x.coeff), as_triple(base.coeff)
     points = []

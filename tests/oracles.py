@@ -1,11 +1,15 @@
 """Small self-contained reference implementations used as test oracles.
 
-Everything here works on plain {exponent: Fraction} dicts and stays
-deliberately independent of the package's series engine, so agreement is a
-two-sided check.
+Everything here but the retry evaluator at the end works on plain
+{exponent: Fraction} dicts and stays deliberately independent of the
+package's series engine, so agreement is a two-sided check.
 """
 
 from fractions import Fraction
+
+from qmock import catalog, dsl
+from qmock._rational import rat
+from qmock.series import InsufficientPrecision, NonPositivePower, QSeries, qpow
 
 
 def poly_mul(a, b, bound=None):
@@ -169,3 +173,78 @@ def ref_agrees(a, b):
     p = _ref_pmin(a[1], b[1])
     return all(ref_coeff(a, e) == ref_coeff(b, e)
                for e in set(a[0]) | set(b[0]) if p is None or e < p)
+
+
+# -- the retry evaluator ---------------------------------------------------------
+#
+# The DSL's evaluator before it planned its working orders: every node is
+# evaluated at one global working order, a divisor that is zero to its
+# precision is evaluated again at 2w + 1 (three times at most), and a result
+# short of the order is thrown away and the whole expression evaluated again
+# at the order inflated by the shortfall plus one, four passes at most.  It
+# uses the package's series engine and special functions, and checks only
+# the planning of the evaluator that replaced it.
+
+
+def retry_evaluate(node, order):
+    """``node`` evaluated to precision ``order`` by whole-expression retries."""
+    order = rat(order)
+    work = order
+    for _ in range(4):
+        out = _retry_eval(node, work)
+        if out.precision is None or out.precision >= order:
+            return out.truncate(order)
+        work = work + (order - out.precision) + 1
+    raise InsufficientPrecision(f"could not reach precision {order} after 3 retries")
+
+
+def _retry_eval(node, w):
+    if isinstance(node, dsl.Literal):
+        return QSeries.constant(node.value)
+    if isinstance(node, dsl.QPow):
+        return QSeries.from_monomial(qpow(node.exponent))
+    if isinstance(node, dsl.Add):
+        return _retry_eval(node.left, w) + _retry_eval(node.right, w)
+    if isinstance(node, dsl.Sub):
+        return _retry_eval(node.left, w) - _retry_eval(node.right, w)
+    if isinstance(node, dsl.Neg):
+        return -_retry_eval(node.operand, w)
+    if isinstance(node, dsl.Mul):
+        return _retry_eval(node.left, w) * _retry_eval(node.right, w)
+    if isinstance(node, dsl.Div):
+        num = _retry_eval(node.left, w)
+        return num * _retry_divisor(node.right, w).invert(order=w)
+    if isinstance(node, dsl.Pow):
+        if node.exponent < 0:
+            return _retry_divisor(node.base, w).invert(order=w) ** (-node.exponent)
+        return _retry_eval(node.base, w) ** node.exponent
+    if isinstance(node, dsl.Call):
+        return _retry_call(node, w)
+    raise TypeError(f"not an AST node: {node!r}")
+
+
+def _retry_divisor(node, w):
+    den = _retry_eval(node, w)
+    for _ in range(3):
+        if not den.is_zero() or den.precision is None:
+            break
+        w = 2 * w + 1
+        den = _retry_eval(node, w)
+    return den
+
+
+def _retry_call(node, w):
+    name, args = node.name, node.args
+    if name == "subq":
+        k = dsl._fold_rational(args[1])
+        if k <= 0:
+            raise NonPositivePower(f"subq power must be positive, got {k}")
+        return _retry_eval(args[0], w / k).substitute_power(k)
+    if name == "negq":
+        return _retry_eval(args[0], w).negate_base()
+    kinds, module, attr = dsl.FUNCTIONS[name]
+    values = [dsl._FOLD[kind](arg) for kind, arg in zip(kinds, args)]
+    if module is None:
+        (u,) = values
+        return catalog.CATALOG[name].eulerian(w / u.exp).substitute_monomial(u)
+    return getattr(module, attr)(*values, w)

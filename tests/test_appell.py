@@ -7,12 +7,14 @@ import pytest
 
 from qmock.appell import (
     appell_m,
+    appell_m_valuation,
     g_abc,
     h_abc,
     msplit_rhs,
     theta_abc,
     theta_np,
     universal_g_eulerian,
+    universal_g_valuation,
     universal_g_via_m,
 )
 from qmock.hecke import f_abc
@@ -127,6 +129,27 @@ class TestUniversalG:
             * jacobi_theta((x ** 3) * z, qpow(3), w)
         rhs = m1 + m2 + num * den.invert()
         assert g.agrees_with(rhs.truncate(30))
+
+
+class TestValuationBounds:
+    @pytest.mark.parametrize("x, base, z", [
+        (qpow(R(2, 5)), qpow(1), qpow(R(4, 5))),
+        (mono(-1, R(2, 5)), qpow(1), qpow(R(-4, 5))),
+        (qpow(5), qpow(12), qpow(2)),
+        (mono(-1, 26), qpow(48), M1),
+        (mono(2, R(-8, 3)), mono(-1, 3), mono(-1, R(4, 3))),
+    ])
+    def test_m_starts_at_or_past_its_bound(self, x, base, z):
+        v = appell_m_valuation(x, base, z)
+        assert appell_m(x, base, z, v + 4).low_degree() >= v
+
+    @pytest.mark.parametrize("x, base", [
+        (mono(-1, R(2, 5)), qpow(1)), (qpow(R(-3, 2)), qpow(1)), (mono(2, 3), qpow(2)),
+        (mono(-1, R(4, 9)), qpow(4)), (qpow(R(7, 2)), qpow(1)),
+    ])
+    def test_g_starts_at_or_past_its_bound(self, x, base):
+        v = universal_g_valuation(x, base)
+        assert universal_g_eulerian(x, base, v + 4).low_degree() >= v
 
 
 class TestBlockDecompositions:

@@ -187,6 +187,12 @@ class TestCorpus:
         assert code == 2
         assert err.startswith("syntax error") and not out
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_bad_jobs_exit_2(self, capsys, jobs):
+        code, out, err = run(capsys, "corpus", "--jobs", jobs)
+        assert code == 2
+        assert err.startswith("syntax error") and "--jobs" in err and not out
+
     def test_order_override(self, capsys, tmp_path):
         path = tmp_path / "fail.qid"
         path.write_text(FAILING_CORPUS)

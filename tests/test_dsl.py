@@ -44,7 +44,7 @@ from qmock.series import (
     qpow,
 )
 
-from oracles import series_to_dict
+from oracles import retry_evaluate, series_to_dict
 
 
 class TestParse:
@@ -172,7 +172,7 @@ class TestEvaluate:
         assert lo.agrees_with(hi)
 
     def test_division_precision_recovered(self):
-        # 1/J_{1,2} consumes precision; the retry loop restores it
+        # 1/J_{1,2} consumes precision; the plan asks its parts for more
         out = evaluate(parse("Jm(2)/J(1,2)"), 30)
         assert out.precision == 30
 
@@ -196,33 +196,90 @@ class TestEvaluate:
 
 
 class TestRetryCap:
-    def test_always_short_raises_after_four_passes(self, monkeypatch):
+    """The retry loop the block functions keep."""
+
+    def test_always_short_raises_after_four_passes(self):
+        passes = []
+
+        def short_by_one(w):
+            passes.append(w)
+            return QSeries.zero(9)
+
+        with pytest.raises(InsufficientPrecision):
+            appell.eval_with_retry(short_by_one, 10)
+        assert len(passes) == 4  # the first pass and three retries
+
+    def test_short_once_recovers_on_the_second_pass(self):
+        passes = []
+
+        def short_once(w):
+            passes.append(w)
+            if len(passes) == 1:
+                return QSeries.zero(w - 1)
+            return theta.Jm(1, w)
+
+        out = appell.eval_with_retry(short_once, 10)
+        assert passes == [10, 12]
+        assert out.precision == 10
+        assert series_to_dict(out) == {0: 1, 1: -1, 2: -1, 5: 1, 7: 1}
+
+
+class TestPlannedPass:
+    def test_short_pass_is_an_internal_error(self, monkeypatch):
         passes = []
 
         def short_by_one(node, w):
             passes.append(w)
-            return QSeries.zero(9)
+            return QSeries.zero(w - 1)
 
         monkeypatch.setattr(dsl, "_eval", short_by_one)
-        with pytest.raises(InsufficientPrecision):
+        with pytest.raises(InsufficientPrecision, match="internal error"):
             evaluate(parse("q"), 10)
-        assert len(passes) == 4  # the first pass and three retries
+        assert passes == [10]  # no second pass
 
-    def test_short_once_recovers_on_the_second_pass(self, monkeypatch):
+    @pytest.mark.parametrize("text", [
+        # the valuations only bound where m starts, so 1/m has none; it
+        # starts at q^-2, so the first factor (or the base) is asked again
+        # once the second shows where it starts
+        "(1/m(q^5,q^12,q^2))*(1/m(q^5,q^12,q^2))",
+        "(1/m(q^5,q^12,q^2))^3",
+    ])
+    def test_factors_without_valuations_match_the_retry_oracle(self, text):
+        for order in (3, 8):
+            assert evaluate(parse(text), order) == retry_evaluate(parse(text), order)
+
+    def test_random_asts_match_the_retry_oracle(self):
+        # the draws of TestOrderAgreement
+        rnd = random.Random(2012)
+        for _ in range(1000):
+            ast = _random_ast(rnd)
+            n = rnd.randint(1, 8)
+            k = rnd.randint(1, 6)
+            for order in (n, n + k):
+                try:
+                    want = retry_evaluate(ast, order)
+                except QSeriesError:
+                    continue
+                got = evaluate(ast, order)
+                assert got == want, (to_text(ast), order)
+
+    def test_shipped_stanzas_take_one_pass_and_match_the_retry_oracle(self, monkeypatch):
+        from qmock.cli import shipped_corpus_path
+
         passes = []
-        real_eval = dsl._eval
+        planned = dsl._eval
 
-        def short_once(node, w):
+        def counted(node, w):
             passes.append(w)
-            if len(passes) == 1:
-                return QSeries.zero(w - 1)
-            return real_eval(node, w)
+            return planned(node, w)
 
-        monkeypatch.setattr(dsl, "_eval", short_once)
-        out = evaluate(parse("Jm(1)"), 10)
-        assert passes == [10, 12]
-        assert out.precision == 10
-        assert series_to_dict(out) == {0: 1, 1: -1, 2: -1, 5: 1, 7: 1}
+        monkeypatch.setattr(dsl, "_eval", counted)
+        for rec in parse_corpus(shipped_corpus_path().read_text(encoding="utf-8")):
+            diff = Sub(rec.lhs, rec.rhs)
+            passes.clear()
+            got = evaluate(diff, rec.order)
+            assert passes == [rec.order], rec.id
+            assert got == retry_evaluate(diff, rec.order), rec.id
 
 
 class TestOrderAgreement:

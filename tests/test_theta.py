@@ -14,6 +14,7 @@ from qmock.theta import (
     jacobi_theta_product,
     pochhammer_finite,
     pochhammer_infinite,
+    theta_valuation,
 )
 
 from oracles import (
@@ -115,6 +116,28 @@ class TestJacobiTheta:
         assert lhs.agrees_with(jacobi_theta(qpow(1) * x.inverse(), qpow(1), 20))
         rhs = jacobi_theta(x.inverse(), qpow(1), 22).mul_monomial(-x)
         assert lhs.agrees_with(rhs)
+
+
+class TestThetaValuation:
+    def test_start_matches_the_series(self):
+        # ties between the two least terms (x = c*b^k) come up often here;
+        # x = b^k vanishes
+        rnd = random.Random(2718)
+        vanished = 0
+        for _ in range(400):
+            b = mono(rnd.choice([1, -1, GaussianRational(0, 1)]),
+                     Fraction(rnd.randint(1, 6), rnd.choice([1, 2])))
+            if rnd.random() < 0.5:
+                x = (b ** rnd.randint(-3, 3)) * mono(rnd.choice([1, 1, -1, 2]), 0)
+            else:
+                x = mono(rnd.choice([1, -1, 2]), Fraction(rnd.randint(-20, 20), rnd.choice([1, 3, 5])))
+            d = theta_valuation(x, b)
+            if d is None:
+                vanished += 1
+                assert jacobi_theta(x, b, 40).is_zero(), (x, b)
+            else:
+                assert jacobi_theta(x, b, d + 1).low_degree() == d, (x, b)
+        assert vanished
 
 
 class TestNamedSpecializations:
