@@ -8,14 +8,17 @@ The level-one Appell-Lerch sum
 is evaluated by expanding each denominator geometrically and bounding the
 bilateral r-range exactly: the summand's least possible exponent grows
 quadratically in |r|, including the most-negative contribution of the
-expanded denominator, so the truncation is provably conservative.
+expanded denominator, so the truncation is provably conservative.  The
+exponents are integers on one grid, and every summand's geometric run is
+written into one lattice.  The universal mock theta function g divides by
+its Pochhammer factors one lattice pass each, never expanding them.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from ._rational import RAT, rat, floor, is_integer, as_int
+from ._rational import RAT, rat, is_integer, as_int
 from .series import (
     DegenerateDenominator,
     DegenerateX,
@@ -26,8 +29,12 @@ from .series import (
     PoleAtOne,
     QMonomial,
     QSeries,
-    mono,
-    unit_fraction_expand,
+    as_triple,
+    exponent_grid,
+    geometric_runs,
+    sum_series,
+    triple_mul,
+    triple_pow,
 )
 from .theta import Jm, as_base, jacobi_theta, theta_valuation
 
@@ -46,7 +53,6 @@ __all__ = [
 ]
 
 _R0 = RAT(0)
-_HALF = RAT(1, 2)
 _GR_M1 = GaussianRational(-1)
 _MINUS_ONE = QMonomial(_GR_M1, _R0)
 
@@ -123,23 +129,23 @@ def appell_m(x, base, z, order):
     return result.truncate(order)
 
 
-def _summand_exps(x, base, z, r):
-    """(e, k): summand r of the bilateral sum is c*q^e / (1 - c'*q^k)."""
-    eb = base.exp
-    return eb * (r * (r - 1)) / 2 + z.exp * r, eb * (r - 1) + x.exp + z.exp
+def _summand_exps(B, X, Z, r):
+    """(E, K): summand r of the bilateral sum is c*q^(E/L) / (1 - c'*q^(K/L))."""
+    return B * (r * (r - 1) // 2) + Z * r, B * (r - 1) + X + Z
 
 
-def _least_exp(x, base, z, r):
-    """The least exponent of summand r once its denominator is expanded."""
-    e, k = _summand_exps(x, base, z, r)
+def _least_exp(B, X, Z, r):
+    """L times the least exponent of summand r once its denominator is
+    expanded."""
+    e, k = _summand_exps(B, X, Z, r)
     return e - k if k < 0 else e
 
 
-def _vertex_limits(base, z):
+def _vertex_limits(B, Z):
     """(lo, hi): the least exponent of summand r increases as r goes up
-    from hi or down from lo."""
-    c = z.exp / base.exp
-    return -_HALF - c, RAT(5, 2) - c
+    from hi or down from lo, where 2*B*lo = -B - 2*Z and 2*B*hi = 5*B - 2*Z;
+    returned as 2*B*lo and 2*B*hi."""
+    return -B - 2 * Z, 5 * B - 2 * Z
 
 
 def appell_m_valuation(x, base, z):
@@ -150,41 +156,54 @@ def appell_m_valuation(x, base, z):
     d = theta_valuation(z, base)
     if d is None:
         return None
-    lo, hi = _vertex_limits(base, z)
-    return min(_least_exp(x, base, z, r) for r in range(floor(lo), -floor(-hi) + 1)) - d
+    L, B, X, Z = exponent_grid(base, x, z)
+    lo, hi = _vertex_limits(B, Z)
+    r_range = range(lo // (2 * B), -(-hi // (2 * B)) + 1)
+    return RAT(min(_least_exp(B, X, Z, r) for r in r_range), L) - d
 
 
 def _bilateral_sum(x, base, z, work):
-    """sum_r (-1)^r b^binom(r,2) z^r / (1 - b^(r-1) x z) below ``work``."""
-    cb, cx, cz = base.coeff, x.coeff, z.coeff
-    v_limit_lo, v_limit_hi = _vertex_limits(base, z)
+    """sum_r (-1)^r b^binom(r,2) z^r / (1 - b^(r-1) x z) below ``work``.
 
-    total = QSeries.zero(work)
+    Summand r is a geometric run: c*c'^j at the exponents E + j*K for
+    K > 0, -c*c'^(-j-1) at E - (j+1)*K for K < 0 (the expansion inside the
+    unit disk), one term c/(1 - c') for K = 0.  All runs of the summands
+    that reach below ``work`` go into one lattice."""
+    L, B, X, Z = exponent_grid(base, x, z)
+    top, wd = int(work.numerator) * L, int(work.denominator)
+    cb, cx, cz = as_triple(base.coeff), as_triple(x.coeff), as_triple(z.coeff)
+    cxz = triple_mul(cx, cz)
+    lo, hi = _vertex_limits(B, Z)
+    runs = []
+    for r, direction, limit in ((0, 1, hi), (-1, -1, -lo)):
+        while True:
+            below = _least_exp(B, X, Z, r) * wd < top
+            if not below and 2 * B * r * direction > limit:
+                break
+            if below:
+                runs.append(_summand_run(B, X, Z, r, cb, cz, cxz))
+            r += direction
+    return geometric_runs(L, runs, work)
 
-    def summand(r):
-        e, k = _summand_exps(x, base, z, r)
-        c = (cb ** (r * (r - 1) // 2)) * (cz ** r)
-        if r & 1:
-            c = -c
-        try:
-            expand = unit_fraction_expand(cb ** (r - 1) * cx * cz, k, work - e)
-        except PoleAtOne:
-            raise DegenerateZ(
-                f"x*z hits an integral power of the base at bilateral index r={r}"
-            )
-        return expand.mul_monomial(QMonomial(c, e))
 
-    r = 0
-    while _least_exp(x, base, z, r) < work or r <= v_limit_hi:
-        if _least_exp(x, base, z, r) < work:
-            total = total + summand(r)
-        r += 1
-    r = -1
-    while _least_exp(x, base, z, r) < work or r >= v_limit_lo:
-        if _least_exp(x, base, z, r) < work:
-            total = total + summand(r)
-        r -= 1
-    return total.truncate(work)
+def _summand_run(B, X, Z, r, cb, cz, cxz):
+    """Summand r of the bilateral sum as a run (x, s, lead, ratio) of
+    ``geometric_runs``."""
+    e, k = _summand_exps(B, X, Z, r)
+    binom = r * (r - 1) // 2
+    lr, li, ld = triple_mul(triple_pow(cb, binom), triple_pow(cz, r))
+    lead = (-lr, -li, ld) if r & 1 else (lr, li, ld)
+    ratio = triple_mul(triple_pow(cb, r - 1), cxz)
+    if k > 0:
+        return e, k, lead, ratio
+    if k < 0:
+        inv = triple_pow(ratio, -1)
+        lr, li, ld = triple_mul(lead, inv)
+        return e - k, -k, (-lr, -li, ld), inv
+    cr, ci, cd = ratio
+    if cr == cd and not ci:
+        raise DegenerateZ(f"x*z hits an integral power of the base at bilateral index r={r}")
+    return e, 1, triple_mul(lead, triple_pow((cd - cr, -ci, cd), -1)), (0, 0, 1)
 
 
 def universal_g_valuation(x, base):
@@ -203,7 +222,10 @@ def universal_g_valuation(x, base):
 def universal_g_eulerian(x, base, order):
     """g(x, b) = x^(-1) (-1 + sum_n b^(n^2) / ((x;b)_(n+1) (b/x;b)_n)),
 
-    computed with incrementally extended inverse Pochhammer denominators.
+    computed with incrementally extended inverse Pochhammer denominators:
+    each step divides by its two factors 1 - x*b^n and 1 - b^n/x, one
+    lattice pass each (``QSeries.over_one_minus``), and the terms are
+    summed once at the end.
     """
     base = as_base(base)
     order = rat(order)
@@ -214,14 +236,14 @@ def universal_g_eulerian(x, base, order):
     cx_inv = cx.inverse()
     work = order + max(ex, _R0)
 
-    def ufe(c, k):
+    def over(s, c, k):
         try:
-            return unit_fraction_expand(c, k, work)
+            return s.over_one_minus(QMonomial(c, k), work)
         except PoleAtOne:
             raise DegenerateX(f"Pochhammer factor of g({x}, {base}) vanishes")
 
-    inv_den = ufe(cx, ex)  # 1 / (1 - x)
-    total = QSeries.zero(work)
+    inv_den = over(QSeries.one(), cx, ex)  # 1 / (1 - x)
+    terms = []
     n = 0
     while True:
         low = inv_den.low_degree()
@@ -229,12 +251,10 @@ def universal_g_eulerian(x, base, order):
         future_positive = (ex + (n + 1) * eb > 0) and ((n + 1) * eb - ex > 0)
         if eb * n * n + low >= work and future_positive:
             break
-        step = QMonomial(cb ** (n * n), eb * n * n)
-        total = total + inv_den.mul_monomial(step).truncate(work)
+        terms.append(inv_den.mul_monomial(QMonomial(cb ** (n * n), eb * n * n)))
         n += 1
-        inv_den = inv_den * ufe(cx * cb ** n, ex + n * eb)
-        inv_den = (inv_den * ufe(cx_inv * cb ** n, n * eb - ex)).truncate(work)
-    g = (total - 1).mul_monomial(x.inverse())
+        inv_den = over(over(inv_den, cx * cb ** n, ex + n * eb), cx_inv * cb ** n, n * eb - ex)
+    g = (sum_series(terms, work) - 1).mul_monomial(x.inverse())
     return g.truncate(order)
 
 

@@ -3,9 +3,10 @@ keyed by their DSL names.  Their alternate forms (through g and m) are
 stanzas of the shipped corpus.
 
 Every generator takes a truncation order and returns the exact expansion
-below it.  Denominator Pochhammer products are inverted incrementally, one
-geometric factor per summation step, so each function costs O(order) sparse
-multiplications.
+below it.  The Pochhammer product is extended incrementally, one factor
+1 - c*q^k at a time: dividing by it is one pass over the lattice and
+multiplying by it one shifted add, so no factor is ever expanded, and the
+terms are summed once at the end.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from ._rational import rat
 # Unused here, but perfbench/tracer.py's check_bindings probes these three
 # names in this module to confirm its wrappers reach every binding.
 from .appell import appell_m, eval_with_retry, universal_g_eulerian  # noqa: F401
-from .series import QSeries, lattice_series, qpow, unit_fraction_expand
+from .series import QMonomial, QSeries, qpow, sum_series
 
 __all__ = [
     "psi3",
@@ -31,69 +32,58 @@ __all__ = [
     "CATALOG",
 ]
 
-_ONE = (1, 0, 1)
 
-
-def _eulerian(order, exponent, first, factors):
+def _eulerian(order, exponent, first, ks, c, divide=True):
     """sum_{n >= first} q^exponent(n) * P_n, where P_n is P_(n-1) (1 for
-    n = first) times the series ``factors(n, order)``."""
+    n = first) divided by, or if not ``divide`` multiplied by, 1 - c*q^k
+    for each positive k in ks(n)."""
     order = rat(order)
     prod = QSeries.one(order)
-    total = QSeries.zero(order)
+    terms = []
     n = first
     while exponent(n) < order:
-        for factor in factors(n, order):
-            prod = (prod * factor).truncate(order)
-        total = total + prod.mul_monomial(qpow(exponent(n))).truncate(order)
+        for k in ks(n):
+            if k > 0:
+                m = QMonomial(c, k)
+                prod = prod.over_one_minus(m, order) if divide else prod.times_one_minus(m)
+        terms.append(prod.mul_monomial(qpow(exponent(n))))
         n += 1
-    return total
-
-
-def _over(sign, ks, order):
-    """The factors 1/(1 - sign*q^k) for the positive k in ks."""
-    return [unit_fraction_expand(sign, k, order) for k in ks if k > 0]
-
-
-def _times(ks):
-    """The factors 1 + q^k for the positive integers k in ks."""
-    return [lattice_series(1, [(0, _ONE), (k, _ONE)], None) for k in ks if k > 0]
+    return sum_series(terms, order)
 
 
 def psi3(order):
     """psi(q) = sum_{n >= 1} q^(n^2) / (q; q^2)_n."""
-    return _eulerian(order, lambda n: n * n, 1, lambda n, w: _over(1, [2 * n - 1], w))
+    return _eulerian(order, lambda n: n * n, 1, lambda n: [2 * n - 1], 1)
 
 
 def nu3(order):
     """nu(q) = sum_{n >= 0} q^(n(n+1)) / (-q; q^2)_(n+1)."""
-    return _eulerian(order, lambda n: n * (n + 1), 0, lambda n, w: _over(-1, [2 * n + 1], w))
+    return _eulerian(order, lambda n: n * (n + 1), 0, lambda n: [2 * n + 1], -1)
 
 
 def phi3(order):
     """phi(q) = sum_{n >= 0} q^(n^2) / (-q^2; q^2)_n."""
-    return _eulerian(order, lambda n: n * n, 0, lambda n, w: _over(-1, [2 * n], w))
+    return _eulerian(order, lambda n: n * n, 0, lambda n: [2 * n], -1)
 
 
 def psibar0(order):
     """psibar0(q) = sum_{n >= 0} q^(2n^2) / (-q; q)_(2n)."""
-    return _eulerian(order, lambda n: 2 * n * n, 0,
-                     lambda n, w: _over(-1, [2 * n - 1, 2 * n], w))
+    return _eulerian(order, lambda n: 2 * n * n, 0, lambda n: [2 * n - 1, 2 * n], -1)
 
 
 def psibar1(order):
     """psibar1(q) = sum_{n >= 0} q^(2n^2 + 2n) / (-q; q)_(2n+1)."""
-    return _eulerian(order, lambda n: 2 * n * n + 2 * n, 0,
-                     lambda n, w: _over(-1, [2 * n, 2 * n + 1], w))
+    return _eulerian(order, lambda n: 2 * n * n + 2 * n, 0, lambda n: [2 * n, 2 * n + 1], -1)
 
 
 def phibar0(order):
     """phibar0(q) = sum_{n >= 0} q^n (-q; q)_(2n+1)."""
-    return _eulerian(order, lambda n: n, 0, lambda n, w: _times([2 * n, 2 * n + 1]))
+    return _eulerian(order, lambda n: n, 0, lambda n: [2 * n, 2 * n + 1], -1, divide=False)
 
 
 def phibar1(order):
     """phibar1(q) = sum_{n >= 0} q^n (-q; q)_(2n)."""
-    return _eulerian(order, lambda n: n, 0, lambda n, w: _times([2 * n - 1, 2 * n]))
+    return _eulerian(order, lambda n: n, 0, lambda n: [2 * n - 1, 2 * n], -1, divide=False)
 
 
 @dataclass

@@ -14,19 +14,21 @@ A series is stored on an integer lattice: slot i stands for the exponent
 integer numerator vectors re and im (im is None for a real series) over one
 common positive denominator.  Neither end of the vectors is zero, den shares
 no factor with all the numerators, and no slot lies at or past the
-precision.  So sums align two grids and add the vectors, shifts and
-substitutions move the grid and scale the vectors, truncation slices, and
-products (with Newton inversion through them) convolve the vectors: one
-big-int product of their Kronecker-packed forms, or a loop over the term
-pairs when the product is tiny or its lattice much longer than its terms.
-No rational number is built per term.  ``QSeries.terms`` is a read-only view
+precision.  So sums place all their terms on one grid and add the vectors,
+shifts and substitutions move the grid and scale the vectors, truncation
+slices, and products (with Newton inversion through them) convolve the
+vectors: one big-int product of their Kronecker-packed forms, or a loop over
+the term pairs when the product is tiny or its lattice much longer than its
+terms.  A factor 1 - c*q^k is never expanded: multiplying by it is one
+shifted add, and dividing by it one pass over the lattice.  No rational
+number is built per term.  ``QSeries.terms`` is a read-only view
 {exponent: GaussianRational} of the same series, boxed when first read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from math import gcd, lcm
 from operator import add, neg, or_, sub
 from types import MappingProxyType
@@ -412,27 +414,7 @@ class QSeries:
     def __add__(self, other):
         if not isinstance(other, QSeries):
             other = QSeries.constant(other)
-        p = _pmin(self.precision, other.precision)
-        if not other._re or not self._re:
-            s = self if self._re else other
-            return s if p is None else s.truncate(p)
-        L = lcm(self._L, other._L)
-        lo_a, step_a = _on_grid(self, L)
-        lo_b, step_b = _on_grid(other, L)
-        lo = min(lo_a, lo_b)
-        step = gcd(step_a, step_b, lo_a - lo_b)
-        den = lcm(self._den, other._den)
-        place_a = ((lo_a - lo) // step, step_a // step, den // self._den)
-        place_b = ((lo_b - lo) // step, step_b // step, den // other._den)
-        n = _slots(1 + max(o + (len(s._re) - 1) * k
-                           for s, (o, k, _) in ((self, place_a), (other, place_b))))
-        re = list(map(add, _place(self._re, n, *place_a), _place(other._re, n, *place_b)))
-        im = None
-        if self._im is not None or other._im is not None:
-            im = [0] * n if self._im is None else _place(self._im, n, *place_a)
-            if other._im is not None:
-                im = list(map(add, im, _place(other._im, n, *place_b)))
-        return _make(L, lo, step, re, im, den, p)
+        return sum_series((self, other))
 
     __radd__ = __add__
 
@@ -492,6 +474,66 @@ class QSeries:
         cr, ci, cd = as_triple(m.coeff)
         re, im = _scale(self._re, self._im, cr, ci)
         return _make(L, lo + en * (L // ed), step, re, im, self._den * cd, p)
+
+    def times_one_minus(self, m):
+        """self * (1 - m) for a monomial m = c*q^k: one shifted add, with
+        the precision of the product by the exact binomial."""
+        c, k = m.coeff, m.exp
+        if not k and c == GR_ONE:
+            return QSeries.zero(None)   # times an exact zero
+        p = None if self.precision is None else self.precision + min(k, _R0)
+        if not self._re:
+            return QSeries.zero(p)
+        kn, kd = int(k.numerator), int(k.denominator)
+        L = lcm(self._L, kd)
+        lo, step = _on_grid(self, L)
+        cr, ci, cd = as_triple(c)
+        re, im = _scale(self._re, self._im, -cr, -ci)
+        return _sum_lattices(((L, lo, step, self._re, self._im, self._den),
+                              (L, lo + kn * (L // kd), step, re, im, self._den * cd)), p)
+
+    def over_one_minus(self, m, order):
+        """self / (1 - m) for a monomial m = c*q^k, below ``order``.
+
+        Equal in value and precision to
+        ``(self * unit_fraction_expand(c, k, order)).truncate(order)``.  For
+        k > 0 it is one pass over the lattice: slot i of the quotient is
+        t_i = a_i + c*t_(i-s), s being k in slots, so with c = cn/cd each
+        block of s slots is a_j*cd^j + cn*t_(j-1) over the denominator
+        cd^j, and every block is then scaled to the last one's.  k < 0 is
+        the reflected form -q^(-k)/c / (1 - q^(-k)/c), and k = 0 the
+        constant 1/(1 - c).
+        """
+        order = _prec(order)
+        c, k = m.coeff, m.exp
+        ld = self.low_degree()
+        if k < 0:
+            c = c.inverse()
+            out = self.mul_monomial(QMonomial(-c, -k)).over_one_minus(QMonomial(c, -k), order)
+            return out if ld is None else out.truncate(order + ld)
+        p = order if ld is None else min(order, order + ld)
+        if self.precision is not None:
+            p = min(p, self.precision)
+        if not k:
+            if c == GR_ONE:
+                raise PoleAtOne("1/(1 - q^0) is excluded: argument hit a power of q")
+            return self.mul_monomial(QMonomial((GR_ONE - c).inverse(), _R0)).truncate(p)
+        if not self._re or ld >= p:
+            return QSeries.zero(p)
+        kn, kd = int(k.numerator), int(k.denominator)
+        L = lcm(self._L, kd)
+        lo, step = _on_grid(self, L)
+        K = kn * (L // kd)
+        g = gcd(step, K)
+        n = _slots(_slots_below(p, L, lo, g))
+        re, im = _spread(self, step // g, n)
+        pad = [0] * (n - len(re))
+        cr, ci, cd = as_triple(c)
+        if im is not None or ci:
+            im = [0] * n if im is None else im + pad
+        stride = K // g
+        re, im = _divide_pass(re + pad, im, stride, cr, ci, cd)
+        return _make(L, lo, g, re, im, self._den * cd ** ((n - 1) // stride), p)
 
     def __pow__(self, k):
         k = int(k)
@@ -720,6 +762,105 @@ def lattice_series(L, points, precision):
     return _make(L, lo, step, re, im, den, precision)
 
 
+def sum_series(parts, precision=None):
+    """The sum of the series ``parts`` below ``precision`` and below each
+    part's own precision, all parts placed on one grid at once."""
+    p = precision
+    for s in parts:
+        p = _pmin(p, s.precision)
+    live = [s for s in parts if s._re]
+    if len(live) == 1:
+        s = live[0]
+        return s if p is None else s.truncate(p)
+    return _sum_lattices([(s._L, s._lo, s._step, s._re, s._im, s._den) for s in live], p)
+
+
+def geometric_runs(L, runs, precision):
+    """The sum of lead*ratio^j*q^((x + s*j)/L) over j >= 0 and the ``runs``
+    (x, s, lead, ratio), s > 0, below ``precision``; lead and ratio are
+    (re, im, den) triples of integers with den > 0, and a zero ratio makes
+    a run of one term."""
+    parts = []
+    for x, s, (lr, li, ld), ratio in runs:
+        n = _slots(_slots_below(precision, L, x, s))
+        if not ratio[0] and not ratio[1]:
+            n = min(n, 1)
+        if n > 0:
+            re, im, den = _twist([lr] * n, [li] * n if li else None, ratio)
+            parts.append((L, x, s, re, im, ld * den))
+    return _sum_lattices(parts, precision)
+
+
+def _sum_lattices(parts, precision):
+    """The sum of lattice parts (L, lo, step, re, im, den), none of them
+    empty, below ``precision``: one vector on the common grid, one _make."""
+    if not parts:
+        return QSeries.zero(precision)
+    L = lcm(*[part[0] for part in parts])
+    grids = [(part[1] * (L // part[0]), part[2] * (L // part[0])) for part in parts]
+    lo = min([x for x, _ in grids])
+    step = gcd(*[s for _, s in grids], *[x - lo for x, _ in grids])
+    den = lcm(*[part[5] for part in parts])
+    n = (max([x + (len(part[3]) - 1) * s for part, (x, s) in zip(parts, grids)]) - lo) // step + 1
+    if precision is not None:
+        n = min(n, _slots_below(precision, L, lo, step))
+    n = _slots(n)
+    re = [0] * n
+    im = None if all([part[4] is None for part in parts]) else [0] * n
+    fresh = True    # re and im still all zero
+    for (_, _, _, vr, vi, d), (x, s) in zip(parts, grids):
+        o, k, f = (x - lo) // step, s // step, den // d
+        if o >= n:
+            continue
+        cnt = min(len(vr), -(-(n - o) // k))
+        cut = slice(o, o + (cnt - 1) * k + 1, k)
+        for out, v in ((re, vr), (im, vi)):
+            if v is not None:
+                v = v[:cnt] if f == 1 else list(map(f.__mul__, v[:cnt]))
+                out[cut] = v if fresh else map(add, out[cut], v)
+        fresh = False
+    return _make(L, lo, step, re, im, den, precision)
+
+
+def _divide_pass(re, im, stride, cr, ci, cd):
+    """The numerators of t_i = v_i + c*t_(i - stride), c = (cr + ci*i)/cd,
+    for the numerator vectors v = (re, im), im None only when v and c are
+    real.  Block j of ``stride`` slots is v_j*cd^j + (cr + ci*i)*t_(j-1)
+    over cd^j; the blocks come back as vectors over cd^J, J the last."""
+    tr, ti = re[:stride], None if im is None else im[:stride]
+    blocks_r, blocks_i = [tr], [ti]
+    scale = 1
+    for j0 in range(stride, len(re), stride):
+        scale *= cd
+        tr, ti = _scale(tr, ti, cr, ci)
+        tr = list(map(add, map(scale.__mul__, re[j0:j0 + stride]), tr))
+        if ti is not None:
+            ti = list(map(add, map(scale.__mul__, im[j0:j0 + stride]), ti))
+        blocks_r.append(tr)
+        blocks_i.append(ti)
+    return (_rescale(blocks_r, len(re), stride, cd),
+            None if ti is None else _rescale(blocks_i, len(re), stride, cd))
+
+
+def _rescale(blocks, n, stride, cd):
+    """The blocks, block j over cd^j, as one vector over cd^J."""
+    if cd == 1:
+        return list(chain.from_iterable(blocks))
+    out = [0] * n
+    scale = 1
+    for j in range(len(blocks) - 1, -1, -1):
+        out[j * stride:(j + 1) * stride] = map(scale.__mul__, blocks[j])
+        scale *= cd
+    return out
+
+
+def exponent_grid(*monomials):
+    """(L, E1, E2, ...): the exponents of the monomials are E1/L, E2/L, ...
+    with L the least common denominator."""
+    L = lcm(*[int(m.exp.denominator) for m in monomials])
+    return (L, *[int(m.exp.numerator) * (L // int(m.exp.denominator)) for m in monomials])
+
+
 def as_triple(c):
     """(re, im, den): a GaussianRational as integers over one positive
     denominator."""
@@ -783,27 +924,17 @@ def _on_grid(s, L):
     return s._lo * f, s._step * f
 
 
-def _place(vec, n, offset, stride, factor):
-    """vec times ``factor`` at slots offset, offset + stride, ... of a zero
-    vector of length n."""
-    if factor != 1:
-        vec = list(map(factor.__mul__, vec))
-    if not offset and stride == 1 and len(vec) == n:
-        return vec
-    out = [0] * n
-    out[offset:offset + (len(vec) - 1) * stride + 1:stride] = vec
-    return out
-
-
 def _spread(s, stride, count):
     """s's numerator vectors on a grid ``stride`` times finer, cut to the
     slots below ``count``."""
     keep = -(-count // stride)
-    re, im = s._re[:keep], None if s._im is None else s._im[:keep]
-    if stride == 1:
-        return re, im
-    n = (len(re) - 1) * stride + 1
-    return _place(re, n, 0, stride, 1), None if im is None else _place(im, n, 0, stride, 1)
+    vecs = [s._re[:keep], None if s._im is None else s._im[:keep]]
+    if stride != 1:
+        for i, v in enumerate(vecs):
+            if v is not None:
+                vecs[i] = [0] * ((len(v) - 1) * stride + 1)
+                vecs[i][::stride] = v
+    return vecs
 
 
 def _reduce(re, im, den):

@@ -11,8 +11,6 @@ cross-check.
 
 from __future__ import annotations
 
-from math import lcm
-
 from ._rational import RAT, rat
 from .series import (
     DivergentProduct,
@@ -20,6 +18,7 @@ from .series import (
     QMonomial,
     QSeries,
     as_triple,
+    exponent_grid,
     lattice_series,
     qpow,
     triple_mul,
@@ -48,13 +47,6 @@ def as_base(b):
     return qpow(rat(b))
 
 
-def _one_minus(m):
-    """The exact polynomial 1 - c*q^e."""
-    if m.exp == 0:
-        return QSeries.constant(GR_ONE - m.coeff)
-    return QSeries({_R0: GR_ONE, m.exp: -m.coeff}, None)
-
-
 def pochhammer_finite(x, base, n, order=None):
     """(x; b)_n: the exact finite product of (1 - x*b^i), i < n.
 
@@ -67,7 +59,7 @@ def pochhammer_finite(x, base, n, order=None):
     if order is None:
         out = QSeries.one(None)
         for i in range(n):
-            out = out * _one_minus(x * (base ** i))
+            out = out.times_one_minus(x * (base ** i))
         return out
     order = rat(order)
     factors = [x * (base ** i) for i in range(n)]
@@ -75,7 +67,7 @@ def pochhammer_finite(x, base, n, order=None):
     work = order + guard
     out = QSeries.one(work)
     for f in factors:
-        out = (out * _one_minus(f)).truncate(work)
+        out = out.times_one_minus(f)
     return out.truncate(order)
 
 
@@ -101,7 +93,7 @@ def pochhammer_infinite(x, base, order):
     while f.exp < work:
         if f.exp == 0 and f.coeff == GR_ONE:
             return QSeries.zero(order)  # a factor (1 - q^0) kills the product
-        out = (out * _one_minus(f)).truncate(work)
+        out = out.times_one_minus(f)
         i += 1
         f = x * (base ** i)
     return out.truncate(order)
@@ -119,19 +111,12 @@ def theta_valuation(x, base):
         raise DivergentProduct(
             f"theta sum needs a base with positive exponent, got {base}"
         )
-    L, B, X = _theta_grid(x, base)
+    L, B, X = exponent_grid(base, x)
     n = (B - 2 * X) // (2 * B)
     e0, e1 = B * (n * (n - 1) // 2) + X * n, B * (n * (n + 1) // 2) + X * (n + 1)
     if e0 == e1 and x.coeff * base.coeff ** n == GR_ONE:
         return None
     return RAT(min(e0, e1), L)
-
-
-def _theta_grid(x, base):
-    """(L, B, X): the exponents of b and x are B/L and X/L."""
-    L = lcm(int(base.exp.denominator), int(x.exp.denominator))
-    return (L, int(base.exp.numerator) * (L // int(base.exp.denominator)),
-            int(x.exp.numerator) * (L // int(x.exp.denominator)))
 
 
 def jacobi_theta(x, base, order):
@@ -144,7 +129,7 @@ def jacobi_theta(x, base, order):
         )
     # term n sits at the exponent E(n)/L, E(n) = B*binom(n, 2) + X*n, which
     # lies below the order on/od when E(n)*od < on*L = top
-    L, B, X = _theta_grid(x, base)
+    L, B, X = exponent_grid(base, x)
     top, od = int(order.numerator) * L, int(order.denominator)
     cx, cb = as_triple(x.coeff), as_triple(base.coeff)
     points = []

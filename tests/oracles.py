@@ -1,15 +1,27 @@
 """Small self-contained reference implementations used as test oracles.
 
-Everything here but the retry evaluator at the end works on plain
-{exponent: Fraction} dicts and stays deliberately independent of the
-package's series engine, so agreement is a two-sided check.
+Everything here but the pairwise Appell-Lerch and universal-g loops and the
+retry evaluator at the end works on plain {exponent: Fraction} dicts and
+stays deliberately independent of the package's series engine, so
+agreement is a two-sided check.
 """
 
 from fractions import Fraction
 
 from qmock import catalog, dsl
 from qmock._rational import rat
-from qmock.series import InsufficientPrecision, NonPositivePower, QSeries, qpow
+from qmock.series import (
+    DegenerateX,
+    DegenerateZ,
+    InsufficientPrecision,
+    NonPositivePower,
+    PoleAtOne,
+    QMonomial,
+    QSeries,
+    qpow,
+    unit_fraction_expand,
+)
+from qmock.theta import as_base, jacobi_theta, theta_valuation
 
 
 def poly_mul(a, b, bound=None):
@@ -173,6 +185,147 @@ def ref_agrees(a, b):
     p = _ref_pmin(a[1], b[1])
     return all(ref_coeff(a, e) == ref_coeff(b, e)
                for e in set(a[0]) | set(b[0]) if p is None or e < p)
+
+
+# -- factors 1 - c*q^k ---------------------------------------------------------
+
+
+def ref_mul(a, b, bound=None):
+    """The product of two reference term maps below ``bound``, through
+    ``poly_mul`` on the real and imaginary parts."""
+    parts = [{e: c[j] for e, c in t.items() if c[j]} for t in (a, b) for j in (0, 1)]
+    ar, ai, br, bi = parts
+    out = {}
+    for x, y, sign, j in ((ar, br, 1, 0), (ai, bi, -1, 0), (ar, bi, 1, 1), (ai, br, 1, 1)):
+        for e, c in poly_mul(x, y, bound).items():
+            r, i = out.get(e, (Fraction(0), Fraction(0)))
+            out[e] = (r + sign * c, i) if j == 0 else (r, i + c)
+    return {e: c for e, c in out.items() if c != (0, 0)}
+
+
+def geometric_expansion(c, k, bound):
+    """1/(1 - c*q^k) as a reference term map below ``bound``, c an (re, im)
+    pair: c^j q^(jk), j >= 0, for k > 0; -c^(-j) q^(-jk), j >= 1, for k < 0
+    (the expansion inside the unit disk); 1/(1 - c) for k = 0."""
+    if k == 0:
+        one_minus = (1 - c[0], -c[1])
+        return {Fraction(0): gauss_pow(one_minus, -1)} if Fraction(0) < bound else {}
+    out = {}
+    j = 0 if k > 0 else 1
+    while abs(k) * j < bound:
+        r, i = gauss_pow(c, j if k > 0 else -j)
+        out[abs(k) * j] = (r, i) if k > 0 else (-r, -i)
+        j += 1
+    return out
+
+
+# -- the pairwise Appell-Lerch and universal-g loops -----------------------------
+#
+# appell_m and universal_g_eulerian as they were before they summed on one
+# lattice: every summand's denominator of the bilateral sum, and every
+# Pochhammer factor of g, is expanded by unit_fraction_expand, multiplied in
+# and added pairwise, with the exponent bookkeeping in rationals.  They use
+# the package's series engine and theta functions, and check the lattice
+# passes that replaced them.
+
+
+def _summand_exps(x, base, z, r):
+    eb = base.exp
+    return eb * (r * (r - 1)) / 2 + z.exp * r, eb * (r - 1) + x.exp + z.exp
+
+
+def _least_exp(x, base, z, r):
+    e, k = _summand_exps(x, base, z, r)
+    return e - k if k < 0 else e
+
+
+def bilateral_sum_pairwise(x, base, z, work):
+    """sum_r (-1)^r b^binom(r,2) z^r / (1 - b^(r-1) x z) below ``work``."""
+    cb, cx, cz = base.coeff, x.coeff, z.coeff
+    c = z.exp / base.exp
+    v_limit_lo, v_limit_hi = -Fraction(1, 2) - c, Fraction(5, 2) - c
+    total = QSeries.zero(work)
+
+    def summand(r):
+        e, k = _summand_exps(x, base, z, r)
+        c = (cb ** (r * (r - 1) // 2)) * (cz ** r)
+        if r & 1:
+            c = -c
+        try:
+            expand = unit_fraction_expand(cb ** (r - 1) * cx * cz, k, work - e)
+        except PoleAtOne:
+            raise DegenerateZ(f"x*z hits an integral power of the base at bilateral index r={r}")
+        return expand.mul_monomial(QMonomial(c, e))
+
+    r = 0
+    while _least_exp(x, base, z, r) < work or r <= v_limit_hi:
+        if _least_exp(x, base, z, r) < work:
+            total = total + summand(r)
+        r += 1
+    r = -1
+    while _least_exp(x, base, z, r) < work or r >= v_limit_lo:
+        if _least_exp(x, base, z, r) < work:
+            total = total + summand(r)
+        r -= 1
+    return total.truncate(work)
+
+
+def appell_m_pairwise(x, base, z, order):
+    """m(x, b, z) below ``order`` through ``bilateral_sum_pairwise``."""
+    base = as_base(base)
+    order = rat(order)
+    if base.exp <= 0:
+        raise ValueError(f"Appell-Lerch base must have positive exponent, got {base}")
+    for m in (z, x * z):
+        k = m.exp / base.exp
+        if k.denominator == 1 and m.coeff == base.coeff ** int(k):
+            raise DegenerateZ(f"{m} is an integral power of the base {base}")
+    d = theta_valuation(z, base)
+    work = order + max(d, 0)
+    total = bilateral_sum_pairwise(x, base, z, work)
+    ls = total.low_degree()
+    if ls is None:
+        ls = work
+    need = max(order + 2 * d - min(ls, 0), d + 1)
+    result = total * jacobi_theta(z, base, need).invert()
+    if result.precision is not None and result.precision < order:
+        raise InsufficientPrecision("internal precision accounting failed in appell_m")
+    return result.truncate(order)
+
+
+def universal_g_pairwise(x, base, order):
+    """g(x, b) = x^(-1) (-1 + sum_n b^(n^2) / ((x;b)_(n+1) (b/x;b)_n)) below
+    ``order``, each Pochhammer factor expanded and multiplied in."""
+    base = as_base(base)
+    order = rat(order)
+    if base.exp <= 0:
+        raise ValueError(f"base must have positive exponent, got {base}")
+    eb, cb = base.exp, base.coeff
+    ex, cx = x.exp, x.coeff
+    cx_inv = cx.inverse()
+    work = order + max(ex, 0)
+
+    def ufe(c, k):
+        try:
+            return unit_fraction_expand(c, k, work)
+        except PoleAtOne:
+            raise DegenerateX(f"Pochhammer factor of g({x}, {base}) vanishes")
+
+    inv_den = ufe(cx, ex)
+    total = QSeries.zero(work)
+    n = 0
+    while True:
+        low = inv_den.low_degree()
+        low = low if low is not None else 0
+        future_positive = (ex + (n + 1) * eb > 0) and ((n + 1) * eb - ex > 0)
+        if eb * n * n + low >= work and future_positive:
+            break
+        step = QMonomial(cb ** (n * n), eb * n * n)
+        total = total + inv_den.mul_monomial(step).truncate(work)
+        n += 1
+        inv_den = inv_den * ufe(cx * cb ** n, ex + n * eb)
+        inv_den = (inv_den * ufe(cx_inv * cb ** n, n * eb - ex)).truncate(work)
+    return (total - 1).mul_monomial(x.inverse()).truncate(order)
 
 
 # -- the retry evaluator ---------------------------------------------------------

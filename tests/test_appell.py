@@ -1,10 +1,14 @@
 """Appell-Lerch sums, the universal mock theta function, and the structured
 block decompositions."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+import oracles
+
+from qmock import appell
 from qmock.appell import (
     appell_m,
     appell_m_valuation,
@@ -19,6 +23,7 @@ from qmock.appell import (
 )
 from qmock.hecke import f_abc
 from qmock.series import (
+    DegenerateX,
     DegenerateZ,
     DivisibilityViolation,
     GaussianRational,
@@ -129,6 +134,65 @@ class TestUniversalG:
             * jacobi_theta((x ** 3) * z, qpow(3), w)
         rhs = m1 + m2 + num * den.invert()
         assert g.agrees_with(rhs.truncate(30))
+
+
+class TestAgainstPairwiseLoops:
+    """appell_m and g against the pairwise loops of tests/oracles.py, which
+    expand every denominator and Pochhammer factor and add the summands one
+    at a time: the same value, the same precision and the same error."""
+
+    COEFFS = [GaussianRational(1), GaussianRational(-1), GaussianRational(2),
+              GaussianRational(R(1, 2)), GaussianRational(R(-3, 2)), GaussianRational(0, 1),
+              GaussianRational(1, 1), GaussianRational(R(1, 3), R(-2, 3))]
+    BASES = [qpow(1), mono(-1, 1), qpow(R(1, 2)), qpow(R(4, 3)), mono(-1, R(1, 2))]
+
+    def _outcome(self, fn, *args):
+        try:
+            out = fn(*args)
+        except (DegenerateX, DegenerateZ) as exc:
+            return type(exc)
+        return out, out.precision
+
+    def _monomial(self, rnd, base, top=9):
+        if rnd.random() < 0.1:
+            return base ** rnd.randint(-2, 3)
+        return mono(rnd.choice(self.COEFFS), R(rnd.randint(-top, top), rnd.choice([1, 2, 3, 4, 9])))
+
+    def _order(self, rnd):
+        return R(rnd.randint(-2, 12), rnd.choice([1, 1, 2, 3]))
+
+    def test_appell_m(self):
+        rnd = random.Random(81)
+        errors = 0
+        for _ in range(400):
+            base = rnd.choice(self.BASES)
+            # x now and then far from 1, so that the summands of m that
+            # reach below the order can lie far from r = 0
+            x = self._monomial(rnd, base, rnd.choice([9, 9, 30]))
+            z = self._monomial(rnd, base)
+            order = self._order(rnd)
+            got = self._outcome(appell_m, x, base, z, order)
+            assert got == self._outcome(oracles.appell_m_pairwise, x, base, z, order), \
+                (x, base, z, order)
+            # the bilateral sum alone: where j(z; b) starts low, m at the
+            # order does not see all of it
+            assert (self._outcome(appell._bilateral_sum, x, base, z, order)
+                    == self._outcome(oracles.bilateral_sum_pairwise, x, base, z, order))
+            errors += got is DegenerateZ
+        assert errors >= 20
+
+    def test_universal_g(self):
+        rnd = random.Random(82)
+        errors = 0
+        for _ in range(400):
+            base = rnd.choice(self.BASES)
+            x = self._monomial(rnd, base)
+            order = self._order(rnd)
+            got = self._outcome(universal_g_eulerian, x, base, order)
+            assert got == self._outcome(oracles.universal_g_pairwise, x, base, order), \
+                (x, base, order)
+            errors += got is DegenerateX
+        assert errors >= 20
 
 
 class TestValuationBounds:

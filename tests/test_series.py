@@ -414,6 +414,102 @@ class TestOperationsAgainstReference:
             a + QSeries.from_monomial(qpow(Fraction(1, 999)))
 
 
+class TestOnePassFactors:
+    """Division by 1 - c*q^k in one lattice pass, multiplication by it as one
+    shifted add, and the n-ary sum, against the Fraction dict oracles of
+    tests/oracles.py and against the products with the expanded factor that
+    they replace."""
+
+    COEFFS = [GaussianRational(1), GaussianRational(-1), GaussianRational(2),
+              GaussianRational(-3), GaussianRational(Fraction(1, 2)),
+              GaussianRational(Fraction(-3, 2)), GaussianRational(Fraction(5, 7)),
+              GaussianRational(0, 1), GaussianRational(1, 1),
+              GaussianRational(Fraction(2, 3), Fraction(-1, 3))]
+    KS = [Fraction(1), Fraction(2), Fraction(5), Fraction(1, 2), Fraction(1, 3), Fraction(4, 9),
+          Fraction(5, 7), Fraction(3, 2), Fraction(0), Fraction(-1), Fraction(-1, 2),
+          Fraction(-4, 3)]
+
+    def _series(self, rnd):
+        if rnd.random() < 0.1:
+            return QSeries.zero(rnd.choice([None, Fraction(rnd.randint(-5, 20), rnd.choice(_DENS))]))
+        terms = _fuzz_factor(rnd, rnd.choice([1, 2, 3, 7]))
+        while any(e.denominator == 1000 for e in terms):
+            terms = _fuzz_factor(rnd, rnd.choice([1, 2, 3, 7]))
+        low = min(terms, default=Fraction(0))
+        return QSeries(terms, rnd.choice([None, low + Fraction(rnd.randint(-2, 30), rnd.choice([1, 2, 3]))]))
+
+    def _factor(self, rnd):
+        return rnd.choice(self.COEFFS), rnd.choice(self.KS)
+
+    def test_division(self):
+        rnd = random.Random(71)
+        seen = dict.fromkeys(["integer", "rational", "gaussian", "k<0", "k=0", "off grid",
+                              "exact", "zero", "starts past the order", "long division"], 0)
+        for _ in range(600):
+            s = self._series(rnd)
+            c, k = self._factor(rnd)
+            m = QMonomial(c, k)
+            w = rnd.choice([Fraction(rnd.randint(-4, 24), rnd.choice([1, 2, 3])),
+                            (s.low_degree() or 0) + Fraction(rnd.randint(-3, 20), rnd.choice([1, 2]))])
+            if not k and c == 1:
+                with pytest.raises(PoleAtOne):
+                    s.over_one_minus(m, w)
+                continue
+            got = s.over_one_minus(m, w)
+            old = (s * unit_fraction_expand(c, k, w)).truncate(w)
+            assert got == old and got.precision == old.precision, (s, c, k, w)
+            _assert_ground_types(got)
+            terms, _ = _ref_of(s)
+            cpair = (_frac(c.re), _frac(c.im))
+            low = min(terms, default=Fraction(0))
+            want = oracles.ref_mul(terms, oracles.geometric_expansion(cpair, k, got.precision - low),
+                                   got.precision)
+            assert _ref_of(got)[0] == want
+            assert got.times_one_minus(m).agrees_with(s)
+            if not c.im and k > 0 and k.denominator == 1 and terms:
+                inv = long_division_invert({Fraction(0): Fraction(1), k: -cpair[0]},
+                                           got.precision - low)
+                for part in ("re", "im"):
+                    assert _parts(got.terms, part) == poly_mul(_parts(s.terms, part), inv, got.precision)
+                seen["long division"] += 1
+            seen["gaussian" if c.im else "rational" if c.re.denominator > 1 else "integer"] += 1
+            seen["k<0"] += k < 0
+            seen["k=0"] += k == 0
+            seen["off grid"] += k != 0 and (k / s._step * s._L).denominator > 1
+            seen["exact"] += s.precision is None
+            seen["zero"] += s.is_zero()
+            seen["starts past the order"] += got.is_zero() and not s.is_zero()
+        assert min(seen.values()) >= 15, seen
+
+    def test_shifted_add(self):
+        rnd = random.Random(72)
+        for _ in range(600):
+            s = self._series(rnd)
+            c, k = self._factor(rnd)
+            got = s.times_one_minus(QMonomial(c, k))
+            binomial = QSeries.constant(1 - c) if not k else QSeries({0: 1, k: -c})
+            old = s * binomial
+            assert got == old and got.precision == old.precision, (s, c, k)
+            _assert_ground_types(got)
+            terms, _ = _ref_of(s)
+            cpair = (_frac(c.re), _frac(c.im))
+            factor = ({Fraction(0): (Fraction(1), Fraction(0)), k: (-cpair[0], -cpair[1])} if k
+                      else {Fraction(0): (1 - cpair[0], -cpair[1])})
+            assert _ref_of(got)[0] == oracles.ref_mul(terms, factor, got.precision)
+
+    def test_sum_series(self):
+        rnd = random.Random(73)
+        for _ in range(300):
+            parts = [self._series(rnd) for _ in range(rnd.randint(0, 5))]
+            precision = rnd.choice([None, Fraction(rnd.randint(-5, 30), rnd.choice([1, 2, 3]))])
+            want = ({}, precision)
+            for s in parts:
+                want = oracles.ref_add(want, _ref_of(s))
+            got = series.sum_series(parts, precision)
+            _assert_ground_types(got)
+            assert _ref_of(got) == want
+
+
 class TestCoeff:
     def test_lookup(self):
         a = S({0: 1, 1: 2}, 3)

@@ -21,6 +21,7 @@ from oracles import (
     assert_dict_eq,
     bilateral_theta,
     poly_mul,
+    poly_one,
     product_side_pochhammer,
     series_to_dict,
 )
@@ -42,6 +43,25 @@ class TestPochhammerFinite:
                         {Fraction(0): Fraction(1), Fraction(2): Fraction(1)})
         assert series_to_dict(out) == want
 
+    def test_randomized_against_factor_products(self):
+        rnd = random.Random(271)
+        for _ in range(60):
+            c = rnd.choice([1, -1, 2, Fraction(-1, 2), Fraction(3, 5)])
+            e = Fraction(rnd.randint(-6, 6), rnd.choice([1, 2, 3]))
+            b = Fraction(rnd.randint(1, 4), rnd.choice([1, 2]))
+            n = rnd.randint(0, 7)
+            want = poly_one()
+            for i in range(n):
+                factor = {Fraction(0): Fraction(1)}
+                factor[e + i * b] = factor.get(e + i * b, 0) - Fraction(c)
+                want = poly_mul(want, factor)
+            exact = pochhammer_finite(mono(c, e), qpow(b), n)
+            assert exact.precision is None and series_to_dict(exact) == want
+            order = Fraction(rnd.randint(-2, 15), rnd.choice([1, 2]))
+            cut = pochhammer_finite(mono(c, e), qpow(b), n, order)
+            assert cut.precision == order
+            assert series_to_dict(cut) == {x: v for x, v in want.items() if x < order}
+
 
 class TestPochhammerInfinite:
     def test_euler_pentagonal(self):
@@ -53,6 +73,17 @@ class TestPochhammerInfinite:
     def test_all_factors_beyond_order(self):
         out = pochhammer_infinite(qpow(100), qpow(1), 50)
         assert series_to_dict(out) == {0: 1}
+
+    def test_randomized_against_factor_products(self):
+        rnd = random.Random(272)
+        for _ in range(60):
+            c = rnd.choice([1, -1, 2, Fraction(-1, 2), Fraction(3, 5)])
+            e = Fraction(rnd.randint(1, 12), rnd.choice([1, 2, 3]))
+            b = Fraction(rnd.randint(1, 6), rnd.choice([1, 2, 3]))
+            order = Fraction(rnd.randint(1, 24), rnd.choice([1, 2]))
+            out = pochhammer_infinite(mono(c, e), qpow(b), order)
+            assert out.precision == order
+            assert series_to_dict(out) == product_side_pochhammer(c, e, b, order)
 
     def test_distinct_parts(self):
         out = pochhammer_infinite(mono(-1, 1), qpow(1), 4)
