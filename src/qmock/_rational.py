@@ -1,19 +1,14 @@
 """Rational ground type.
 
-All exponents and coefficient parts are exact rationals.  gmpy2.mpq is used
-when available (faster than fractions.Fraction and hash-compatible with it);
-otherwise the stdlib Fraction is a drop-in replacement.
+All exponents and coefficient parts are exact rationals, the stdlib
+``fractions.Fraction``.
 """
 
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as RAT
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    RAT = Fraction
+RAT = Fraction
 
 ZERO = RAT(0)
-ONE = RAT(1)
 
 
 def rat(value, den=None):

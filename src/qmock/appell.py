@@ -12,19 +12,18 @@ expanded denominator, so the truncation is provably conservative.  The
 exponents are integers on one grid, and every summand's geometric run is
 written into one lattice.  The universal mock theta function g divides by
 its Pochhammer factors one lattice pass each, never expanding them.
+
+The block sums ``g_abc`` ... ``msplit_rhs`` are templates in ``qmock.blocks``,
+evaluated here by ``dsl.evaluate`` like any DSL expression.
 """
 
 from __future__ import annotations
 
-from math import gcd
-
-from ._rational import RAT, rat, is_integer, as_int
+from ._rational import RAT, rat, is_integer, as_int, floor
+from .blocks import BLOCKS
 from .series import (
-    DegenerateDenominator,
     DegenerateX,
     DegenerateZ,
-    DivisibilityViolation,
-    GaussianRational,
     InsufficientPrecision,
     PoleAtOne,
     QMonomial,
@@ -36,7 +35,7 @@ from .series import (
     triple_mul,
     triple_pow,
 )
-from .theta import Jm, as_base, jacobi_theta, theta_valuation
+from .theta import as_base, jacobi_theta, theta_valuation
 
 __all__ = [
     "appell_m",
@@ -53,8 +52,6 @@ __all__ = [
 ]
 
 _R0 = RAT(0)
-_GR_M1 = GaussianRational(-1)
-_MINUS_ONE = QMonomial(_GR_M1, _R0)
 
 
 def eval_with_retry(build, order):
@@ -63,8 +60,10 @@ def eval_with_retry(build, order):
 
     Division by series with nonzero leading exponents consumes precision by a
     structural, order-independent amount, so the shortfall of one pass is the
-    inflation needed for the next.  The block functions below use this loop;
-    ``dsl.evaluate`` plans its working orders instead and makes one pass.
+    inflation needed for the next.  Nothing in the package calls it: the
+    plan of ``dsl.evaluate`` covers the block sums too.  It stays for the
+    test oracles and for the benchmark's tracer, which wraps it by name,
+    until the next change to the benchmark.
     """
     order = rat(order)
     work = order
@@ -78,11 +77,6 @@ def eval_with_retry(build, order):
     )
 
 
-def binom2(t):
-    """t*(t-1)/2 for a rational t."""
-    return t * (t - 1) / 2
-
-
 def _is_base_power(m, base):
     """True when m equals an integral power of the base monomial."""
     k = m.exp / base.exp
@@ -91,11 +85,12 @@ def _is_base_power(m, base):
     return m.coeff == base.coeff ** as_int(k)
 
 
-def _theta_or_degenerate(x, base, order, exc=DegenerateZ):
-    s = jacobi_theta(x, base, order)
-    if s.is_zero():
-        raise exc(f"theta function j({x}; {base}) vanishes to precision {order}")
-    return s
+def _reduce_z(z, base):
+    """z times the power of the base that moves its exponent into
+    [0, e_b): m(x, b, z) = m(x, b, b*z), and the bilateral sum of the
+    reduced z reaches a given order with the fewest summands."""
+    k = floor(z.exp / base.exp)
+    return z * base ** -k if k else z
 
 
 def appell_m(x, base, z, order):
@@ -111,6 +106,7 @@ def appell_m(x, base, z, order):
         raise DegenerateZ(f"z = {z} is an integral power of the base {base}")
     if _is_base_power(x * z, base):
         raise DegenerateZ(f"x*z = {x * z} is an integral power of the base {base}")
+    z = _reduce_z(z, base)
 
     # z is structurally generic, so j(z; b) is nonzero from q^d on
     d = theta_valuation(z, base)
@@ -274,216 +270,34 @@ def universal_g_via_m(x, base, order):
     return out.truncate(order)
 
 
+def _block(name, values, order):
+    """The block sum ``name`` of the folded arguments ``values`` below
+    ``order``: its template in ``qmock.blocks`` in one planned pass."""
+    from .dsl import evaluate  # dsl imports this module
+    return evaluate(BLOCKS[name](*values), order)
+
+
 def g_abc(a, b, c, x, y, base, z1, z0, order):
     """The double sum of theta-times-m products attached to f_{a,b,c}."""
-    base = as_base(base)
-    order = rat(order)
-    if b * b <= a * c:
-        raise ValueError(f"need b^2 > a*c for positive Appell-Lerch bases, got {(a, b, c)}")
-    D = b * b - a * c
-
-    def build(work):
-        total = QSeries.zero(work)
-        for first in (True, False):
-            aa, cc = (a, c) if first else (c, a)
-            u, v = (x, y) if first else (y, x)
-            zz = z0 if first else z1
-            m_base = base ** (aa * D)
-            for t in range(aa):
-                shift = (-v) ** t * base ** (cc * (t * (t - 1)) // 2)
-                theta_part = jacobi_theta((base ** (b * t)) * u, base ** aa, work - min(shift.exp, _R0))
-                m_exp = aa * binom2(rat(b + 1)) - cc * binom2(rat(aa + 1)) - t * D
-                m_arg = -(base ** as_int(m_exp)) * ((-v) ** aa) * ((-u) ** (-b))
-                m_part = appell_m(m_arg, m_base, zz, work - min(shift.exp, _R0))
-                total = total + (theta_part * m_part).mul_monomial(shift).truncate(work)
-        return total
-
-    return eval_with_retry(build, order)
+    return _block("g_abc", (a, b, c, x, y, as_base(base), z1, z0), order)
 
 
 def h_abc(a, b, c, x, y, base, z1, z0, order):
     """The two-term theta-times-m combination for b divisible by a and c."""
-    if b % a or b % c:
-        raise DivisibilityViolation(f"need a | b and c | b, got {(a, b, c)}")
-    base = as_base(base)
-    order = rat(order)
-    ba, bc = b // a, b // c
-    d1 = b * b // a - c
-    d2 = b * b // c - a
-    if d1 <= 0 or d2 <= 0:
-        raise ValueError(f"need a*c < b^2, got {(a, b, c)}")
-
-    def build(work):
-        e1 = a * binom2(rat(ba + 1)) - c
-        arg1 = -(base ** as_int(e1)) * (-y) * ((-x) ** (-ba))
-        t1 = jacobi_theta(x, base ** a, work) * appell_m(arg1, base ** d1, z1, work)
-        e2 = c * binom2(rat(bc + 1)) - a
-        arg2 = -(base ** as_int(e2)) * (-x) * ((-y) ** (-bc))
-        t2 = jacobi_theta(y, base ** c, work) * appell_m(arg2, base ** d2, z0, work)
-        return t1 + t2
-
-    return eval_with_retry(build, order)
+    return _block("h_abc", (a, b, c, x, y, as_base(base), z1, z0), order)
 
 
 def theta_np(n, p, x, y, base, order):
     """The p-by-p block of theta quotients completing f_{n,n+p,n}."""
-    if gcd(n, p) != 1:
-        raise ValueError(f"need gcd(n, p) = 1, got {(n, p)}")
-    base = as_base(base)
-    order = rat(order)
-    fr = rat(n - 1, 2) % 1
-    half_n_minus = rat(n - 1, 2)
-    half_n_plus = rat(n + 1, 2)
-    N_big = p * p * (2 * n + p)
-    N_bar = n * p * (2 * n + p)
-    N_mid = n * p * p
-
-    def build(work):
-        j_big3 = Jm(N_big, work, base=base) ** 3
-        jbar0 = _theta_or_degenerate(
-            _MINUS_ONE * (base ** 0), base ** N_bar, work, exc=DegenerateDenominator
-        )
-        total = QSeries.zero(work)
-        for rs in range(p):
-            for ss in range(p):
-                r = rs + fr
-                s = ss + fr
-                A = r - half_n_minus
-                B = s + half_n_plus
-                Ai, Bi = as_int(A), as_int(B)
-                q_exp = n * binom2(A) + (n + p) * A * B + n * binom2(B)
-                lead = (base ** q_exp) * ((-x) ** Ai) * ((-y) ** Bi)
-                j1 = jacobi_theta(
-                    -(base ** (n * p * (ss - rs))) * (x ** n) * (y ** (-n)),
-                    base ** N_mid,
-                    work,
-                )
-                j2 = jacobi_theta(
-                    (base ** (p * (2 * n + p) * (r + s) + p * (n + p))) * (x ** p) * (y ** p),
-                    base ** N_big,
-                    work,
-                )
-                den1 = jacobi_theta(
-                    (base ** (p * (2 * n + p) * r + rat(p * (n + p), 2)))
-                    * ((-y) ** (n + p)) * ((-x) ** (-n)),
-                    base ** N_big,
-                    work,
-                )
-                den2 = jacobi_theta(
-                    (base ** (p * (2 * n + p) * s + rat(p * (n + p), 2)))
-                    * ((-x) ** (n + p)) * ((-y) ** (-n)),
-                    base ** N_big,
-                    work,
-                )
-                den = den1 * den2
-                if den.is_zero():
-                    raise DegenerateDenominator(
-                        f"theta denominator vanished at block ({rs},{ss})"
-                    )
-                term = (j1 * j2 * den.invert()).mul_monomial(lead)
-                total = total + term.truncate(work)
-        return ((total * j_big3) * jbar0.invert()).truncate(work)
-
-    return eval_with_retry(build, order)
+    return _block("theta_np", (n, p, x, y, as_base(base)), order)
 
 
 def theta_abc(a, b, c, x, y, base, order):
     """The triple finite sum of theta quotients for b divisible by a and c."""
-    if b % a or b % c:
-        raise DivisibilityViolation(f"need a | b and c | b, got {(a, b, c)}")
-    if a * c >= b * b:
-        raise ValueError(f"need a*c < b^2, got {(a, b, c)}")
-    base = as_base(base)
-    order = rat(order)
-    ba, bc = b // a, b // c
-    d1 = rat(b * b, a) - c
-    d2 = rat(b * b, c) - a
-    ratio = rat(b * b, a * c) - 1        # b^2/(ac) - 1
-    M = b * ratio                        # modulus of the quotient thetas
-    base_mid = rat(b * b, a) * ratio
-    off_mid = rat(b ** 3 * (b - a), 2 * a * a * c)
-    cb1 = c * binom2(rat(bc))
-    cb2 = a * binom2(rat(ba))
-
-    def build(work):
-        jM3 = Jm(M, work, base=base) ** 3
-        total = QSeries.zero(work)
-        for d in range(bc):
-            for e in range(ba):
-                for f in range(ba):
-                    q_exp = d1 * binom2(rat(d + 1)) + d2 * binom2(rat(e + f + 1)) + a * binom2(rat(f))
-                    lead = (base ** q_exp) * ((-x) ** f)
-                    j1 = jacobi_theta(
-                        (base ** (d1 * (d + 1) + b * f)) * y,
-                        base ** rat(b * b, a),
-                        work,
-                    )
-                    j2 = jacobi_theta(
-                        (base ** (M * (e + f + 1) - d1 * (d + 1) + off_mid))
-                        * ((-x) ** ba) * (y ** (-1)),
-                        base ** base_mid,
-                        work,
-                    )
-                    j3 = jacobi_theta(
-                        (base ** (d2 * (e + 1) + d1 * (d + 1) - cb1 - cb2))
-                        * ((-x) ** (1 - ba)) * ((-y) ** (1 - bc)),
-                        base ** M,
-                        work,
-                    )
-                    den1 = jacobi_theta(
-                        (base ** (d2 * (e + 1) - cb1)) * (-x) * ((-y) ** (-bc)),
-                        base ** M,
-                        work,
-                    )
-                    den2 = jacobi_theta(
-                        (base ** (d1 * (d + 1) - cb2)) * ((-x) ** (-ba)) * (-y),
-                        base ** M,
-                        work,
-                    )
-                    den = den1 * den2
-                    if den.is_zero():
-                        raise DegenerateDenominator(
-                            f"theta denominator vanished at block ({d},{e},{f})"
-                        )
-                    term = (j1 * j2 * j3 * den.invert()).mul_monomial(lead)
-                    total = total + term.truncate(work)
-        return (total * jM3).truncate(work)
-
-    return eval_with_retry(build, order)
+    return _block("theta_abc", (a, b, c, x, y, as_base(base)), order)
 
 
 def msplit_rhs(n, x, base, z, zp, order):
     """The n-term split of m(x, b, z) into level-n^2 Appell-Lerch sums plus
     an n-term theta-quotient correction in an auxiliary generic z'."""
-    if n < 1:
-        raise ValueError(f"split order must be positive, got {n}")
-    base = as_base(base)
-    order = rat(order)
-    bn = base ** (n * (n - 1) // 2)      # b^binom(n,2)
-    base_n2 = base ** (n * n)
-
-    def build(work):
-        total = QSeries.zero(work)
-        for r in range(n):
-            shift = (base ** (-as_int(binom2(rat(r + 1))))) * ((-x) ** r)
-            m_arg = -bn * (base ** (-n * r)) * ((-x) ** n)
-            part = appell_m(m_arg, base_n2, zp, work - min(shift.exp, _R0))
-            total = total + part.mul_monomial(shift).truncate(work)
-        jn3 = Jm(n, work, base=base) ** 3
-        jxz = _theta_or_degenerate(x * z, base, work, exc=DegenerateDenominator)
-        jzp = _theta_or_degenerate(zp, base_n2, work, exc=DegenerateDenominator)
-        corr = QSeries.zero(work)
-        for r in range(n):
-            lead = (base ** as_int(binom2(rat(r)))) * ((-(x * z)) ** r)
-            j1 = jacobi_theta(-bn * (base ** r) * ((-x) ** n) * z * zp, base ** n, work)
-            j2 = jacobi_theta((base ** (n * r)) * (z ** n) * zp.inverse(), base_n2, work)
-            den1 = jacobi_theta(-bn * ((-x) ** n) * zp, base ** n, work)
-            den2 = jacobi_theta((base ** r) * z, base ** n, work)
-            den = den1 * den2
-            if den.is_zero():
-                raise DegenerateDenominator(f"split correction denominator vanished at r={r}")
-            corr = corr + (j1 * j2 * den.invert()).mul_monomial(lead).truncate(work)
-        corr = corr * jn3 * (jxz * jzp).invert()
-        return total + corr.mul_monomial(zp).truncate(work)
-
-    return eval_with_retry(build, order)
+    return _block("msplit_rhs", (n, x, as_base(base), z, zp), order)

@@ -23,6 +23,8 @@ from typing import Optional
 
 from ._rational import ZERO as _R0, rat, is_integer, as_int, num_den
 from . import appell, catalog, hecke, theta
+from .blocks import BLOCKS
+from .nodes import Add, Call, Div, Literal, Mul, Neg, Pow, QPow, Sub
 from .series import (
     GaussianRational,
     GR_I,
@@ -96,66 +98,12 @@ class CorpusSyntaxError(QSeriesError):
         super().__init__(f"corpus line {line}: {message}")
 
 
-# --------------------------------------------------------------------------
-# AST
-
-@dataclass(frozen=True)
-class Literal:
-    value: GaussianRational
-
-
-@dataclass(frozen=True)
-class QPow:
-    exponent: object  # rational
-
-
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Div:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: object
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Call:
-    name: str
-    args: tuple
-
-
 # name -> (argument slot kinds, module, engine function name).  Slot kinds:
 # m = monomial, b = base (a monomial with positive exponent), r = rational,
 # n = integer, e = expression.  The engine function is looked up in its
 # module when the call is made, so a rebound module attribute takes effect.
-# Rows without a module (the catalog series, subq, negq) have their own
-# paths in _eval_call.
+# Rows without a module (the block sums of qmock.blocks, the catalog series,
+# subq, negq) have their own paths in _Plan.
 FUNCTIONS = {
     "poch_inf": ("mb", theta, "pochhammer_infinite"),
     "poch_fin": ("mmn", theta, "pochhammer_finite"),
@@ -166,10 +114,10 @@ FUNCTIONS = {
     "m": ("mbm", appell, "appell_m"),
     "f": ("nnnmmb", hecke, "f_abc"),
     "g": ("mb", appell, "universal_g_eulerian"),
-    "g_abc": ("nnnmmbmm", appell, "g_abc"),
-    "h_abc": ("nnnmmbmm", appell, "h_abc"),
-    "theta_np": ("nnmmb", appell, "theta_np"),
-    "theta_abc": ("nnnmmb", appell, "theta_abc"),
+    "g_abc": ("nnnmmbmm", None, None),
+    "h_abc": ("nnnmmbmm", None, None),
+    "theta_np": ("nnmmb", None, None),
+    "theta_abc": ("nnnmmb", None, None),
     **{name: ("b", None, None) for name in catalog.CATALOG},
     "subq": ("er", None, None),
     "negq": ("e", None, None),
@@ -457,10 +405,14 @@ def to_text(node):
 # constant folding for argument slots
 
 def _fold_monomial(node):
-    if isinstance(node, Literal):
-        if node.value.is_zero():
+    if isinstance(node, Mul) and isinstance(node.left, Literal) \
+            and isinstance(node.right, QPow) and node.left.value:
+        return QMonomial(node.left.value, node.right.exponent)  # c*q^e, as blocks writes it
+    if isinstance(node, (Literal, Add, Sub)):  # a constant, such as 1+i
+        value = _fold_const(node)
+        if value.is_zero():
             raise EvaluationError("monomial argument must be nonzero")
-        return QMonomial(node.value, 0)
+        return QMonomial(value, 0)
     if isinstance(node, QPow):
         return qpow(node.exponent)
     if isinstance(node, Neg):
@@ -489,6 +441,10 @@ def _fold_const(node):
         return node.value
     if isinstance(node, Neg):
         return -_fold_const(node.operand)
+    if isinstance(node, Add):
+        return _fold_const(node.left) + _fold_const(node.right)
+    if isinstance(node, Sub):
+        return _fold_const(node.left) - _fold_const(node.right)
     if isinstance(node, Mul):
         return _fold_const(node.left) * _fold_const(node.right)
     if isinstance(node, Div):
@@ -583,10 +539,11 @@ class _Plan:
     each node's series at the working order its parent asks for."""
 
     def __init__(self):
-        # id(node) -> valuation, and -> folded call arguments; the AST
-        # outlives the plan
+        # id(node) -> valuation, folded call arguments, a block call's
+        # expansion; the AST outlives the plan, which keeps the expansions
         self._vals = {}
         self._args = {}
+        self._blocks = {}
 
     def valuation(self, node):
         """The valuation of ``node`` (see above), from those of its parts."""
@@ -629,6 +586,8 @@ class _Plan:
         if name in catalog.CATALOG:
             (u,) = self._fold_args(node)
             return catalog.CATALOG[name].valuation * u.exp, True
+        if name in BLOCKS:
+            return self.valuation(self._expand(node))
         if name not in _VALUATIONS:
             return None
         start, exact = _VALUATIONS[name]
@@ -700,13 +659,14 @@ class _Plan:
     def _eval_divisor(self, node, w, v):
         """A divisor whose valuations give no exact start: a sum whose
         leading terms may cancel, such as m(..) - m(..), or one built on m
-        or g (whose start they only bound) or on f or a block sum (whose
-        start they do not know).  It is evaluated as though it started at
-        its bound v, if it has one.  While it is zero to its precision, its
-        start lies at or past that, so it is evaluated again at 2t + 1, three
-        times at most, before inverting it fails with ZeroSeries; once its
-        start d shows, it is evaluated once more if its precision falls
-        short of w + 2d, which the inverse known below w needs."""
+        or g (whose start they only bound) or on f (whose start they do not
+        know), a block sum's expansion included.  It is evaluated as though
+        it started at its bound v, if it has one.  While it is zero to its
+        precision, its start lies at or past that, so it is evaluated again
+        at 2t + 1, three times at most, before inverting it fails with
+        ZeroSeries; once its start d shows, it is evaluated once more if its
+        precision falls short of w + 2d, which the inverse known below w
+        needs."""
         t = w if v is None else max(w + 2 * v, v + 1)
         den = self.series(node, t)
         for _ in range(3):
@@ -726,6 +686,13 @@ class _Plan:
             self._args[key] = [_FOLD[kind](arg) for kind, arg in zip(kinds, node.args)]
         return self._args[key]
 
+    def _expand(self, node):
+        """The AST of a block call, from its template."""
+        key = id(node)
+        if key not in self._blocks:
+            self._blocks[key] = BLOCKS[node.name](*self._fold_args(node))
+        return self._blocks[key]
+
     def _call(self, node, w):
         name, args = node.name, node.args
         if name == "subq":
@@ -737,6 +704,8 @@ class _Plan:
             return self.series(args[0], w).negate_base()
         if name not in FUNCTIONS:
             raise EvaluationError(f"no evaluator for function {name!r}")
+        if name in BLOCKS:
+            return self.series(self._expand(node), w)
         _, module, attr = FUNCTIONS[name]
         values = self._fold_args(node)
         if module is None:  # a catalog series at the base monomial u

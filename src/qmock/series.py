@@ -282,9 +282,6 @@ class QMonomial:
             )
         return QMonomial(GR_ONE, self.exp * k)
 
-    def is_one(self):
-        return self.coeff == GR_ONE and not self.exp
-
     def __eq__(self, other):
         return (
             isinstance(other, QMonomial)

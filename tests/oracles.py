@@ -1,18 +1,21 @@
 """Small self-contained reference implementations used as test oracles.
 
-Everything here but the pairwise Appell-Lerch and universal-g loops and the
-retry evaluator at the end works on plain {exponent: Fraction} dicts and
-stays deliberately independent of the package's series engine, so
-agreement is a two-sided check.
+Everything here but the pairwise Appell-Lerch and universal-g loops, the
+retry evaluator and the hand-coded block sums at the end works on plain
+{exponent: Fraction} dicts and stays deliberately independent of the
+package's series engine, so agreement is a two-sided check.
 """
 
 from fractions import Fraction
+from math import gcd
 
-from qmock import catalog, dsl
-from qmock._rational import rat
+from qmock import appell, catalog, dsl
+from qmock._rational import as_int, rat
 from qmock.series import (
+    DegenerateDenominator,
     DegenerateX,
     DegenerateZ,
+    DivisibilityViolation,
     InsufficientPrecision,
     NonPositivePower,
     PoleAtOne,
@@ -21,7 +24,7 @@ from qmock.series import (
     qpow,
     unit_fraction_expand,
 )
-from qmock.theta import as_base, jacobi_theta, theta_valuation
+from qmock.theta import Jm, as_base, jacobi_theta, theta_valuation
 
 
 def poly_mul(a, b, bound=None):
@@ -335,8 +338,9 @@ def universal_g_pairwise(x, base, order):
 # precision is evaluated again at 2w + 1 (three times at most), and a result
 # short of the order is thrown away and the whole expression evaluated again
 # at the order inflated by the shortfall plus one, four passes at most.  It
-# uses the package's series engine and special functions, and checks only
-# the planning of the evaluator that replaced it.
+# uses the package's series engine and special functions, and the
+# hand-coded block sums below, and checks only the planning of the
+# evaluator that replaced it.
 
 
 def retry_evaluate(node, order):
@@ -397,7 +401,222 @@ def _retry_call(node, w):
         return _retry_eval(args[0], w).negate_base()
     kinds, module, attr = dsl.FUNCTIONS[name]
     values = [dsl._FOLD[kind](arg) for kind, arg in zip(kinds, args)]
+    if name in BLOCKS:
+        return BLOCKS[name](*values, w)
     if module is None:
         (u,) = values
         return catalog.CATALOG[name].eulerian(w / u.exp).substitute_monomial(u)
     return getattr(module, attr)(*values, w)
+
+
+# -- the hand-coded block sums -------------------------------------------------
+#
+# g_abc, h_abc, theta_np, theta_abc and msplit_rhs as they were before they
+# became DSL templates: each builds its theta-times-m or theta-quotient sum
+# at a hand-kept working order and runs it through the retry loop
+# appell.eval_with_retry.  They use the package's series engine, theta
+# functions and Appell-Lerch sums, and check the planning of the templates
+# that replaced them.
+
+
+def binom2(t):
+    """t*(t-1)/2 for a rational t."""
+    return t * (t - 1) / 2
+
+
+def _theta_or_degenerate(x, base, order, exc=DegenerateZ):
+    s = jacobi_theta(x, base, order)
+    if s.is_zero():
+        raise exc(f"theta function j({x}; {base}) vanishes to precision {order}")
+    return s
+
+
+def g_abc(a, b, c, x, y, base, z1, z0, order):
+    base = as_base(base)
+    order = rat(order)
+    if b * b <= a * c:
+        raise ValueError(f"need b^2 > a*c for positive Appell-Lerch bases, got {(a, b, c)}")
+    D = b * b - a * c
+
+    def build(work):
+        total = QSeries.zero(work)
+        for first in (True, False):
+            aa, cc = (a, c) if first else (c, a)
+            u, v = (x, y) if first else (y, x)
+            zz = z0 if first else z1
+            m_base = base ** (aa * D)
+            for t in range(aa):
+                shift = (-v) ** t * base ** (cc * (t * (t - 1)) // 2)
+                theta_part = jacobi_theta((base ** (b * t)) * u, base ** aa, work - min(shift.exp, 0))
+                m_exp = aa * binom2(rat(b + 1)) - cc * binom2(rat(aa + 1)) - t * D
+                m_arg = -(base ** as_int(m_exp)) * ((-v) ** aa) * ((-u) ** (-b))
+                m_part = appell.appell_m(m_arg, m_base, zz, work - min(shift.exp, 0))
+                total = total + (theta_part * m_part).mul_monomial(shift).truncate(work)
+        return total
+
+    return appell.eval_with_retry(build, order)
+
+
+def h_abc(a, b, c, x, y, base, z1, z0, order):
+    if b % a or b % c:
+        raise DivisibilityViolation(f"need a | b and c | b, got {(a, b, c)}")
+    base = as_base(base)
+    order = rat(order)
+    ba, bc = b // a, b // c
+    d1 = b * b // a - c
+    d2 = b * b // c - a
+    if d1 <= 0 or d2 <= 0:
+        raise ValueError(f"need a*c < b^2, got {(a, b, c)}")
+
+    def build(work):
+        e1 = a * binom2(rat(ba + 1)) - c
+        arg1 = -(base ** as_int(e1)) * (-y) * ((-x) ** (-ba))
+        t1 = jacobi_theta(x, base ** a, work) * appell.appell_m(arg1, base ** d1, z1, work)
+        e2 = c * binom2(rat(bc + 1)) - a
+        arg2 = -(base ** as_int(e2)) * (-x) * ((-y) ** (-bc))
+        t2 = jacobi_theta(y, base ** c, work) * appell.appell_m(arg2, base ** d2, z0, work)
+        return t1 + t2
+
+    return appell.eval_with_retry(build, order)
+
+
+def theta_np(n, p, x, y, base, order):
+    if gcd(n, p) != 1:
+        raise ValueError(f"need gcd(n, p) = 1, got {(n, p)}")
+    base = as_base(base)
+    order = rat(order)
+    fr = rat(n - 1, 2) % 1
+    half_n_minus = rat(n - 1, 2)
+    half_n_plus = rat(n + 1, 2)
+    N_big = p * p * (2 * n + p)
+    N_bar = n * p * (2 * n + p)
+    N_mid = n * p * p
+
+    def build(work):
+        j_big3 = Jm(N_big, work, base=base) ** 3
+        jbar0 = _theta_or_degenerate(-(base ** 0), base ** N_bar, work, exc=DegenerateDenominator)
+        total = QSeries.zero(work)
+        for rs in range(p):
+            for ss in range(p):
+                r = rs + fr
+                s = ss + fr
+                A = r - half_n_minus
+                B = s + half_n_plus
+                Ai, Bi = as_int(A), as_int(B)
+                q_exp = n * binom2(A) + (n + p) * A * B + n * binom2(B)
+                lead = (base ** q_exp) * ((-x) ** Ai) * ((-y) ** Bi)
+                j1 = jacobi_theta(
+                    -(base ** (n * p * (ss - rs))) * (x ** n) * (y ** (-n)), base ** N_mid, work)
+                j2 = jacobi_theta(
+                    (base ** (p * (2 * n + p) * (r + s) + p * (n + p))) * (x ** p) * (y ** p),
+                    base ** N_big, work)
+                den1 = jacobi_theta(
+                    (base ** (p * (2 * n + p) * r + rat(p * (n + p), 2)))
+                    * ((-y) ** (n + p)) * ((-x) ** (-n)),
+                    base ** N_big, work)
+                den2 = jacobi_theta(
+                    (base ** (p * (2 * n + p) * s + rat(p * (n + p), 2)))
+                    * ((-x) ** (n + p)) * ((-y) ** (-n)),
+                    base ** N_big, work)
+                den = den1 * den2
+                if den.is_zero():
+                    raise DegenerateDenominator(f"theta denominator vanished at block ({rs},{ss})")
+                term = (j1 * j2 * den.invert()).mul_monomial(lead)
+                total = total + term.truncate(work)
+        return ((total * j_big3) * jbar0.invert()).truncate(work)
+
+    return appell.eval_with_retry(build, order)
+
+
+def theta_abc(a, b, c, x, y, base, order):
+    if b % a or b % c:
+        raise DivisibilityViolation(f"need a | b and c | b, got {(a, b, c)}")
+    if a * c >= b * b:
+        raise ValueError(f"need a*c < b^2, got {(a, b, c)}")
+    base = as_base(base)
+    order = rat(order)
+    ba, bc = b // a, b // c
+    d1 = rat(b * b, a) - c
+    d2 = rat(b * b, c) - a
+    ratio = rat(b * b, a * c) - 1
+    M = b * ratio
+    base_mid = rat(b * b, a) * ratio
+    off_mid = rat(b ** 3 * (b - a), 2 * a * a * c)
+    cb1 = c * binom2(rat(bc))
+    cb2 = a * binom2(rat(ba))
+
+    def build(work):
+        jM3 = Jm(M, work, base=base) ** 3
+        total = QSeries.zero(work)
+        for d in range(bc):
+            for e in range(ba):
+                for f in range(ba):
+                    q_exp = d1 * binom2(rat(d + 1)) + d2 * binom2(rat(e + f + 1)) + a * binom2(rat(f))
+                    lead = (base ** q_exp) * ((-x) ** f)
+                    j1 = jacobi_theta(
+                        (base ** (d1 * (d + 1) + b * f)) * y, base ** rat(b * b, a), work)
+                    j2 = jacobi_theta(
+                        (base ** (M * (e + f + 1) - d1 * (d + 1) + off_mid))
+                        * ((-x) ** ba) * (y ** (-1)),
+                        base ** base_mid, work)
+                    j3 = jacobi_theta(
+                        (base ** (d2 * (e + 1) + d1 * (d + 1) - cb1 - cb2))
+                        * ((-x) ** (1 - ba)) * ((-y) ** (1 - bc)),
+                        base ** M, work)
+                    den1 = jacobi_theta(
+                        (base ** (d2 * (e + 1) - cb1)) * (-x) * ((-y) ** (-bc)), base ** M, work)
+                    den2 = jacobi_theta(
+                        (base ** (d1 * (d + 1) - cb2)) * ((-x) ** (-ba)) * (-y), base ** M, work)
+                    den = den1 * den2
+                    if den.is_zero():
+                        raise DegenerateDenominator(
+                            f"theta denominator vanished at block ({d},{e},{f})")
+                    term = (j1 * j2 * j3 * den.invert()).mul_monomial(lead)
+                    total = total + term.truncate(work)
+        return (total * jM3).truncate(work)
+
+    return appell.eval_with_retry(build, order)
+
+
+def msplit_rhs(n, x, base, z, zp, order):
+    if n < 1:
+        raise ValueError(f"split order must be positive, got {n}")
+    base = as_base(base)
+    order = rat(order)
+    bn = base ** (n * (n - 1) // 2)
+    base_n2 = base ** (n * n)
+
+    def build(work):
+        total = QSeries.zero(work)
+        for r in range(n):
+            shift = (base ** (-as_int(binom2(rat(r + 1))))) * ((-x) ** r)
+            m_arg = -bn * (base ** (-n * r)) * ((-x) ** n)
+            part = appell.appell_m(m_arg, base_n2, zp, work - min(shift.exp, 0))
+            total = total + part.mul_monomial(shift).truncate(work)
+        jn3 = Jm(n, work, base=base) ** 3
+        jxz = _theta_or_degenerate(x * z, base, work, exc=DegenerateDenominator)
+        jzp = _theta_or_degenerate(zp, base_n2, work, exc=DegenerateDenominator)
+        corr = QSeries.zero(work)
+        for r in range(n):
+            lead = (base ** as_int(binom2(rat(r)))) * ((-(x * z)) ** r)
+            j1 = jacobi_theta(-bn * (base ** r) * ((-x) ** n) * z * zp, base ** n, work)
+            j2 = jacobi_theta((base ** (n * r)) * (z ** n) * zp.inverse(), base_n2, work)
+            den1 = jacobi_theta(-bn * ((-x) ** n) * zp, base ** n, work)
+            den2 = jacobi_theta((base ** r) * z, base ** n, work)
+            den = den1 * den2
+            if den.is_zero():
+                raise DegenerateDenominator(f"split correction denominator vanished at r={r}")
+            corr = corr + (j1 * j2 * den.invert()).mul_monomial(lead).truncate(work)
+        corr = corr * jn3 * (jxz * jzp).invert()
+        return total + corr.mul_monomial(zp).truncate(work)
+
+    return appell.eval_with_retry(build, order)
+
+
+BLOCKS = {
+    "g_abc": g_abc,
+    "h_abc": h_abc,
+    "theta_np": theta_np,
+    "theta_abc": theta_abc,
+    "msplit_rhs": msplit_rhs,
+}

@@ -23,11 +23,14 @@ from qmock.appell import (
 )
 from qmock.hecke import f_abc
 from qmock.series import (
+    DegenerateDenominator,
     DegenerateX,
     DegenerateZ,
     DivisibilityViolation,
+    FractionalExponent,
     GaussianRational,
     QSeries,
+    QSeriesError,
     mono,
     qpow,
 )
@@ -45,6 +48,37 @@ class TestAppellM:
         lhs = appell_m(x, qpow(1), z, 40)
         rhs = appell_m(x, qpow(1), qpow(1) * z, 40)
         assert lhs.agrees_with(rhs)
+        # z far from [0, e_b) is first moved there by powers of the base;
+        # the pairwise loop sums the far z as it stands
+        for x, base, z, order in [
+            (mono(2, R(4, 3)), qpow(R(1, 2)), mono(GaussianRational(R(1, 3), R(-2, 3)), 7), 3),
+            (qpow(R(2, 7)), mono(-1, 1), mono(-1, R(-33, 5)), 6),
+            (mono(R(1, 2), R(-1, 3)), qpow(2), mono(GaussianRational(0, 1), R(25, 3)), 8),
+        ]:
+            got = appell_m(x, base, z, order)
+            assert (got, got.precision) == (oracles.appell_m_pairwise(x, base, z, order), order)
+            assert got == appell_m(x, base, z * base ** -4, order)
+            # the bilateral sum and j(z; b) both take a factor -1/z under the
+            # shift, so the valuation bound is the same for either z
+            assert appell_m_valuation(x, base, z) == appell_m_valuation(x, base, z * base ** -4)
+
+    def test_bilateral_sum_sees_the_reduced_z(self, monkeypatch):
+        seen = []
+        summed = appell._bilateral_sum
+
+        def spy(x, base, z, work):
+            seen.append(z)
+            return summed(x, base, z, work)
+
+        monkeypatch.setattr(appell, "_bilateral_sum", spy)
+        for x, base, z, k in [
+            (mono(2, R(4, 3)), qpow(R(1, 2)), mono(GaussianRational(R(1, 3), R(-2, 3)), 22), -44),
+            (qpow(R(2, 7)), mono(-1, 1), mono(-1, R(-33, 5)), 7),
+            (qpow(R(2, 7)), qpow(1), qpow(R(3, 5)), 0),
+        ]:
+            seen.clear()
+            appell_m(x, base, z, 3)
+            assert seen == [z * base ** k]  # its exponent in [0, e_b)
 
     def test_psi_combination(self):
         # -q^(-1) m(q, q^12, q^2) - m(q^5, q^12, q^2) = psi(q)
@@ -193,6 +227,85 @@ class TestAgainstPairwiseLoops:
                 (x, base, order)
             errors += got is DegenerateX
         assert errors >= 20
+
+
+class TestBlocksAgainstHandCoded:
+    """The block sums, DSL templates planned in one pass, against the
+    hand-coded sums of tests/oracles.py, which run through the retry loop:
+    the same value, the same precision and the same error."""
+
+    COEFFS = TestAgainstPairwiseLoops.COEFFS
+    BASES = [qpow(1), mono(-1, 1), qpow(R(1, 2))]
+    BLOCKS = {"g_abc": g_abc, "h_abc": h_abc, "theta_np": theta_np,
+              "theta_abc": theta_abc, "msplit_rhs": msplit_rhs}
+
+    def _outcome(self, fn, *args):
+        try:
+            out = fn(*args)
+        except (QSeriesError, ValueError) as exc:
+            return type(exc)
+        return out, out.precision
+
+    def _monomial(self, rnd):
+        return mono(rnd.choice(self.COEFFS), R(rnd.randint(-4, 4), rnd.choice([1, 2, 3])))
+
+    def _arguments(self, rnd, name, base):
+        """Folded arguments of ``name``, a quarter of the theta-quotient
+        blocks with x (or z) put where one theta denominator vanishes."""
+        x, y, z, zp = (self._monomial(rnd) for _ in range(4))
+        degenerate = rnd.random() < 0.25
+        if name in ("g_abc", "h_abc"):
+            a, c = rnd.randint(1, 3), rnd.randint(1, 3)
+            if name == "h_abc":
+                k = rnd.randint(1, 2)
+                b = a * c * k if rnd.random() < 0.9 else a * c * k + 1
+            else:
+                b = rnd.randint(1, 5)
+            if rnd.random() < 0.1:
+                z = base ** rnd.randint(-2, 2)  # j(z0; b^(aD)) may vanish
+            return (a, b, c, x, y, base, zp, z)
+        if name == "theta_np":
+            n, p = (1, rnd.randint(1, 3)) if degenerate else (rnd.randint(1, 4), rnd.randint(1, 3))
+            if degenerate:  # the denominator j(b^(p(p+2)r + p(p+1)/2) (-y)^(p+1)/(-x); b^N)
+                r, k, N = rnd.randrange(p), rnd.randint(-1, 1), p * p * (2 + p)
+                x = -(base ** (p * (p + 2) * r + p * (p + 1) // 2 - k * N) * (-y) ** (p + 1))
+            return (n, p, x, y, base)
+        if name == "theta_abc":
+            a, c = rnd.choice([(1, 1), (1, 2), (2, 1), (2, 2)])
+            b = rnd.choice([2, 4]) if rnd.random() < 0.9 else 3
+            if degenerate and not b % a and not b % c:
+                # the denominator j(b^(d2 (e+1) - cb1) (-x) (-y)^(-b/c); b^M)
+                M = b * (R(b * b, a * c) - 1)
+                e, k = rnd.randrange(b // a), rnd.randint(-1, 1)
+                d2, cb1 = R(b * b, c) - a, c * (b // c) * (b // c - 1) // 2
+                try:
+                    x = -(base ** (k * M - d2 * (e + 1) + cb1) * (-y) ** (b // c))
+                except FractionalExponent:
+                    pass
+            return (a, b, c, x, y, base)
+        n = rnd.randint(1, 3)
+        target = rnd.randrange(3) if degenerate else None
+        if target == 0:  # j(x z; b) vanishes
+            z = base ** rnd.randint(-2, 2) * x.inverse()
+        elif target == 1:  # j(b^r z; b^n) vanishes
+            z = base ** rnd.randint(-2, 2)
+        elif target == 2:  # j(-b^binom(n,2) (-x)^n zp; b^n) vanishes: an m has a degenerate z
+            zp = -(base ** (n * rnd.randint(-1, 1) - n * (n - 1) // 2)) * (-x) ** -n
+        return (n, x, base, z, zp)
+
+    def test_blocks(self):
+        rnd = random.Random(83)
+        errors = {}
+        for i in range(400):
+            name = list(self.BLOCKS)[i % 5]
+            base = rnd.choice(self.BASES)
+            args = self._arguments(rnd, name, base)
+            order = rnd.randint(2, 20)
+            got = self._outcome(self.BLOCKS[name], *args, order)
+            assert got == self._outcome(oracles.BLOCKS[name], *args, order), (name, args, order)
+            if isinstance(got, type):
+                errors[got] = errors.get(got, 0) + 1
+        assert errors.get(DegenerateDenominator, 0) >= 20, errors
 
 
 class TestValuationBounds:

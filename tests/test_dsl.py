@@ -44,6 +44,7 @@ from qmock.series import (
     qpow,
 )
 
+import oracles
 from oracles import retry_evaluate, series_to_dict
 
 
@@ -183,6 +184,18 @@ class TestEvaluate:
         out = evaluate(parse("1/(i - q^-1)"), 1)
         assert out.is_zero() and out.precision == 1
 
+    def test_constant_sums_fold_in_argument_slots(self):
+        # a Gaussian coefficient written as a sum, in a monomial slot and
+        # in the constant slots of J and m
+        got = evaluate(parse("j((1+i)*q^(1/3), q)"), 2)
+        assert got == theta.jacobi_theta(mono(GaussianRational(1, 1), Fraction(1, 3)), qpow(1), 2)
+        assert evaluate(parse("J(1/2+1/2, 5)"), 10) == theta.J(1, 5, 10)
+        got = evaluate(parse("m(q, q^2, 1/2-3/2*i)"), 6)
+        assert got == appell.appell_m(qpow(1), qpow(2), mono(GaussianRational(Fraction(1, 2), Fraction(-3, 2))), 6)
+        for bad in ("j(1-1, q)", "j(0*q, q)", "j(q+1, q)", "j((1+q)*q, q)", "J(1+i, 5)"):
+            with pytest.raises(EvaluationError):
+                evaluate(parse(bad), 4)
+
     def test_negq(self):
         out = evaluate(parse("negq(psi(q)) + psi(q)"), 30)
         want = evaluate(parse("2*q^2*phibar0(q^2)"), 30)
@@ -196,7 +209,7 @@ class TestEvaluate:
 
 
 class TestRetryCap:
-    """The retry loop the block functions keep."""
+    """The retry loop the hand-coded block sums of tests/oracles.py keep."""
 
     def test_always_short_raises_after_four_passes(self):
         passes = []
@@ -262,6 +275,31 @@ class TestPlannedPass:
                     continue
                 got = evaluate(ast, order)
                 assert got == want, (to_text(ast), order)
+
+    @pytest.mark.parametrize("text", [
+        "1/h_abc(1,2,1,-q^(2/5),2q^(4/5),q,-1,-1)",
+        "q^2/(theta_np(1,2,-q^(2/5),2q^(4/5),q)*g_abc(1,3,1,q^(1/7),q^(3/7),q,-1,-1))",
+    ])
+    def test_block_divisor_takes_one_pass(self, text, monkeypatch):
+        # a block is expanded inside the plan: one pass, and the retry loop
+        # of the hand-coded sums is never entered
+        passes, retries = [], []
+        planned, retry = dsl._eval, appell.eval_with_retry
+
+        def counted(node, w):
+            passes.append(w)
+            return planned(node, w)
+
+        def counted_retry(build, order):
+            retries.append(order)
+            return retry(build, order)
+
+        monkeypatch.setattr(dsl, "_eval", counted)
+        monkeypatch.setattr(appell, "eval_with_retry", counted_retry)
+        got = evaluate(parse(text), 8)
+        assert passes == [8] and retries == []
+        monkeypatch.undo()
+        assert got == retry_evaluate(parse(text), 8)
 
     def test_shipped_stanzas_take_one_pass_and_match_the_retry_oracle(self, monkeypatch):
         from qmock.cli import shipped_corpus_path
@@ -342,14 +380,15 @@ DIRECT = {
     "f": ("1, 2, 1, -q^(2/5), 2q^(4/5), q",
           lambda w: hecke.f_abc(1, 2, 1, X, Y, qpow(1), w)),
     "g": ("-q, q^8", lambda w: appell.universal_g_eulerian(mono(-1, 1), qpow(8), w)),
+    # the block sums against their hand-coded sums in tests/oracles.py
     "g_abc": ("1, 3, 1, -q^(2/5), 2q^(4/5), q, -1, -1",
-              lambda w: appell.g_abc(1, 3, 1, X, Y, qpow(1), mono(-1), mono(-1), w)),
+              lambda w: oracles.g_abc(1, 3, 1, X, Y, qpow(1), mono(-1), mono(-1), w)),
     "h_abc": ("1, 2, 1, -q^(2/5), 2q^(4/5), q, -1, -1",
-              lambda w: appell.h_abc(1, 2, 1, X, Y, qpow(1), mono(-1), mono(-1), w)),
+              lambda w: oracles.h_abc(1, 2, 1, X, Y, qpow(1), mono(-1), mono(-1), w)),
     "theta_np": ("1, 2, -q^(2/5), 2q^(4/5), q",
-                 lambda w: appell.theta_np(1, 2, X, Y, qpow(1), w)),
+                 lambda w: oracles.theta_np(1, 2, X, Y, qpow(1), w)),
     "theta_abc": ("1, 2, 1, -q^(2/5), 2q^(4/5), q",
-                  lambda w: appell.theta_abc(1, 2, 1, X, Y, qpow(1), w)),
+                  lambda w: oracles.theta_abc(1, 2, 1, X, Y, qpow(1), w)),
     "psi": ("q", catalog.psi3),
     "nu": ("q", catalog.nu3),
     "phi": ("q", catalog.phi3),
