@@ -10,8 +10,9 @@ bilateral r-range exactly: the summand's least possible exponent grows
 quadratically in |r|, including the most-negative contribution of the
 expanded denominator, so the truncation is provably conservative.  The
 exponents are integers on one grid, and every summand's geometric run is
-written into one lattice.  The universal mock theta function g divides by
-its Pochhammer factors one lattice pass each, never expanding them.
+written into one lattice.  The universal mock theta function g is summed by
+the Eulerian loop of the catalog series, ``series.eulerian_sum``, which
+divides by its Pochhammer factors one lattice pass each.
 
 The block sums ``g_abc`` ... ``msplit_rhs`` are templates in ``qmock.blocks``,
 evaluated here by ``dsl.evaluate`` like any DSL expression.
@@ -26,12 +27,10 @@ from .series import (
     DegenerateZ,
     InsufficientPrecision,
     PoleAtOne,
-    QMonomial,
-    QSeries,
     as_triple,
+    eulerian_sum,
     exponent_grid,
     geometric_runs,
-    sum_series,
     triple_mul,
     triple_pow,
 )
@@ -218,40 +217,23 @@ def universal_g_valuation(x, base):
 def universal_g_eulerian(x, base, order):
     """g(x, b) = x^(-1) (-1 + sum_n b^(n^2) / ((x;b)_(n+1) (b/x;b)_n)),
 
-    computed with incrementally extended inverse Pochhammer denominators:
-    each step divides by its two factors 1 - x*b^n and 1 - b^n/x, one
-    lattice pass each (``QSeries.over_one_minus``), and the terms are
-    summed once at the end.
+    through ``series.eulerian_sum``: step 0 divides by 1 - x, and step n
+    by 1 - x*b^n and 1 - b^n/x, one lattice pass each.
     """
     base = as_base(base)
     order = rat(order)
     if base.exp <= 0:
         raise ValueError(f"base must have positive exponent, got {base}")
-    eb, cb = base.exp, base.coeff
-    ex, cx = x.exp, x.coeff
-    cx_inv = cx.inverse()
-    work = order + max(ex, _R0)
+    x_inv = x.inverse()
 
-    def over(s, c, k):
-        try:
-            return s.over_one_minus(QMonomial(c, k), work)
-        except PoleAtOne:
-            raise DegenerateX(f"Pochhammer factor of g({x}, {base}) vanishes")
+    def factors(n):
+        return [x * base ** n, x_inv * base ** n] if n else [x]
 
-    inv_den = over(QSeries.one(), cx, ex)  # 1 / (1 - x)
-    terms = []
-    n = 0
-    while True:
-        low = inv_den.low_degree()
-        low = low if low is not None else _R0
-        future_positive = (ex + (n + 1) * eb > 0) and ((n + 1) * eb - ex > 0)
-        if eb * n * n + low >= work and future_positive:
-            break
-        terms.append(inv_den.mul_monomial(QMonomial(cb ** (n * n), eb * n * n)))
-        n += 1
-        inv_den = over(over(inv_den, cx * cb ** n, ex + n * eb), cx_inv * cb ** n, n * eb - ex)
-    g = (sum_series(terms, work) - 1).mul_monomial(x.inverse())
-    return g.truncate(order)
+    try:
+        total = eulerian_sum(lambda n: base ** (n * n), factors, order + max(x.exp, _R0))
+    except PoleAtOne:
+        raise DegenerateX(f"Pochhammer factor of g({x}, {base}) vanishes")
+    return (total - 1).mul_monomial(x_inv).truncate(order)
 
 
 def universal_g_via_m(x, base, order):

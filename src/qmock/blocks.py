@@ -41,8 +41,14 @@ def _total(terms):
     return terms[0]
 
 
+def _check_diagonal(a, b, c):
+    if a < 1 or c < 1:
+        raise ValueError(f"need a > 0 and c > 0, got {(a, b, c)}")
+
+
 def _g_abc(a, b, c, x, y, base, z1, z0):
     """The double sum of theta-times-m products attached to f_{a,b,c}."""
+    _check_diagonal(a, b, c)
     if b * b <= a * c:
         raise ValueError(f"need b^2 > a*c for positive Appell-Lerch bases, got {(a, b, c)}")
     D = b * b - a * c
@@ -59,6 +65,7 @@ def _g_abc(a, b, c, x, y, base, z1, z0):
 
 def _h_abc(a, b, c, x, y, base, z1, z0):
     """The two-term theta-times-m combination for b divisible by a and c."""
+    _check_diagonal(a, b, c)
     if b % a or b % c:
         raise DivisibilityViolation(f"need a | b and c | b, got {(a, b, c)}")
     ba, bc = b // a, b // c
@@ -74,6 +81,8 @@ def _h_abc(a, b, c, x, y, base, z1, z0):
 
 def _theta_np(n, p, x, y, base):
     """The p-by-p block of theta quotients completing f_{n,n+p,n}."""
+    if n < 1 or p < 1:
+        raise ValueError(f"need n > 0 and p > 0, got {(n, p)}")
     if gcd(n, p) != 1:
         raise ValueError(f"need gcd(n, p) = 1, got {(n, p)}")
     fr = rat(n - 1, 2) % 1
@@ -99,6 +108,7 @@ def _theta_np(n, p, x, y, base):
 
 def _theta_abc(a, b, c, x, y, base):
     """The triple finite sum of theta quotients for b divisible by a and c."""
+    _check_diagonal(a, b, c)
     if b % a or b % c:
         raise DivisibilityViolation(f"need a | b and c | b, got {(a, b, c)}")
     if a * c >= b * b:

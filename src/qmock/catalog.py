@@ -3,10 +3,11 @@ keyed by their DSL names.  Their alternate forms (through g and m) are
 stanzas of the shipped corpus.
 
 Every generator takes a truncation order and returns the exact expansion
-below it.  The Pochhammer product is extended incrementally, one factor
-1 - c*q^k at a time: dividing by it is one pass over the lattice and
-multiplying by it one shifted add, so no factor is ever expanded, and the
-terms are summed once at the end.
+below it from the Eulerian loop ``series.eulerian_sum``, the loop of the
+universal mock theta function g too: the Pochhammer product is extended
+one factor 1 - c*q^k at a time, dividing by it one pass over the lattice
+and multiplying by it one shifted add, and the terms are summed once at
+the end.  The DSL calls a series through ``CatalogEntry.at``.
 """
 
 from __future__ import annotations
@@ -14,11 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from ._rational import rat
 # Unused here, but perfbench/tracer.py's check_bindings probes these three
 # names in this module to confirm its wrappers reach every binding.
 from .appell import appell_m, eval_with_retry, universal_g_eulerian  # noqa: F401
-from .series import QMonomial, QSeries, qpow, sum_series
+from .series import QMonomial, eulerian_sum, qpow
 
 __all__ = [
     "psi3",
@@ -33,57 +33,44 @@ __all__ = [
 ]
 
 
-def _eulerian(order, exponent, first, ks, c, divide=True):
-    """sum_{n >= first} q^exponent(n) * P_n, where P_n is P_(n-1) (1 for
-    n = first) divided by, or if not ``divide`` multiplied by, 1 - c*q^k
-    for each positive k in ks(n)."""
-    order = rat(order)
-    prod = QSeries.one(order)
-    terms = []
-    n = first
-    while exponent(n) < order:
-        for k in ks(n):
-            if k > 0:
-                m = QMonomial(c, k)
-                prod = prod.over_one_minus(m, order) if divide else prod.times_one_minus(m)
-        terms.append(prod.mul_monomial(qpow(exponent(n))))
-        n += 1
-    return sum_series(terms, order)
+def _plus(*ks):
+    """The monomials -q^k of the factors 1 + q^k, k > 0."""
+    return [QMonomial(-1, k) for k in ks if k > 0]
 
 
 def psi3(order):
     """psi(q) = sum_{n >= 1} q^(n^2) / (q; q^2)_n."""
-    return _eulerian(order, lambda n: n * n, 1, lambda n: [2 * n - 1], 1)
+    return eulerian_sum(lambda n: qpow((n + 1) ** 2), lambda n: [qpow(2 * n + 1)], order)
 
 
 def nu3(order):
     """nu(q) = sum_{n >= 0} q^(n(n+1)) / (-q; q^2)_(n+1)."""
-    return _eulerian(order, lambda n: n * (n + 1), 0, lambda n: [2 * n + 1], -1)
+    return eulerian_sum(lambda n: qpow(n * (n + 1)), lambda n: _plus(2 * n + 1), order)
 
 
 def phi3(order):
     """phi(q) = sum_{n >= 0} q^(n^2) / (-q^2; q^2)_n."""
-    return _eulerian(order, lambda n: n * n, 0, lambda n: [2 * n], -1)
+    return eulerian_sum(lambda n: qpow(n * n), lambda n: _plus(2 * n), order)
 
 
 def psibar0(order):
     """psibar0(q) = sum_{n >= 0} q^(2n^2) / (-q; q)_(2n)."""
-    return _eulerian(order, lambda n: 2 * n * n, 0, lambda n: [2 * n - 1, 2 * n], -1)
+    return eulerian_sum(lambda n: qpow(2 * n * n), lambda n: _plus(2 * n - 1, 2 * n), order)
 
 
 def psibar1(order):
     """psibar1(q) = sum_{n >= 0} q^(2n^2 + 2n) / (-q; q)_(2n+1)."""
-    return _eulerian(order, lambda n: 2 * n * n + 2 * n, 0, lambda n: [2 * n, 2 * n + 1], -1)
+    return eulerian_sum(lambda n: qpow(2 * n * n + 2 * n), lambda n: _plus(2 * n, 2 * n + 1), order)
 
 
 def phibar0(order):
     """phibar0(q) = sum_{n >= 0} q^n (-q; q)_(2n+1)."""
-    return _eulerian(order, lambda n: n, 0, lambda n: [2 * n, 2 * n + 1], -1, divide=False)
+    return eulerian_sum(qpow, lambda n: _plus(2 * n, 2 * n + 1), order, divide=False)
 
 
 def phibar1(order):
     """phibar1(q) = sum_{n >= 0} q^n (-q; q)_(2n)."""
-    return _eulerian(order, lambda n: n, 0, lambda n: [2 * n - 1, 2 * n], -1, divide=False)
+    return eulerian_sum(qpow, lambda n: _plus(2 * n - 1, 2 * n), order, divide=False)
 
 
 @dataclass
@@ -94,6 +81,14 @@ class CatalogEntry:
     name: str
     eulerian: Callable
     valuation: int
+
+    def at(self, u, order):
+        """The series at the base monomial u (q -> u) below ``order``."""
+        return self.eulerian(order / u.exp).substitute_monomial(u)
+
+    def start(self, u):
+        """The exponent where the series at the base monomial u starts."""
+        return self.valuation * u.exp
 
 
 CATALOG = {

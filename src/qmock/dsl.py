@@ -98,27 +98,30 @@ class CorpusSyntaxError(QSeriesError):
         super().__init__(f"corpus line {line}: {message}")
 
 
-# name -> (argument slot kinds, module, engine function name).  Slot kinds:
-# m = monomial, b = base (a monomial with positive exponent), r = rational,
-# n = integer, e = expression.  The engine function is looked up in its
-# module when the call is made, so a rebound module attribute takes effect.
-# Rows without a module (the block sums of qmock.blocks, the catalog series,
-# subq, negq) have their own paths in _Plan.
+# name -> (argument slot kinds, engine, start).  Slot kinds: m = monomial,
+# b = base (a monomial with positive exponent), r = rational, n = integer,
+# e = expression.  The engine is an (owner, attribute) pair, looked up when
+# the call is made, so that a rebound attribute takes effect; it is called
+# with the folded arguments and the working order.  The start is a pair
+# (function of the folded arguments, exact): the function gives the exponent
+# where the call's series starts if exact, a lower bound for it otherwise,
+# or None where the series vanishes.  Rows without an engine (the block sums
+# of qmock.blocks, subq, negq) have their own paths in _Plan.
 FUNCTIONS = {
-    "poch_inf": ("mb", theta, "pochhammer_infinite"),
-    "poch_fin": ("mmn", theta, "pochhammer_finite"),
-    "j": ("mb", theta, "jacobi_theta"),
-    "J": ("rr", theta, "J"),
-    "JB": ("rr", theta, "Jbar"),
-    "Jm": ("r", theta, "Jm"),
-    "m": ("mbm", appell, "appell_m"),
-    "f": ("nnnmmb", hecke, "f_abc"),
-    "g": ("mb", appell, "universal_g_eulerian"),
+    "poch_inf": ("mb", (theta, "pochhammer_infinite"), None),
+    "poch_fin": ("mmn", (theta, "pochhammer_finite"), None),
+    "j": ("mb", (theta, "jacobi_theta"), (theta.theta_valuation, True)),
+    "J": ("rr", (theta, "J"), (lambda a, m: theta.theta_valuation(qpow(a), qpow(m)), True)),
+    "JB": ("rr", (theta, "Jbar"), (lambda a, m: theta.theta_valuation(-qpow(a), qpow(m)), True)),
+    "Jm": ("r", (theta, "Jm"), (lambda m: theta.theta_valuation(qpow(m), qpow(3 * m)), True)),
+    "m": ("mbm", (appell, "appell_m"), (appell.appell_m_valuation, False)),
+    "f": ("nnnmmb", (hecke, "f_abc"), None),
+    "g": ("mb", (appell, "universal_g_eulerian"), (appell.universal_g_valuation, False)),
     "g_abc": ("nnnmmbmm", None, None),
     "h_abc": ("nnnmmbmm", None, None),
     "theta_np": ("nnmmb", None, None),
     "theta_abc": ("nnnmmb", None, None),
-    **{name: ("b", None, None) for name in catalog.CATALOG},
+    **{name: ("b", (entry, "at"), (entry.start, True)) for name, entry in catalog.CATALOG.items()},
     "subq": ("er", None, None),
     "negq": ("e", None, None),
 }
@@ -128,6 +131,7 @@ FUNCTIONS = {
 # tokenizer
 
 _SYMBOLS = "+-*/^(),"
+_DIGITS = "0123456789"  # str.isdigit also takes digits such as '²' that int() refuses
 
 
 @dataclass(frozen=True)
@@ -159,9 +163,9 @@ def _tokenize(text):
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(_Token("NUM", text[i:j], line, col))
             col += j - i
@@ -520,17 +524,6 @@ def _val_power(a, k):
     return None if a is None else (a[0] * k, a[1])
 
 
-# the start of each engine function, from its folded arguments, and whether
-# it is exact or a lower bound
-_VALUATIONS = {
-    "j": (theta.theta_valuation, True),
-    "J": (lambda a, m: theta.theta_valuation(qpow(a), qpow(m)), True),
-    "JB": (lambda a, m: theta.theta_valuation(-qpow(a), qpow(m)), True),
-    "Jm": (lambda m: theta.theta_valuation(qpow(m), qpow(3 * m)), True),
-    "m": (appell.appell_m_valuation, False),
-    "g": (appell.universal_g_valuation, False),
-}
-
 _FOLD = {"m": _fold_monomial, "b": _fold_base, "r": _fold_rational, "n": _fold_int}
 
 
@@ -583,14 +576,12 @@ class _Plan:
             return None if val is None or k <= 0 else (val[0] * k, val[1])
         if name == "negq":
             return self.valuation(args[0])
-        if name in catalog.CATALOG:
-            (u,) = self._fold_args(node)
-            return catalog.CATALOG[name].valuation * u.exp, True
         if name in BLOCKS:
             return self.valuation(self._expand(node))
-        if name not in _VALUATIONS:
+        row = FUNCTIONS.get(name)  # an unknown name fails when evaluated
+        if row is None or row[2] is None:
             return None
-        start, exact = _VALUATIONS[name]
+        start, exact = row[2]
         v = start(*self._fold_args(node))
         return None if v is None else (v, exact)
 
@@ -706,12 +697,8 @@ class _Plan:
             raise EvaluationError(f"no evaluator for function {name!r}")
         if name in BLOCKS:
             return self.series(self._expand(node), w)
-        _, module, attr = FUNCTIONS[name]
-        values = self._fold_args(node)
-        if module is None:  # a catalog series at the base monomial u
-            (u,) = values
-            return catalog.CATALOG[name].eulerian(w / u.exp).substitute_monomial(u)
-        return getattr(module, attr)(*values, w)
+        owner, attr = FUNCTIONS[name][1]
+        return getattr(owner, attr)(*self._fold_args(node), w)
 
 
 def _eval(node, order):

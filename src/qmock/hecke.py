@@ -2,18 +2,18 @@
 
 The sum runs over the two quadrants {r,s >= 0} (weight +1) and {r,s < 0}
 (weight -1) with term (-1)^(r+s) x^r y^s b^(a*binom(r,2) + b*r*s + c*binom(s,2)).
-The negative quadrant is enumerated through (r,s) = (-1-u, -1-v) so both
-code paths iterate over nonnegative indices.  For each row the admissible
-column window is solved exactly from the convex exponent function, giving an
-output-sensitive enumeration that provably drops no term.
+Only the first quadrant is enumerated: by the flip identity
+f(x, y) = -b^(a+b+c)/(xy) f(b^(2a+b)/x, b^(2c+b)/y) (Hickerson-Mortenson,
+Proc. LMS 109, 2014) the second is the first at the flipped arguments,
+shifted and scaled.  For each row the admissible column window is solved
+exactly from the convex exponent function, giving an output-sensitive
+enumeration that provably drops no term.
 """
 
 from __future__ import annotations
 
-from math import lcm
-
 from ._rational import RAT, rat, floor
-from .series import QSeries, as_triple, lattice_series, triple_mul, triple_pow
+from .series import QSeries, as_triple, exponent_grid, lattice_series, triple_mul, triple_pow
 from .theta import as_base
 
 __all__ = ["f_abc", "f_abc_via_quadrants"]
@@ -33,72 +33,66 @@ def f_abc(a, b, c, x, y, base, order):
     _check_params(a, b, c)
     base = as_base(base)
     order = rat(order)
-    exps = (base.exp, x.exp, y.exp)
-    L = lcm(*[int(e.denominator) for e in exps])
-    grid = [int(e.numerator) * (L // int(e.denominator)) for e in exps]
+    L, eb, ex, ey = exponent_grid(base, x, y)
+    cb, cx, cy = [as_triple(m.coeff) for m in (base, x, y)]
     # an exponent E/L lies below the order when E*od < on*L
-    bound = (int(order.numerator) * L, int(order.denominator))
-    coeffs = [as_triple(m.coeff) for m in (base, x, y)]
-    points = []
-    for negative in (False, True):
-        _accumulate_quadrant(points, a, b, c, grid, coeffs, bound, negative)
+    top, od = int(order.numerator) * L, int(order.denominator)
+    points = _quadrant(a, b, c, (eb, ex, ey), (cb, cx, cy), top, od)
+    # r, s < 0: the first quadrant at x' = b^(2a+b)/x and y' = b^(2c+b)/y,
+    # times the flip monomial -b^(a+b+c)/(xy) = scale*q^(shift/L)
+    shift = (a + b + c) * eb - ex - ey
+    sr, si, sd = triple_mul(triple_pow(cb, a + b + c), triple_pow(triple_mul(cx, cy), -1))
+    flipped = _quadrant(a, b, c, (eb, (2 * a + b) * eb - ex, (2 * c + b) * eb - ey),
+                        (cb, triple_mul(triple_pow(cb, 2 * a + b), triple_pow(cx, -1)),
+                         triple_mul(triple_pow(cb, 2 * c + b), triple_pow(cy, -1))),
+                        top - shift * od, od)
+    points += [(e + shift, triple_mul(v, (-sr, -si, sd))) for e, v in flipped]
     return lattice_series(L, points, order)
 
 
-def _accumulate_quadrant(points, a, b, c, grid, coeffs, bound, negative):
-    """Append (exponent times L, coefficient) for the quadrant's terms below
-    the bound; exponents are integers on the grid of f_abc."""
+def _quadrant(a, b, c, grid, coeffs, top, od):
+    """(E, coefficient) for the terms with r, s >= 0 whose exponent E/L lies
+    below top/(od*L), for the exponents grid = (eb, ex, ey) of the base, x
+    and y times L and their coefficients (re, im, den)."""
     eb, ex, ey = grid
     cb, cx, cy = coeffs
-    top, od = bound
 
-    def rs(u, v):
-        return (-1 - u, -1 - v) if negative else (u, v)
-
-    def int_exp(u, v):
-        r, s = rs(u, v)
+    def int_exp(r, s):
         return a * (r * (r - 1)) // 2 + b * r * s + c * (s * (s - 1)) // 2
 
-    def exponent(u, v):
-        r, s = rs(u, v)
-        return eb * int_exp(u, v) + ex * r + ey * s
+    def exponent(r, s):
+        return eb * int_exp(r, s) + ex * r + ey * s
 
-    def coeff(u, v):
-        r, s = rs(u, v)
+    def coeff(r, s):
         val = triple_mul(triple_mul(triple_pow(cx, r), triple_pow(cy, s)),
-                         triple_pow(cb, int_exp(u, v)))
-        if ((r + s) & 1) != negative:
-            val = (-val[0], -val[1], val[2])
-        return val
+                         triple_pow(cb, int_exp(r, s)))
+        return (-val[0], -val[1], val[2]) if (r + s) & 1 else val
 
-    # floor of the column vertex for fixed row u, and the row index beyond
-    # which the exponent increases in u for every column
-    if negative:
-        def col_vertex(u):  # (ey - eb*b*(u+1)) / (eb*c) - 3/2
-            return (2 * (ey - eb * b * (u + 1)) - 3 * eb * c) // (2 * eb * c)
-        row_limit = (2 * ex - 3 * eb * a) // (2 * eb * a)  # ex/(eb*a) - 3/2
-    else:
-        def col_vertex(u):  # 1/2 - (eb*b*u + ey)/(eb*c)
-            return (eb * c - 2 * (eb * b * u + ey)) // (2 * eb * c)
-        row_limit = (eb * a - 2 * ex) // (2 * eb * a)  # 1/2 - ex/(eb*a)
+    def col_vertex(r):  # floor(1/2 - (eb*b*r + ey)/(eb*c)), where row r is least
+        return (eb * c - 2 * (eb * b * r + ey)) // (2 * eb * c)
 
-    def row_below(u):
-        vf = max(0, col_vertex(u))
-        return min(exponent(u, vf), exponent(u, vf + 1)) * od < top
+    # past this row the exponent increases in r for every column
+    row_limit = (eb * a - 2 * ex) // (2 * eb * a)  # floor(1/2 - ex/(eb*a))
 
-    u = 0
-    while row_below(u) or u <= row_limit:
-        if row_below(u):
-            v0 = max(0, col_vertex(u))
-            v = v0
-            while v >= 0 and exponent(u, v) * od < top:
-                points.append((exponent(u, v), coeff(u, v)))
-                v -= 1
-            v = v0 + 1
-            while exponent(u, v) * od < top:
-                points.append((exponent(u, v), coeff(u, v)))
-                v += 1
-        u += 1
+    def row_below(r):
+        vf = max(0, col_vertex(r))
+        return min(exponent(r, vf), exponent(r, vf + 1)) * od < top
+
+    points = []
+    r = 0
+    while row_below(r) or r <= row_limit:
+        if row_below(r):
+            s0 = max(0, col_vertex(r))
+            s = s0
+            while s >= 0 and exponent(r, s) * od < top:
+                points.append((exponent(r, s), coeff(r, s)))
+                s -= 1
+            s = s0 + 1
+            while exponent(r, s) * od < top:
+                points.append((exponent(r, s), coeff(r, s)))
+                s += 1
+        r += 1
+    return points
 
 
 def f_abc_via_quadrants(a, b, c, x, y, base, order):

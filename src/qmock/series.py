@@ -772,6 +772,33 @@ def sum_series(parts, precision=None):
     return _sum_lattices([(s._L, s._lo, s._step, s._re, s._im, s._den) for s in live], p)
 
 
+def eulerian_sum(weight, factors, order, divide=True):
+    """sum_{n >= 0} weight(n) * P_n below ``order``.
+
+    P_n is P_(n-1) (the exact 1 for n = 0) divided by, or if not
+    ``divide`` multiplied by, 1 - m for each monomial m in factors(n), and
+    kept below the order; the weights are monomials.  The sum stops at the
+    first term that starts at or past the order while every later factor
+    has a positive exponent, which requires the exponents of the weights
+    and of the factors not to fall as n grows.  The terms are summed once
+    at the end."""
+    order = rat(order)
+    prod = QSeries.one()
+    terms = []
+    n, step = 0, factors(0)
+    while True:
+        for m in step:
+            prod = prod.over_one_minus(m, order) if divide \
+                else prod.truncate(order).times_one_minus(m)
+        w, step = weight(n), factors(n + 1)
+        low = prod.low_degree()
+        if w.exp + (low if low is not None else _R0) >= order \
+                and all([m.exp > 0 for m in step]):
+            return sum_series(terms, order)
+        terms.append(prod.mul_monomial(w))
+        n += 1
+
+
 def geometric_runs(L, runs, precision):
     """The sum of lead*ratio^j*q^((x + s*j)/L) over j >= 0 and the ``runs``
     (x, s, lead, ratio), s > 0, below ``precision``; lead and ratio are

@@ -4,7 +4,9 @@ The base of every function here is a monomial b = c*q^e with e > 0, so that
 specializations such as q -> q^8 or q -> -q^3 are uniform: powers of the base
 twist the coefficient by c^k and scale the exponent by e*k.
 
-j is computed from its bilateral sum (quadratic exponent growth gives
+The finite and the infinite Pochhammer products come from one loop that
+multiplies in their factors 1 - c*q^k, one shifted add each.  j is
+computed from its bilateral sum (quadratic exponent growth gives
 O(sqrt(order)) terms); the triple-product form is kept as an independent
 cross-check.
 """
@@ -47,6 +49,19 @@ def as_base(b):
     return qpow(rat(b))
 
 
+def _product(factors, order):
+    """The product of 1 - m over the monomials ``factors``: exact for
+    ``order`` None, else formed below the order raised by the factors'
+    negative exponents, which is what they erode, and truncated to it."""
+    if order is None:
+        out = QSeries.one()
+    else:
+        out = QSeries.one(order - sum([m.exp for m in factors if m.exp < 0], _R0))
+    for m in factors:
+        out = out.times_one_minus(m)
+    return out if order is None else out.truncate(order)
+
+
 def pochhammer_finite(x, base, n, order=None):
     """(x; b)_n: the exact finite product of (1 - x*b^i), i < n.
 
@@ -56,47 +71,28 @@ def pochhammer_finite(x, base, n, order=None):
     if n < 0:
         raise ValueError(f"pochhammer length must be nonnegative, got {n}")
     base = as_base(base)
-    if order is None:
-        out = QSeries.one(None)
-        for i in range(n):
-            out = out.times_one_minus(x * (base ** i))
-        return out
-    order = rat(order)
-    factors = [x * (base ** i) for i in range(n)]
-    guard = -sum((f.exp for f in factors if f.exp < 0), _R0)
-    work = order + guard
-    out = QSeries.one(work)
-    for f in factors:
-        out = out.times_one_minus(f)
-    return out.truncate(order)
+    return _product([x * base ** i for i in range(n)], None if order is None else rat(order))
 
 
 def pochhammer_infinite(x, base, order):
-    """(x; b)_inf truncated below ``order``; factors past the order are 1."""
+    """(x; b)_inf truncated below ``order``.  The factors with negative
+    exponents lower the product's start by their sum, so the factors from
+    the order raised by that sum on are 1 there."""
     base = as_base(base)
     order = rat(order)
     if base.exp <= 0:
         raise DivergentProduct(
             f"infinite product needs a base with positive exponent, got {base}"
         )
-    # factors with negative exponents erode precision; inflate to compensate
-    guard = _R0
-    e = x.exp
-    while e <= 0:
-        if e < 0:
-            guard -= e
+    top, e = order, x.exp
+    while e < 0:
+        top -= e
         e += base.exp
-    work = order + guard
-    out = QSeries.one(work)
-    i = 0
-    f = x
-    while f.exp < work:
-        if f.exp == 0 and f.coeff == GR_ONE:
-            return QSeries.zero(order)  # a factor (1 - q^0) kills the product
-        out = out.times_one_minus(f)
-        i += 1
-        f = x * (base ** i)
-    return out.truncate(order)
+    factors, f = [], x
+    while f.exp < top:
+        factors.append(f)
+        f = f * base
+    return _product(factors, order)
 
 
 def theta_valuation(x, base):
@@ -164,21 +160,17 @@ def jacobi_theta_product(x, base, order):
     return (a1 * a2 * a3).truncate(order)
 
 
-def J(a, m, order, base=None):
-    """J_{a,m} = j(q^a; q^m), under an optional base substitution."""
-    b = as_base(m) if base is None else base ** rat(m)
-    x = qpow(a) if base is None else base ** rat(a)
-    return jacobi_theta(x, b, order)
+def J(a, m, order):
+    """J_{a,m} = j(q^a; q^m)."""
+    return jacobi_theta(qpow(a), as_base(m), order)
 
 
-def Jbar(a, m, order, base=None):
+def Jbar(a, m, order):
     """J-bar_{a,m} = j(-q^a; q^m)."""
-    b = as_base(m) if base is None else base ** rat(m)
-    x = -(qpow(a) if base is None else base ** rat(a))
-    return jacobi_theta(x, b, order)
+    return jacobi_theta(-qpow(a), as_base(m), order)
 
 
-def Jm(m, order, base=None):
+def Jm(m, order):
     """J_m = (q^m; q^m)_inf, computed as J_{m,3m} (Euler pentagonal series)."""
     m = rat(m)
-    return J(m, 3 * m, order, base=base)
+    return J(m, 3 * m, order)

@@ -9,7 +9,7 @@ package's series engine, so agreement is a two-sided check.
 from fractions import Fraction
 from math import gcd
 
-from qmock import appell, catalog, dsl
+from qmock import appell, catalog, dsl, hecke, theta
 from qmock._rational import as_int, rat
 from qmock.series import (
     DegenerateDenominator,
@@ -24,7 +24,7 @@ from qmock.series import (
     qpow,
     unit_fraction_expand,
 )
-from qmock.theta import Jm, as_base, jacobi_theta, theta_valuation
+from qmock.theta import as_base, jacobi_theta, theta_valuation
 
 
 def poly_mul(a, b, bound=None):
@@ -51,6 +51,21 @@ def product_side_pochhammer(x_coeff, x_exp, base_exp, order):
         out = poly_mul(out, factor, bound=order)
         i += 1
     return out
+
+
+def pochhammer_pairwise(x_coeff, x_exp, base_exp, order):
+    """(x; q^base)_inf below ``order`` for any exponent of x: the factors
+    are multiplied in one at a time, the product truncated at the order
+    once the factors' exponents are nonnegative, and a factor that starts
+    at or past the order less the product's least exponent ends it."""
+    out = poly_one()
+    k = Fraction(x_exp)
+    while out and k < order - min(out):
+        factor = {Fraction(0): Fraction(1)}
+        factor[k] = factor.get(k, 0) - Fraction(x_coeff)
+        out = poly_mul(out, factor, bound=order if k >= 0 else None)
+        k += base_exp
+    return {e: c for e, c in out.items() if e < order}
 
 
 def bilateral_theta(x_coeff, x_exp, base_exp, order, span=200):
@@ -101,6 +116,45 @@ def assert_dict_eq(got, want, bound):
             assert got.get(e, 0) == want.get(e, 0), (
                 f"coefficient mismatch at q^{e}: {got.get(e, 0)} != {want.get(e, 0)}"
             )
+
+
+# -- the Eulerian catalog series, term by term -------------------------------------
+#
+# name -> (first n, exponent of term n, c, k0, step, length(n), divide): term n
+# is q^exponent(n) divided by, or if not divide multiplied by, the product
+# (c*q^k0; q^step)_length(n).
+
+CATALOG_SERIES = {
+    "psi": (1, lambda n: n * n, 1, 1, 2, lambda n: n, True),
+    "nu": (0, lambda n: n * (n + 1), -1, 1, 2, lambda n: n + 1, True),
+    "phi": (0, lambda n: n * n, -1, 2, 2, lambda n: n, True),
+    "psibar0": (0, lambda n: 2 * n * n, -1, 1, 1, lambda n: 2 * n, True),
+    "psibar1": (0, lambda n: 2 * n * n + 2 * n, -1, 1, 1, lambda n: 2 * n + 1, True),
+    "phibar0": (0, lambda n: n, -1, 1, 1, lambda n: 2 * n + 1, False),
+    "phibar1": (0, lambda n: n, -1, 1, 1, lambda n: 2 * n, False),
+}
+
+
+def catalog_pairwise(name, order):
+    """The catalog series ``name`` below ``order``: each term's product
+    multiplied out factor by factor, inverted by long division where it
+    divides, and the terms added one at a time."""
+    first, exponent, c, k0, step, length, divide = CATALOG_SERIES[name]
+    out = {}
+    n = first
+    while exponent(n) < order:
+        bound = order - exponent(n)
+        prod = poly_one()
+        for i in range(length(n)):
+            prod = poly_mul(prod, {Fraction(0): Fraction(1), Fraction(k0 + i * step): -Fraction(c)},
+                            bound=bound)
+        if divide:
+            prod = long_division_invert(prod, bound)
+        for e, v in prod.items():
+            if e < bound:
+                out[e + exponent(n)] = out.get(e + exponent(n), Fraction(0)) + v
+        n += 1
+    return {e: v for e, v in out.items() if v}
 
 
 # -- reference for the operations other than products ------------------------
@@ -399,14 +453,31 @@ def _retry_call(node, w):
         return _retry_eval(args[0], w / k).substitute_power(k)
     if name == "negq":
         return _retry_eval(args[0], w).negate_base()
-    kinds, module, attr = dsl.FUNCTIONS[name]
-    values = [dsl._FOLD[kind](arg) for kind, arg in zip(kinds, args)]
+    values = [dsl._FOLD[kind](arg) for kind, arg in zip(dsl.FUNCTIONS[name][0], args)]
     if name in BLOCKS:
         return BLOCKS[name](*values, w)
-    if module is None:
-        (u,) = values
-        return catalog.CATALOG[name].eulerian(w / u.exp).substitute_monomial(u)
-    return getattr(module, attr)(*values, w)
+    return _ENGINES[name](*values, w)
+
+
+def _catalog_at(name):
+    return lambda u, w: catalog.CATALOG[name].eulerian(w / u.exp).substitute_monomial(u)
+
+
+# the retry evaluator's own map from a DSL name to the function it calls
+# with the folded arguments and the working order, blocks, subq and negq
+# aside
+_ENGINES = {
+    "poch_inf": theta.pochhammer_infinite,
+    "poch_fin": theta.pochhammer_finite,
+    "j": jacobi_theta,
+    "J": theta.J,
+    "JB": theta.Jbar,
+    "Jm": theta.Jm,
+    "m": appell.appell_m,
+    "f": hecke.f_abc,
+    "g": appell.universal_g_eulerian,
+    **{name: _catalog_at(name) for name in catalog.CATALOG},
+}
 
 
 # -- the hand-coded block sums -------------------------------------------------
@@ -422,6 +493,11 @@ def _retry_call(node, w):
 def binom2(t):
     """t*(t-1)/2 for a rational t."""
     return t * (t - 1) / 2
+
+
+def _jm(m, base, order):
+    """J_m at the base: j(b^m; b^(3m))."""
+    return jacobi_theta(base ** m, base ** (3 * m), order)
 
 
 def _theta_or_degenerate(x, base, order, exc=DegenerateZ):
@@ -493,7 +569,7 @@ def theta_np(n, p, x, y, base, order):
     N_mid = n * p * p
 
     def build(work):
-        j_big3 = Jm(N_big, work, base=base) ** 3
+        j_big3 = _jm(N_big, base, work) ** 3
         jbar0 = _theta_or_degenerate(-(base ** 0), base ** N_bar, work, exc=DegenerateDenominator)
         total = QSeries.zero(work)
         for rs in range(p):
@@ -546,7 +622,7 @@ def theta_abc(a, b, c, x, y, base, order):
     cb2 = a * binom2(rat(ba))
 
     def build(work):
-        jM3 = Jm(M, work, base=base) ** 3
+        jM3 = _jm(M, base, work) ** 3
         total = QSeries.zero(work)
         for d in range(bc):
             for e in range(ba):
@@ -593,7 +669,7 @@ def msplit_rhs(n, x, base, z, zp, order):
             m_arg = -bn * (base ** (-n * r)) * ((-x) ** n)
             part = appell.appell_m(m_arg, base_n2, zp, work - min(shift.exp, 0))
             total = total + part.mul_monomial(shift).truncate(work)
-        jn3 = Jm(n, work, base=base) ** 3
+        jn3 = _jm(n, base, work) ** 3
         jxz = _theta_or_degenerate(x * z, base, work, exc=DegenerateDenominator)
         jzp = _theta_or_degenerate(zp, base_n2, work, exc=DegenerateDenominator)
         corr = QSeries.zero(work)

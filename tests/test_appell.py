@@ -356,6 +356,17 @@ class TestBlockDecompositions:
         out = theta_np(1, 1, x, y, qpow(1), 15)
         assert out.precision >= 15
 
+    def test_parameters_must_be_positive(self):
+        x, y = qpow(R(1, 3)), qpow(R(1, 5))
+        calls = [lambda: g_abc(0, 1, 1, x, y, qpow(1), M1, M1, 5),
+                 lambda: h_abc(1, 1, 0, x, y, qpow(1), M1, M1, 5),
+                 lambda: theta_abc(0, 1, 1, x, y, qpow(1), 5),
+                 lambda: theta_np(1, 0, x, y, qpow(1), 5),
+                 lambda: theta_np(0, 1, x, y, qpow(1), 5)]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"need [acnp] > 0 and [acnp] > 0"):
+                call()
+
     def test_h_requires_divisibility(self):
         with pytest.raises(DivisibilityViolation):
             h_abc(3, 5, 3, qpow(R(1, 7)), qpow(R(3, 7)), qpow(1), M1, M1, 10)

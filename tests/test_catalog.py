@@ -20,7 +20,7 @@ from qmock.cli import shipped_corpus_path
 from qmock.dsl import parse_corpus, verify_identity
 from qmock.series import FractionalExponent, QSeries, mono
 
-from oracles import poly_mul, poly_one, series_to_dict
+from oracles import catalog_pairwise, poly_mul, poly_one, series_to_dict
 
 
 def _eulerian_psi_reference(order):
@@ -62,6 +62,16 @@ class TestLeadingTerms:
 
     def test_psibar0(self):
         assert series_to_dict(psibar0(7)) == {0: 1, 2: 1, 3: -1, 6: 1}
+
+
+class TestAgainstPairwiseReference:
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_generator(self, name):
+        # the shared Eulerian loop against each term expanded on its own
+        for order in (Fraction(-1, 2), 0, 1, Fraction(7, 2), 25, Fraction(101, 3)):
+            got = CATALOG[name].eulerian(order)
+            assert got.precision == order, (name, order)
+            assert series_to_dict(got) == catalog_pairwise(name, order), (name, order)
 
 
 ALTERNATE_STANZAS = {

@@ -60,6 +60,11 @@ class TestExpand:
         assert code == 2
         assert "syntax" in err
 
+    def test_non_ascii_digit_exit_2(self, capsys):
+        code, _, err = run(capsys, "expand", "q^\u00b2", "--order", "5")
+        assert code == 2
+        assert "line 1, column 3: unexpected character '\u00b2'" in err
+
     def test_eval_error_exit_3(self, capsys):
         code, _, err = run(capsys, "expand", "m(1,q,1)", "--order", "5")
         assert code == 3
@@ -180,6 +185,29 @@ class TestCorpus:
                 "sum-400": "PASS", "sum-1200": "ERROR",
             }
             assert reports["sum-1200"]["detail"].startswith("RecursionError")
+
+    def test_bad_block_stanza_errors_alone(self, capsys, tmp_path):
+        # theta_np with p = 0 has no cells to sum
+        stanza = ('\n[identity bad-block]\nanchor = "x"\norder = 5\n'
+                  'lhs = theta_np(1,0,q^(1/3),q^(1/5),q)\nrhs = 1\n')
+        path = tmp_path / "block.qid"
+        path.write_text(FAILING_CORPUS + stanza)
+        for jobs in ("1", "2"):
+            code, out, _ = run(capsys, "corpus", str(path), "--json", "--stable", "--jobs", jobs)
+            assert code == 1
+            reports = {r["id"]: r for r in json.loads(out)}
+            assert {i: r["status"] for i, r in reports.items()} == {
+                "pass-1": "PASS", "pass-2": "PASS", "planted": "FAIL", "bad-block": "ERROR",
+            }
+            assert reports["bad-block"]["detail"] == "ValueError: need n > 0 and p > 0, got (1, 0)"
+
+    def test_non_ascii_digit_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "digit.qid"
+        path.write_text(SMALL_CORPUS
+                        + '\n[identity sup]\nanchor = "x"\norder = 5\nlhs = \u00b2 * q\nrhs = q\n')
+        code, out, err = run(capsys, "corpus", str(path))
+        assert code == 2 and not out
+        assert "'sup'" in err and "line 1, column 1: unexpected character '\u00b2'" in err
 
     @pytest.mark.parametrize("order", BAD_ORDERS)
     def test_bad_order_exit_2(self, capsys, order):

@@ -68,6 +68,14 @@ class TestParse:
             parse("q^(1/2")
         assert err.value.col == 7
 
+    @pytest.mark.parametrize("text, col", [("q^\u00b2", 3), ("\u00b2 * q", 1), ("J(1, 2\u0663)", 7)])
+    def test_only_ascii_digits(self, text, col):
+        # str.isdigit takes these; int() refuses the first two and reads
+        # the Arabic-Indic 3 as 3
+        with pytest.raises(ExpressionSyntaxError, match="unexpected character") as err:
+            parse(text)
+        assert (err.value.line, err.value.col) == (1, col)
+
     def test_unknown_function(self):
         with pytest.raises(UnknownFunction):
             parse("zeta(3)")

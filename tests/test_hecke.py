@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from qmock.hecke import f_abc, f_abc_via_quadrants
-from qmock.series import QSeries, mono, qpow
+from qmock.series import GaussianRational, QSeries, mono, qpow
 from qmock.theta import Jm, jacobi_theta
 from qmock.catalog import psi3
 
@@ -34,6 +34,31 @@ class TestAgainstQuadrantOracle:
             lhs = f_abc(a, b, c, x, y, base, 30)
             rhs = f_abc_via_quadrants(a, b, c, x, y, base, 30)
             assert lhs.agrees_with(rhs), (a, b, c, x, y, base)
+
+    def test_fuzz_value_and_precision(self):
+        # the quadrant r, s < 0 comes from the flip identity; the oracle
+        # sums the whole rectangle
+        rnd = random.Random(9191)
+        coeffs = [1, -1, 2, R(1, 2), R(-3, 2), GaussianRational(0, 1),
+                  GaussianRational(1, 1), GaussianRational(R(1, 3), R(-2, 3))]
+        bases = [qpow(1), mono(-1, 1), qpow(R(1, 2))]
+        reaching = 0
+        for _ in range(320):
+            a, c, b = rnd.randint(1, 3), rnd.randint(1, 3), rnd.randint(0, 5)
+            x = mono(rnd.choice(coeffs), R(rnd.randint(-4, 5), rnd.choice([1, 2, 3, 5])))
+            y = mono(rnd.choice(coeffs), R(rnd.randint(-4, 5), rnd.choice([1, 2, 3, 5])))
+            base = rnd.choice(bases)
+            order = R(rnd.randint(-3, 12), rnd.choice([1, 1, 2, 3]))
+            got = f_abc(a, b, c, x, y, base, order)
+            want = f_abc_via_quadrants(a, b, c, x, y, base, order)
+            spec = (a, b, c, x, y, base, order)
+            assert got.precision == want.precision == order, spec
+            assert got.terms == want.terms, spec
+            reaching += any(
+                base.exp * (a * r * (r - 1) / 2 + b * r * s + c * s * (s - 1) / 2)
+                + x.exp * r + y.exp * s < order
+                for r in range(-8, 0) for s in range(-8, 0))
+        assert reaching >= 50
 
     def test_fractional_negated_base_point(self):
         args = (3, 5, 3, qpow(R(5, 4)), mono(-1, R(5, 4)), mono(-1, R(1, 2)))

@@ -20,6 +20,7 @@ from qmock.theta import (
 from oracles import (
     assert_dict_eq,
     bilateral_theta,
+    pochhammer_pairwise,
     poly_mul,
     poly_one,
     product_side_pochhammer,
@@ -84,6 +85,22 @@ class TestPochhammerInfinite:
             out = pochhammer_infinite(mono(c, e), qpow(b), order)
             assert out.precision == order
             assert series_to_dict(out) == product_side_pochhammer(c, e, b, order)
+
+    def test_negative_exponents_and_unit_factor(self):
+        rnd = random.Random(273)
+        units = 0
+        for _ in range(80):
+            c = rnd.choice([1, -1, 2, Fraction(-1, 2), Fraction(3, 5)])
+            b = Fraction(rnd.randint(1, 4), rnd.choice([1, 2]))
+            e = Fraction(rnd.randint(-8, 2), rnd.choice([1, 2, 3]))
+            if rnd.random() < 0.25:  # one factor is 1 - q^0
+                c, e = 1, -b * rnd.randint(0, 3)
+                units += 1
+            order = Fraction(rnd.randint(-4, 14), rnd.choice([1, 2]))
+            out = pochhammer_infinite(mono(c, e), qpow(b), order)
+            assert out.precision == order, (c, e, b, order)
+            assert series_to_dict(out) == pochhammer_pairwise(c, e, b, order), (c, e, b, order)
+        assert units >= 10
 
     def test_distinct_parts(self):
         out = pochhammer_infinite(mono(-1, 1), qpow(1), 4)
@@ -191,15 +208,6 @@ class TestNamedSpecializations:
     def test_substitute_power_matches_rebased_product(self):
         j1 = Jm(1, 10)
         assert j1.substitute_power(3).agrees_with(Jm(3, 30))
-
-    def test_rebased_J_kwarg(self):
-        # J(a, m, base=B) computes j(B^a; B^m)
-        B = mono(-1, Fraction(1, 2))
-        direct = jacobi_theta(B ** 1, B ** 2, 15)
-        assert J(1, 2, 15, base=B).agrees_with(direct)
-        assert Jm(2, 15, base=B).agrees_with(
-            jacobi_theta(B ** 2, B ** 6, 15)
-        )
 
     def test_order_monotonicity_across_theta_layer(self):
         x, b = mono(-1, Fraction(2, 7)), qpow(1)
