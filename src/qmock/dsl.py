@@ -809,18 +809,25 @@ def verify_identity(record):
 # corpus file format
 
 def parse_order(text):
-    """A positive rational order written n or p/r; ValueError otherwise."""
+    """A positive rational order written n or p/r in ASCII digits, each
+    optionally signed; ValueError otherwise."""
+    p, slash, r = text.partition("/")
     try:
-        if "/" in text:
-            p, _, r = text.partition("/")
-            value = rat(int(p), int(r))
-        else:
-            value = rat(int(text))
+        value = rat(_ascii_int(p), _ascii_int(r)) if slash else rat(_ascii_int(text))
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"bad order {text!r}") from None
     if value <= 0:
         raise ValueError("order must be positive")
     return value
+
+
+def _ascii_int(text):
+    """int(text) for an optional sign and ASCII digits only: int() also
+    takes underscores, spaces and other scripts' digits."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    return int(text)
 
 
 def parse_corpus(text):

@@ -17,18 +17,28 @@ no factor with all the numerators, and no slot lies at or past the
 precision.  So sums place all their terms on one grid and add the vectors,
 shifts and substitutions move the grid and scale the vectors, truncation
 slices, and products (with Newton inversion through them) convolve the
-vectors: one big-int product of their Kronecker-packed forms, or a loop over
-the term pairs when the product is tiny or its lattice much longer than its
-terms.  A factor 1 - c*q^k is never expanded: multiplying by it is one
-shifted add, and dividing by it one pass over the lattice.  No rational
-number is built per term.  ``QSeries.terms`` is a read-only view
-{exponent: GaussianRational} of the same series, boxed when first read.
+vectors; an exact one-term factor only shifts and scales the other.  A
+convolution is either a loop over the term pairs or one big-int product of
+the Kronecker-packed vectors, whichever a fixed cost rule, weighing the term
+pairs and their bits against the packed bytes, finds cheaper.  A slot of at
+most 8 bytes is widened to 1, 2, 4 or 8 bytes and packed and unpacked in
+two's complement through a machine ``array``, with no Python work per slot;
+wider slots, and every slot on a big-endian machine, go through a per-slot
+codec with the same offset arithmetic.  A factor 1 - c*q^k is never
+expanded: multiplying by it is one shifted add, and dividing by it one pass
+over the lattice, which for c = 1 or -1 is one list map per block of k
+slots, or one running sum per residue class mod k when the blocks are
+shorter than they are many.  No rational number is built per term.
+``QSeries.terms`` is a read-only view {exponent: GaussianRational} of the
+same series, boxed when first read.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
-from itertools import chain, compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from math import gcd, lcm
 from operator import add, neg, or_, sub
 from types import MappingProxyType
@@ -433,6 +443,11 @@ class QSeries:
             return self.mul_monomial(other)
         if not isinstance(other, QSeries):
             other = QSeries.constant(other)
+        # an exact one-term factor shifts and scales the other's lattice
+        for a, t in ((self, other), (other, self)):
+            if t.precision is None and len(t._re) == 1:
+                return a._times_term(_ratio(t._lo, t._L), t._lo, t._L, t._re[0],
+                                     0 if t._im is None else t._im[0], t._den)
         la = self.low_degree()
         lb = other.low_degree()
         # min(a.prec + lowdeg(b), b.prec + lowdeg(a)); None means unbounded
@@ -462,13 +477,17 @@ class QSeries:
     __rmul__ = __mul__
 
     def mul_monomial(self, m):
-        p = None if self.precision is None else self.precision + m.exp
+        e = m.exp
+        return self._times_term(e, int(e.numerator), int(e.denominator), *as_triple(m.coeff))
+
+    def _times_term(self, e, en, ed, cr, ci, cd):
+        """self * (cr + ci*i)/cd * q^e for e = en/ed: the lattice shifted and
+        scaled, with the precision of the product by the exact term."""
+        p = None if self.precision is None else self.precision + e
         if not self._re:
             return QSeries.zero(p)
-        en, ed = int(m.exp.numerator), int(m.exp.denominator)
         L = lcm(self._L, ed)
         lo, step = _on_grid(self, L)
-        cr, ci, cd = as_triple(m.coeff)
         re, im = _scale(self._re, self._im, cr, ci)
         return _make(L, lo + en * (L // ed), step, re, im, self._den * cd, p)
 
@@ -851,6 +870,8 @@ def _divide_pass(re, im, stride, cr, ci, cd):
     for the numerator vectors v = (re, im), im None only when v and c are
     real.  Block j of ``stride`` slots is v_j*cd^j + (cr + ci*i)*t_(j-1)
     over cd^j; the blocks come back as vectors over cd^J, J the last."""
+    if not ci and cd == 1 and cr in (1, -1):
+        return _divide_unit(re, stride, cr), None if im is None else _divide_unit(im, stride, cr)
     tr, ti = re[:stride], None if im is None else im[:stride]
     blocks_r, blocks_i = [tr], [ti]
     scale = 1
@@ -864,6 +885,33 @@ def _divide_pass(re, im, stride, cr, ci, cd):
         blocks_i.append(ti)
     return (_rescale(blocks_r, len(re), stride, cd),
             None if ti is None else _rescale(blocks_i, len(re), stride, cd))
+
+
+def _divide_unit(v, stride, c):
+    """t_i = v_i + c*t_(i - stride) for c = 1 or -1: one map over each
+    block when the blocks are fewer than their slots, else one running sum
+    over each residue class mod ``stride``, whose odd places are negated
+    before and after the sum for c = -1."""
+    n = len(v)
+    if stride * stride > n:
+        op = add if c == 1 else sub
+        t = v[:stride]
+        blocks = [t]
+        for j0 in range(stride, n, stride):
+            t = list(map(op, v[j0:j0 + stride], t))
+            blocks.append(t)
+        return list(chain.from_iterable(blocks))
+    out = [0] * n
+    for r in range(stride):
+        if c == 1:
+            out[r::stride] = accumulate(v[r::stride])
+        else:
+            t = v[r::stride]
+            t[1::2] = map(neg, t[1::2])
+            t = list(accumulate(t))
+            t[1::2] = map(neg, t[1::2])
+            out[r::stride] = t
+    return out
 
 
 def _rescale(blocks, n, stride, cd):
@@ -1024,20 +1072,40 @@ def _twist(re, im, w):
 
 def _convolution(a, b, count):
     """The first ``count`` slots of the convolution of two numerator vector
-    pairs (re, im or None): a loop over the term pairs when they are few
-    against the slots, else one Kronecker product."""
+    pairs (re, im or None): a loop over the term pairs when they cost less
+    than the packed big-int product, else one Kronecker product."""
     a, b = _cut(a, count), _cut(b, count)
-    if _nonzero(a) * _nonzero(b) <= _TINY_PAIRS + _PAIRS_PER_SLOT * count:
+    pairs = _nonzero(a) * _nonzero(b)
+    # the rule below takes the pair loop whenever this holds, as 4*wb is
+    # more than the narrower factor's bits: a long sparse lattice skips
+    # the scans for the widths
+    if 4 * _PAIR_COST * pairs <= _BYTE_COST * count:
         return _convolve(a, b, count)
-    return _kronecker(a, b, count)
+    (ra, xa), (rb, xb) = a, b
+    big_a = max(map(abs, ra if xa is None else ra + xa)).bit_length()
+    big_b = max(map(abs, rb if xb is None else rb + xb)).bit_length()
+    # |coefficient| <= 2 * min(len) * max|a| * max|b| < 2^(8*wb - 1)
+    wb = (big_a + big_b + min(len(ra), len(rb)).bit_length() + 2 + 7) // 8
+    if wb < len(_NATIVE_WIDTH):
+        wb = _NATIVE_WIDTH[wb]
+    packed = count * wb
+    if pairs * (_PAIR_COST + min(big_a, big_b)) <= _KRONECKER_COST + (
+            _BYTE_COST * packed * (_KARATSUBA_BYTES + packed) // _KARATSUBA_BYTES):
+        return _convolve(a, b, count)
+    return _kronecker(a, b, count, wb)
 
 
-# The pair loop costs about one unit per term pair; the big-int product
-# about two per lattice slot, which it visits even when the slot is empty,
-# plus a fixed set-up.  So a tiny product, or one whose lattice is much
-# longer than its terms, takes the pair loop.
-_TINY_PAIRS = 64
-_PAIRS_PER_SLOT = 2
+# Costs in about nanoseconds, fitted by timing both paths on the 3732
+# products of one pass of each benchmark workload (2 vCPUs, CPython 3.11):
+# a term pair costs a loop step and a multiply that grows with the bits of
+# the narrower factor; a packed product a fixed set-up and a cost per byte
+# of the packed lattice, empty slots included, that grows with the length
+# as Karatsuba's product does, which a linear growth fits over the sizes
+# measured.
+_PAIR_COST = 160
+_KRONECKER_COST = 1000
+_BYTE_COST = 120
+_KARATSUBA_BYTES = 4000
 
 
 def _cut(v, count):
@@ -1086,50 +1154,74 @@ def _convolve(a, b, count):
     return out_re, out_im
 
 
-def _kronecker(a, b, count):
+def _kronecker(a, b, count, wb):
     """The first ``count`` slots of the convolution, by Kronecker
     substitution: each numerator vector becomes one integer with a signed
-    value per slot of w bits, and slot n of the product of two such
-    integers is the n-th convolution coefficient."""
+    value per slot of ``wb`` bytes, wide enough for every coefficient of the
+    product, and slot n of the product of two such integers is the n-th
+    convolution coefficient."""
     (ra, xa), (rb, xb) = a, b
-    big_a = max(map(abs, ra if xa is None else ra + xa)).bit_length()
-    big_b = max(map(abs, rb if xb is None else rb + xb)).bit_length()
-    # |coefficient| <= 2 * min(len) * max|a| * max|b| < 2^(w - 1)
-    wb = (big_a + big_b + min(len(ra), len(rb)).bit_length() + 2 + 7) // 8
-    ar, br = _pack(ra, wb), _pack(rb, wb)
+    # the top bit of every slot below count, which _cut made the longest
+    # length of the factors too
+    off = int.from_bytes((b"\0" * (wb - 1) + b"\x80") * count, "little")
+    ar, br = _pack(ra, wb, off), _pack(rb, wb, off)
     if xa is None and xb is None:
-        return _unpack(ar * br, count, wb), None
+        return _unpack(ar * br, count, wb, off), None
     # Karatsuba's three products; a real factor has ai or bi = 0, which
     # leaves two
-    ai = 0 if xa is None else _pack(xa, wb)
-    bi = 0 if xb is None else _pack(xb, wb)
+    ai = 0 if xa is None else _pack(xa, wb, off)
+    bi = 0 if xb is None else _pack(xb, wb, off)
     rr, ii = ar * br, ai * bi
-    return _unpack(rr - ii, count, wb), _unpack((ar + ai) * (br + bi) - rr - ii, count, wb)
+    return (_unpack(rr - ii, count, wb, off),
+            _unpack((ar + ai) * (br + bi) - rr - ii, count, wb, off))
 
 
-def _pack(vals, wb):
-    """sum(v * 2^(8*wb*i)) over the values v at slots i.
+# Typecodes of the machine arrays by item size in bytes.  An array's bytes
+# are the two's complement of its items, in the machine's order, which is
+# the packed order only on a little-endian machine; elsewhere the table is
+# empty and every width takes the per-slot codec.
+_CODES = {}
+if sys.byteorder == "little":
+    for _code in "bhilq":
+        _CODES.setdefault(array(_code).itemsize, _code)
 
-    Every slot is written as v + 2^(8*wb - 1), which is nonnegative, and
-    the same offset in every slot is subtracted at the end."""
-    half = 1 << (8 * wb - 1)
-    slots = map(int.to_bytes, map(half.__add__, vals), repeat(wb), repeat("little"))
-    return (int.from_bytes(b"".join(slots), "little")
-            - int.from_bytes(half.to_bytes(wb, "little") * len(vals), "little"))
+# A slot of up to 8 bytes is widened to the next item size the table holds.
+_NATIVE_WIDTH = [next((size for size in sorted(_CODES) if size >= wb), wb) for wb in range(9)]
 
 
-def _unpack(packed, count, wb):
-    """The first ``count`` signed slots of a packed integer.
+def _pack(vals, wb, off):
+    """sum(v * 2^(8*wb*i)) over the values v at slots i, |v| < 2^(8*wb - 1).
 
-    A negative slot borrows one from the slot above it.  Adding 2^(8*wb - 1)
-    to every slot first makes each slot nonnegative, so no borrow crosses a
-    slot and each reads off its own bytes."""
-    half = 1 << (8 * wb - 1)
+    The slots are written in two's complement, which reads each negative
+    v as v + 2^(8*wb); ``off`` has the top bit of every slot set, so
+    u & off marks the negative slots, and twice that is what they
+    overcount."""
+    code = _CODES.get(wb)
+    if code:
+        raw = array(code, vals).tobytes()
+    else:
+        mask = (1 << (8 * wb)) - 1
+        raw = b"".join(map(int.to_bytes, map(mask.__and__, vals), repeat(wb), repeat("little")))
+    u = int.from_bytes(raw, "little")
+    return u - ((u & off) << 1)
+
+
+def _unpack(packed, count, wb, off):
+    """The first ``count`` signed slots of a packed integer, whose slots lie
+    below 2^(8*wb - 1) in magnitude.
+
+    A negative slot borrows one from the slot above it.  Adding ``off``
+    (the top bit of every slot) makes each slot v + 2^(8*wb - 1), which is
+    nonnegative, so no borrow crosses a slot; flipping the top bits back
+    leaves each slot's own two's complement."""
     size = count * wb
-    offset = int.from_bytes(half.to_bytes(wb, "little") * count, "little")
-    buf = ((packed + offset) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-    chunks = map(buf.__getitem__, map(slice, range(0, size, wb), range(wb, size + wb, wb)))
-    return list(map(half.__rsub__, map(int.from_bytes, chunks, repeat("little"))))
+    raw = (((packed + off) ^ off) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    code = _CODES.get(wb)
+    if code:
+        return array(code, raw).tolist()
+    half = 1 << (8 * wb - 1)
+    chunks = map(raw.__getitem__, map(slice, range(0, size, wb), range(wb, size + wb, wb)))
+    return list(map(half.__rsub__, map(half.__xor__, map(int.from_bytes, chunks, repeat("little")))))
 
 
 def unit_fraction_expand(c, k, order):

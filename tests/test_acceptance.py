@@ -5,6 +5,8 @@ All comparisons are exact coefficient equality; the only tolerances are
 wall-clock budgets, asserted where stated.
 """
 
+import hashlib
+import json
 import random
 import time
 from fractions import Fraction
@@ -433,14 +435,31 @@ def test_criterion_14_kernel_properties():
             not failures, "; ".join(failures))
 
 
-def test_criterion_15_full_corpus():
-    text = shipped_corpus_path().read_text(encoding="utf-8")
-    records = parse_corpus(text)
+@pytest.fixture(scope="module")
+def full_corpus_run():
+    """The shipped corpus verified once at jobs=1: (records, reports, seconds)."""
+    records = parse_corpus(shipped_corpus_path().read_text(encoding="utf-8"))
     t0 = time.perf_counter()
     reports = run_corpus(records, jobs=1)
-    dt = time.perf_counter() - t0
+    return records, reports, time.perf_counter() - t0
+
+
+def test_criterion_15_full_corpus(full_corpus_run):
+    records, reports, dt = full_corpus_run
     by_id = {r.id: r for r in records}
     not_passing = [r.id for r in reports
                    if r.status != "PASS" or r.achieved_precision != by_id[r.id].order]
     _report(15, f"full shipped corpus ({len(records)} stanzas) all-pass",
             not not_passing and dt < 600, f"[{dt:.1f}s] {'; '.join(not_passing)}")
+
+
+# SHA-256 of the standard output of `qmock corpus --json --stable`: every
+# stanza's verdict, precision and first mismatch, which a faster kernel
+# must leave byte for byte as they are
+SHIPPED_CORPUS_JSON_SHA256 = "eebf8bf07595284cc7ec0051963659e21a69aeb9696e6db7aaa26317a63b2293"
+
+
+def test_full_corpus_json_is_pinned(full_corpus_run):
+    _, reports, _ = full_corpus_run
+    text = json.dumps([r.to_dict(stable=True) for r in reports], sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == SHIPPED_CORPUS_JSON_SHA256

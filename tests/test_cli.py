@@ -28,7 +28,7 @@ rhs = poch_inf(q^2, q)/Jm(1)
 """
 
 DEEP = "(" * 600 + "q" + ")" * 600
-BAD_ORDERS = ["abc", "0", "-2", "1/0"]
+BAD_ORDERS = ["abc", "0", "-2", "1/0", "1_0", "\u0663"]
 
 
 def long_sum(n):

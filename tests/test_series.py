@@ -1,6 +1,7 @@
 """Kernel tests: exact arithmetic, precision bookkeeping, ring properties."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -245,9 +246,9 @@ class TestKernelAgainstOracle:
 
     def test_slots_at_their_widest(self):
         # every coefficient at its bit size's maximum, one sign: the middle
-        # of the product is as large as the packed slot width allows, and
-        # for 15 terms of 2, 6, 10 or 14 bits that width is a whole number
-        # of bytes
+        # of the product reaches the bound the packed slot width is worked
+        # out from, which for 15 terms of 2, 6, 10 or 14 bits is a whole
+        # number of bytes before it is widened to an array item size
         for n in (7, 15):
             for bits in range(1, 17):
                 top = 2 ** bits - 1
@@ -283,6 +284,132 @@ class TestKernelAgainstOracle:
             have = {e * den: c for e, c in series_to_dict(got).items()}
             assert_dict_eq(have, want, got.precision * den)
             assert set(have) <= set(want)
+
+    def test_exact_one_term_factors(self, monkeypatch):
+        # an exact one-term factor shifts and scales the other's lattice;
+        # given a precision past every term of the product, the same factor
+        # takes the convolution, which must leave the same terms
+        shifts = []
+        inner = QSeries._times_term
+        monkeypatch.setattr(QSeries, "_times_term",
+                            lambda *args: shifts.append(1) or inner(*args))
+        rnd = random.Random(33)
+        for trial in range(400):
+            ta = _fuzz_factor(rnd, rnd.choice(_DENS))
+            low = min(ta, default=Fraction(0))
+            a = S(ta, rnd.choice([None, low + Fraction(rnd.randint(-2, 30), rnd.choice([1, 2, 3]))]))
+            c = _random_coefficient(rnd)
+            e = Fraction(rnd.randint(-20, 20), rnd.choice(_DENS))
+            t = S({e: c})
+            before = len(shifts)
+            got = a * t if trial % 2 else t * a
+            assert len(shifts) == before + 1
+            assert got.precision == (None if a.precision is None else a.precision + e)
+            _assert_ground_types(got)
+            far = e + max(ta, default=low) - low + 1
+            convolved = a * S({e: c}, far)
+            # unless a is itself an exact one-term factor
+            assert len(shifts) == before + 1 + (a.precision is None and len(a.terms) == 1)
+            assert got.terms == convolved.terms
+            assert _ref_of(got) == oracles.ref_mul_monomial(_ref_of(a), (_frac(c.re), _frac(c.im)), e)
+
+
+class TestPackedKernel:
+    """Kronecker packing at each slot width, on the machine-array codec and
+    on the per-slot one, and division by 1 -+ q^k in both of its loop
+    shapes, against the pair loop, tests/oracles.py and the general pass."""
+
+    WIDTHS = [1, 2, 4, 8, 9, 16, 33]
+
+    @pytest.fixture(params=["array", "per-slot"])
+    def codec(self, request, monkeypatch):
+        if request.param == "per-slot":
+            monkeypatch.setattr(series, "_CODES", {})
+        elif sys.byteorder == "little":
+            assert sorted(series._CODES) == [1, 2, 4, 8]
+        return request.param
+
+    @staticmethod
+    def _check(a, b, count, wb):
+        got = series._kronecker(a, b, count, wb)
+        assert got == series._convolve(a, b, count)
+        (ra, xa), (rb, xb) = a, b
+        as_map = lambda v: {Fraction(i): Fraction(x) for i, x in enumerate(v or []) if x}
+        want_re = _sub(poly_mul(as_map(ra), as_map(rb), count), poly_mul(as_map(xa), as_map(xb), count))
+        want_im = poly_mul(as_map(ra), as_map(xb), count)
+        for e, x in poly_mul(as_map(xa), as_map(rb), count).items():
+            want_im[e] = want_im.get(e, 0) + x
+        assert as_map(got[0]) == want_re
+        assert as_map(got[1]) == {e: x for e, x in want_im.items() if x}
+
+    def test_slots_at_the_widths_bounds(self, codec):
+        # every input and every product slot at +-(2^(8*wb - 1) - 1), the
+        # largest magnitude a slot of wb bytes holds
+        rnd = random.Random(35)
+        for wb in self.WIDTHS:
+            top = 2 ** (8 * wb - 1) - 1
+            half = top // 2
+            for _ in range(6):
+                v = [rnd.choice([top, -top, rnd.randint(-top, top), 0]) for _ in range(rnd.randint(1, 12))]
+                v[0] = v[0] or top
+                n = len(v) + 2
+                w = [rnd.choice([top, -top, 1, -1]) for _ in range(len(v))]
+                self._check((v, None), ([1], None), n, wb)
+                self._check(([0, -1], None), (v, None), n, wb)
+                self._check(([half + 1, half], None), ([1, 1], None), 3, wb)
+                self._check(([-half - 1, -half], None), ([1, 1], None), 3, wb)
+                self._check((v, w), ([0], [1]), n, wb)
+                self._check((v, w), ([-1], None), n, wb)
+                self._check(([1], None), (w, v), n, wb)
+                cut = max(1, len(v) - 3)
+                self._check(([0, -1], None), series._cut((v, w), cut), cut, wb)
+
+    def test_random_products_at_each_width(self, codec):
+        rnd = random.Random(36)
+        for wb in self.WIDTHS:
+            for _ in range(30):
+                la, lb = rnd.randint(1, 20), rnd.randint(1, 20)
+                count = rnd.randint(1, la + lb)
+                # every product slot, at most 2*min(la, lb)*|a|*|b|, below 2^(8*wb - 2)
+                bits = 8 * wb - 3 - min(la, lb).bit_length()
+                big = 2 ** rnd.randint(0, bits)
+                small = 2 ** (bits - big.bit_length() + 1)
+                gauss_a, gauss_b = rnd.random() < 0.4, rnd.random() < 0.4
+
+                def vec(size, m):
+                    return [rnd.choice([0, rnd.randint(-m, m), m, -m]) for _ in range(size)]
+
+                a = (vec(la, big), vec(la, big) if gauss_a else None)
+                b = (vec(lb, small), vec(lb, small) if gauss_b else None)
+                self._check(a, b, count, wb)
+
+    @pytest.mark.parametrize("c", [1, -1])
+    @pytest.mark.parametrize("gaussian", [False, True])
+    def test_division_by_one_minus_unit(self, c, gaussian):
+        rnd = random.Random(37 + c + 2 * gaussian)
+        shapes = {"blocks": 0, "residues": 0}
+        for _ in range(200):
+            stride = rnd.randint(1, 12)
+            n = rnd.randint(1, 80)
+            shapes["blocks" if stride * stride > n else "residues"] += 1
+            re = [rnd.choice([0, rnd.randint(-2 ** 70, 2 ** 70), rnd.randint(-9, 9)]) for _ in range(n)]
+            im = [rnd.randint(-9, 9) for _ in range(n)] if gaussian else None
+            got_re, got_im = series._divide_pass(re, im, stride, c, 0, 1)
+            # the same c written as 2c/2 takes the general block pass,
+            # over 2^J for J the last block
+            scale = 2 ** ((n - 1) // stride)
+            gen_re, gen_im = series._divide_pass(re, im, stride, 2 * c, 0, 2)
+            assert gen_re == [scale * x for x in got_re]
+            assert (gen_im is None) == (got_im is None) == (not gaussian)
+            for v, got in ((re, got_re), (im, got_im)):
+                if v is not None:
+                    want = list(v)
+                    for i in range(stride, n):
+                        want[i] += c * want[i - stride]
+                    assert got == want
+            if gaussian:
+                assert gen_im == [scale * x for x in got_im]
+        assert min(shapes.values()) >= 40, shapes
 
 
 def _frac(x):
