@@ -10,7 +10,9 @@ bilateral r-range exactly: the summand's least possible exponent grows
 quadratically in |r|, including the most-negative contribution of the
 expanded denominator, so the truncation is provably conservative.  The
 exponents are integers on one grid, and every summand's geometric run is
-written into one lattice.  The universal mock theta function g is summed by
+written into one lattice.  The sum is divided by j(z; b) in one
+``QSeries.divide``, which for the theta function's few nonzero slots of
++-1 is one recurrence, with no inverse formed.  The universal mock theta function g is summed by
 the Eulerian loop of the catalog series, ``series.eulerian_sum``, which
 divides by its Pochhammer factors one lattice pass each.
 
@@ -118,7 +120,7 @@ def appell_m(x, base, z, order):
         ls = work
     need = order + 2 * d - min(ls, _R0)
     need = max(need, d + 1)
-    result = total * jacobi_theta(z, base, need).invert()
+    result = total.divide(jacobi_theta(z, base, need))
     if result.precision is not None and result.precision < order:
         raise InsufficientPrecision("internal precision accounting failed in appell_m")
     return result.truncate(order)
@@ -225,12 +227,27 @@ def universal_g_eulerian(x, base, order):
     if base.exp <= 0:
         raise ValueError(f"base must have positive exponent, got {base}")
     x_inv = x.inverse()
+    # eulerian_sum asks for n = 0, 1, 2, ... in turn, so each monomial is
+    # the last one times one power of the base: x*b^n, b^n/x, and
+    # b^(n^2) = b^((n-1)^2) * b^(2n-1)
+    up, down, square, odd = x, x_inv, base ** 0, base
+    base2 = base * base
 
     def factors(n):
-        return [x * base ** n, x_inv * base ** n] if n else [x]
+        nonlocal up, down
+        if not n:
+            return [x]
+        up, down = up * base, down * base
+        return [up, down]
+
+    def weight(n):
+        nonlocal square, odd
+        if n:
+            square, odd = square * odd, odd * base2
+        return square
 
     try:
-        total = eulerian_sum(lambda n: base ** (n * n), factors, order + max(x.exp, _R0))
+        total = eulerian_sum(weight, factors, order + max(x.exp, _R0))
     except PoleAtOne:
         raise DegenerateX(f"Pochhammer factor of g({x}, {base}) vanishes")
     return (total - 1).mul_monomial(x_inv).truncate(order)

@@ -20,6 +20,7 @@ from .dsl import (
     CorpusSyntaxError,
     ExpressionSyntaxError,
     IdentityRecord,
+    VerificationReport,
     evaluate,
     parse,
     parse_corpus,
@@ -108,6 +109,10 @@ def _pool_report(future, record):
         return future.result()
     except RecursionError:  # an AST too deep to pickle: verify it here
         return _verify_payload(record)
+    except concurrent.futures.BrokenExecutor as exc:
+        # its worker died (BrokenProcessPool): this stanza errs alone
+        return VerificationReport(id=record.id, status="ERROR", anchor=record.anchor,
+                                  detail=f"{type(exc).__name__}: {exc}")
 
 
 def run_corpus(records, order_override=None, jobs=1):

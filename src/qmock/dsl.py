@@ -524,6 +524,31 @@ def _val_power(a, k):
     return None if a is None else (a[0] * k, a[1])
 
 
+class _Reciprocal:
+    """1/den known below ``order``, kept as the divisor: a product with it
+    is one ``QSeries.divide``, and no inverse is formed for it."""
+
+    __slots__ = ("den", "order")
+
+    def __init__(self, den, order):
+        self.den, self.order = den, order
+
+    def low_degree(self):
+        return self.den.inverse_low_degree(self.order)
+
+    def inverse(self):
+        return self.den.invert(order=self.order)
+
+
+def _times(x, y):
+    """x*y, where a _Reciprocal factor divides the other."""
+    if isinstance(y, _Reciprocal):
+        x, y = y, x
+    if isinstance(x, _Reciprocal):
+        return y.divide(x.den, x.order)
+    return x * y
+
+
 _FOLD = {"m": _fold_monomial, "b": _fold_base, "r": _fold_rational, "n": _fold_int}
 
 
@@ -606,16 +631,16 @@ class _Plan:
             get_a, get_b = self.series, self.series
             vb = self.valuation(b)
             if isinstance(node, Div):
-                get_b, vb = self._inverse, _val_inverse(vb)
+                get_b, vb = self._reciprocal, _val_inverse(vb)
             va, vb = _bound(self.valuation(a)), _bound(vb)
             if vb is None and va is not None:
                 a, va, get_a, b, vb, get_b = b, vb, get_b, a, va, get_a
             sa = get_a(a, _target(w, vb, va))
             sb = get_b(b, _target(w, sa.low_degree(), vb))
-            out = sa * sb
+            out = _times(sa, sb)
             if vb is None and out.precision is not None and out.precision < w:
                 # neither factor had a valuation: b's start now sets a's order
-                out = get_a(a, _target(w, sb.low_degree(), va)) * sb
+                out = _times(get_a(a, _target(w, sb.low_degree(), va)), sb)
             return out
         if isinstance(node, Pow):
             return self._power(node.base, node.exponent, w)
@@ -639,13 +664,17 @@ class _Plan:
 
     def _inverse(self, node, w):
         """1/node known below w."""
+        return self._reciprocal(node, w).inverse()
+
+    def _reciprocal(self, node, w):
+        """1/node known below w, as the divisor that a product divides by."""
         val = self.valuation(node)
         if val is not None and val[1]:
             d = val[0]  # asked past d, the divisor's leading term shows
             den = self.series(node, max(w + 2 * d, d + 1))
         else:
             den = self._eval_divisor(node, w, _bound(val))
-        return den.invert(order=w)
+        return _Reciprocal(den, w)
 
     def _eval_divisor(self, node, w, v):
         """A divisor whose valuations give no exact start: a sum whose

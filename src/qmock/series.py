@@ -18,6 +18,9 @@ precision.  So sums place all their terms on one grid and add the vectors,
 shifts and substitutions move the grid and scale the vectors, truncation
 slices, and products (with Newton inversion through them) convolve the
 vectors; an exact one-term factor only shifts and scales the other.  A
+quotient by a divisor whose lead numerator is 1, -1, i or -i is one exact
+recurrence over the divisor's nonzero slots instead, when a fixed cost
+rule finds that cheaper than Newton's inverse and a product.  A
 convolution is either a loop over the term pairs or one big-int product of
 the Kronecker-packed vectors, whichever a fixed cost rule, weighing the term
 pairs and their bits against the packed bytes, finds cheaper.  A slot of at
@@ -574,25 +577,14 @@ class QSeries:
         instead and is mandatory unless the input is a single monomial,
         whose inverse is returned exact whatever ``order`` is.
         """
-        if not self._re:
-            raise ZeroSeries("cannot invert a series that is zero to its precision")
-        d = self.low_degree()
+        d, relative = self._inverse_precision(order)
         r0 = self._re[0]
         x0 = 0 if self._im is None else self._im[0]
         norm = r0 * r0 + x0 * x0
         # 1/lead = den * (r0 - x0*i) / norm
         inv_r, inv_i = self._den * r0, -self._den * x0
-        if self.precision is None and len(self._re) == 1:
+        if relative is None:
             return _make(self._L, -self._lo, 1, [inv_r], [inv_i], norm, None)
-        # relative precision of the unit part
-        if self.precision is not None:
-            relative = self.precision - d
-            if order is not None:
-                relative = min(relative, rat(order) + d)
-        else:
-            if order is None:
-                raise ValueError("order is required to invert an exact multi-term series")
-            relative = rat(order) + d
         if relative <= 0:  # the inverse starts at q^-d, at or past the order
             return QSeries.zero(relative - d)
         # the unit part self/lead on slots 0 .. n-1, from the exponent d on
@@ -615,6 +607,65 @@ class QSeries:
                 v_r, v_i, v_den = _reduce(v_r, v_i, v_den * uv_den)
         out_r, out_i = _scale(v_r, v_i, inv_r, inv_i)
         return _make(self._L, -self._lo, self._step, out_r, out_i, v_den * norm, relative - d)
+
+    def _inverse_precision(self, order):
+        """(d, relative): where self starts, and the precision of its unit
+        part self/(lead*q^d) below which ``invert(order)`` takes it;
+        relative is None for an exact single term, whose inverse is exact."""
+        if not self._re:
+            raise ZeroSeries("cannot invert a series that is zero to its precision")
+        d = self.low_degree()
+        if self.precision is None:
+            if len(self._re) == 1:
+                return d, None
+            if order is None:
+                raise ValueError("order is required to invert an exact multi-term series")
+            return d, rat(order) + d
+        relative = self.precision - d
+        return d, relative if order is None else min(relative, rat(order) + d)
+
+    def inverse_low_degree(self, order=None):
+        """``self.invert(order).low_degree()``, without inverting."""
+        d, relative = self._inverse_precision(order)
+        return -d if relative is None or relative > 0 else relative - d
+
+    def divide(self, other, order=None):
+        """self / other, equal in value and in precision to
+        ``self * other.invert(order)``.
+
+        When the divisor's lead numerator is a unit of the Gaussian
+        integers (1, -1, i or -i), the quotient's numerators solve one exact
+        recurrence on the common lattice, q_i = (a_i - sum_j b_j*q_(i-j))/b_0
+        over the divisor's nonzero slots j > 0, in which a coefficient 1 or
+        -1 is an add or a subtract.  It is taken when a fixed cost rule,
+        ``_recurrence_cheaper``, finds it cheaper than the Newton inverse
+        and the product; the quotient is Newton's inverse times self
+        otherwise."""
+        d, relative = other._inverse_precision(order)
+        if relative is None or relative <= 0 or not _unit(other._re[0], other._im):
+            return self * other.invert(order)
+        # the precision of self * (the inverse, from q^-d below relative - d)
+        p = None if self.precision is None else self.precision - d
+        la = self.low_degree()
+        if la is not None:
+            p = _pmin(p, relative - d + la)
+        if not self._re:
+            return QSeries.zero(p)
+        L = lcm(self._L, other._L)
+        lo_a, step_a = _on_grid(self, L)
+        lo_b, step_b = _on_grid(other, L)
+        step = gcd(step_a, step_b)
+        lo = lo_a - lo_b
+        n = _slots_below(p, L, lo, step)
+        if n <= 0:
+            return QSeries.zero(p)
+        a = _spread(self, step_a // step, _slots(n))
+        b = _spread(other, step_b // step, n)
+        if not _recurrence_cheaper(n, a, b):
+            return self * other.invert(order)
+        re, im = _recurrence(a, b, n)
+        re, im = _scale(re, im, other._den, 0)
+        return _make(L, lo, step, re, im, self._den, p)
 
     # -- reshaping -----------------------------------------------------------
 
@@ -796,26 +847,35 @@ def eulerian_sum(weight, factors, order, divide=True):
 
     P_n is P_(n-1) (the exact 1 for n = 0) divided by, or if not
     ``divide`` multiplied by, 1 - m for each monomial m in factors(n), and
-    kept below the order; the weights are monomials.  The sum stops at the
-    first term that starts at or past the order while every later factor
-    has a positive exponent, which requires the exponents of the weights
-    and of the factors not to fall as n grows.  The terms are summed once
-    at the end."""
+    kept below the order; the weights are monomials.  Each of factors(n)
+    and weight(n) is called once, n = 0, 1, 2, ... in turn.  The sum stops
+    at the first term that starts at or past the order while every later
+    factor has a positive exponent, which requires the exponents of the
+    weights and of the factors not to fall as n grows.  For a positive
+    order and positive factors of step n, P_n starts where P_(n-1) does,
+    which lies below the order (or P_n is zero to the same precision), so
+    a term that stops the sum is then found without forming its P_n; for
+    an order <= 0, P_n can be zero to a lower precision, which the sum's
+    precision follows.  The terms are summed once at the end."""
     order = rat(order)
     prod = QSeries.one()
     terms = []
     n, step = 0, factors(0)
     while True:
+        w, after = weight(n), factors(n + 1)
+        stops = all([m.exp > 0 for m in after])
+        low = prod.low_degree()
+        if stops and 0 < order and w.exp + (low if low is not None else _R0) >= order \
+                and all([m.exp > 0 for m in step]):
+            return sum_series(terms, order)
         for m in step:
             prod = prod.over_one_minus(m, order) if divide \
                 else prod.truncate(order).times_one_minus(m)
-        w, step = weight(n), factors(n + 1)
         low = prod.low_degree()
-        if w.exp + (low if low is not None else _R0) >= order \
-                and all([m.exp > 0 for m in step]):
+        if stops and w.exp + (low if low is not None else _R0) >= order:
             return sum_series(terms, order)
         terms.append(prod.mul_monomial(w))
-        n += 1
+        n, step = n + 1, after
 
 
 def geometric_runs(L, runs, precision):
@@ -1068,6 +1128,98 @@ def _twist(re, im, w):
     if im is not None:
         out_im = list(map(add, out_im, map(int.__mul__, im, fr)))
     return out_re, out_im, dens[0]
+
+
+def _unit(r0, im):
+    """True when the lead numerator r0 + im[0]*i is 1, -1, i or -i."""
+    x0 = 0 if im is None else im[0]
+    return r0 * r0 + x0 * x0 == 1
+
+
+def _recurrence_cheaper(n, a, b):
+    """True when the recurrence for n quotient slots costs less than a
+    Newton inverse and a product.  Its inner loop runs n - j times for each
+    nonzero slot 0 < j < n of the divisor b, and a Gaussian divisor's step
+    costs about twice a real one's; Newton's products cost per slot about
+    as much as _RECURRENCE_STEPS of those steps, and more as the
+    numerator a widens, while the recurrence's adds hardly feel the
+    width."""
+    (ar, ai), (br, bi) = a, b
+    steps = sum(map(n.__sub__, _occupied(br, bi))) - n
+    if bi is not None:
+        steps *= 2
+    if steps <= _RECURRENCE_STEPS * n:
+        return True
+    bits = max(map(abs, ar if ai is None else ar + ai)).bit_length()
+    return steps <= (_RECURRENCE_STEPS + bits // 2) * n
+
+
+# Fitted by timing both paths on the 281 divisions with a unit lead in one
+# verification of the shipped corpus and of its Appell-Lerch and g stanzas
+# at order 200 (2 vCPUs, CPython 3.11): the rule totals 69 ms and 560 ms
+# on them, the faster path of each 67 ms and 555 ms, and Newton's path
+# 213 ms and 6.4 s.  The term in the numerator's bits changed no choice
+# there.  It keeps a wide numerator, whose product Newton's path pays for,
+# on the recurrence: over 300 slots of a divisor with 100 steps a slot,
+# the recurrence took 3.4 ms against 7.6 ms for a 100-bit numerator, and
+# 11.9 ms against 63.8 ms for a 4000-bit one.
+_RECURRENCE_STEPS = 64
+
+
+def _recurrence(a, b, n):
+    """The first n slots of the quotient of two numerator vector pairs
+    (re, im or None) whose divisor b starts with a unit u: both are first
+    multiplied by 1/u, the conjugate of u, so that b starts with 1, and
+    then q_i = a_i - sum_j b_j*q_(i-j) over b's nonzero slots 0 < j < n.
+    A real divisor runs the real recurrence on each part of a."""
+    (ar, ai), (br, bi) = a, b
+    ur, ui = br[0], 0 if bi is None else bi[0]
+    if ur != 1:
+        ar, ai = _scale(ar, ai, ur, -ui)
+        br, bi = _scale(br, bi, ur, -ui)
+    pad = [0] * (n - len(ar))
+    if bi is None:
+        return (_real_recurrence(ar + pad, br),
+                None if ai is None else _real_recurrence(ai + pad, br))
+    taps = [(j, br[j], bi[j]) for j in _occupied(br, bi) if j]
+    ai = [0] * n if ai is None else ai + pad
+    qr, qi = [], []
+    for i, tr, ti in zip(range(n), ar + pad, ai):
+        for j, cr, ci in taps:
+            if j > i:
+                break
+            sr, si = qr[i - j], qi[i - j]
+            tr -= cr * sr - ci * si
+            ti -= cr * si + ci * sr
+        qr.append(tr)
+        qi.append(ti)
+    return qr, qi
+
+
+def _real_recurrence(a, b):
+    """q_i = a_i - sum_j b_j*q_(i-j) for real vectors, b[0] = 1, one slot
+    of a at a time: the slots j > 0 of b that hold 1 or -1 subtract or add
+    q_(i-j), and the others multiply it."""
+    taps = [j for j in _occupied(b, None) if j]
+    plus = [j for j in taps if b[j] == 1]
+    minus = [j for j in taps if b[j] == -1]
+    rest = [(j, b[j]) for j in taps if b[j] not in (1, -1)]
+    q = []
+    for i, t in enumerate(a):
+        for j in plus:
+            if j > i:
+                break
+            t -= q[i - j]
+        for j in minus:
+            if j > i:
+                break
+            t += q[i - j]
+        for j, c in rest:
+            if j > i:
+                break
+            t -= c * q[i - j]
+        q.append(t)
+    return q
 
 
 def _convolution(a, b, count):

@@ -385,6 +385,30 @@ def universal_g_pairwise(x, base, order):
     return (total - 1).mul_monomial(x.inverse()).truncate(order)
 
 
+def eulerian_sum_stepwise(weight, factors, order, divide=True):
+    """sum_n weight(n) * P_n below ``order`` as ``series.eulerian_sum``
+    defines it, forming every P_n, the one of the term that stops the sum
+    included, with each factor 1 - m expanded and multiplied in."""
+    order = rat(order)
+    prod = QSeries.one()
+    total = QSeries.zero(order)
+    n = 0
+    while True:
+        for m in factors(n):
+            if divide:
+                prod = (prod * unit_fraction_expand(m.coeff, m.exp, order)).truncate(order)
+            elif m.exp:
+                prod = prod.truncate(order) * QSeries({0: 1, m.exp: -m.coeff})
+            else:
+                prod = prod.truncate(order) * QSeries.constant(1 - m.coeff)
+        low = prod.low_degree()
+        if weight(n).exp + (low if low is not None else 0) >= order \
+                and all(m.exp > 0 for m in factors(n + 1)):
+            return total
+        total = total + prod.mul_monomial(weight(n))
+        n += 1
+
+
 # -- the retry evaluator ---------------------------------------------------------
 #
 # The DSL's evaluator before it planned its working orders: every node is

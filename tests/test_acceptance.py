@@ -463,3 +463,19 @@ def test_full_corpus_json_is_pinned(full_corpus_run):
     _, reports, _ = full_corpus_run
     text = json.dumps([r.to_dict(stable=True) for r in reports], sort_keys=True) + "\n"
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == SHIPPED_CORPUS_JSON_SHA256
+
+
+# SHA-256 of `qmock corpus --json --stable --order 80` over the 45 `appell-*`
+# and `universal-g-*` stanzas: past their shipped orders, where the larger
+# quotients of m and g take each path of `QSeries.divide`
+APPELL_AND_G_ORDER_80_JSON_SHA256 = (
+    "c7a880d4b877b7d00f1269a85ef11d1c026f863ab8166390d3e065abe6e29dc5")
+
+
+def test_appell_and_g_json_at_order_80_is_pinned():
+    records = [r for r in parse_corpus(shipped_corpus_path().read_text(encoding="utf-8"))
+               if r.id.startswith(("appell-", "universal-g-"))]
+    assert len(records) == 45
+    reports = run_corpus(records, order_override=80, jobs=1)
+    text = json.dumps([r.to_dict(stable=True) for r in reports], sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == APPELL_AND_G_ORDER_80_JSON_SHA256

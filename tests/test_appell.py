@@ -229,6 +229,21 @@ class TestAgainstPairwiseLoops:
         assert errors >= 20
 
 
+    @pytest.mark.parametrize("order", [R(-3), R(-1, 2), R(0), R(1, 3), R(5, 2), R(29, 3)])
+    def test_universal_g_at_low_and_fractional_orders(self, order):
+        # the Eulerian loop stops before forming the product of the term
+        # that ends it only where a positive order makes that exact; at
+        # orders <= 0 that product can be zero to a lower precision, which
+        # g's precision then follows, as the pairwise loop's does
+        xs = [qpow(R(1, 3)), mono(-1, R(-1, 2)), mono(2, R(3, 2)), mono(GaussianRational(0, 1), -2),
+              mono(R(1, 2), 0), mono(R(-3, 2), R(7, 4)), mono(1, 1)]
+        for base in self.BASES:
+            for x in xs:
+                got = self._outcome(universal_g_eulerian, x, base, order)
+                assert got == self._outcome(oracles.universal_g_pairwise, x, base, order), \
+                    (x, base, order)
+
+
 class TestBlocksAgainstHandCoded:
     """The block sums, DSL templates planned in one pass, against the
     hand-coded sums of tests/oracles.py, which run through the retry loop:

@@ -1,10 +1,14 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import concurrent.futures
 import json
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from qmock import cli
 from qmock.cli import main
+from qmock.dsl import parse_corpus
 
 
 def run(capsys, *argv):
@@ -91,6 +95,13 @@ class TestExpand:
         code, _, err = run(capsys, "expand", long_sum(1200), "--order", "5")
         assert code == 3
         assert "RecursionError" in err
+
+    def test_zero_divisor_exit_3(self, capsys):
+        # the divisor cancels at every order it is evaluated at
+        code, out, err = run(capsys, "expand", "1/(m(q,q^12,q^2)-m(q,q^12,q^2))", "--order", "100")
+        assert code == 3 and not out
+        assert err == ("evaluation error: ZeroSeries: "
+                       "cannot invert a series that is zero to its precision\n")
 
     def test_json_schema(self, capsys):
         code, out, _ = run(capsys, "expand", "1/(2-2*q)", "--order", "3", "--json")
@@ -200,6 +211,35 @@ class TestCorpus:
                 "pass-1": "PASS", "pass-2": "PASS", "planted": "FAIL", "bad-block": "ERROR",
             }
             assert reports["bad-block"]["detail"] == "ValueError: need n > 0 and p > 0, got (1, 0)"
+
+    def test_crashed_worker_errors_alone(self, monkeypatch):
+        # a stub pool: the planted stanza's worker "dies", the others run
+        # here, so no process is started or killed
+        class Pool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, record):
+                future = concurrent.futures.Future()
+                if record.id == "planted":
+                    future.set_exception(BrokenProcessPool("worker killed"))
+                else:
+                    future.set_result(fn(record))
+                return future
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", Pool)
+        reports = {r.id: r for r in cli.run_corpus(parse_corpus(FAILING_CORPUS), jobs=2)}
+        assert {i: r.status for i, r in reports.items()} == {
+            "pass-1": "PASS", "pass-2": "PASS", "planted": "ERROR",
+        }
+        assert reports["planted"].detail == "BrokenProcessPool: worker killed"
+        assert reports["planted"].anchor == "off by q^5"
 
     def test_non_ascii_digit_exit_2(self, capsys, tmp_path):
         path = tmp_path / "digit.qid"

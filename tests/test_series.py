@@ -1,5 +1,6 @@
 """Kernel tests: exact arithmetic, precision bookkeeping, ring properties."""
 
+import math
 import random
 import sys
 from fractions import Fraction
@@ -635,6 +636,169 @@ class TestOnePassFactors:
             got = series.sum_series(parts, precision)
             _assert_ground_types(got)
             assert _ref_of(got) == want
+
+
+class TestQuotient:
+    """QSeries.divide on each of its two paths, forced, and as its rule
+    picks: equal in value and precision to the Newton inverse times the
+    numerator, and in value to the schoolbook long division of
+    tests/oracles.py followed by its pair product."""
+
+    LEADS = [GaussianRational(1), GaussianRational(-1), GaussianRational(0, 1),
+             GaussianRational(0, -1), GaussianRational(2), GaussianRational(Fraction(1, 2))]
+
+    def _coefficient(self, rnd, gaussian, unit):
+        """+-1 (and +-i, 1 + i for a Gaussian series) for a unit one, else a
+        small rational part or two."""
+        if unit:
+            units = [(1, 0), (-1, 0)] + ([(0, 1), (0, -1), (1, 1)] if gaussian else [])
+            return GaussianRational(*rnd.choice(units + [(3, 0)]))
+        re = Fraction(rnd.randint(-9, 9), rnd.choice([1, 1, 2, 3]))
+        return GaussianRational(re, rnd.randint(-4, 4) if gaussian else 0)
+
+    def _series(self, rnd, lead=None):
+        """A random series from a random start on a grid of step 1, 1/2 or
+        1/3: real or Gaussian, dense or sparse (mostly unit coefficients),
+        exact or known below a random precision."""
+        den = rnd.choice([1, 2, 3])
+        lo = Fraction(rnd.randint(-6, 6), den)
+        dense = rnd.random() < 0.5
+        gaussian = rnd.random() < 0.35
+        terms = {}
+        for k in range(rnd.randint(1, 24)):
+            if k and not dense and rnd.random() < 0.7:
+                continue
+            c = self._coefficient(rnd, gaussian, not dense)
+            if c:
+                terms[lo + Fraction(k, den)] = c
+        if lead is not None:
+            terms[lo] = lead
+        precision = None if rnd.random() < 0.3 else lo + Fraction(rnd.randint(0, 30), den)
+        return S(terms, precision), gaussian, dense
+
+    def _oracle(self, a, b, got):
+        """a/b by the oracles below got's precision: on the integer grid
+        q -> q^L, b's inverse by long division and the pair product."""
+        la = a.low_degree()
+        p = got.precision
+        exps = [*a.terms, *b.terms, la] + ([] if p is None else [p])
+        L = 1
+        for e in exps:
+            L = L * e.denominator // math.gcd(L, e.denominator)
+        scaled_a = {e * L: c for e, c in a.terms.items()}
+        scaled_b = {e * L: c for e, c in b.terms.items()}
+        if p is None:   # an exact quotient by an exact one-term divisor
+            return poly_mul(scaled_a, long_division_invert(scaled_b, -min(scaled_b) + 1)), L
+        return poly_mul(scaled_a, long_division_invert(scaled_b, (p - la) * L), p * L), L
+
+    def test_against_newton_and_long_division(self, monkeypatch):
+        ran = []
+        inner = series._recurrence
+        monkeypatch.setattr(series, "_recurrence", lambda *args: ran.append(1) or inner(*args))
+        rule = series._recurrence_cheaper
+        rnd = random.Random(91)
+        seen = dict.fromkeys(["both paths", "newton only", "gaussian",
+                              "dense divisor", "sparse divisor", "exact", "zero divisor",
+                              *map(str, self.LEADS)], 0)
+        for _ in range(400):
+            a, _, _ = self._series(rnd)
+            if rnd.random() < 0.1:
+                a = QSeries.zero(a.precision)
+            lead = rnd.choice(self.LEADS)
+            b, gaussian, dense = self._series(rnd, lead)
+            if rnd.random() < 0.05:
+                b = QSeries.zero(b.precision)
+            order = rnd.choice([None, Fraction(rnd.randint(-8, 30), rnd.choice([1, 2, 3]))])
+            try:
+                want = a * b.invert(order)
+            except (ValueError, ZeroSeries) as exc:
+                with pytest.raises(type(exc), match=str(exc)):
+                    a.divide(b, order)
+                seen["zero divisor"] += isinstance(exc, ZeroSeries)
+                continue
+            took = {}
+            for force in ("rule", True, False):
+                monkeypatch.setattr(series, "_recurrence_cheaper",
+                                    rule if force == "rule" else lambda *args, f=force: f)
+                before = len(ran)
+                got = a.divide(b, order)
+                assert got == want and got.precision == want.precision, (a, b, order, force)
+                _assert_ground_types(got)
+                took[force] = len(ran) > before
+            assert not took[False]
+            # a divisor with a unit lead took each path, any other Newton's
+            seen["both paths" if took[True] else "newton only"] += 1
+            if got.is_zero():
+                continue
+            want_terms, L = self._oracle(a, b, got)
+            assert {e * L: c for e, c in got.terms.items()} == want_terms
+            seen["gaussian"] += gaussian or a._im is not None
+            seen["dense divisor" if dense else "sparse divisor"] += 1
+            seen["exact"] += a.precision is None or b.precision is None
+            seen[str(lead)] += 1
+        assert min(seen.values()) >= 10 and seen["both paths"] >= 40, seen
+
+    def test_rule(self):
+        # the recurrence's steps are sum(n - j) over the divisor's nonzero
+        # slots 0 < j < n: about 38 per slot when they fill the top half,
+        # 100 when they fill two slots in three
+        n = 300
+        narrow, wide = ([7] * n, None), ([2 ** 4000] * n, None)
+        top_half = ([1] + [0] * 149 + [1, -1] * 75, None)
+        dense = ([1] + [1, -1, 0] * 99 + [1, 1], None)
+        assert series._recurrence_cheaper(n, narrow, top_half)
+        assert not series._recurrence_cheaper(n, narrow, dense)
+        # a wide numerator makes Newton's product dear
+        assert series._recurrence_cheaper(n, wide, dense)
+        # a Gaussian divisor's steps count twice
+        assert not series._recurrence_cheaper(n, narrow, (top_half[0], [0] * n))
+
+    def test_zero_divisor(self):
+        with pytest.raises(ZeroSeries, match="cannot invert a series that is zero to its precision"):
+            S({0: 1, 1: 1}, 5).divide(QSeries.zero(5), 3)
+
+
+class TestEulerianSum:
+    @staticmethod
+    def _outcome(fn, *args):
+        try:
+            out = fn(*args)
+        except PoleAtOne:
+            return PoleAtOne
+        return out, out.precision
+
+    def test_against_every_product_formed(self):
+        # factors that start below zero, products that are zero to their
+        # precision, and orders <= 0, where the loop must form the product
+        # of the term that stops it
+        rnd = random.Random(75)
+        coeffs = TestOnePassFactors.COEFFS
+        outcomes = {"value": 0, "zero": 0, "order <= 0": 0, "PoleAtOne": 0}
+        for _ in range(300):
+            steps = [(rnd.choice(coeffs), Fraction(rnd.randint(-6, 3), rnd.choice([1, 2, 3])),
+                      Fraction(rnd.randint(1, 4), rnd.choice([1, 2])))
+                     for _ in range(rnd.randint(1, 2))]
+            cw = rnd.choice(coeffs)
+            w0, w1, w2 = (Fraction(rnd.randint(-4, 4), rnd.choice([1, 2])),
+                          Fraction(rnd.randint(0, 3), 2), Fraction(rnd.randint(1, 2), 2))
+
+            def factors(n):
+                return [QMonomial(c, a + s * n) for c, a, s in steps]
+
+            def weight(n):
+                return QMonomial(cw, w0 + w1 * n + w2 * n * n)
+
+            order = Fraction(rnd.randint(-6, 14), rnd.choice([1, 2, 3]))
+            divide = rnd.random() < 0.6
+            got, want = (self._outcome(f, weight, factors, order, divide)
+                         for f in (series.eulerian_sum, oracles.eulerian_sum_stepwise))
+            assert got == want, (steps, cw, (w0, w1, w2), order, divide)
+            if got is PoleAtOne:
+                outcomes["PoleAtOne"] += 1
+                continue
+            outcomes["zero" if got[0].is_zero() else "value"] += 1
+            outcomes["order <= 0"] += order <= 0
+        assert min(outcomes.values()) >= 10, outcomes
 
 
 class TestCoeff:
