@@ -110,7 +110,8 @@ def _pool_report(future, record):
     except RecursionError:  # an AST too deep to pickle: verify it here
         return _verify_payload(record)
     except concurrent.futures.BrokenExecutor as exc:
-        # its worker died (BrokenProcessPool): this stanza errs alone
+        # a worker died (BrokenProcessPool): the pool is broken, and every
+        # stanza still pending in it errs here until the pool is replaced
         return VerificationReport(id=record.id, status="ERROR", anchor=record.anchor,
                                   detail=f"{type(exc).__name__}: {exc}")
 

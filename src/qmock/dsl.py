@@ -33,6 +33,7 @@ from .series import (
     QMonomial,
     QSeries,
     QSeriesError,
+    product_precision,
     qpow,
 )
 
@@ -536,6 +537,10 @@ class _Reciprocal:
     def low_degree(self):
         return self.den.inverse_low_degree(self.order)
 
+    @property
+    def precision(self):
+        return self.den.inverse_precision(self.order)
+
     def inverse(self):
         return self.den.invert(order=self.order)
 
@@ -637,11 +642,14 @@ class _Plan:
                 a, va, get_a, b, vb, get_b = b, vb, get_b, a, va, get_a
             sa = get_a(a, _target(w, vb, va))
             sb = get_b(b, _target(w, sa.low_degree(), vb))
-            out = _times(sa, sb)
-            if vb is None and out.precision is not None and out.precision < w:
-                # neither factor had a valuation: b's start now sets a's order
-                out = _times(get_a(a, _target(w, sb.low_degree(), va)), sb)
-            return out
+            if vb is None:
+                p = product_precision(sa.precision, sa.low_degree(),
+                                      sb.precision, sb.low_degree())
+                if p is not None and p < w:
+                    # neither factor had a valuation: b's start now sets
+                    # a's order, before the product is formed
+                    sa = get_a(a, _target(w, sb.low_degree(), va))
+            return _times(sa, sb)
         if isinstance(node, Pow):
             return self._power(node.base, node.exponent, w)
         if isinstance(node, Call):

@@ -212,12 +212,13 @@ class TestCorpus:
             }
             assert reports["bad-block"]["detail"] == "ValueError: need n > 0 and p > 0, got (1, 0)"
 
-    def test_crashed_worker_errors_alone(self, monkeypatch):
-        # a stub pool: the planted stanza's worker "dies", the others run
-        # here, so no process is started or killed
+    def test_crashed_worker_errs_pending_stanzas(self, monkeypatch):
+        # a stub pool: the planted stanza's worker "dies", which breaks the
+        # pool for every stanza submitted after it, as a process pool does;
+        # those before it run here, so no process is started or killed
         class Pool:
             def __init__(self, max_workers):
-                pass
+                self.broken = None
 
             def __enter__(self):
                 return self
@@ -228,17 +229,21 @@ class TestCorpus:
             def submit(self, fn, record):
                 future = concurrent.futures.Future()
                 if record.id == "planted":
-                    future.set_exception(BrokenProcessPool("worker killed"))
-                else:
+                    self.broken = BrokenProcessPool("worker killed")
+                if self.broken is None:
                     future.set_result(fn(record))
+                else:
+                    future.set_exception(self.broken)
                 return future
 
         monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", Pool)
-        reports = {r.id: r for r in cli.run_corpus(parse_corpus(FAILING_CORPUS), jobs=2)}
+        first, second, planted = parse_corpus(FAILING_CORPUS)
+        reports = {r.id: r for r in cli.run_corpus([first, planted, second], jobs=2)}
         assert {i: r.status for i, r in reports.items()} == {
-            "pass-1": "PASS", "pass-2": "PASS", "planted": "ERROR",
+            "pass-1": "PASS", "pass-2": "ERROR", "planted": "ERROR",
         }
-        assert reports["planted"].detail == "BrokenProcessPool: worker killed"
+        for i in ("planted", "pass-2"):
+            assert reports[i].detail == "BrokenProcessPool: worker killed"
         assert reports["planted"].anchor == "off by q^5"
 
     def test_non_ascii_digit_exit_2(self, capsys, tmp_path):

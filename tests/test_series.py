@@ -738,20 +738,42 @@ class TestQuotient:
             seen[str(lead)] += 1
         assert min(seen.values()) >= 10 and seen["both paths"] >= 40, seen
 
+    def test_inverse_start_and_precision_without_inverting(self):
+        # what the DSL plan reads of a divisor it has not inverted
+        rnd = random.Random(17)
+        kinds = {"exact one-term": 0, "starts past the order": 0, "inexact": 0}
+        for _ in range(200):
+            lead = rnd.choice(self.LEADS)
+            b, _, _ = self._series(rnd, lead)
+            if rnd.random() < 0.1:
+                b = S({Fraction(rnd.randint(-6, 6), 3): lead})
+            order = rnd.choice([None, Fraction(rnd.randint(-8, 30), rnd.choice([1, 2, 3]))])
+            try:
+                inv = b.invert(order)
+            except (ValueError, ZeroSeries) as exc:
+                for helper in (b.inverse_low_degree, b.inverse_precision):
+                    with pytest.raises(type(exc), match=str(exc)):
+                        helper(order)
+                continue
+            assert b.inverse_low_degree(order) == inv.low_degree()
+            assert b.inverse_precision(order) == inv.precision
+            if inv.precision is None:
+                kinds["exact one-term"] += 1
+            else:
+                kinds["starts past the order" if inv.is_zero() else "inexact"] += 1
+        assert min(kinds.values()) >= 10, kinds
+
     def test_rule(self):
         # the recurrence's steps are sum(n - j) over the divisor's nonzero
         # slots 0 < j < n: about 38 per slot when they fill the top half,
         # 100 when they fill two slots in three
         n = 300
-        narrow, wide = ([7] * n, None), ([2 ** 4000] * n, None)
         top_half = ([1] + [0] * 149 + [1, -1] * 75, None)
         dense = ([1] + [1, -1, 0] * 99 + [1, 1], None)
-        assert series._recurrence_cheaper(n, narrow, top_half)
-        assert not series._recurrence_cheaper(n, narrow, dense)
-        # a wide numerator makes Newton's product dear
-        assert series._recurrence_cheaper(n, wide, dense)
+        assert series._recurrence_cheaper(n, top_half)
+        assert not series._recurrence_cheaper(n, dense)
         # a Gaussian divisor's steps count twice
-        assert not series._recurrence_cheaper(n, narrow, (top_half[0], [0] * n))
+        assert not series._recurrence_cheaper(n, (top_half[0], [0] * n))
 
     def test_zero_divisor(self):
         with pytest.raises(ZeroSeries, match="cannot invert a series that is zero to its precision"):
