@@ -13,7 +13,6 @@ from .series import (
     QSeries,
     mono,
     qpow,
-    unit_fraction_expand,
     QSeriesError,
     ZeroSeries,
     PoleAtOne,

@@ -12,9 +12,10 @@ expanded denominator, so the truncation is provably conservative.  The
 exponents are integers on one grid, and every summand's geometric run is
 written into one lattice.  The sum is divided by j(z; b) in one
 ``QSeries.divide``, which for the theta function's few nonzero slots of
-+-1 is one recurrence, with no inverse formed.  The universal mock theta function g is summed by
-the Eulerian loop of the catalog series, ``series.eulerian_sum``, which
-divides by its Pochhammer factors one lattice pass each.
++-1 is one recurrence, with no inverse formed.  The universal mock theta
+function g is summed by the Eulerian loop of the catalog series,
+``series.eulerian_terms``, on the integer grid of x and b, which divides by
+its Pochhammer factors one pass over one pair of numerator vectors each.
 
 The block sums ``g_abc`` ... ``msplit_rhs`` are templates in ``qmock.blocks``,
 evaluated here by ``dsl.evaluate`` like any DSL expression.
@@ -30,9 +31,10 @@ from .series import (
     InsufficientPrecision,
     PoleAtOne,
     as_triple,
-    eulerian_sum,
+    eulerian_terms,
     exponent_grid,
     geometric_runs,
+    sum_lattices,
     triple_mul,
     triple_pow,
 )
@@ -219,38 +221,43 @@ def universal_g_valuation(x, base):
 def universal_g_eulerian(x, base, order):
     """g(x, b) = x^(-1) (-1 + sum_n b^(n^2) / ((x;b)_(n+1) (b/x;b)_n)),
 
-    through ``series.eulerian_sum``: step 0 divides by 1 - x, and step n
-    by 1 - x*b^n and 1 - b^n/x, one lattice pass each.
+    through ``series.eulerian_terms`` on the grid of x and b: step 0
+    divides by 1 - x, and step n by 1 - x*b^n and 1 - b^n/x, one pass over
+    the vectors each, and the sum less 1 is divided by x on its lattice.
     """
     base = as_base(base)
     order = rat(order)
     if base.exp <= 0:
         raise ValueError(f"base must have positive exponent, got {base}")
-    x_inv = x.inverse()
-    # eulerian_sum asks for n = 0, 1, 2, ... in turn, so each monomial is
-    # the last one times one power of the base: x*b^n, b^n/x, and
+    L, B, X = exponent_grid(base, x)
+    cb, cx = as_triple(base.coeff), as_triple(x.coeff)
+    cx_inv = triple_pow(cx, -1)
+    # eulerian_terms asks for n = 0, 1, 2, ... in turn, so each coefficient
+    # is the last one times one power of the base's: x*b^n, b^n/x, and
     # b^(n^2) = b^((n-1)^2) * b^(2n-1)
-    up, down, square, odd = x, x_inv, base ** 0, base
-    base2 = base * base
+    up, down, square, odd = cx, cx_inv, (1, 0, 1), cb
+    cb2 = triple_mul(cb, cb)
 
     def factors(n):
         nonlocal up, down
         if not n:
-            return [x]
-        up, down = up * base, down * base
-        return [up, down]
+            return [(X, cx)]
+        up, down = triple_mul(up, cb), triple_mul(down, cb)
+        return [(X + n * B, up), (n * B - X, down)]
 
     def weight(n):
         nonlocal square, odd
         if n:
-            square, odd = square * odd, odd * base2
-        return square
+            square, odd = triple_mul(square, odd), triple_mul(odd, cb2)
+        return B * n * n, square
 
     try:
-        total = eulerian_sum(weight, factors, order + max(x.exp, _R0))
+        parts, p = eulerian_terms(L, weight, factors, order + max(x.exp, _R0))
     except PoleAtOne:
         raise DegenerateX(f"Pochhammer factor of g({x}, {base}) vanishes")
-    return (total - 1).mul_monomial(x_inv).truncate(order)
+    # the sum less 1, as one more part of the lattice, over x
+    total = sum_lattices(parts + [(L, 0, 1, [-1], None, 1)], p)
+    return total.mul_monomial(x.inverse()).truncate(order)
 
 
 def universal_g_via_m(x, base, order):

@@ -3,11 +3,12 @@ keyed by their DSL names.  Their alternate forms (through g and m) are
 stanzas of the shipped corpus.
 
 Every generator takes a truncation order and returns the exact expansion
-below it from the Eulerian loop ``series.eulerian_sum``, the loop of the
-universal mock theta function g too: the Pochhammer product is extended
-one factor 1 - c*q^k at a time, dividing by it one pass over the lattice
-and multiplying by it one shifted add, and the terms are summed once at
-the end.  The DSL calls a series through ``CatalogEntry.at``.
+below it from the Eulerian loop ``series.eulerian_terms``, the loop of the
+universal mock theta function g too, on the integer grid: the Pochhammer
+product is one pair of numerator vectors, extended one factor 1 + q^k or
+1 - q^k at a time, dividing by it one pass over the vectors and
+multiplying by it one shifted add, and the terms are summed once at the
+end.  The DSL calls a series through ``CatalogEntry.at``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable
 # Unused here, but perfbench/tracer.py's check_bindings probes these three
 # names in this module to confirm its wrappers reach every binding.
 from .appell import appell_m, eval_with_retry, universal_g_eulerian  # noqa: F401
-from .series import QMonomial, eulerian_sum, qpow
+from .series import eulerian_terms, sum_lattices
 
 __all__ = [
     "psi3",
@@ -32,45 +33,55 @@ __all__ = [
     "CATALOG",
 ]
 
+_ONE = (1, 0, 1)
+_MINUS_ONE = (-1, 0, 1)
+
+
+def _sum(weight, factors, order, divide=True):
+    """sum_n q^weight(n) P_n below ``order``, P_n the product of the factors
+    1 - c*q^k for the pairs (k, c) of factors(n) so far, divided or
+    multiplied in (``series.eulerian_terms``)."""
+    return sum_lattices(*eulerian_terms(1, lambda n: (weight(n), _ONE), factors, order, divide))
+
 
 def _plus(*ks):
-    """The monomials -q^k of the factors 1 + q^k, k > 0."""
-    return [QMonomial(-1, k) for k in ks if k > 0]
+    """The pairs (k, -1) of the factors 1 + q^k, k > 0."""
+    return [(k, _MINUS_ONE) for k in ks if k > 0]
 
 
 def psi3(order):
     """psi(q) = sum_{n >= 1} q^(n^2) / (q; q^2)_n."""
-    return eulerian_sum(lambda n: qpow((n + 1) ** 2), lambda n: [qpow(2 * n + 1)], order)
+    return _sum(lambda n: (n + 1) ** 2, lambda n: [(2 * n + 1, _ONE)], order)
 
 
 def nu3(order):
     """nu(q) = sum_{n >= 0} q^(n(n+1)) / (-q; q^2)_(n+1)."""
-    return eulerian_sum(lambda n: qpow(n * (n + 1)), lambda n: _plus(2 * n + 1), order)
+    return _sum(lambda n: n * (n + 1), lambda n: _plus(2 * n + 1), order)
 
 
 def phi3(order):
     """phi(q) = sum_{n >= 0} q^(n^2) / (-q^2; q^2)_n."""
-    return eulerian_sum(lambda n: qpow(n * n), lambda n: _plus(2 * n), order)
+    return _sum(lambda n: n * n, lambda n: _plus(2 * n), order)
 
 
 def psibar0(order):
     """psibar0(q) = sum_{n >= 0} q^(2n^2) / (-q; q)_(2n)."""
-    return eulerian_sum(lambda n: qpow(2 * n * n), lambda n: _plus(2 * n - 1, 2 * n), order)
+    return _sum(lambda n: 2 * n * n, lambda n: _plus(2 * n - 1, 2 * n), order)
 
 
 def psibar1(order):
     """psibar1(q) = sum_{n >= 0} q^(2n^2 + 2n) / (-q; q)_(2n+1)."""
-    return eulerian_sum(lambda n: qpow(2 * n * n + 2 * n), lambda n: _plus(2 * n, 2 * n + 1), order)
+    return _sum(lambda n: 2 * n * n + 2 * n, lambda n: _plus(2 * n, 2 * n + 1), order)
 
 
 def phibar0(order):
     """phibar0(q) = sum_{n >= 0} q^n (-q; q)_(2n+1)."""
-    return eulerian_sum(qpow, lambda n: _plus(2 * n, 2 * n + 1), order, divide=False)
+    return _sum(lambda n: n, lambda n: _plus(2 * n, 2 * n + 1), order, divide=False)
 
 
 def phibar1(order):
     """phibar1(q) = sum_{n >= 0} q^n (-q; q)_(2n)."""
-    return eulerian_sum(qpow, lambda n: _plus(2 * n - 1, 2 * n), order, divide=False)
+    return _sum(lambda n: n, lambda n: _plus(2 * n - 1, 2 * n), order, divide=False)
 
 
 @dataclass

@@ -18,9 +18,10 @@ precision.  So sums place all their terms on one grid and add the vectors,
 shifts and substitutions move the grid and scale the vectors, truncation
 slices, and products (with Newton inversion through them) convolve the
 vectors; an exact one-term factor only shifts and scales the other.  A
-quotient by a divisor whose lead numerator is 1, -1, i or -i is one exact
-recurrence over the divisor's nonzero slots instead, when a fixed cost
-rule finds that cheaper than Newton's inverse and a product.  A
+quotient by a divisor whose lead numerator divides all its numerators (as
+1, -1, i and -i always do) is one exact recurrence over the divisor's
+nonzero slots instead, when a fixed cost rule finds that cheaper than
+Newton's inverse and a product.  A
 convolution is either a loop over the term pairs or one big-int product of
 the Kronecker-packed vectors, whichever a fixed cost rule, weighing the term
 pairs and their bits against the packed bytes, finds cheaper.  A slot of at
@@ -31,7 +32,12 @@ codec with the same offset arithmetic.  A factor 1 - c*q^k is never
 expanded: multiplying by it is one shifted add, and dividing by it one pass
 over the lattice, which for c = 1 or -1 is one list map per block of k
 slots, or one running sum per residue class mod k when the blocks are
-shorter than they are many.  No rational number is built per term.
+shorter than they are many.  The Eulerian sums sum_n weight(n) * P_n of
+the universal mock theta function and the catalog run on one integer grid:
+P_n is one pair of numerator vectors, extended by such a pass or shifted
+add per factor, and the weighted terms go into one vector at the end, with
+integer exponents and (re, im, den) coefficient triples throughout.  No
+rational number is built per term.
 ``QSeries.terms`` is a read-only view {exponent: GaussianRational} of the
 same series, boxed when first read.
 """
@@ -40,19 +46,18 @@ from __future__ import annotations
 
 import sys
 from array import array
-from fractions import Fraction
 from itertools import accumulate, chain, compress, repeat
 from math import gcd, lcm
 from operator import add, neg, or_, sub
 from types import MappingProxyType
 
-from ._rational import RAT, rat, is_integer
+# the coefficient type and its constants are part of this module's interface too
+from ._rational import GR_I, GR_ONE, GR_ZERO, RAT, GaussianRational, as_gaussian, rat, is_integer
 
 __all__ = [
     "GaussianRational",
     "QMonomial",
     "QSeries",
-    "unit_fraction_expand",
     "qpow",
     "mono",
     "QSeriesError",
@@ -128,147 +133,13 @@ _R0 = RAT(0)
 _R1 = RAT(1)
 
 
-class GaussianRational:
-    """Exact complex number re + im*i with arbitrary-precision rational parts.
-
-    Stored in lowest terms (the ground rational type is canonical), so
-    equality is structural and hashing is consistent.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = re if type(re) is type(_R0) else rat(re)
-        self.im = im if type(im) is type(_R0) else rat(im)
-
-    # -- predicates ---------------------------------------------------------
-
-    def is_zero(self):
-        return not self.re and not self.im
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other):
-        other = _coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        return _coerce(other) - self
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        if not self.im and not other.im:
-            return GaussianRational(self.re * other.re)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return GaussianRational(a * c - b * d, a * d + b * c)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if not self.im:
-            if not self.re:
-                raise ZeroDivisionError("inverse of zero")
-            return GaussianRational(1 / self.re)
-        n = self.re * self.re + self.im * self.im
-        return GaussianRational(self.re / n, -self.im / n)
-
-    def __truediv__(self, other):
-        return self * _coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return _coerce(other) * self.inverse()
-
-    def __pow__(self, k):
-        """Integer power; a non-integral k raises FractionalExponent."""
-        if not isinstance(k, int):
-            k = rat(k)
-            if not is_integer(k):
-                raise FractionalExponent(f"({self})^({k}) needs an integer exponent")
-        k = int(k)
-        if not self.im:
-            if not self.re and k < 0:
-                raise ZeroDivisionError("inverse of zero")
-            return GaussianRational(self.re ** k)
-        if k == 0:
-            return GaussianRational(1)
-        base = self if k > 0 else self.inverse()
-        out = GaussianRational(1)
-        k = abs(k)
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
-
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
-    # -- comparison / hashing ------------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction, type(_R0))):
-            return self.im == 0 and self.re == other
-        return NotImplemented
-
-    def __hash__(self):
-        # a real value hashes as its real part, which it compares equal to
-        return hash((self.re, self.im)) if self.im else hash(self.re)
-
-    def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
-
-    def __str__(self):
-        if not self.im:
-            return str(self.re)
-        im = _scalar_i(self.im)
-        if not self.re:
-            return im
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{_scalar_i(abs(self.im))}"
-
-
-def _scalar_i(v):
-    if v == 1:
-        return "i"
-    if v == -1:
-        return "-i"
-    return f"{v}*i"
-
-
-def _coerce(x):
-    if isinstance(x, GaussianRational):
-        return x
-    return GaussianRational(rat(x))
-
-
-GR_ZERO = GaussianRational(0)
-GR_ONE = GaussianRational(1)
-GR_I = GaussianRational(0, 1)
-
-
 class QMonomial:
     """A single term c*q^e with c != 0; the argument form for x, y, z slots."""
 
     __slots__ = ("coeff", "exp")
 
     def __init__(self, coeff, exp):
-        coeff = _coerce(coeff)
+        coeff = as_gaussian(coeff)
         if coeff.is_zero():
             raise ValueError("monomial coefficient must be nonzero")
         self.coeff = coeff
@@ -354,7 +225,7 @@ class QSeries:
         dens = []
         for e, c in (terms or {}).items():
             e = rat(e)
-            c = as_triple(_coerce(c))
+            c = as_triple(as_gaussian(c))
             points.append((e, c))
             dens.append(int(e.denominator))
         L = lcm(*dens)
@@ -374,7 +245,7 @@ class QSeries:
 
     @staticmethod
     def constant(c, precision=None):
-        return lattice_series(1, [(0, as_triple(_coerce(c)))], _prec(precision))
+        return lattice_series(1, [(0, as_triple(as_gaussian(c)))], _prec(precision))
 
     @staticmethod
     def from_monomial(m, precision=None):
@@ -491,28 +362,21 @@ class QSeries:
         re, im = _scale(self._re, self._im, cr, ci)
         return _make(L, lo + en * (L // ed), step, re, im, self._den * cd, p)
 
-    def times_one_minus(self, m):
-        """self * (1 - m) for a monomial m = c*q^k: one shifted add, with
-        the precision of the product by the exact binomial."""
-        c, k = m.coeff, m.exp
-        if not k and c == GR_ONE:
-            return QSeries.zero(None)   # times an exact zero
-        p = None if self.precision is None else self.precision + min(k, _R0)
-        if not self._re:
-            return QSeries.zero(p)
-        kn, kd = int(k.numerator), int(k.denominator)
-        L = lcm(self._L, kd)
-        lo, step = _on_grid(self, L)
-        cr, ci, cd = as_triple(c)
-        re, im = _scale(self._re, self._im, -cr, -ci)
-        return _sum_lattices(((L, lo, step, self._re, self._im, self._den),
-                              (L, lo + kn * (L // kd), step, re, im, self._den * cd)), p)
+    def times_one_minus(self, *ms):
+        """self * (1 - m) for each monomial m = c*q^k in turn: one shifted
+        add each on one running lattice, with the precision of the product
+        by the exact binomials."""
+        P = _Running(self, None)
+        for k, c in P.on_grid([(m.exp, as_triple(m.coeff)) for m in ms]):
+            P.times_one_minus(k, c)
+        return P.series()
 
     def over_one_minus(self, m, order):
         """self / (1 - m) for a monomial m = c*q^k, below ``order``.
 
-        Equal in value and precision to
-        ``(self * unit_fraction_expand(c, k, order)).truncate(order)``.  For
+        Equal in value and precision to self times the expansion of
+        1/(1 - c*q^k) below the order, truncated there: the geometric series
+        for k > 0, -q^(-k)/c / (1 - q^(-k)/c) expanded so for k < 0.  For
         k > 0 it is one pass over the lattice: slot i of the quotient is
         t_i = a_i + c*t_(i-s), s being k in slots, so with c = cn/cd each
         block of s slots is a_j*cd^j + cn*t_(j-1) over the denominator
@@ -520,36 +384,10 @@ class QSeries:
         the reflected form -q^(-k)/c / (1 - q^(-k)/c), and k = 0 the
         constant 1/(1 - c).
         """
-        order = _prec(order)
-        c, k = m.coeff, m.exp
-        ld = self.low_degree()
-        if k < 0:
-            c = c.inverse()
-            out = self.mul_monomial(QMonomial(-c, -k)).over_one_minus(QMonomial(c, -k), order)
-            return out if ld is None else out.truncate(order + ld)
-        p = order if ld is None else min(order, order + ld)
-        if self.precision is not None:
-            p = min(p, self.precision)
-        if not k:
-            if c == GR_ONE:
-                raise PoleAtOne("1/(1 - q^0) is excluded: argument hit a power of q")
-            return self.mul_monomial(QMonomial((GR_ONE - c).inverse(), _R0)).truncate(p)
-        if not self._re or ld >= p:
-            return QSeries.zero(p)
-        kn, kd = int(k.numerator), int(k.denominator)
-        L = lcm(self._L, kd)
-        lo, step = _on_grid(self, L)
-        K = kn * (L // kd)
-        g = gcd(step, K)
-        n = _slots(_slots_below(p, L, lo, g))
-        re, im = _spread(self, step // g, n)
-        pad = [0] * (n - len(re))
-        cr, ci, cd = as_triple(c)
-        if im is not None or ci:
-            im = [0] * n if im is None else im + pad
-        stride = K // g
-        re, im = _divide_pass(re + pad, im, stride, cr, ci, cd)
-        return _make(L, lo, g, re, im, self._den * cd ** ((n - 1) // stride), p)
+        P = _Running(self, _prec(order))
+        (k, c), = P.on_grid([(m.exp, as_triple(m.coeff))])
+        P.over_one_minus(k, c)
+        return P.series()
 
     def __pow__(self, k):
         k = int(k)
@@ -635,16 +473,18 @@ class QSeries:
         """self / other, equal in value and in precision to
         ``self * other.invert(order)``.
 
-        When the divisor's lead numerator is a unit of the Gaussian
-        integers (1, -1, i or -i), the quotient's numerators solve one exact
-        recurrence on the common lattice, q_i = (a_i - sum_j b_j*q_(i-j))/b_0
-        over the divisor's nonzero slots j > 0, in which a coefficient 1 or
-        -1 is an add or a subtract.  It is taken when a fixed cost rule,
-        ``_recurrence_cheaper``, finds it cheaper than the Newton inverse
-        and the product; the quotient is Newton's inverse times self
-        otherwise."""
+        When the divisor's lead numerator u divides every one of its
+        numerators as a Gaussian integer, the divisor is u times a series
+        of Gaussian-integer numerators that starts with 1, and the
+        quotient's numerators solve one exact recurrence on the common
+        lattice, q_i = a_i*conj(u) - sum_j b_j*q_(i-j), over that series'
+        nonzero slots j > 0, in which a coefficient 1 or -1 is an add or a
+        subtract; the norm of u joins the denominator.  It is taken when a
+        fixed cost rule, ``_recurrence_cheaper``, finds it cheaper than the
+        Newton inverse and the product; the quotient is Newton's inverse
+        times self otherwise."""
         d, relative = other._unit_precision(order)
-        if relative is None or relative <= 0 or not _unit(other._re[0], other._im):
+        if relative is None or relative <= 0:
             return self * other.invert(order)
         # the product by the inverse, which starts at q^-d on other's
         # lattice reflected and is known below relative - d
@@ -659,9 +499,17 @@ class QSeries:
         b = _spread(other, step_b // step, n)
         if not _recurrence_cheaper(n, b):
             return self * other.invert(order)
-        re, im = _recurrence(_spread(self, step_a // step, _slots(n)), b, n)
+        a = _spread(self, step_a // step, _slots(n))
+        ur, ui = b[0][0], 0 if b[1] is None else b[1][0]
+        norm = ur * ur + ui * ui
+        if ur != 1 or ui:
+            b = _lead_one(b, ur, ui, norm)
+            if b is None:
+                return self * other.invert(order)
+            a = _scale(*a, ur, -ui)
+        re, im = _recurrence(a, b, n)
         re, im = _scale(re, im, other._den, 0)
-        return _make(L, lo, step, re, im, self._den, p)
+        return _make(L, lo, step, re, im, self._den * norm, p)
 
     # -- reshaping -----------------------------------------------------------
 
@@ -697,7 +545,7 @@ class QSeries:
         if bad is not None:
             raise FractionalExponent(
                 f"q -> {m} substitution requires integer exponents, "
-                f"found q^{_ratio(lo + step * bad, L)}"
+                f"found {_format_exp(_ratio(lo + step * bad, L))}"
             )
         if stride > 1:
             re = re[::stride]
@@ -801,6 +649,13 @@ def _make(L, lo, step, re, im, den, precision):
     return s
 
 
+def vector_series(L, lo, step, re, im, den, precision):
+    """The series with slot i at the exponent (lo + step*i)/L holding
+    (re[i] + im[i]*i)/den, den > 0 and im None for a real one, below
+    ``precision``: the vectors become the series' own."""
+    return _make(L, lo, step, re, im, den, precision)
+
+
 def lattice_series(L, points, precision):
     """The sum of c*q^(x/L) over ``points``, pairs of an integer x and a
     coefficient c = (re, im, den) of integers with den > 0; points at the
@@ -835,43 +690,257 @@ def sum_series(parts, precision=None):
     if len(live) == 1:
         s = live[0]
         return s if p is None else s.truncate(p)
-    return _sum_lattices([(s._L, s._lo, s._step, s._re, s._im, s._den) for s in live], p)
+    return sum_lattices([(s._L, s._lo, s._step, s._re, s._im, s._den) for s in live], p)
 
 
 def eulerian_sum(weight, factors, order, divide=True):
-    """sum_{n >= 0} weight(n) * P_n below ``order``.
+    """sum_{n >= 0} weight(n) * P_n below ``order``, for monomials weight(n)
+    and factors(n): the front end of ``eulerian_terms``, which defines the
+    sum, on the grid of the monomials' exponents."""
+    def term(m):
+        return m.exp, as_triple(m.coeff)
+
+    return sum_lattices(*eulerian_terms(
+        1, lambda n: term(weight(n)), lambda n: [term(m) for m in factors(n)], order, divide))
+
+
+def eulerian_terms(L, weight, factors, order, divide=True):
+    """(parts, precision): the terms of sum_{n >= 0} weight(n) * P_n below
+    ``order`` as lattice parts of ``sum_lattices``, and the sum's precision.
 
     P_n is P_(n-1) (the exact 1 for n = 0) divided by, or if not
-    ``divide`` multiplied by, 1 - m for each monomial m in factors(n), and
-    kept below the order; the weights are monomials.  Each of factors(n)
-    and weight(n) is called once, n = 0, 1, 2, ... in turn.  The sum stops
-    at the first term that starts at or past the order while every later
-    factor has a positive exponent, which requires the exponents of the
-    weights and of the factors not to fall as n grows.  For a positive
-    order and positive factors of step n, P_n starts where P_(n-1) does,
-    which lies below the order (or P_n is zero to the same precision), so
-    a term that stops the sum is then found without forming its P_n; for
-    an order <= 0, P_n can be zero to a lower precision, which the sum's
-    precision follows.  The terms are summed once at the end."""
-    order = rat(order)
-    prod = QSeries.one()
-    terms = []
+    ``divide`` multiplied by, 1 - c*q^(k/L) for each pair (k, c) of
+    factors(n), and kept below the order; weight(n) is a pair (e, c) for
+    c*q^(e/L).  Each c is an (re, im, den) triple, and each exponent an
+    integer or, from the monomial front end, a rational, which refines the
+    grid where it falls off it.  Each of factors(n) and weight(n) is called
+    once, n = 0, 1, 2, ... in turn.  The sum stops at the first term that
+    starts at or past the order while every later factor has a positive
+    exponent, which requires the exponents of the weights and of the
+    factors not to fall as n grows.  For a positive order and positive
+    factors of step n, P_n starts where P_(n-1) does, which lies below the
+    order (or P_n is zero to the same precision), so a term that stops the
+    sum is then found without forming its P_n; for an order <= 0, P_n can
+    be zero to a lower precision, which the sum's precision follows."""
+    P = _Running(QSeries.one(), rat(order), L)
+    parts, precision = [], P.order
     n, step = 0, factors(0)
     while True:
-        w, after = weight(n), factors(n + 1)
-        stops = all([m.exp > 0 for m in after])
-        low = prod.low_degree()
-        if stops and 0 < order and w.exp + (low if low is not None else _R0) >= order \
-                and all([m.exp > 0 for m in step]):
-            return sum_series(terms, order)
-        for m in step:
-            prod = prod.over_one_minus(m, order) if divide \
-                else prod.truncate(order).times_one_minus(m)
-        low = prod.low_degree()
-        if stops and w.exp + (low if low is not None else _R0) >= order:
-            return sum_series(terms, order)
-        terms.append(prod.mul_monomial(w))
+        (e, cw), *step = P.on_grid([weight(n), *step])
+        after = factors(n + 1)
+        stops = all([k > 0 for k, _ in after])
+        if stops and 0 < P.order and P.reaches(e) and all([k > 0 for k, _ in step]):
+            break
+        for k, c in step:
+            if divide:
+                P.over_one_minus(k, c)
+            else:
+                P.truncate(P.order)
+                P.times_one_minus(k, c)
+        if stops and P.reaches(e):
+            break
+        # the term is known below P_n's precision plus e, which is past the
+        # order when that precision is the order and e >= 0
+        if P.prec is not None and (e < 0 or P.prec is not P.order):
+            precision = min(precision, P.prec + _ratio(e, P.grid))
+        if P.re:
+            re, im = _scale(P.re, P.im, cw[0], cw[1])
+            parts.append((P.grid, P.lo + e, P.step or 1, re, im, P.den * cw[2]))
         n, step = n + 1, after
+    return parts, precision
+
+
+class _Running:
+    """A series stepped by factors 1 - c*q^k in place: the running product
+    P_n of ``eulerian_terms``, and of ``QSeries.over_one_minus`` and
+    ``QSeries.times_one_minus``.  Slot lo + step*i of the grid 1/grid holds
+    (re[i] + im[i]*i)/den, below the precision prec (None for exact).  re
+    is empty for a series zero to its precision, and slot 0 is nonzero
+    otherwise, so lo is where P_n starts; step is 0 while P_n is a single
+    slot.  ``top`` is the first slot at or past the order.  The steps leave
+    every vector they were given as it was."""
+
+    __slots__ = ("grid", "scale", "order", "top", "re", "im", "den", "lo", "step", "prec")
+
+    def __init__(self, s, order, L=1):
+        """The series s, stepped below ``order`` (None for none), on the grid
+        1/L refined to hold s."""
+        self.grid = lcm(L, s._L)
+        f = self.grid // s._L
+        self.scale, self.order = self.grid // L, order
+        self.top = None if order is None else _first_slot(order, self.grid)
+        self.re, self.im, self.den, self.prec = s._re, s._im, s._den, s.precision
+        self.lo, self.step = s._lo * f, s._step * f if len(s._re) > 1 else 0
+
+    def series(self):
+        """P_n as a series."""
+        return _make(self.grid, self.lo, self.step or 1, self.re, self.im, self.den, self.prec)
+
+    def on_grid(self, terms):
+        """The pairs (exponent, coefficient) ``terms``, exponents given in
+        1/L, with the exponents turned into slots of the grid; the grid is
+        refined first when one falls off it."""
+        if self.scale == 1 and all([type(k) is int for k, _ in terms]):
+            return terms
+        ks = [k * self.scale for k, _ in terms]
+        d = lcm(*[1 if type(k) is int else int(k.denominator) for k in ks])
+        if d != 1:
+            self.grid, self.scale, self.lo, self.step = (
+                self.grid * d, self.scale * d, self.lo * d, self.step * d)
+            if self.order is not None:
+                self.top = _first_slot(self.order, self.grid)
+        return [(int(k * d), c) for k, (_, c) in zip(ks, terms)]
+
+    def low(self):
+        """Where P_n starts, as ``QSeries.low_degree`` has it."""
+        return _ratio(self.lo, self.grid) if self.re else self.prec
+
+    def reaches(self, e):
+        """True when the term q^(e/grid) * P_n starts at or past the order
+        (an exact zero P_n taken to start at 0)."""
+        if self.re:
+            return self.lo + e >= self.top
+        if self.prec is None:
+            return e >= self.top
+        return _ratio(e, self.grid) + self.prec >= self.order
+
+    def _zero(self, p):
+        self.re, self.im, self.den, self.lo, self.step, self.prec = [], None, 1, 0, 0, p
+
+    def _set(self, re, im, den):
+        if im is not None and not any(im):
+            im = None
+        self.re, self.im, self.den = _reduce(re, im, den)
+
+    def _below(self, p):
+        """How many slots of P_n's grid lie below the precision p."""
+        cut = self.top if p is self.order else _first_slot(p, self.grid)
+        if not self.step:
+            return 1 if self.lo < cut else 0
+        return max(0, -((self.lo - cut) // self.step))
+
+    def truncate(self, p):
+        if self.prec is not None and (self.prec is p or self.prec <= p):
+            return
+        self.prec = p
+        n = self._below(p)
+        if not n:
+            self._zero(p)
+        elif n < len(self.re):
+            self.re = self.re[:n]
+            self.im = None if self.im is None else self.im[:n]
+
+    def times_term(self, k, c):
+        """P_n times the exact term c*q^(k/grid)."""
+        if k and self.prec is not None:
+            self.prec += _ratio(k, self.grid)
+        if self.re:
+            self.lo += k
+            re, im = _scale(self.re, self.im, c[0], c[1])
+            self._set(re, im, self.den * c[2])
+
+    def _refine_step(self, k):
+        """Put P_n on the step that holds k too: the gcd of the two."""
+        step = gcd(self.step, k)
+        if step != self.step and len(self.re) > 1:
+            f = self.step // step
+            for name in ("re", "im"):
+                v = getattr(self, name)
+                if v is not None:
+                    w = [0] * _slots((len(v) - 1) * f + 1)
+                    w[::f] = v
+                    setattr(self, name, w)
+        self.step = step
+
+    def over_one_minus(self, k, c):
+        """P_n / (1 - c*q^(k/grid)), as ``QSeries.over_one_minus`` below the
+        order."""
+        cr, ci, cd = c
+        if k < 0:
+            # -q^(-k)/c / (1 - q^(-k)/c), truncated at the order raised by
+            # where P_n starts
+            ld = self.low()
+            inv = triple_pow(c, -1)
+            self.times_term(-k, (-inv[0], -inv[1], inv[2]))
+            self.over_one_minus(-k, inv)
+            if ld is not None:
+                self.truncate(self.order + ld)
+            return
+        if self.re and self.lo >= 0 and (self.prec is None or self.prec is self.order):
+            p = self.order
+        else:
+            ld = self.low()
+            p = self.order if ld is None else min(self.order, self.order + ld)
+            if self.prec is not None:
+                p = min(p, self.prec)
+        if not k:
+            if cr == cd and not ci:
+                raise PoleAtOne("1/(1 - q^0) is excluded: argument hit a power of q")
+            self.times_term(0, triple_pow((cd - cr, -ci, cd), -1))
+            self.truncate(p)
+            return
+        n = self._below(p) if self.re else 0
+        if not n:
+            self._zero(p)
+            return
+        self._refine_step(k)
+        n = _slots(self._below(p))
+        re = self.re[:n]
+        re += [0] * (n - len(re))
+        if self.im is not None:
+            im = self.im[:n]
+            im += [0] * (n - len(im))
+        else:
+            im = [0] * n if ci else None
+        stride = k // self.step
+        re, im = _divide_pass(re, im, stride, cr, ci, cd)
+        self.prec = p
+        self._set(re, im, self.den * cd ** ((n - 1) // stride))
+
+    def times_one_minus(self, k, c):
+        """P_n times 1 - c*q^(k/grid), with the precision of the product by
+        the exact binomial."""
+        cr, ci, cd = c
+        if not k:
+            if cr == cd and not ci:
+                self._zero(None)    # times an exact zero
+            else:
+                self.times_term(0, (cd - cr, -ci, cd))
+            return
+        p = self.prec if k > 0 or self.prec is None else self.prec + _ratio(k, self.grid)
+        if not self.re:
+            self._zero(p)
+            return
+        self._refine_step(abs(k))
+        s = k // self.step
+        a = _scale(self.re, self.im, cd, 0)
+        b = _scale(self.re, self.im, -cr, -ci)
+        if s < 0:
+            self.lo += k
+            a, b, s = b, a, -s
+        n = _slots(len(self.re) + s if p is None else min(len(self.re) + s, self._below(p)))
+        self.prec = p
+        re, im = [_shifted_sum(u, v, s, n) for u, v in zip(a, b)]
+        self._set(re, im, self.den * cd)
+
+
+def _shifted_sum(u, v, s, n):
+    """The first n slots of u plus v shifted up s slots; None for two
+    None."""
+    if u is None and v is None:
+        return None
+    out = [0] * n
+    if u is not None:
+        out[:len(u)] = u[:n]
+    if v is not None and s < n:
+        v = v[:n - s]
+        out[s:s + len(v)] = map(add, out[s:s + len(v)], v)
+    return out
+
+
+def _first_slot(p, L):
+    """The first slot of the grid 1/L at or past the exponent p."""
+    return -((-int(p.numerator) * L) // int(p.denominator))
 
 
 def geometric_runs(L, runs, precision):
@@ -887,18 +956,20 @@ def geometric_runs(L, runs, precision):
         if n > 0:
             re, im, den = _twist([lr] * n, [li] * n if li else None, ratio)
             parts.append((L, x, s, re, im, ld * den))
-    return _sum_lattices(parts, precision)
+    return sum_lattices(parts, precision)
 
 
-def _sum_lattices(parts, precision):
+def sum_lattices(parts, precision):
     """The sum of lattice parts (L, lo, step, re, im, den), none of them
-    empty, below ``precision``: one vector on the common grid, one _make."""
+    empty, below ``precision``: one vector on the common grid, whose step a
+    single slot does not narrow, and one _make."""
     if not parts:
         return QSeries.zero(precision)
     L = lcm(*[part[0] for part in parts])
     grids = [(part[1] * (L // part[0]), part[2] * (L // part[0])) for part in parts]
     lo = min([x for x, _ in grids])
-    step = gcd(*[s for _, s in grids], *[x - lo for x, _ in grids])
+    step = gcd(*[s for part, (_, s) in zip(parts, grids) if len(part[3]) > 1],
+               *[x - lo for x, _ in grids]) or 1
     den = lcm(*[part[5] for part in parts])
     n = (max([x + (len(part[3]) - 1) * s for part, (x, s) in zip(parts, grids)]) - lo) // step + 1
     if precision is not None:
@@ -908,7 +979,7 @@ def _sum_lattices(parts, precision):
     im = None if all([part[4] is None for part in parts]) else [0] * n
     fresh = True    # re and im still all zero
     for (_, _, _, vr, vi, d), (x, s) in zip(parts, grids):
-        o, k, f = (x - lo) // step, s // step, den // d
+        o, k, f = (x - lo) // step, s // step or 1, den // d
         if o >= n:
             continue
         cnt = min(len(vr), -(-(n - o) // k))
@@ -1001,7 +1072,11 @@ def triple_pow(t, n):
     """t^n for a nonzero triple t = (re, im, den) and any integer n."""
     r, i, d = t
     if n < 0:
-        r, i, d, n = r * d, -i * d, r * r + i * i, -n
+        if i:
+            r, i, d = r * d, -i * d, r * r + i * i
+        else:
+            r, d = (d, r) if r > 0 else (-d, -r)
+        n = -n
     if not i:
         return r ** n, 0, d ** n
     dn = d ** n
@@ -1134,10 +1209,16 @@ def _twist(re, im, w):
     return out_re, out_im, dens[0]
 
 
-def _unit(r0, im):
-    """True when the lead numerator r0 + im[0]*i is 1, -1, i or -i."""
-    x0 = 0 if im is None else im[0]
-    return r0 * r0 + x0 * x0 == 1
+def _lead_one(b, ur, ui, norm):
+    """b/u for the lead u = ur + ui*i of the numerator vectors b, as vectors
+    that start with 1, or None when u does not divide every slot of b."""
+    br, bi = _scale(*b, ur, -ui)
+    if norm != 1:
+        if any(map(norm.__rmod__, br)) or bi is not None and any(map(norm.__rmod__, bi)):
+            return None
+        div = norm.__rfloordiv__
+        br, bi = list(map(div, br)), None if bi is None else list(map(div, bi))
+    return br, None if bi is None or not any(bi) else bi
 
 
 def _recurrence_cheaper(n, b):
@@ -1163,15 +1244,10 @@ _RECURRENCE_STEPS = 64
 
 def _recurrence(a, b, n):
     """The first n slots of the quotient of two numerator vector pairs
-    (re, im or None) whose divisor b starts with a unit u: both are first
-    multiplied by 1/u, the conjugate of u, so that b starts with 1, and
-    then q_i = a_i - sum_j b_j*q_(i-j) over b's nonzero slots 0 < j < n.
-    A real divisor runs the real recurrence on each part of a."""
+    (re, im or None) whose divisor b starts with 1: q_i = a_i - sum_j
+    b_j*q_(i-j) over b's nonzero slots 0 < j < n.  A real divisor runs the
+    real recurrence on each part of a."""
     (ar, ai), (br, bi) = a, b
-    ur, ui = br[0], 0 if bi is None else bi[0]
-    if ur != 1:
-        ar, ai = _scale(ar, ai, ur, -ui)
-        br, bi = _scale(br, bi, ur, -ui)
     pad = [0] * (n - len(ar))
     if bi is None:
         return (_real_recurrence(ar + pad, br),
@@ -1373,40 +1449,6 @@ def _unpack(packed, count, wb, off):
     half = 1 << (8 * wb - 1)
     chunks = map(raw.__getitem__, map(slice, range(0, size, wb), range(wb, size + wb, wb)))
     return list(map(half.__rsub__, map(half.__xor__, map(int.from_bytes, chunks, repeat("little")))))
-
-
-def unit_fraction_expand(c, k, order):
-    """Expansion of 1/(1 - c*q^k) to precision ``order``.
-
-    c = 0 gives the constant 1; k > 0 the geometric series; k = 0 the
-    constant 1/(1-c); k < 0 is rewritten as -q^(-k)/c / (1 - q^(-k)/c) and
-    expanded geometrically, which is the ascending-power expansion valid
-    inside the unit disk.
-    """
-    c = _coerce(c)
-    k = rat(k)
-    order = rat(order)
-    if not c:
-        return QSeries.one(order)
-    if k == 0:
-        if c == GR_ONE:
-            raise PoleAtOne("1/(1 - q^0) is excluded: argument hit a power of q")
-        return QSeries.constant((GR_ONE - c).inverse(), order)
-    # lead * c^n at the exponents first + k*n, n >= 0
-    lead = GR_ONE
-    first = 0
-    if k < 0:
-        c = c.inverse()
-        lead = -c
-        k = -k
-        first = int(k.numerator)
-    kn, kd = int(k.numerator), int(k.denominator)
-    n = _slots(_slots_below(order, kd, first, kn))
-    if not n:
-        return QSeries.zero(order)
-    lr, li, ld = as_triple(lead)
-    re, im, den = _twist(*_scale([1] * n, None, lr, li), as_triple(c))
-    return _make(kd, first, kn, re, im, den * ld, order)
 
 
 def _format_exp(e):

@@ -5,13 +5,15 @@ specializations such as q -> q^8 or q -> -q^3 are uniform: powers of the base
 twist the coefficient by c^k and scale the exponent by e*k.
 
 The finite and the infinite Pochhammer products come from one loop that
-multiplies in their factors 1 - c*q^k, one shifted add each.  j is
-computed from its bilateral sum (quadratic exponent growth gives
-O(sqrt(order)) terms); the triple-product form is kept as an independent
-cross-check.
+multiplies in their factors 1 - c*q^k, one shifted add each on one running
+lattice.  j is computed from its bilateral sum (quadratic exponent growth
+gives O(sqrt(order)) terms), written term by term into one lattice vector;
+the triple-product form is kept as an independent cross-check.
 """
 
 from __future__ import annotations
+
+from math import gcd, lcm
 
 from ._rational import RAT, rat
 from .series import (
@@ -21,10 +23,11 @@ from .series import (
     QSeries,
     as_triple,
     exponent_grid,
-    lattice_series,
+    vector_series,
     qpow,
     triple_mul,
     triple_pow,
+    _slots,
 )
 
 __all__ = [
@@ -57,8 +60,7 @@ def _product(factors, order):
         out = QSeries.one()
     else:
         out = QSeries.one(order - sum([m.exp for m in factors if m.exp < 0], _R0))
-    for m in factors:
-        out = out.times_one_minus(m)
+    out = out.times_one_minus(*factors)
     return out if order is None else out.truncate(order)
 
 
@@ -116,30 +118,80 @@ def theta_valuation(x, base):
 
 
 def jacobi_theta(x, base, order):
-    """j(x; b) as the bilateral sum of (-1)^n b^binom(n,2) x^n below ``order``."""
+    """j(x; b) as the bilateral sum of (-1)^n b^binom(n,2) x^n below ``order``.
+
+    Term n sits at the exponent E(n)/L, E(n) = B*binom(n, 2) + X*n, and
+    the terms below the order are the n of one interval around the vertex
+    of E.  Each coefficient is its neighbour's times -x*b^n going up, or
+    -b^(1-n)/x going down, walking away from the n of that interval
+    nearest 0, so every power of b's coefficient is a positive one; for x
+    and b's coefficients 1 or -1 each coefficient is a sign.  The terms are
+    written into one lattice vector of step gcd(B, X)."""
     base = as_base(base)
     order = rat(order)
     if base.exp <= 0:
         raise DivergentProduct(
             f"theta sum needs a base with positive exponent, got {base}"
         )
-    # term n sits at the exponent E(n)/L, E(n) = B*binom(n, 2) + X*n, which
-    # lies below the order on/od when E(n)*od < on*L = top
     L, B, X = exponent_grid(base, x)
-    top, od = int(order.numerator) * L, int(order.denominator)
+    # E(n) lies below the order when E(n) < top
+    top = -((-int(order.numerator) * L) // int(order.denominator))
+    # E(n + 1) = E(n) + B*n + X, and E is least at floor(1/2 - X/B) or at
+    # the n after it
+    low = (B - 2 * X) // (2 * B)
+    e_low = B * (low * (low - 1) // 2) + X * low
+    if B * low + X < 0:
+        low, e_low = low + 1, e_low + B * low + X
+    if e_low >= top:
+        return QSeries.zero(order)
+    # the terms below the order are the n of [first, last]
+    first, last, e_first, e_last = low, low, e_low, e_low
+    while e_last + B * last + X < top:
+        e_last += B * last + X
+        last += 1
+    while e_first - B * (first - 1) - X < top:
+        first -= 1
+        e_first -= B * first + X
+    h = gcd(B, X)
+    Bh, Xh = B // h, X // h
+    origin = e_low // h
+    size = _slots((max(e_first, e_last) - e_low) // h + 1)
     cx, cb = as_triple(x.coeff), as_triple(base.coeff)
-    points = []
-    vertex = (B - 2 * X) // (2 * B)  # floor(1/2 - X/B), where E is least
-    for n, direction in ((vertex, -1), (vertex + 1, 1)):
-        while True:
+    if cx[1:] == cb[1:] == (0, 1) and abs(cx[0]) == abs(cb[0]) == 1:
+        # term n is (-x)^n * b^binom(n, 2), a sign
+        flip_n, flip_binom = int(cx[0] == 1), int(cb[0] == -1)
+        re = [0] * size
+        for n in range(first, last + 1):
             binom = n * (n - 1) // 2
-            e = B * binom + X * n
-            if e * od >= top:
-                break
-            r, i, d = triple_mul(triple_pow(cx, n), triple_pow(cb, binom))
-            points.append((e, (-r, -i, d) if n & 1 else (r, i, d)))
-            n += direction
-    return lattice_series(L, points, order)
+            i = Bh * binom + Xh * n - origin
+            if ((flip_n & n) ^ (flip_binom & binom)) & 1:
+                re[i] -= 1
+            else:
+                re[i] += 1
+        return vector_series(L, e_low, h, re, None, 1, order)
+    start = min(max(first, 0), last)
+    binom = start * (start - 1) // 2
+    t = triple_mul(triple_pow(cx, start), triple_pow(cb, binom))
+    t0 = (-t[0], -t[1], t[2]) if start & 1 else t
+    terms = [(Bh * binom + Xh * start - origin, t0)]
+    for ns, ratio in ((range(start + 1, last + 1), triple_mul(cx, triple_pow(cb, start))),
+                      (range(start - 1, first - 1, -1),
+                       triple_mul(triple_pow(cx, -1), triple_pow(cb, 1 - start)))):
+        t = t0
+        ratio = (-ratio[0], -ratio[1], ratio[2])
+        for n in ns:
+            t = triple_mul(t, ratio)
+            ratio = triple_mul(ratio, cb)
+            terms.append((Bh * (n * (n - 1) // 2) + Xh * n - origin, t))
+    den = lcm(*[d for _, (_, _, d) in terms])
+    re = [0] * size
+    im = [0] * size if any([c[1] for _, c in terms]) else None
+    for i, (r, j, d) in terms:
+        f = den // d
+        re[i] += r * f
+        if im is not None:
+            im[i] += j * f
+    return vector_series(L, e_low, h, re, im, den, order)
 
 
 def jacobi_theta_product(x, base, order):

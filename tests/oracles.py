@@ -19,10 +19,10 @@ from qmock.series import (
     InsufficientPrecision,
     NonPositivePower,
     PoleAtOne,
+    GaussianRational,
     QMonomial,
     QSeries,
     qpow,
-    unit_fraction_expand,
 )
 from qmock.theta import as_base, jacobi_theta, theta_valuation
 
@@ -68,16 +68,50 @@ def pochhammer_pairwise(x_coeff, x_exp, base_exp, order):
     return {e: c for e, c in out.items() if e < order}
 
 
-def bilateral_theta(x_coeff, x_exp, base_exp, order, span=200):
-    """j(x; q^base) by brute bilateral summation over a wide window."""
+def bilateral_theta(x_coeff, x_exp, base_exp, order, span=200, base_coeff=1):
+    """j(x_coeff*q^x_exp; base_coeff*q^base_exp) by brute bilateral summation
+    over a wide window.  A coefficient is a rational or an (re, im) pair of
+    them; the map's values are pairs when either coefficient is one."""
+    pairs = isinstance(x_coeff, tuple) or isinstance(base_coeff, tuple)
+    cx, cb = ((Fraction(c[0]), Fraction(c[1])) if isinstance(c, tuple) else (Fraction(c), Fraction(0))
+              for c in (x_coeff, base_coeff))
     out = {}
     for n in range(-span, span + 1):
         e = Fraction(base_exp) * n * (n - 1) / 2 + Fraction(x_exp) * n
         if e >= order:
             continue
-        c = Fraction(x_coeff) ** n * (-1) ** (n & 1)
-        out[e] = out.get(e, Fraction(0)) + c
-    return {e: c for e, c in out.items() if c}
+        r, i = gauss_mul(gauss_pow(cx, n), gauss_pow(cb, n * (n - 1) // 2))
+        if n & 1:
+            r, i = -r, -i
+        r0, i0 = out.get(e, (Fraction(0), Fraction(0)))
+        out[e] = (r0 + r, i0 + i)
+    out = {e: c for e, c in out.items() if c != (0, 0)}
+    return out if pairs else {e: r for e, (r, _) in out.items()}
+
+
+def unit_fraction_expand(c, k, order):
+    """1/(1 - c*q^k) below ``order``, term by term: the constant 1 for
+    c = 0, the geometric series for k > 0, the constant 1/(1 - c) for
+    k = 0, and for k < 0 the rewrite -q^(-k)/c / (1 - q^(-k)/c) expanded
+    geometrically, the ascending-power expansion inside the unit disk."""
+    c = c if isinstance(c, GaussianRational) else GaussianRational(c)
+    k, order = rat(k), rat(order)
+    if not c:
+        return QSeries.one(order)
+    if not k:
+        if c == 1:
+            raise PoleAtOne("1/(1 - q^0) is excluded: argument hit a power of q")
+        return QSeries.constant((1 - c).inverse(), order)
+    # lead * c^n at the exponents first + k*n, n >= 0
+    term, first = GaussianRational(1), Fraction(0)
+    if k < 0:
+        c, k = c.inverse(), -k
+        term, first = -c, k
+    terms = {}
+    while first < order:
+        terms[first] = term
+        term, first = term * c, first + k
+    return QSeries(terms, order)
 
 
 def long_division_invert(series, order):
@@ -187,8 +221,12 @@ def gauss_pow(c, n):
         norm = c[0] * c[0] + c[1] * c[1]
         c, n = (c[0] / norm, -c[1] / norm), -n
     out = (Fraction(1), Fraction(0))
-    for _ in range(n):
-        out = gauss_mul(out, c)
+    while n:
+        if n & 1:
+            out = gauss_mul(out, c)
+        n >>= 1
+        if n:
+            c = gauss_mul(c, c)
     return out
 
 

@@ -32,9 +32,10 @@ from qmock.series import (
     QSeries,
     mono,
     qpow,
-    unit_fraction_expand,
 )
 from qmock.theta import J, Jbar, Jm, jacobi_theta
+
+from oracles import unit_fraction_expand
 
 R = Fraction
 
@@ -479,3 +480,19 @@ def test_appell_and_g_json_at_order_80_is_pinned():
     reports = run_corpus(records, order_override=80, jobs=1)
     text = json.dumps([r.to_dict(stable=True) for r in reports], sort_keys=True) + "\n"
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == APPELL_AND_G_ORDER_80_JSON_SHA256
+
+
+# SHA-256 of `qmock corpus --json --stable --order 80` over the 134 stanzas
+# that are not `appell-*` or `universal-g-*`: the theta sums, the catalog's
+# Eulerian loop and the quotients by theta series past their shipped orders
+OTHER_STANZAS_ORDER_80_JSON_SHA256 = (
+    "4e44fe2050a9bddb7faf1b569edb60e8eeb6c074d3176b5369898b757a9ef1e4")
+
+
+def test_other_stanzas_json_at_order_80_is_pinned():
+    records = [r for r in parse_corpus(shipped_corpus_path().read_text(encoding="utf-8"))
+               if not r.id.startswith(("appell-", "universal-g-"))]
+    assert len(records) == 134
+    reports = run_corpus(records, order_override=80, jobs=1)
+    text = json.dumps([r.to_dict(stable=True) for r in reports], sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == OTHER_STANZAS_ORDER_80_JSON_SHA256

@@ -103,6 +103,13 @@ class TestExpand:
         assert err == ("evaluation error: ZeroSeries: "
                        "cannot invert a series that is zero to its precision\n")
 
+    @pytest.mark.parametrize("arg, exp", [("q^(1/2)", "q^(1/2)"), ("q^(-1/2)", "q^(-1/2)")])
+    def test_fractional_exponent_message(self, capsys, arg, exp):
+        code, _, err = run(capsys, "expand", f"negq({arg})", "--order", "3")
+        assert code == 3
+        assert err.strip() == ("evaluation error: FractionalExponent: q -> -q substitution "
+                               f"requires integer exponents, found {exp}")
+
     def test_json_schema(self, capsys):
         code, out, _ = run(capsys, "expand", "1/(2-2*q)", "--order", "3", "--json")
         assert code == 0

@@ -21,11 +21,19 @@ from qmock.series import (
     ZeroSeries,
     mono,
     qpow,
-    unit_fraction_expand,
 )
 
+from qmock.appell import universal_g_eulerian
+from qmock.theta import jacobi_theta
+
 import oracles
-from oracles import long_division_invert, poly_mul, series_to_dict, assert_dict_eq
+from oracles import (
+    assert_dict_eq,
+    long_division_invert,
+    poly_mul,
+    series_to_dict,
+    unit_fraction_expand,
+)
 
 
 def S(terms, precision=None):
@@ -540,6 +548,14 @@ class TestOperationsAgainstReference:
         a = QSeries({Fraction(1, 1000): 1, 100: 1})
         with pytest.raises(LatticeTooLarge):
             a + QSeries.from_monomial(qpow(Fraction(1, 999)))
+        # so do a shifted add, a theta sum and g's Eulerian loop there, each
+        # before it allocates the lattice
+        with pytest.raises(LatticeTooLarge):
+            QSeries({Fraction(1, 1000): 1, Fraction(1, 999): 1}).times_one_minus(qpow(100))
+        with pytest.raises(LatticeTooLarge):
+            jacobi_theta(qpow(Fraction(1, 999)), qpow(Fraction(1, 1000)), 30)
+        with pytest.raises(LatticeTooLarge):
+            universal_g_eulerian(qpow(Fraction(1, 1000)), qpow(Fraction(1, 999)), 30)
 
 
 class TestOnePassFactors:
@@ -716,17 +732,9 @@ class TestQuotient:
                     a.divide(b, order)
                 seen["zero divisor"] += isinstance(exc, ZeroSeries)
                 continue
-            took = {}
-            for force in ("rule", True, False):
-                monkeypatch.setattr(series, "_recurrence_cheaper",
-                                    rule if force == "rule" else lambda *args, f=force: f)
-                before = len(ran)
-                got = a.divide(b, order)
-                assert got == want and got.precision == want.precision, (a, b, order, force)
-                _assert_ground_types(got)
-                took[force] = len(ran) > before
-            assert not took[False]
+            got, took = self._each_path(monkeypatch, ran, rule, a, b, order, want)
             # a divisor with a unit lead took each path, any other Newton's
+            # unless its lead divides it
             seen["both paths" if took[True] else "newton only"] += 1
             if got.is_zero():
                 continue
@@ -737,6 +745,46 @@ class TestQuotient:
             seen["exact"] += a.precision is None or b.precision is None
             seen[str(lead)] += 1
         assert min(seen.values()) >= 10 and seen["both paths"] >= 40, seen
+        # a divisor that is its lead u times a series of Gaussian-integer
+        # numerators with lead 1 takes the recurrence too
+        i = GaussianRational(0, 1)
+        divisors = [S({0: 2, 1: -2, 3: -2}), jacobi_theta(qpow(1), qpow(2), 30) * (1 + i)]
+        for _ in range(40):
+            lo = Fraction(rnd.randint(-4, 4), rnd.choice([1, 2]))
+            terms = {lo + Fraction(k, 2): GaussianRational(rnd.randint(-3, 3), rnd.randint(-2, 2))
+                     for k in range(1, rnd.randint(2, 30)) if rnd.random() < 0.4}
+            terms[lo] = rnd.choice([1, -1, i])
+            u = rnd.choice([2, -3, 1 + i, 2 * i, GaussianRational(1, -2)])
+            precision = None if rnd.random() < 0.3 else lo + rnd.randint(1, 30)
+            divisors.append(S(terms, precision) * u)
+        for b in divisors:
+            a, _, _ = self._series(rnd)
+            order = rnd.choice([None, Fraction(rnd.randint(1, 30), rnd.choice([1, 2]))])
+            if b.precision is None and order is None:
+                order = 12
+            want = a * b.invert(order)
+            got, took = self._each_path(monkeypatch, ran, rule, a, b, order, want)
+            assert took[True] or got.is_zero(), (a, b, order)
+            if not got.is_zero():
+                want_terms, L = self._oracle(a, b, got)
+                assert {e * L: c for e, c in got.terms.items()} == want_terms
+
+    @staticmethod
+    def _each_path(monkeypatch, ran, rule, a, b, order, want):
+        """a.divide(b, order) as the rule picks and with each path forced,
+        asserted equal to want in value and precision; and which of the
+        three ran the recurrence."""
+        took = {}
+        for force in ("rule", True, False):
+            monkeypatch.setattr(series, "_recurrence_cheaper",
+                                rule if force == "rule" else lambda *args, f=force: f)
+            before = len(ran)
+            got = a.divide(b, order)
+            assert got == want and got.precision == want.precision, (a, b, order, force)
+            _assert_ground_types(got)
+            took[force] = len(ran) > before
+        assert not took[False]
+        return got, took
 
     def test_inverse_start_and_precision_without_inverting(self):
         # what the DSL plan reads of a divisor it has not inverted
@@ -763,7 +811,7 @@ class TestQuotient:
                 kinds["starts past the order" if inv.is_zero() else "inexact"] += 1
         assert min(kinds.values()) >= 10, kinds
 
-    def test_rule(self):
+    def test_rule(self, monkeypatch):
         # the recurrence's steps are sum(n - j) over the divisor's nonzero
         # slots 0 < j < n: about 38 per slot when they fill the top half,
         # 100 when they fill two slots in three
@@ -774,6 +822,19 @@ class TestQuotient:
         assert not series._recurrence_cheaper(n, dense)
         # a Gaussian divisor's steps count twice
         assert not series._recurrence_cheaper(n, (top_half[0], [0] * n))
+        # a divisor whose lead divides it takes the recurrence as the rule
+        # picks it; 2 + q, whose lead 2 does not divide the numerator 1,
+        # takes Newton's path
+        ran = []
+        inner = series._recurrence
+        monkeypatch.setattr(series, "_recurrence", lambda *args: ran.append(1) or inner(*args))
+        a = S({0: 1, 1: 3, 2: -1}, 40)
+        i = GaussianRational(0, 1)
+        for b, path in ((S({0: 2, 1: -2, 3: -2}), 1), (jacobi_theta(qpow(1), qpow(2), 40) * (1 + i), 1),
+                        (S({0: 2, 1: 1}), 0)):
+            a.divide(b, 40)
+            assert len(ran) == path, b
+            ran.clear()
 
     def test_zero_divisor(self):
         with pytest.raises(ZeroSeries, match="cannot invert a series that is zero to its precision"):

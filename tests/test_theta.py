@@ -140,6 +140,37 @@ class TestJacobiTheta:
             p = jacobi_theta_product(x, qpow(b), 15)
             assert s.agrees_with(p), f"x={x} base=q^{b}"
 
+    def test_against_bilateral_oracle_randomized(self):
+        # value and precision, with Gaussian and non-unit coefficients on x
+        # and on the base, zero, negative and fractional exponents of x,
+        # and orders <= 0 and fractional
+        rnd = random.Random(315)
+        coeffs = [(1, 0), (-1, 0), (0, 1), (1, 1), (2, 0), (Fraction(1, 3), 0)]
+        seen = dict.fromkeys(["gaussian x", "gaussian base", "non-unit x", "non-unit base",
+                              "x exponent 0", "negative x exponent", "fractional x exponent",
+                              "order <= 0", "fractional order", "zero"], 0)
+        for _ in range(300):
+            cx, cb = rnd.choice(coeffs), rnd.choice(coeffs)
+            ex = 0 if rnd.random() < 0.15 else Fraction(rnd.randint(-12, 12), rnd.choice([1, 2, 3, 5]))
+            eb = Fraction(rnd.randint(1, 4), rnd.choice([1, 2, 3]))
+            order = Fraction(rnd.randint(-6, 20), rnd.choice([1, 1, 2, 3]))
+            got = jacobi_theta(mono(GaussianRational(*cx), ex), mono(GaussianRational(*cb), eb), order)
+            # |n| <= 73 holds every term below the order here
+            want = bilateral_theta(cx, ex, eb, order, span=100, base_coeff=cb)
+            assert got.precision == order, (cx, ex, cb, eb, order)
+            assert {e: (c.re, c.im) for e, c in got.terms.items()} == want, (cx, ex, cb, eb, order)
+            seen["gaussian x"] += cx[1] != 0
+            seen["gaussian base"] += cb[1] != 0
+            seen["non-unit x"] += cx[0] not in (1, -1) and not cx[1]
+            seen["non-unit base"] += cb[0] not in (1, -1) and not cb[1]
+            seen["x exponent 0"] += ex == 0
+            seen["negative x exponent"] += ex < 0
+            seen["fractional x exponent"] += Fraction(ex).denominator != 1
+            seen["order <= 0"] += order <= 0
+            seen["fractional order"] += order.denominator != 1
+            seen["zero"] += got.is_zero()
+        assert min(seen.values()) >= 10, seen
+
     def test_negative_exponent_argument(self):
         x = mono(1, Fraction(-3, 5))
         s = jacobi_theta(x, qpow(1), 12)
