@@ -32,7 +32,6 @@ from .theta import (
     Jbar,
     Jm,
     jacobi_theta,
-    jacobi_theta_product,
     pochhammer_finite,
     pochhammer_infinite,
 )
@@ -44,9 +43,8 @@ from .appell import (
     theta_abc,
     theta_np,
     universal_g_eulerian,
-    universal_g_via_m,
 )
-from .hecke import f_abc, f_abc_via_quadrants
+from .hecke import f_abc
 from .catalog import (
     CATALOG,
     CatalogEntry,

@@ -1,10 +1,12 @@
 """Ground types: the rationals and the Gaussian rationals over them.
 
 All exponents and coefficient parts are exact rationals, the stdlib
-``fractions.Fraction``; a coefficient is a ``GaussianRational``.
+``fractions.Fraction``; a coefficient is a ``GaussianRational``, and in the
+hot loops an (re, im, den) triple of integers over a positive denominator.
 """
 
 from fractions import Fraction
+from math import lcm
 
 RAT = Fraction
 
@@ -168,6 +170,40 @@ def as_gaussian(x):
     if isinstance(x, GaussianRational):
         return x
     return GaussianRational(rat(x))
+
+
+def as_triple(c):
+    """(re, im, den): a GaussianRational as integers over one positive
+    denominator."""
+    dr, di = int(c.re.denominator), int(c.im.denominator)
+    d = dr if dr == di else lcm(dr, di)
+    return int(c.re.numerator) * (d // dr), int(c.im.numerator) * (d // di), d
+
+
+def triple_pow(t, n):
+    """t^n for a nonzero triple t = (re, im, den) and any integer n."""
+    r, i, d = t
+    if n < 0:
+        if i:
+            r, i, d = r * d, -i * d, r * r + i * i
+        else:
+            r, d = (d, r) if r > 0 else (-d, -r)
+        n = -n
+    if not i:
+        return r ** n, 0, d ** n
+    dn = d ** n
+    pr, pi = 1, 0
+    while n:
+        if n & 1:
+            pr, pi = pr * r - pi * i, pr * i + pi * r
+        n >>= 1
+        if n:
+            r, i = r * r - i * i, 2 * r * i
+    return pr, pi, dn
+
+
+def triple_mul(s, t):
+    return s[0] * t[0] - s[1] * t[1], s[0] * t[1] + s[1] * t[0], s[2] * t[2]
 
 
 GR_ZERO = GaussianRational(0)

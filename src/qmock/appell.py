@@ -45,7 +45,6 @@ __all__ = [
     "appell_m_valuation",
     "universal_g_eulerian",
     "universal_g_valuation",
-    "universal_g_via_m",
     "g_abc",
     "h_abc",
     "theta_np",
@@ -258,22 +257,6 @@ def universal_g_eulerian(x, base, order):
     # the sum less 1, as one more part of the lattice, over x
     total = sum_lattices(parts + [(L, 0, 1, [-1], None, 1)], p)
     return total.mul_monomial(x.inverse()).truncate(order)
-
-
-def universal_g_via_m(x, base, order):
-    """g via its two-term Appell-Lerch representation
-    g(x,b) = -x^(-1) m(b^2 x^(-3), b^3, x^2) - x^(-2) m(b x^(-3), b^3, x^2).
-    """
-    base = as_base(base)
-    order = rat(order)
-    x3 = x ** (-3)
-    b3 = base ** 3
-    z = x ** 2
-    ex = x.exp
-    t1 = appell_m((base ** 2) * x3, b3, z, order + max(ex, _R0))
-    t2 = appell_m(base * x3, b3, z, order + max(2 * ex, _R0))
-    out = t1.mul_monomial(-(x ** (-1))) + t2.mul_monomial(-(x ** (-2)))
-    return out.truncate(order)
 
 
 def _block(name, values, order):

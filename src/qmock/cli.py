@@ -25,6 +25,7 @@ from .dsl import (
     parse,
     parse_corpus,
     parse_order,
+    to_text,
     verify_identity,
 )
 from .series import format_series
@@ -100,15 +101,25 @@ def cmd_verify(args):
 
 
 def _verify_payload(record):
-    """Worker for process pools; takes a record and returns its report."""
+    """The one place a record is verified, in this process or in a pool
+    worker: a record sent to a worker carries its expressions' text and no
+    ASTs, and is parsed here; returns its report."""
+    if record.lhs is None:
+        record = dataclasses.replace(record, lhs=parse(record.lhs_text), rhs=parse(record.rhs_text))
     return verify_identity(record)
+
+
+def _as_text(record):
+    """The record as a worker gets it: its text, which pickles at any depth,
+    without the ASTs, which do not."""
+    return dataclasses.replace(record, lhs=None, rhs=None,
+                               lhs_text=record.lhs_text or to_text(record.lhs),
+                               rhs_text=record.rhs_text or to_text(record.rhs))
 
 
 def _pool_report(future, record):
     try:
         return future.result()
-    except RecursionError:  # an AST too deep to pickle: verify it here
-        return _verify_payload(record)
     except concurrent.futures.BrokenExecutor as exc:
         # a worker died (BrokenProcessPool): the pool is broken, and every
         # stanza still pending in it errs here until the pool is replaced
@@ -122,7 +133,7 @@ def run_corpus(records, order_override=None, jobs=1):
         records = [dataclasses.replace(rec, order=order_override) for rec in records]
     if jobs > 1 and len(records) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_verify_payload, rec) for rec in records]
+            futures = [pool.submit(_verify_payload, _as_text(rec)) for rec in records]
             reports = [_pool_report(f, rec) for f, rec in zip(futures, records)]
     else:
         reports = [_verify_payload(rec) for rec in records]

@@ -485,7 +485,9 @@ def _fold_int(node):
 # starts (its precision, if it is zero below it); a divisor with an exact
 # valuation d is asked for its inverse's order plus 2d.  Each factor is
 # asked at least for its own valuation, so even a factor that comes back
-# zero starts no lower than its bound.
+# zero starts no lower than its bound.  A quotient whose divisor is a
+# product or a quotient is planned and evaluated in its split form
+# (``_Plan._split``), so that each factor of a divisor is its own divisor.
 
 
 def _target(w, other, own):
@@ -563,10 +565,12 @@ class _Plan:
 
     def __init__(self):
         # id(node) -> valuation, folded call arguments, a block call's
-        # expansion; the AST outlives the plan, which keeps the expansions
+        # expansion, a quotient's split form; the AST outlives the plan,
+        # which keeps the nodes it makes
         self._vals = {}
         self._args = {}
         self._blocks = {}
+        self._splits = {}
 
     def valuation(self, node):
         """The valuation of ``node`` (see above), from those of its parts."""
@@ -584,6 +588,7 @@ class _Plan:
         elif isinstance(node, Mul):
             val = _val_product(self.valuation(node.left), self.valuation(node.right))
         elif isinstance(node, Div):
+            node = self._split(node)
             val = _val_product(self.valuation(node.left),
                                _val_inverse(self.valuation(node.right)))
         elif isinstance(node, Pow):
@@ -632,6 +637,8 @@ class _Plan:
             # nests no deeper than a long sum.  A factor without a valuation
             # is evaluated first, so that where it starts is known when its
             # partner's order is set.
+            if isinstance(node, Div):
+                node = self._split(node)
             a, b = node.left, node.right
             get_a, get_b = self.series, self.series
             vb = self.valuation(b)
@@ -655,6 +662,19 @@ class _Plan:
         if isinstance(node, Call):
             return self._call(node, w)
         raise TypeError(f"not an AST node: {node!r}")
+
+    def _split(self, node):
+        """The quotient ``node`` with a divisor that is no product or
+        quotient: a/(b*c) is (a/b)/c and a/(b/c) is (a*c)/b, so that each
+        factor of a divisor is divided by on its own and their product is
+        never formed."""
+        key = id(node)
+        if key not in self._splits:
+            a, b = node.left, node.right
+            while isinstance(b, (Mul, Div)):
+                a, b = (Div(a, b.left), b.right) if isinstance(b, Mul) else (Mul(a, b.right), b.left)
+            self._splits[key] = node if b is node.right else Div(a, b)
+        return self._splits[key]
 
     def _power(self, base, k, w):
         """base^k known below w: the base, or its inverse for k < 0, is
@@ -770,7 +790,7 @@ class IdentityRecord:
     id: str
     anchor: str
     order: object  # rational
-    lhs: object  # AST
+    lhs: object  # AST; None on the way to a pool worker, which parses the text
     rhs: object  # AST
     lhs_text: str = ""
     rhs_text: str = ""

@@ -12,14 +12,11 @@ enumeration that provably drops no term.
 
 from __future__ import annotations
 
-from ._rational import RAT, rat, floor
-from .series import QSeries, as_triple, exponent_grid, lattice_series, triple_mul, triple_pow
+from ._rational import rat
+from .series import as_triple, exponent_grid, lattice_series, triple_mul, triple_pow
 from .theta import as_base
 
-__all__ = ["f_abc", "f_abc_via_quadrants"]
-
-_HALF = RAT(1, 2)
-
+__all__ = ["f_abc"]
 
 def _check_params(a, b, c):
     if a <= 0 or c <= 0:
@@ -93,56 +90,3 @@ def _quadrant(a, b, c, grid, coeffs, top, od):
                 s += 1
         r += 1
     return points
-
-
-def f_abc_via_quadrants(a, b, c, x, y, base, order):
-    """Independent oracle: bound |r| and |s| from the order, then re-sum the
-    full rectangle in the opposite iteration order (columns outer)."""
-    _check_params(a, b, c)
-    base = as_base(base)
-    order = rat(order)
-    eb, cb = base.exp, base.coeff
-    ex, cx = x.exp, x.coeff
-    ey, cy = y.exp, y.coeff
-
-    def u_part(r):
-        return eb * a * (r * (r - 1)) / 2 + ex * r
-
-    def w_part(s):
-        return eb * c * (s * (s - 1)) / 2 + ey * s
-
-    def global_min(f, vertex):
-        vf = floor(vertex)
-        return min(f(vf), f(vf + 1))
-
-    u_min = global_min(u_part, _HALF - ex / (eb * a))
-    w_min = global_min(w_part, _HALF - ey / (eb * c))
-
-    def span(f, bound):
-        lo = 0
-        while f(lo - 1) < bound:
-            lo -= 1
-        hi = 0
-        while f(hi + 1) < bound:
-            hi += 1
-        return lo, hi
-
-    r_lo, r_hi = span(u_part, order - w_min)
-    s_lo, s_hi = span(w_part, order - u_min)
-
-    out = {}
-    for s in range(s_lo, s_hi + 1):
-        for r in range(r_lo, r_hi + 1):
-            if (r >= 0) != (s >= 0):
-                continue
-            ie = a * (r * (r - 1)) // 2 + b * r * s + c * (s * (s - 1)) // 2
-            e = eb * ie + ex * r + ey * s
-            if e >= order:
-                continue
-            val = (cx ** r) * (cy ** s) * (cb ** ie)
-            if (r + s) & 1:
-                val = -val
-            if r < 0:
-                val = -val
-            out[e] = out.get(e, 0) + val
-    return QSeries(out, order)

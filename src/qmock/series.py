@@ -18,11 +18,9 @@ precision.  So sums place all their terms on one grid and add the vectors,
 shifts and substitutions move the grid and scale the vectors, truncation
 slices, and products (with Newton inversion through them) convolve the
 vectors; an exact one-term factor only shifts and scales the other.  A
-quotient by a divisor whose lead numerator divides all its numerators (as
-1, -1, i and -i always do) is one exact recurrence over the divisor's
-nonzero slots instead, when a fixed cost rule finds that cheaper than
-Newton's inverse and a product.  A
-convolution is either a loop over the term pairs or one big-int product of
+quotient is one exact recurrence over the divisor's nonzero slots
+instead, whatever its lead, when a fixed cost rule finds that cheaper
+than Newton's inverse and a product.  A convolution is either a loop over the term pairs or one big-int product of
 the Kronecker-packed vectors, whichever a fixed cost rule, weighing the term
 pairs and their bits against the packed bytes, finds cheaper.  A slot of at
 most 8 bytes is widened to 1, 2, 4 or 8 bytes and packed and unpacked in
@@ -52,7 +50,8 @@ from operator import add, neg, or_, sub
 from types import MappingProxyType
 
 # the coefficient type and its constants are part of this module's interface too
-from ._rational import GR_I, GR_ONE, GR_ZERO, RAT, GaussianRational, as_gaussian, rat, is_integer
+from ._rational import (GR_I, GR_ONE, GR_ZERO, RAT, GaussianRational, as_gaussian, as_triple, is_integer,
+                        rat, triple_mul, triple_pow)
 
 __all__ = [
     "GaussianRational",
@@ -473,13 +472,13 @@ class QSeries:
         """self / other, equal in value and in precision to
         ``self * other.invert(order)``.
 
-        When the divisor's lead numerator u divides every one of its
-        numerators as a Gaussian integer, the divisor is u times a series
-        of Gaussian-integer numerators that starts with 1, and the
-        quotient's numerators solve one exact recurrence on the common
-        lattice, q_i = a_i*conj(u) - sum_j b_j*q_(i-j), over that series'
-        nonzero slots j > 0, in which a coefficient 1 or -1 is an add or a
-        subtract; the norm of u joins the denominator.  It is taken when a
+        Both sides' numerators on the common lattice are multiplied by the
+        conjugate of the divisor's lead when that is not real, and the
+        divisor's are divided by their greatest common factor, so that
+        they start with an integer u > 0.  The quotient's numerators then
+        solve one exact recurrence, q_i*u = a_i - sum_j b_j*q_(i-j) over
+        the divisor's nonzero slots j > 0, over a denominator that grows
+        only where a slot needs it (``_recurrence``).  It is taken when a
         fixed cost rule, ``_recurrence_cheaper``, finds it cheaper than the
         Newton inverse and the product; the quotient is Newton's inverse
         times self otherwise."""
@@ -496,20 +495,22 @@ class QSeries:
         n = _slots_below(p, L, lo, step)
         if n <= 0:
             return QSeries.zero(p)
-        b = _spread(other, step_b // step, n)
-        if not _recurrence_cheaper(n, b):
+        br, bi = _spread(other, step_b // step, n)
+        ur, ui = br[0], 0 if bi is None else bi[0]
+        if ui:
+            br, bi = _scale(br, bi, ur, -ui)
+            if not any(bi):
+                bi = None
+        g = gcd(*br, *bi or ()) if br[0] > 0 else -gcd(*br, *bi or ())
+        if g != 1:
+            div = g.__rfloordiv__
+            br, bi = list(map(div, br)), None if bi is None else list(map(div, bi))
+        if not _recurrence_cheaper(n, (br, bi)):
             return self * other.invert(order)
         a = _spread(self, step_a // step, _slots(n))
-        ur, ui = b[0][0], 0 if b[1] is None else b[1][0]
-        norm = ur * ur + ui * ui
-        if ur != 1 or ui:
-            b = _lead_one(b, ur, ui, norm)
-            if b is None:
-                return self * other.invert(order)
-            a = _scale(*a, ur, -ui)
-        re, im = _recurrence(a, b, n)
-        re, im = _scale(re, im, other._den, 0)
-        return _make(L, lo, step, re, im, self._den * norm, p)
+        re, im, den = _recurrence(_scale(*a, ur, -ui) if ui else a, (br, bi), n)
+        re, im = _scale(re, im, other._den if g > 0 else -other._den, 0)
+        return _make(L, lo, step, re, im, self._den * abs(g) * den, p)
 
     # -- reshaping -----------------------------------------------------------
 
@@ -1060,40 +1061,6 @@ def exponent_grid(*monomials):
     return (L, *[int(m.exp.numerator) * (L // int(m.exp.denominator)) for m in monomials])
 
 
-def as_triple(c):
-    """(re, im, den): a GaussianRational as integers over one positive
-    denominator."""
-    dr, di = int(c.re.denominator), int(c.im.denominator)
-    d = dr if dr == di else lcm(dr, di)
-    return int(c.re.numerator) * (d // dr), int(c.im.numerator) * (d // di), d
-
-
-def triple_pow(t, n):
-    """t^n for a nonzero triple t = (re, im, den) and any integer n."""
-    r, i, d = t
-    if n < 0:
-        if i:
-            r, i, d = r * d, -i * d, r * r + i * i
-        else:
-            r, d = (d, r) if r > 0 else (-d, -r)
-        n = -n
-    if not i:
-        return r ** n, 0, d ** n
-    dn = d ** n
-    pr, pi = 1, 0
-    while n:
-        if n & 1:
-            pr, pi = pr * r - pi * i, pr * i + pi * r
-        n >>= 1
-        if n:
-            r, i = r * r - i * i, 2 * r * i
-    return pr, pi, dn
-
-
-def triple_mul(s, t):
-    return s[0] * t[0] - s[1] * t[1], s[0] * t[1] + s[1] * t[0], s[2] * t[2]
-
-
 def _ratio(num, den):
     """num/den in the ground type; for den == 1 without the gcd."""
     return RAT(num) if den == 1 else RAT(num, den)
@@ -1209,24 +1176,14 @@ def _twist(re, im, w):
     return out_re, out_im, dens[0]
 
 
-def _lead_one(b, ur, ui, norm):
-    """b/u for the lead u = ur + ui*i of the numerator vectors b, as vectors
-    that start with 1, or None when u does not divide every slot of b."""
-    br, bi = _scale(*b, ur, -ui)
-    if norm != 1:
-        if any(map(norm.__rmod__, br)) or bi is not None and any(map(norm.__rmod__, bi)):
-            return None
-        div = norm.__rfloordiv__
-        br, bi = list(map(div, br)), None if bi is None else list(map(div, bi))
-    return br, None if bi is None or not any(bi) else bi
-
-
 def _recurrence_cheaper(n, b):
     """True when the recurrence for n quotient slots costs less than a
     Newton inverse and a product.  Its inner loop runs n - j times for each
     nonzero slot 0 < j < n of the divisor b, and a Gaussian divisor's step
     costs about twice a real one's; Newton's products cost per slot about
-    as much as _RECURRENCE_STEPS of those steps."""
+    as much as _RECURRENCE_STEPS of those steps.  A lead u > 1 adds a
+    divisibility test per slot and the rescales, which grow the numerators
+    on both paths alike."""
     br, bi = b
     steps = sum(map(n.__sub__, _occupied(br, bi))) - n
     if bi is not None:
@@ -1236,49 +1193,67 @@ def _recurrence_cheaper(n, b):
 
 # Fitted by timing both paths on the 281 divisions with a unit lead in one
 # verification of the shipped corpus and of its Appell-Lerch and g stanzas
-# at order 200 (2 vCPUs, CPython 3.11): the rule totals 69 ms and 560 ms
-# on them, the faster path of each 67 ms and 555 ms, and Newton's path
-# 213 ms and 6.4 s.
+# at order 200 (2 vCPUs, CPython 3.11); checked again since any lead takes
+# the recurrence and the DSL divides by each factor: on the 499 and 150
+# divisions with a choice there (78 and 22 with a lead u > 1), the rule
+# totals 175 ms and 2.56 s, the faster path of each 163 ms and 2.55 s, and
+# Newton's path 545 ms and 28.5 s, for any constant from 32 to 256.
 _RECURRENCE_STEPS = 64
 
 
 def _recurrence(a, b, n):
-    """The first n slots of the quotient of two numerator vector pairs
-    (re, im or None) whose divisor b starts with 1: q_i = a_i - sum_j
-    b_j*q_(i-j) over b's nonzero slots 0 < j < n.  A real divisor runs the
-    real recurrence on each part of a."""
+    """(qr, qi, D): the first n slots of the quotient of two numerator
+    vector pairs (re, im or None), over D, for a divisor b with an integer
+    lead u > 0: q_i*u = a_i*D - sum_j b_j*q_(i-j) over b's nonzero slots
+    0 < j < n.  D starts at 1; where u does not divide q_i*u, D, the
+    quotient so far and the rest of a are multiplied by u/gcd(u, q_i*u).
+    A real divisor runs the real recurrence on each part of a, the second
+    scaled by the first one's D."""
     (ar, ai), (br, bi) = a, b
     pad = [0] * (n - len(ar))
     if bi is None:
-        return (_real_recurrence(ar + pad, br),
-                None if ai is None else _real_recurrence(ai + pad, br))
+        qr, dr = _real_recurrence(ar + pad, br)
+        if ai is None:
+            return qr, None, dr
+        qi, di = _real_recurrence(list(map(dr.__mul__, ai)) + pad, br)
+        return list(map(di.__mul__, qr)), qi, dr * di
     taps = [(j, br[j], bi[j]) for j in _occupied(br, bi) if j]
-    ai = [0] * n if ai is None else ai + pad
+    ar, ai = ar + pad, [0] * n if ai is None else ai + pad
+    u, D = br[0], 1
     qr, qi = [], []
-    for i, tr, ti in zip(range(n), ar + pad, ai):
+    for i, tr, ti in zip(range(n), ar, ai):
         for j, cr, ci in taps:
             if j > i:
                 break
             sr, si = qr[i - j], qi[i - j]
             tr -= cr * sr - ci * si
             ti -= cr * si + ci * sr
+        if u != 1:
+            g = u // gcd(tr, ti, u)
+            if g != 1:
+                mul = g.__mul__
+                qr[:], qi[:] = map(mul, qr), map(mul, qi)
+                ar[i + 1:], ai[i + 1:] = map(mul, ar[i + 1:]), map(mul, ai[i + 1:])
+                tr, ti, D = tr * g, ti * g, D * g
+            tr, ti = tr // u, ti // u
         qr.append(tr)
         qi.append(ti)
-    return qr, qi
+    return qr, qi, D
 
 
 def _real_recurrence(a, b):
-    """q_i = a_i - sum_j b_j*q_(i-j) for real vectors, b[0] = 1, one slot
-    of a at a time: the slots j > 0 of b that hold 1 or -1 subtract or add
-    q_(i-j), and the others multiply it.  On the 73 real recurrences of
-    one verification of the shipped appell stanzas (2 vCPUs, CPython
-    3.11), this split took 25 ms in the median of 40 rounds against 31 ms
-    for one loop of ``t -= c*q[i-j]`` over all taps, and was faster in 36
-    of the 40."""
+    """(q, D) as in ``_recurrence`` for real vectors, one slot of a at a
+    time, rescaling a in place: the slots j > 0 of b that hold 1 or -1
+    subtract or add q_(i-j), and the others multiply it.  On the 73 real
+    recurrences of one verification of the shipped appell stanzas (2
+    vCPUs, CPython 3.11), this split took 25 ms in the median of 40 rounds
+    against 31 ms for one loop of ``t -= c*q[i-j]`` over all taps, and was
+    faster in 36 of the 40."""
     taps = [j for j in _occupied(b, None) if j]
     plus = [j for j in taps if b[j] == 1]
     minus = [j for j in taps if b[j] == -1]
     rest = [(j, b[j]) for j in taps if b[j] not in (1, -1)]
+    u, D = b[0], 1
     q = []
     for i, t in enumerate(a):
         for j in plus:
@@ -1293,8 +1268,14 @@ def _real_recurrence(a, b):
             if j > i:
                 break
             t -= c * q[i - j]
+        if u != 1:
+            g = u // gcd(t, u)
+            if g != 1:
+                q[:], a[i + 1:] = map(g.__mul__, q), map(g.__mul__, a[i + 1:])
+                t, D = t * g, D * g
+            t //= u
         q.append(t)
-    return q
+    return q, D
 
 
 def _convolution(a, b, count):

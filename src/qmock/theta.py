@@ -35,7 +35,6 @@ __all__ = [
     "pochhammer_finite",
     "pochhammer_infinite",
     "jacobi_theta",
-    "jacobi_theta_product",
     "theta_valuation",
     "J",
     "Jbar",
@@ -192,24 +191,6 @@ def jacobi_theta(x, base, order):
         if im is not None:
             im[i] += j * f
     return vector_series(L, e_low, h, re, im, den, order)
-
-
-def jacobi_theta_product(x, base, order):
-    """The triple-product form (x)_inf (b/x)_inf (b)_inf, as a cross-check."""
-    base = as_base(base)
-    order = rat(order)
-    a1 = pochhammer_infinite(x, base, order)
-    a2 = pochhammer_infinite(base * x.inverse(), base, order)
-    a3 = pochhammer_infinite(base, base, order)
-    l1 = a1.low_degree() or _R0
-    l2 = a2.low_degree() or _R0
-    pad = -min(l1 + l2, _R0)
-    if pad > 0:
-        work = order + pad
-        a1 = pochhammer_infinite(x, base, work)
-        a2 = pochhammer_infinite(base * x.inverse(), base, work)
-        a3 = pochhammer_infinite(base, base, work)
-    return (a1 * a2 * a3).truncate(order)
 
 
 def J(a, m, order):

@@ -1,7 +1,9 @@
 """Small self-contained reference implementations used as test oracles.
 
 Everything here but the pairwise Appell-Lerch and universal-g loops, the
-retry evaluator and the hand-coded block sums at the end works on plain
+three cross-check forms after them (the triple product, the quadrant sum
+and g through m), the retry evaluator and the hand-coded block sums at the
+end works on plain
 {exponent: Fraction} dicts and stays deliberately independent of the
 package's series engine, so agreement is a two-sided check.
 """
@@ -421,6 +423,98 @@ def universal_g_pairwise(x, base, order):
         inv_den = inv_den * ufe(cx * cb ** n, ex + n * eb)
         inv_den = (inv_den * ufe(cx_inv * cb ** n, n * eb - ex)).truncate(work)
     return (total - 1).mul_monomial(x.inverse()).truncate(order)
+
+
+# Three more cross-check forms built on the package's own functions: the
+# theta function as its triple product, f_{a,b,c} summed over both quadrants
+# of a bounded rectangle, and g through its two Appell-Lerch sums.
+
+
+def jacobi_theta_product(x, base, order):
+    """The triple-product form (x)_inf (b/x)_inf (b)_inf of j(x; b)."""
+    base = as_base(base)
+    order = rat(order)
+    a1 = theta.pochhammer_infinite(x, base, order)
+    a2 = theta.pochhammer_infinite(base * x.inverse(), base, order)
+    a3 = theta.pochhammer_infinite(base, base, order)
+    l1 = a1.low_degree() or 0
+    l2 = a2.low_degree() or 0
+    pad = -min(l1 + l2, 0)
+    if pad > 0:
+        work = order + pad
+        a1 = theta.pochhammer_infinite(x, base, work)
+        a2 = theta.pochhammer_infinite(base * x.inverse(), base, work)
+        a3 = theta.pochhammer_infinite(base, base, work)
+    return (a1 * a2 * a3).truncate(order)
+
+
+def f_abc_via_quadrants(a, b, c, x, y, base, order):
+    """f_{a,b,c}(x, y, b): bound |r| and |s| from the order, then sum the
+    full rectangle in the opposite iteration order (columns outer)."""
+    hecke._check_params(a, b, c)
+    base = as_base(base)
+    order = rat(order)
+    eb, cb = base.exp, base.coeff
+    ex, cx = x.exp, x.coeff
+    ey, cy = y.exp, y.coeff
+
+    def u_part(r):
+        return eb * a * (r * (r - 1)) / 2 + ex * r
+
+    def w_part(s):
+        return eb * c * (s * (s - 1)) / 2 + ey * s
+
+    def global_min(f, vertex):
+        vf = vertex // 1
+        return min(f(vf), f(vf + 1))
+
+    u_min = global_min(u_part, Fraction(1, 2) - ex / (eb * a))
+    w_min = global_min(w_part, Fraction(1, 2) - ey / (eb * c))
+
+    def span(f, bound):
+        lo = 0
+        while f(lo - 1) < bound:
+            lo -= 1
+        hi = 0
+        while f(hi + 1) < bound:
+            hi += 1
+        return lo, hi
+
+    r_lo, r_hi = span(u_part, order - w_min)
+    s_lo, s_hi = span(w_part, order - u_min)
+
+    out = {}
+    for s in range(s_lo, s_hi + 1):
+        for r in range(r_lo, r_hi + 1):
+            if (r >= 0) != (s >= 0):
+                continue
+            ie = a * (r * (r - 1)) // 2 + b * r * s + c * (s * (s - 1)) // 2
+            e = eb * ie + ex * r + ey * s
+            if e >= order:
+                continue
+            val = (cx ** r) * (cy ** s) * (cb ** ie)
+            if (r + s) & 1:
+                val = -val
+            if r < 0:
+                val = -val
+            out[e] = out.get(e, 0) + val
+    return QSeries(out, order)
+
+
+def universal_g_via_m(x, base, order):
+    """g via its two-term Appell-Lerch representation
+    g(x,b) = -x^(-1) m(b^2 x^(-3), b^3, x^2) - x^(-2) m(b x^(-3), b^3, x^2).
+    """
+    base = as_base(base)
+    order = rat(order)
+    x3 = x ** (-3)
+    b3 = base ** 3
+    z = x ** 2
+    ex = x.exp
+    t1 = appell.appell_m((base ** 2) * x3, b3, z, order + max(ex, 0))
+    t2 = appell.appell_m(base * x3, b3, z, order + max(2 * ex, 0))
+    out = t1.mul_monomial(-(x ** (-1))) + t2.mul_monomial(-(x ** (-2)))
+    return out.truncate(order)
 
 
 def eulerian_sum_stepwise(weight, factors, order, divide=True):

@@ -25,7 +25,7 @@ from qmock.catalog import (
 )
 from qmock.cli import run_corpus, shipped_corpus_path
 from qmock.dsl import parse_corpus, verify_identity
-from qmock.hecke import f_abc, f_abc_via_quadrants
+from qmock.hecke import f_abc
 from qmock.appell import appell_m, msplit_rhs
 from qmock.series import (
     GaussianRational,
@@ -35,7 +35,7 @@ from qmock.series import (
 )
 from qmock.theta import J, Jbar, Jm, jacobi_theta
 
-from oracles import unit_fraction_expand
+from oracles import f_abc_via_quadrants, unit_fraction_expand
 
 R = Fraction
 

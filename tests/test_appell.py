@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from oracles import universal_g_via_m
 
 from qmock import appell
 from qmock.appell import (
@@ -19,7 +20,6 @@ from qmock.appell import (
     theta_np,
     universal_g_eulerian,
     universal_g_valuation,
-    universal_g_via_m,
 )
 from qmock.hecke import f_abc
 from qmock.series import (

@@ -1,6 +1,7 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
 import concurrent.futures
+import dataclasses
 import json
 from concurrent.futures.process import BrokenProcessPool
 
@@ -186,8 +187,9 @@ class TestCorpus:
         assert "'deep'" in err and "nested too deeply" in err
 
     def test_too_long_stanza_errors_alone(self, capsys, tmp_path):
-        # 1200 terms are too deep to evaluate; 400 are too deep to send to a
-        # worker process but evaluate, so the pool verifies them in place
+        # 1200 terms are too deep to evaluate; 400 evaluate, and a worker
+        # process gets their text, which it parses, not their AST, which is
+        # too deep to pickle
         stanzas = "".join(
             f'\n[identity sum-{n}]\nanchor = "x"\norder = 5\nlhs = {long_sum(n)}\nrhs = {n}q\n'
             for n in (400, 1200)
@@ -218,6 +220,16 @@ class TestCorpus:
                 "pass-1": "PASS", "pass-2": "PASS", "planted": "FAIL", "bad-block": "ERROR",
             }
             assert reports["bad-block"]["detail"] == "ValueError: need n > 0 and p > 0, got (1, 0)"
+
+    def test_records_without_text_reach_workers(self):
+        # a record built from its ASTs alone goes to a worker as their
+        # printed text, and gets the report it gets in this process
+        records = [dataclasses.replace(r, lhs_text="", rhs_text="")
+                   for r in parse_corpus(FAILING_CORPUS)]
+        reports = [[r.to_dict(stable=True) for r in cli.run_corpus(records, jobs=jobs)]
+                   for jobs in (1, 2)]
+        assert reports[0] == reports[1]
+        assert [r["status"] for r in reports[1]] == ["PASS", "PASS", "FAIL"]
 
     def test_crashed_worker_errs_pending_stanzas(self, monkeypatch):
         # a stub pool: the planted stanza's worker "dies", which breaks the

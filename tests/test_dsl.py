@@ -328,6 +328,62 @@ class TestPlannedPass:
             assert got == retry_evaluate(diff, rec.order), rec.id
 
 
+class TestDivisionByFactors:
+    """a/(b*c*...) is divided by each factor in turn, and a/(b/c) is
+    (a*c)/b: equal in value and precision to a times the inverse of the
+    divisor, with one ``QSeries.divide`` per factor."""
+
+    M_CALLS = ["m(q^5,q^12,q^2)", "m(-q^(1/3), q, q^(1/2))", "m(q^(1/2), q^2, (1+i)*q)"]
+
+    def _factor(self, rnd):
+        kind = rnd.choice(["j", "j", "Jm", "JB", "gaussian", "monomial", "m"])
+        if kind == "j":
+            c = rnd.choice(["", "-", "2*", "(1/2)*", "(1+i)*"])
+            e = Fraction(rnd.randint(-5, 5), rnd.choice([1, 2, 3]))
+            return kind, f"j({c}q^({e}), q^{rnd.randint(1, 3)})"
+        if kind == "Jm":
+            return kind, f"Jm({rnd.randint(1, 4)})"
+        if kind == "JB":
+            m = rnd.randint(2, 6)
+            return kind, f"JB({rnd.randint(1, m - 1)},{m})"
+        if kind == "gaussian":
+            return kind, rnd.choice(["(2+i)", "(1-2*i)", "i"])
+        if kind == "monomial":
+            return kind, f"{rnd.choice([1, 3])}*q^({Fraction(rnd.randint(-4, 4), rnd.choice([1, 3]))})"
+        return kind, rnd.choice(self.M_CALLS)
+
+    def test_equals_the_inverse_of_the_product(self):
+        rnd = random.Random(1213)
+        seen = dict.fromkeys(["j", "Jm", "JB", "gaussian", "monomial", "m"], 0)
+        for _ in range(40):
+            kinds, factors = zip(*[self._factor(rnd) for _ in range(rnd.randint(2, 4))])
+            num = rnd.choice(["1", "Jm(1)", "q^(-2)*j(q^(1/2), q)", "psi(q) + q"])
+            divisor = "*".join(factors)
+            for order in (5, Fraction(7, 3), 0, Fraction(-3, 2)):
+                got = evaluate(parse(f"{num}/({divisor})"), order)
+                want = evaluate(parse(f"{num}*({divisor})^(-1)"), order)
+                assert got == want and got.precision == want.precision, (num, divisor, order)
+            for k in kinds:
+                seen[k] += 1
+        assert min(seen.values()) >= 5, seen
+
+    @pytest.mark.parametrize("text, divides", [
+        ("Jm(1)/(j(q^(1/2),q)*JB(1,3)*q^(1/3)*Jm(2))", 4),
+        ("Jm(1)/((2+i)*j(-2*q^(-1/2),q^2))", 2),
+        ("Jm(1)/(Jm(2)/JB(1,3))", 1),
+        ("Jm(1)/(Jm(2)/(JB(1,3)*Jm(3)))", 1),
+        ("Jm(1)/(Jm(2)*Jm(3)/(JB(1,3)*Jm(4)))", 2),
+    ])
+    def test_one_divide_per_factor(self, text, divides, monkeypatch):
+        inner = QSeries.divide
+        calls = []
+        monkeypatch.setattr(QSeries, "divide", lambda a, b, order=None: calls.append(b) or inner(a, b, order))
+        got = evaluate(parse(text), 6)
+        assert len(calls) == divides
+        monkeypatch.undo()
+        assert got == retry_evaluate(parse(text), 6)
+
+
 class TestOrderAgreement:
     def test_random_asts_agree_across_orders(self):
         rnd = random.Random(2012)

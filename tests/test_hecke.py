@@ -6,12 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from qmock.hecke import f_abc, f_abc_via_quadrants
+from qmock.hecke import f_abc
 from qmock.series import GaussianRational, QSeries, mono, qpow
 from qmock.theta import Jm, jacobi_theta
 from qmock.catalog import psi3
 
-from oracles import series_to_dict
+from oracles import f_abc_via_quadrants, series_to_dict
 
 R = Fraction
 

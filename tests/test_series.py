@@ -757,6 +757,20 @@ class TestQuotient:
             u = rnd.choice([2, -3, 1 + i, 2 * i, GaussianRational(1, -2)])
             precision = None if rnd.random() < 0.3 else lo + rnd.randint(1, 30)
             divisors.append(S(terms, precision) * u)
+        # a lead that does not divide the divisor: 2 + q, 3 - q^2,
+        # (1 + i) - q, j(2*q^(4/9); q), and 2^k over 2^k, 1 plus taps
+        # +-2^e as in the theta quotients of the corpus
+        divisors += [S({0: 2, 1: 1}), S({0: 3, 2: -1}), S({0: 1 + i, 1: -1}),
+                     jacobi_theta(mono(2, Fraction(4, 9)), qpow(1), 5)]
+        for _ in range(40):
+            den = rnd.choice([1, 2, 9])
+            lo = Fraction(rnd.randint(-4, 4), den)
+            terms = {lo + Fraction(k, den): rnd.choice([1, -1]) * Fraction(2) ** rnd.randint(-5, 5)
+                     for k in range(1, rnd.randint(2, 40)) if rnd.random() < 0.3}
+            terms[lo] = 1
+            terms.setdefault(lo + Fraction(rnd.randint(1, 9), den), Fraction(1, 2))
+            precision = None if rnd.random() < 0.3 else lo + rnd.randint(1, 20)
+            divisors.append(S(terms, precision))
         for b in divisors:
             a, _, _ = self._series(rnd)
             order = rnd.choice([None, Fraction(rnd.randint(1, 30), rnd.choice([1, 2]))])
@@ -768,6 +782,11 @@ class TestQuotient:
             if not got.is_zero():
                 want_terms, L = self._oracle(a, b, got)
                 assert {e * L: c for e, c in got.terms.items()} == want_terms
+        # 1/(2 - q): the common denominator doubles at every slot
+        a, b = S({0: 1}), S({0: 2, 1: -1})
+        got, took = self._each_path(monkeypatch, ran, rule, a, b, 40, a * b.invert(40))
+        assert took[True] and took["rule"]
+        assert got == S({k: Fraction(1, 2 ** (k + 1)) for k in range(40)}, 40)
 
     @staticmethod
     def _each_path(monkeypatch, ran, rule, a, b, order, want):
@@ -822,19 +841,38 @@ class TestQuotient:
         assert not series._recurrence_cheaper(n, dense)
         # a Gaussian divisor's steps count twice
         assert not series._recurrence_cheaper(n, (top_half[0], [0] * n))
-        # a divisor whose lead divides it takes the recurrence as the rule
-        # picks it; 2 + q, whose lead 2 does not divide the numerator 1,
-        # takes Newton's path
+        # a divisor takes the recurrence as the rule picks it whatever its
+        # lead, 2 + q too, whose lead 2 does not divide the numerator 1; a
+        # dense one of 300 slots takes Newton's path
         ran = []
         inner = series._recurrence
         monkeypatch.setattr(series, "_recurrence", lambda *args: ran.append(1) or inner(*args))
         a = S({0: 1, 1: 3, 2: -1}, 40)
         i = GaussianRational(0, 1)
         for b, path in ((S({0: 2, 1: -2, 3: -2}), 1), (jacobi_theta(qpow(1), qpow(2), 40) * (1 + i), 1),
-                        (S({0: 2, 1: 1}), 0)):
-            a.divide(b, 40)
+                        (S({0: 2, 1: 1}), 1), (S({k: 1 + (k == 0) for k in range(300)}, 300), 0)):
+            a.divide(b, 40) if path else S(a.terms).divide(b, 300)
             assert len(ran) == path, b
             ran.clear()
+
+    def test_lead_and_denominator_of_the_recurrence(self, monkeypatch):
+        # the recurrence gets the divisor over its numerators' gcd, times
+        # its lead's conjugate when that is not real, so its lead is an
+        # integer u > 0; the quotient's denominator grows only where u does
+        # not divide a slot
+        seen = []
+        inner = series._recurrence
+        monkeypatch.setattr(series, "_recurrence",
+                            lambda a, b, n: seen.append((b, inner(a, b, n))) or seen[-1][1])
+        i = GaussianRational(0, 1)
+        for b, lead in ((S({0: 2, 1: -2, 3: -2}), 1), (S({0: -6, 1: 3}), 2),
+                        (jacobi_theta(qpow(1), qpow(2), 20) * (1 + i), 1), (S({0: 1 + i, 1: -1}), 2)):
+            S({0: 1}).divide(b, 20)
+            assert seen[-1][0][0][0] == lead, b
+        # 2/(4 - q) = sum q^k/(2*4^k): slot k needs 2^(2k+1), so 20 slots
+        # need 2^39, not 4^20
+        S({0: 2}).divide(S({0: 4, 1: -1}), 20)
+        assert seen[-1][1][2] == 2 ** 39
 
     def test_zero_divisor(self):
         with pytest.raises(ZeroSeries, match="cannot invert a series that is zero to its precision"):

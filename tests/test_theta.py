@@ -11,7 +11,6 @@ from qmock.theta import (
     Jbar,
     Jm,
     jacobi_theta,
-    jacobi_theta_product,
     pochhammer_finite,
     pochhammer_infinite,
     theta_valuation,
@@ -20,6 +19,7 @@ from qmock.theta import (
 from oracles import (
     assert_dict_eq,
     bilateral_theta,
+    jacobi_theta_product,
     pochhammer_pairwise,
     poly_mul,
     poly_one,
