@@ -1,12 +1,19 @@
-"""Ground types: the rationals and the Gaussian rationals over them.
+"""Ground types: the rationals, the Gaussian rationals over them, and the
+integer forms that the engine computes with.
 
-All exponents and coefficient parts are exact rationals, the stdlib
-``fractions.Fraction``; a coefficient is a ``GaussianRational``, and in the
-hot loops an (re, im, den) triple of integers over a positive denominator.
+The ground rational type is the stdlib ``fractions.Fraction``, and a
+coefficient is a ``GaussianRational``; both are built only at the edges of
+the package: the parser, the public accessors and the reports.  Below the
+parser an exponent, an order, a valuation or a precision is a *pair*
+(num, den) of integers in lowest terms with den > 0, added, compared and
+minimized by ``qadd``, ``qlt``, ``qmin`` and their kin, and a coefficient
+is an (re, im, den) *triple* of integers over a positive denominator.  A
+``QMonomial`` c*q^e holds one reduced triple and one pair, so its
+products, powers, equality and hash are integer operations.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 RAT = Fraction
 
@@ -32,13 +39,78 @@ def as_int(value):
     return int(value.numerator)
 
 
-def floor(value):
-    return int(value // 1)
-
-
 def num_den(value):
     """(numerator, denominator) as plain ints, e.g. for JSON output."""
     return int(value.numerator), int(value.denominator)
+
+
+# -- pairs: rationals as (num, den) in lowest terms, den > 0 -------------------
+
+def as_pair(value):
+    """An int, a ground rational, a numeric string or a pair, as a pair."""
+    if type(value) is tuple:
+        return value
+    if type(value) is int:
+        return value, 1
+    if type(value) is not RAT:
+        value = rat(value)
+    return int(value.numerator), int(value.denominator)
+
+
+def qpair(num, den):
+    """num/den, den > 0, as a pair."""
+    g = gcd(num, den)
+    return (num, den) if g == 1 else (num // g, den // g)
+
+
+def qrat(p):
+    """The pair p in the ground type; None stays None."""
+    return None if p is None else RAT(p[0], p[1])
+
+
+def qadd(a, b):
+    (an, ad), (bn, bd) = a, b
+    if ad == bd:
+        return (an + bn, 1) if ad == 1 else qpair(an + bn, ad)
+    return qpair(an * bd + bn * ad, ad * bd)
+
+
+def qsub(a, b):
+    return qadd(a, (-b[0], b[1]))
+
+
+def qmul(a, k):
+    """a times an int or a pair k."""
+    if type(k) is int:
+        return (a[0] * k, 1) if a[1] == 1 else qpair(a[0] * k, a[1])
+    return qpair(a[0] * k[0], a[1] * k[1])
+
+
+def qdiv(a, b):
+    n, d = a[0] * b[1], a[1] * b[0]
+    if not d:
+        raise ZeroDivisionError("division by a zero exponent")
+    return qpair(n, d) if d > 0 else qpair(-n, -d)
+
+
+def qlt(a, b):
+    return a[0] * b[1] < b[0] * a[1]
+
+
+def qle(a, b):
+    return a[0] * b[1] <= b[0] * a[1]
+
+
+def qmin(a, b):
+    return a if a[0] * b[1] <= b[0] * a[1] else b
+
+
+def qmax(a, b):
+    return b if a[0] * b[1] <= b[0] * a[1] else a
+
+
+Q0 = (0, 1)
+Q1 = (1, 1)
 
 
 class GaussianRational:
@@ -184,6 +256,8 @@ def triple_pow(t, n):
     """t^n for a nonzero triple t = (re, im, den) and any integer n."""
     r, i, d = t
     if n < 0:
+        if not r and not i:
+            raise ZeroDivisionError("inverse of zero")
         if i:
             r, i, d = r * d, -i * d, r * r + i * i
         else:
@@ -206,6 +280,122 @@ def triple_mul(s, t):
     return s[0] * t[0] - s[1] * t[1], s[0] * t[1] + s[1] * t[0], s[2] * t[2]
 
 
+def triple_reduce(t):
+    """The triple t with its three integers divided by their gcd."""
+    r, i, d = t
+    if d == 1:
+        return t
+    g = gcd(r, i, d)
+    return t if g == 1 else (r // g, i // g, d // g)
+
+
+def gaussian(t):
+    """The triple t as a GaussianRational."""
+    r, i, d = t
+    return GaussianRational(RAT(r) if d == 1 else RAT(r, d), RAT(i, d) if i else ZERO)
+
+
 GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
+
+
+# -- monomials ---------------------------------------------------------------
+
+class QMonomial:
+    """A single term c*q^e with c != 0; the argument form for x, y, z slots.
+
+    ``triple`` is c as a reduced (re, im, den) triple and ``pair`` is e as
+    a pair, so that products, powers, equality and the hash are integer
+    work; ``coeff`` and ``exp`` give c and e in the ground types."""
+
+    __slots__ = ("triple", "pair")
+
+    def __init__(self, coeff, exp):
+        t = (coeff, 0, 1) if type(coeff) is int else as_triple(as_gaussian(coeff))
+        if not t[0] and not t[1]:
+            raise ValueError("monomial coefficient must be nonzero")
+        self.triple, self.pair = t, as_pair(exp)
+
+    @property
+    def coeff(self):
+        return gaussian(self.triple)
+
+    @property
+    def exp(self):
+        return qrat(self.pair)
+
+    def __mul__(self, other):
+        return monomial(triple_reduce(triple_mul(self.triple, other.triple)), qadd(self.pair, other.pair))
+
+    def inverse(self):
+        return monomial(triple_reduce(triple_pow(self.triple, -1)), (-self.pair[0], self.pair[1]))
+
+    def __neg__(self):
+        r, i, d = self.triple
+        return monomial((-r, -i, d), self.pair)
+
+    def __pow__(self, k):
+        """Integer power; a rational k (a ground rational or a pair) is
+        allowed only for the coefficient 1."""
+        if type(k) is not int:
+            k = as_pair(k)
+            if k[1] != 1:
+                if self.triple != (1, 0, 1):
+                    from .series import FractionalExponent  # series imports this module
+                    raise FractionalExponent(
+                        f"({self})^({qrat(k)}) needs an integer exponent unless the coefficient is 1"
+                    )
+                return monomial(self.triple, qmul(self.pair, k))
+            k = k[0]
+        return monomial(triple_reduce(triple_pow(self.triple, k)), qmul(self.pair, k))
+
+    def __eq__(self, other):
+        return isinstance(other, QMonomial) and self.triple == other.triple and self.pair == other.pair
+
+    def __hash__(self):
+        return hash((self.triple, self.pair))
+
+    def __repr__(self):
+        return f"QMonomial({self.coeff!r}, {self.exp!r})"
+
+    def __str__(self):
+        return format_term(self.coeff, self.exp)
+
+
+def monomial(t, p):
+    """The monomial of a reduced nonzero triple t and a pair p."""
+    m = object.__new__(QMonomial)
+    m.triple, m.pair = t, p
+    return m
+
+
+def qpow(e):
+    """The monomial q^e."""
+    return monomial((1, 0, 1), as_pair(e))
+
+
+def mono(c, e=0):
+    """The monomial c*q^e."""
+    return QMonomial(c, e)
+
+
+def format_exp(e):
+    if is_integer(e) and e >= 0:
+        return f"q^{e}" if e != 1 else "q"
+    return f"q^({e})"
+
+
+def format_term(c, e):
+    """c*q^e as the series printer writes a term."""
+    if e == 0:
+        return str(c)
+    qs = format_exp(e)
+    if c == GR_ONE:
+        return qs
+    if c == GaussianRational(-1):
+        return f"-{qs}"
+    cs = str(c)
+    if c.im and c.re:
+        cs = f"({cs})"
+    return f"{cs}*{qs}"

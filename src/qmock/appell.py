@@ -23,14 +23,13 @@ evaluated here by ``dsl.evaluate`` like any DSL expression.
 
 from __future__ import annotations
 
-from ._rational import RAT, rat, is_integer, as_int, floor
+from ._rational import Q0, Q1, as_pair, qadd, qdiv, qlt, qmax, qmin, qmul, qpair, qrat, qsub, rat
 from .blocks import BLOCKS
 from .series import (
     DegenerateX,
     DegenerateZ,
     InsufficientPrecision,
     PoleAtOne,
-    as_triple,
     eulerian_terms,
     exponent_grid,
     geometric_runs,
@@ -38,7 +37,7 @@ from .series import (
     triple_mul,
     triple_pow,
 )
-from .theta import as_base, jacobi_theta, theta_valuation
+from .theta import as_base, jacobi_theta, theta_start
 
 __all__ = [
     "appell_m",
@@ -52,9 +51,6 @@ __all__ = [
     "msplit_rhs",
     "eval_with_retry",
 ]
-
-_R0 = RAT(0)
-
 
 def eval_with_retry(build, order):
     """Run ``build(working_order)`` until the result precision reaches ``order``,
@@ -81,17 +77,16 @@ def eval_with_retry(build, order):
 
 def _is_base_power(m, base):
     """True when m equals an integral power of the base monomial."""
-    k = m.exp / base.exp
-    if not is_integer(k):
-        return False
-    return m.coeff == base.coeff ** as_int(k)
+    k = qdiv(m.pair, base.pair)
+    return k[1] == 1 and m == base ** k[0]
 
 
 def _reduce_z(z, base):
     """z times the power of the base that moves its exponent into
     [0, e_b): m(x, b, z) = m(x, b, b*z), and the bilateral sum of the
     reduced z reaches a given order with the fewest summands."""
-    k = floor(z.exp / base.exp)
+    (zn, zd), (bn, bd) = z.pair, base.pair
+    k = (zn * bd) // (zd * bn)
     return z * base ** -k if k else z
 
 
@@ -101,8 +96,8 @@ def appell_m(x, base, z, order):
     Neither z nor x*z may be an integral power of the base.
     """
     base = as_base(base)
-    order = rat(order)
-    if base.exp <= 0:
+    order = as_pair(order)
+    if base.pair[0] <= 0:
         raise ValueError(f"Appell-Lerch base must have positive exponent, got {base}")
     if _is_base_power(z, base):
         raise DegenerateZ(f"z = {z} is an integral power of the base {base}")
@@ -111,18 +106,17 @@ def appell_m(x, base, z, order):
     z = _reduce_z(z, base)
 
     # z is structurally generic, so j(z; b) is nonzero from q^d on
-    d = theta_valuation(z, base)
+    d = theta_start(z, base)
 
-    work = order + max(d, _R0)
+    work = qadd(order, qmax(d, Q0))
     total = _bilateral_sum(x, base, z, work)
 
-    ls = total.low_degree()
+    ls = total.low()
     if ls is None:
         ls = work
-    need = order + 2 * d - min(ls, _R0)
-    need = max(need, d + 1)
+    need = qmax(qsub(qadd(order, qmul(d, 2)), qmin(ls, Q0)), qadd(d, Q1))
     result = total.divide(jacobi_theta(z, base, need))
-    if result.precision is not None and result.precision < order:
+    if result.prec is not None and qlt(result.prec, order):
         raise InsufficientPrecision("internal precision accounting failed in appell_m")
     return result.truncate(order)
 
@@ -146,18 +140,23 @@ def _vertex_limits(B, Z):
     return -B - 2 * Z, 5 * B - 2 * Z
 
 
-def appell_m_valuation(x, base, z):
-    """A v such that m(x, b, z) starts at q^v or later: the least exponent
-    of the bilateral sum's summands less the exponent where j(z; b) starts.
-    None when j(z; b) vanishes."""
+def appell_m_start(x, base, z):
+    """A v, a pair, such that m(x, b, z) starts at q^v or later: the least
+    exponent of the bilateral sum's summands less the exponent where
+    j(z; b) starts.  None when j(z; b) vanishes."""
     base = as_base(base)
-    d = theta_valuation(z, base)
+    d = theta_start(z, base)
     if d is None:
         return None
     L, B, X, Z = exponent_grid(base, x, z)
     lo, hi = _vertex_limits(B, Z)
     r_range = range(lo // (2 * B), -(-hi // (2 * B)) + 1)
-    return RAT(min(_least_exp(B, X, Z, r) for r in r_range), L) - d
+    return qsub(qpair(min(_least_exp(B, X, Z, r) for r in r_range), L), d)
+
+
+def appell_m_valuation(x, base, z):
+    """``appell_m_start`` in the ground type."""
+    return qrat(appell_m_start(x, base, z))
 
 
 def _bilateral_sum(x, base, z, work):
@@ -167,9 +166,10 @@ def _bilateral_sum(x, base, z, work):
     K > 0, -c*c'^(-j-1) at E - (j+1)*K for K < 0 (the expansion inside the
     unit disk), one term c/(1 - c') for K = 0.  All runs of the summands
     that reach below ``work`` go into one lattice."""
+    work = as_pair(work)
     L, B, X, Z = exponent_grid(base, x, z)
-    top, wd = int(work.numerator) * L, int(work.denominator)
-    cb, cx, cz = as_triple(base.coeff), as_triple(x.coeff), as_triple(z.coeff)
+    top, wd = work[0] * L, work[1]
+    cb, cx, cz = base.triple, x.triple, z.triple
     cxz = triple_mul(cx, cz)
     lo, hi = _vertex_limits(B, Z)
     runs = []
@@ -204,17 +204,20 @@ def _summand_run(B, X, Z, r, cb, cz, cxz):
     return e, 1, triple_mul(lead, triple_pow((cd - cr, -ci, cd), -1)), (0, 0, 1)
 
 
-def universal_g_valuation(x, base):
-    """A v such that g(x, b) starts at q^v or later.
+def universal_g_start(x, base):
+    """A v, a pair, such that g(x, b) starts at q^v or later.
 
     In x^(-1) (-1 + sum_n b^(n^2) / ((x;b)_(n+1) (b/x;b)_n)), the n = 0 term
     less 1 is x/(1 - x), and each later term starts no lower than the n = 1
     term: a factor 1/(1 - c*q^k) starts at q^max(0, -k)."""
-    base = as_base(base)
-    eb, ex = base.exp, x.exp
-    first = max(ex, _R0)
-    later = eb + max(_R0, -ex) + max(_R0, -ex - eb) + max(_R0, ex - eb)
-    return min(first, later) - ex
+    L, B, X = exponent_grid(as_base(base), x)
+    later = B + max(0, -X) + max(0, -X - B) + max(0, X - B)
+    return qpair(min(max(X, 0), later) - X, L)
+
+
+def universal_g_valuation(x, base):
+    """``universal_g_start`` in the ground type."""
+    return qrat(universal_g_start(x, base))
 
 
 def universal_g_eulerian(x, base, order):
@@ -225,11 +228,11 @@ def universal_g_eulerian(x, base, order):
     the vectors each, and the sum less 1 is divided by x on its lattice.
     """
     base = as_base(base)
-    order = rat(order)
-    if base.exp <= 0:
+    order = as_pair(order)
+    if base.pair[0] <= 0:
         raise ValueError(f"base must have positive exponent, got {base}")
     L, B, X = exponent_grid(base, x)
-    cb, cx = as_triple(base.coeff), as_triple(x.coeff)
+    cb, cx = base.triple, x.triple
     cx_inv = triple_pow(cx, -1)
     # eulerian_terms asks for n = 0, 1, 2, ... in turn, so each coefficient
     # is the last one times one power of the base's: x*b^n, b^n/x, and
@@ -251,7 +254,7 @@ def universal_g_eulerian(x, base, order):
         return B * n * n, square
 
     try:
-        parts, p = eulerian_terms(L, weight, factors, order + max(x.exp, _R0))
+        parts, p = eulerian_terms(L, weight, factors, qadd(order, qmax(x.pair, Q0)))
     except PoleAtOne:
         raise DegenerateX(f"Pochhammer factor of g({x}, {base}) vanishes")
     # the sum less 1, as one more part of the lattice, over x

@@ -1,33 +1,30 @@
 """The theta-times-m and theta-quotient blocks of the f_{a,b,c} theorems
 (Hickerson-Mortenson, Proc. LMS 109, 2014) as DSL templates: each takes its
 folded arguments and returns an AST of j and m calls, monomials and
-arithmetic, which ``dsl.evaluate`` plans like any other expression.  A theta
+arithmetic, which ``dsl.evaluate`` plans like any other expression.  The
+monomials are computed in integers (``qmock._rational.QMonomial``) and
+stand in the AST as they are, as call arguments and as factors.  A theta
 denominator that vanishes identically is refused while the AST is built."""
 
 from math import gcd
 
 from . import theta
-from ._rational import as_int, rat
-from .nodes import Add, Call, Div, Literal, Mul, Pow, QPow
+from ._rational import qpair
+from .nodes import Add, Call, Div, Mul, Pow
 from .series import DegenerateDenominator, DegenerateZ, DivisibilityViolation
 
 
-def _mono(x):
-    """The AST of the monomial x = c*q^e."""
-    return Mul(Literal(x.coeff), QPow(x.exp))
-
-
 def _j(x, b):
-    return Call("j", (_mono(x), _mono(b)))
+    return Call("j", (x, b))
 
 
 def _m(x, b, z):
-    return Call("m", (_mono(x), _mono(b), _mono(z)))
+    return Call("m", (x, b, z))
 
 
 def _den(x, b, exc=DegenerateDenominator):
     """j(x; b) for a divisor; ``exc`` when it vanishes identically."""
-    if theta.theta_valuation(x, b) is None:
+    if theta.theta_start(x, b) is None:
         raise exc(f"theta denominator j({x}; {b}) vanishes")
     return _j(x, b)
 
@@ -58,8 +55,8 @@ def _g_abc(a, b, c, x, y, base, z1, z0):
             shift = (-v) ** t * base ** (cc * t * (t - 1) // 2)
             m_exp = aa * b * (b + 1) // 2 - cc * aa * (aa + 1) // 2 - t * D
             m_arg = -(base ** m_exp) * ((-v) ** aa) * ((-u) ** (-b))
-            terms.append(Mul(_mono(shift), Mul(_j(base ** (b * t) * u, base ** aa),
-                                               _m(m_arg, base ** (aa * D), zz))))
+            terms.append(Mul(shift, Mul(_j(base ** (b * t) * u, base ** aa),
+                                        _m(m_arg, base ** (aa * D), zz))))
     return _total(terms)
 
 
@@ -85,23 +82,24 @@ def _theta_np(n, p, x, y, base):
         raise ValueError(f"need n > 0 and p > 0, got {(n, p)}")
     if gcd(n, p) != 1:
         raise ValueError(f"need gcd(n, p) = 1, got {(n, p)}")
-    fr = rat(n - 1, 2) % 1
+    # r = rs + h/2 and s = ss + h/2 run over the integers plus (n - 1)/2
+    h = (n - 1) % 2
     N_big = p * p * (2 * n + p)
     b_big = base ** N_big
     terms = []
     for rs in range(p):
         for ss in range(p):
-            r, s = rs + fr, ss + fr
-            A, B = as_int(r - rat(n - 1, 2)), as_int(s + rat(n + 1, 2))
+            A, B = rs - (n - 1) // 2, ss + (n + 1 + h) // 2     # r - (n-1)/2, s + (n+1)/2
             q_exp = n * A * (A - 1) // 2 + (n + p) * A * B + n * B * (B - 1) // 2
             lead = (base ** q_exp) * ((-x) ** A) * ((-y) ** B)
             j1 = _j(-(base ** (n * p * (ss - rs))) * (x ** n) * (y ** (-n)), base ** (n * p * p))
-            j2 = _j((base ** (p * (2 * n + p) * (r + s) + p * (n + p))) * (x ** p) * (y ** p), b_big)
-            den1 = _den((base ** (p * (2 * n + p) * r + rat(p * (n + p), 2)))
+            j2 = _j((base ** (p * (2 * n + p) * (rs + ss + h) + p * (n + p))) * (x ** p) * (y ** p), b_big)
+            # b^(p(2n + p)r + p(n + p)/2), and the same in s
+            den1 = _den((base ** qpair(p * (2 * n + p) * (2 * rs + h) + p * (n + p), 2))
                         * ((-y) ** (n + p)) * ((-x) ** (-n)), b_big)
-            den2 = _den((base ** (p * (2 * n + p) * s + rat(p * (n + p), 2)))
+            den2 = _den((base ** qpair(p * (2 * n + p) * (2 * ss + h) + p * (n + p), 2))
                         * ((-x) ** (n + p)) * ((-y) ** (-n)), b_big)
-            terms.append(Div(Mul(_mono(lead), Mul(j1, j2)), Mul(den1, den2)))
+            terms.append(Div(Mul(lead, Mul(j1, j2)), Mul(den1, den2)))
     jm3 = Pow(_j(b_big, base ** (3 * N_big)), 3)  # J_{N}^3, N = p^2 (2n + p)
     return Div(Mul(_total(terms), jm3), _den(-(base ** 0), base ** (n * p * (2 * n + p))))
 
@@ -114,12 +112,12 @@ def _theta_abc(a, b, c, x, y, base):
     if a * c >= b * b:
         raise ValueError(f"need a*c < b^2, got {(a, b, c)}")
     ba, bc = b // a, b // c
-    d1 = rat(b * b, a) - c
-    d2 = rat(b * b, c) - a
-    ratio = rat(b * b, a * c) - 1        # b^2/(ac) - 1
+    d1 = b * ba - c                      # b^2/a - c
+    d2 = b * bc - a                      # b^2/c - a
+    ratio = ba * bc - 1                  # b^2/(ac) - 1
     M = b * ratio                        # modulus of the quotient thetas
-    b_mid = base ** (rat(b * b, a) * ratio)
-    off_mid = rat(b ** 3 * (b - a), 2 * a * a * c)
+    b_mid = base ** (b * ba * ratio)
+    off_mid2 = ba * ba * bc * (b - a)    # twice b^3 (b - a)/(2 a^2 c)
     cb1 = c * bc * (bc - 1) // 2
     cb2 = a * ba * (ba - 1) // 2
     b_M = base ** M
@@ -129,14 +127,14 @@ def _theta_abc(a, b, c, x, y, base):
             for f in range(ba):
                 q_exp = d1 * (d * (d + 1) // 2) + d2 * ((e + f) * (e + f + 1) // 2) + a * f * (f - 1) // 2
                 lead = (base ** q_exp) * ((-x) ** f)
-                j1 = _j((base ** (d1 * (d + 1) + b * f)) * y, base ** rat(b * b, a))
-                j2 = _j((base ** (M * (e + f + 1) - d1 * (d + 1) + off_mid))
+                j1 = _j((base ** (d1 * (d + 1) + b * f)) * y, base ** (b * ba))
+                j2 = _j((base ** qpair(2 * (M * (e + f + 1) - d1 * (d + 1)) + off_mid2, 2))
                         * ((-x) ** ba) * (y ** (-1)), b_mid)
                 j3 = _j((base ** (d2 * (e + 1) + d1 * (d + 1) - cb1 - cb2))
                         * ((-x) ** (1 - ba)) * ((-y) ** (1 - bc)), b_M)
                 den1 = _den((base ** (d2 * (e + 1) - cb1)) * (-x) * ((-y) ** (-bc)), b_M)
                 den2 = _den((base ** (d1 * (d + 1) - cb2)) * ((-x) ** (-ba)) * (-y), b_M)
-                terms.append(Div(Mul(_mono(lead), Mul(Mul(j1, j2), j3)), Mul(den1, den2)))
+                terms.append(Div(Mul(lead, Mul(Mul(j1, j2), j3)), Mul(den1, den2)))
     return Mul(_total(terms), Pow(_j(b_M, base ** (3 * M)), 3))
 
 
@@ -152,7 +150,7 @@ def _msplit_rhs(n, x, base, z, zp):
     den1 = _den(-bn * ((-x) ** n) * zp, b_n, exc=DegenerateZ)
     jzp = _den(zp, b_n2, exc=DegenerateZ)
     jxz = _den(x * z, base)
-    split = [Mul(_mono((base ** (-(r * (r + 1) // 2))) * ((-x) ** r)),
+    split = [Mul((base ** (-(r * (r + 1) // 2))) * ((-x) ** r),
                  _m(-bn * (base ** (-n * r)) * ((-x) ** n), b_n2, zp)) for r in range(n)]
     corr = []
     for r in range(n):
@@ -160,10 +158,10 @@ def _msplit_rhs(n, x, base, z, zp):
         j1 = _j(-bn * (base ** r) * ((-x) ** n) * z * zp, b_n)
         j2 = _j((base ** (n * r)) * (z ** n) * zp.inverse(), b_n2)
         den2 = _den((base ** r) * z, b_n)
-        corr.append(Div(Mul(_mono(lead), Mul(j1, j2)), Mul(den1, den2)))
+        corr.append(Div(Mul(lead, Mul(j1, j2)), Mul(den1, den2)))
     jn3 = Pow(_j(b_n, base ** (3 * n)), 3)
     return Add(_total(split),
-               Mul(_mono(zp), Div(Mul(_total(corr), jn3), Mul(jxz, jzp))))
+               Mul(zp, Div(Mul(_total(corr), jn3), Mul(jxz, jzp))))
 
 
 # name -> block template; msplit_rhs is not a DSL function

@@ -13,12 +13,10 @@ end.  The DSL calls a series through ``CatalogEntry.at``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 # Unused here, but perfbench/tracer.py's check_bindings probes these three
 # names in this module to confirm its wrappers reach every binding.
 from .appell import appell_m, eval_with_retry, universal_g_eulerian  # noqa: F401
+from ._rational import as_pair, qdiv, qmul
 from .series import eulerian_terms, sum_lattices
 
 __all__ = [
@@ -84,22 +82,21 @@ def phibar1(order):
     return _sum(lambda n: n, lambda n: _plus(2 * n - 1, 2 * n), order, divide=False)
 
 
-@dataclass
 class CatalogEntry:
     """A named series with its Eulerian generator; the series starts at
     q^valuation."""
 
-    name: str
-    eulerian: Callable
-    valuation: int
+    def __init__(self, name, eulerian, valuation):
+        self.name, self.eulerian, self.valuation = name, eulerian, valuation
 
     def at(self, u, order):
         """The series at the base monomial u (q -> u) below ``order``."""
-        return self.eulerian(order / u.exp).substitute_monomial(u)
+        return self.eulerian(qdiv(as_pair(order), u.pair)).substitute_monomial(u)
 
     def start(self, u):
-        """The exponent where the series at the base monomial u starts."""
-        return self.valuation * u.exp
+        """The exponent where the series at the base monomial u starts, as
+        a pair."""
+        return qmul(u.pair, self.valuation)
 
 
 CATALOG = {

@@ -13,6 +13,12 @@ Rationals are written p/r, the imaginary unit is ``i``, and fractional
 powers are restricted to the formal variable: q^(p/r).  Implicit
 multiplication by juxtaposition (``2q^2 J(1,2)``) matches mathematical
 habit in corpus files.
+
+The parser's ASTs hold ground rationals; below it, the folded arguments of
+a call are integer monomials, triples and pairs, and the plan's
+valuations and working orders are pairs (``qmock._rational``), so an
+evaluation does no rational arithmetic.  Equal theta calls of one
+evaluation are evaluated once.
 """
 
 from __future__ import annotations
@@ -21,7 +27,8 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from ._rational import ZERO as _R0, rat, is_integer, as_int, num_den
+from ._rational import (Q0, Q1, as_int, as_pair, as_triple, is_integer, monomial, num_den, qadd, qdiv, qle,
+                        qlt, qmax, qmul, qpair, qrat, qsub, rat, triple_mul, triple_pow, triple_reduce)
 from . import appell, catalog, hecke, theta
 from .blocks import BLOCKS
 from .nodes import Add, Call, Div, Literal, Mul, Neg, Pow, QPow, Sub
@@ -100,24 +107,25 @@ class CorpusSyntaxError(QSeriesError):
 
 
 # name -> (argument slot kinds, engine, start).  Slot kinds: m = monomial,
-# b = base (a monomial with positive exponent), r = rational, n = integer,
-# e = expression.  The engine is an (owner, attribute) pair, looked up when
-# the call is made, so that a rebound attribute takes effect; it is called
-# with the folded arguments and the working order.  The start is a pair
-# (function of the folded arguments, exact): the function gives the exponent
-# where the call's series starts if exact, a lower bound for it otherwise,
-# or None where the series vanishes.  Rows without an engine (the block sums
-# of qmock.blocks, subq, negq) have their own paths in _Plan.
+# b = base (a monomial with positive exponent), r = rational (folded to a
+# pair), n = integer, e = expression.  The engine is an (owner, attribute)
+# pair, looked up when the call is made, so that a rebound attribute takes
+# effect; it is called with the folded arguments and the working order.
+# The start is a pair (function of the folded arguments, exact): the
+# function gives the exponent where the call's series starts if exact, a
+# lower bound for it otherwise, or None where the series vanishes.  Rows
+# without an engine (the block sums of qmock.blocks, subq, negq) have their
+# own paths in _Plan.
 FUNCTIONS = {
     "poch_inf": ("mb", (theta, "pochhammer_infinite"), None),
     "poch_fin": ("mmn", (theta, "pochhammer_finite"), None),
-    "j": ("mb", (theta, "jacobi_theta"), (theta.theta_valuation, True)),
-    "J": ("rr", (theta, "J"), (lambda a, m: theta.theta_valuation(qpow(a), qpow(m)), True)),
-    "JB": ("rr", (theta, "Jbar"), (lambda a, m: theta.theta_valuation(-qpow(a), qpow(m)), True)),
-    "Jm": ("r", (theta, "Jm"), (lambda m: theta.theta_valuation(qpow(m), qpow(3 * m)), True)),
-    "m": ("mbm", (appell, "appell_m"), (appell.appell_m_valuation, False)),
+    "j": ("mb", (theta, "jacobi_theta"), (theta.theta_start, True)),
+    "J": ("rr", (theta, "J"), (lambda a, m: theta.theta_start(qpow(a), qpow(m)), True)),
+    "JB": ("rr", (theta, "Jbar"), (lambda a, m: theta.theta_start(-qpow(a), qpow(m)), True)),
+    "Jm": ("r", (theta, "Jm"), (lambda m: theta.theta_start(qpow(m), qpow(qmul(m, 3))), True)),
+    "m": ("mbm", (appell, "appell_m"), (appell.appell_m_start, False)),
     "f": ("nnnmmb", (hecke, "f_abc"), None),
-    "g": ("mb", (appell, "universal_g_eulerian"), (appell.universal_g_valuation, False)),
+    "g": ("mb", (appell, "universal_g_eulerian"), (appell.universal_g_start, False)),
     "g_abc": ("nnnmmbmm", None, None),
     "h_abc": ("nnnmmbmm", None, None),
     "theta_np": ("nnmmb", None, None),
@@ -135,12 +143,12 @@ _SYMBOLS = "+-*/^(),"
 _DIGITS = "0123456789"  # str.isdigit also takes digits such as '²' that int() refuses
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str  # NUM, NAME, one of _SYMBOLS, EOF
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind, text, line, col):
+        # kind: NUM, NAME, one of _SYMBOLS, EOF
+        self.kind, self.text, self.line, self.col = kind, text, line, col
 
 
 def _tokenize(text):
@@ -403,6 +411,8 @@ def to_text(node):
         return f"{to_text(node.base)}{suffix}"
     if isinstance(node, Call):
         return f"{node.name}({', '.join(to_text(a) for a in node.args)})"
+    if isinstance(node, QMonomial):  # in a block template's AST
+        return to_text(Mul(Literal(node.coeff), QPow(node.exp)))
     raise TypeError(f"not an AST node: {node!r}")
 
 
@@ -410,14 +420,16 @@ def to_text(node):
 # constant folding for argument slots
 
 def _fold_monomial(node):
+    if type(node) is QMonomial:  # as a block template writes it
+        return node
     if isinstance(node, Mul) and isinstance(node.left, Literal) \
             and isinstance(node.right, QPow) and node.left.value:
-        return QMonomial(node.left.value, node.right.exponent)  # c*q^e, as blocks writes it
+        return QMonomial(node.left.value, node.right.exponent)  # c*q^e
     if isinstance(node, (Literal, Add, Sub)):  # a constant, such as 1+i
-        value = _fold_const(node)
-        if value.is_zero():
+        r, i, d = _fold_const(node)
+        if not r and not i:
             raise EvaluationError("monomial argument must be nonzero")
-        return QMonomial(value, 0)
+        return monomial(triple_reduce((r, i, d)), Q0)
     if isinstance(node, QPow):
         return qpow(node.exponent)
     if isinstance(node, Neg):
@@ -435,42 +447,46 @@ def _fold_monomial(node):
 
 def _fold_base(node):
     m = _fold_monomial(node)
-    if m.exp <= 0:
+    if m.pair[0] <= 0:
         raise EvaluationError(f"base argument must have positive exponent, got {m}")
     return m
 
 
 def _fold_const(node):
-    """Constant value of a q-free subexpression (zero allowed)."""
+    """Constant value of a q-free subexpression (zero allowed), as an
+    (re, im, den) triple."""
     if isinstance(node, Literal):
-        return node.value
+        return as_triple(node.value)
     if isinstance(node, Neg):
-        return -_fold_const(node.operand)
-    if isinstance(node, Add):
-        return _fold_const(node.left) + _fold_const(node.right)
-    if isinstance(node, Sub):
-        return _fold_const(node.left) - _fold_const(node.right)
+        r, i, d = _fold_const(node.operand)
+        return -r, -i, d
+    if isinstance(node, (Add, Sub)):
+        (ar, ai, ad), (br, bi, bd) = _fold_const(node.left), _fold_const(node.right)
+        if isinstance(node, Sub):
+            br, bi = -br, -bi
+        return ar * bd + br * ad, ai * bd + bi * ad, ad * bd
     if isinstance(node, Mul):
-        return _fold_const(node.left) * _fold_const(node.right)
+        return triple_mul(_fold_const(node.left), _fold_const(node.right))
     if isinstance(node, Div):
-        return _fold_const(node.left) / _fold_const(node.right)
+        return triple_mul(_fold_const(node.left), triple_pow(_fold_const(node.right), -1))
     if isinstance(node, Pow):
-        return _fold_const(node.base) ** node.exponent
+        return triple_pow(_fold_const(node.base), node.exponent)
     raise EvaluationError(f"expected a constant, got expression {to_text(node)!r}")
 
 
 def _fold_rational(node):
-    value = _fold_const(node)
-    if value.im:
+    """A real constant, as a pair."""
+    r, i, d = _fold_const(node)
+    if i:
         raise EvaluationError(f"expected a rational constant, got {to_text(node)!r}")
-    return value.re
+    return qpair(r, d)
 
 
 def _fold_int(node):
-    value = _fold_rational(node)
-    if not is_integer(value):
+    n, d = _fold_rational(node)
+    if d != 1:
         raise EvaluationError(f"expected an integer, got {to_text(node)!r}")
-    return as_int(value)
+    return n
 
 
 # --------------------------------------------------------------------------
@@ -479,7 +495,8 @@ def _fold_int(node):
 # One pass plans the working order of every node.  A valuation is a pair
 # (v, exact): the node's series starts exactly at q^v when exact is true, at
 # q^v or later otherwise; a node without a valuation (None) has no known
-# lower bound.  Valuations are found bottom up without evaluating anything.
+# lower bound.  Exponents v and working orders are (num, den) pairs.
+# Valuations are found bottom up without evaluating anything.
 # Working orders go top down: a product a*b known below w asks a for
 # w - v(b) and then b for w - low(a), where low(a) is where the evaluated a
 # starts (its precision, if it is zero below it); a divisor with an exact
@@ -488,14 +505,16 @@ def _fold_int(node):
 # zero starts no lower than its bound.  A quotient whose divisor is a
 # product or a quotient is planned and evaluated in its split form
 # (``_Plan._split``), so that each factor of a divisor is its own divisor.
+# The theta functions j, J, JB and Jm are evaluated once per distinct call,
+# at the highest order asked so far, and a lower order is that truncated.
 
 
 def _target(w, other, own):
     """The working order of a factor of a product known below w: w less
     where the other factor starts (None: unknown or nowhere), and at least
     the factor's own valuation bound."""
-    t = w if other is None else w - other
-    return t if own is None or own <= t else own
+    t = w if other is None else qsub(w, other)
+    return t if own is None or qle(own, t) else own
 
 
 def _bound(val):
@@ -507,24 +526,24 @@ def _val_sum(a, b):
         return None
     if a[0] == b[0]:
         return a[0], False  # the leading terms may cancel
-    return min(a, b)
+    return a if qlt(a[0], b[0]) else b
 
 
 def _val_product(a, b):
     if a is None or b is None:
         return None
-    return a[0] + b[0], a[1] and b[1]
+    return qadd(a[0], b[0]), a[1] and b[1]
 
 
 def _val_inverse(a):
     """1/a starts exactly where a does, negated, when a's start is exact."""
-    return None if a is None or not a[1] else (-a[0], True)
+    return None if a is None or not a[1] else ((-a[0][0], a[0][1]), True)
 
 
 def _val_power(a, k):
     if k < 0:
         a, k = _val_inverse(a), -k
-    return None if a is None else (a[0] * k, a[1])
+    return None if a is None else (qmul(a[0], k), a[1])
 
 
 class _Reciprocal:
@@ -536,12 +555,12 @@ class _Reciprocal:
     def __init__(self, den, order):
         self.den, self.order = den, order
 
-    def low_degree(self):
-        return self.den.inverse_low_degree(self.order)
+    def low(self):
+        return self.den.inverse_low(self.order)
 
     @property
-    def precision(self):
-        return self.den.inverse_precision(self.order)
+    def prec(self):
+        return self.den.inverse_prec(self.order)
 
     def inverse(self):
         return self.den.invert(order=self.order)
@@ -558,6 +577,8 @@ def _times(x, y):
 
 _FOLD = {"m": _fold_monomial, "b": _fold_base, "r": _fold_rational, "n": _fold_int}
 
+_THETAS = frozenset(("j", "J", "JB", "Jm"))
+
 
 class _Plan:
     """One evaluation pass over an AST: valuations memoized per node, and
@@ -566,11 +587,13 @@ class _Plan:
     def __init__(self):
         # id(node) -> valuation, folded call arguments, a block call's
         # expansion, a quotient's split form; the AST outlives the plan,
-        # which keeps the nodes it makes
+        # which keeps the nodes it makes.  (name, *folded arguments) -> a
+        # theta call's series at the highest order asked.
         self._vals = {}
         self._args = {}
         self._blocks = {}
         self._splits = {}
+        self._thetas = {}
 
     def valuation(self, node):
         """The valuation of ``node`` (see above), from those of its parts."""
@@ -578,9 +601,11 @@ class _Plan:
         if key in self._vals:
             return self._vals[key]
         if isinstance(node, Literal):
-            val = (_R0, True) if node.value else None  # 0 starts nowhere
+            val = (Q0, True) if node.value else None  # 0 starts nowhere
         elif isinstance(node, QPow):
-            val = node.exponent, True
+            val = as_pair(node.exponent), True
+        elif type(node) is QMonomial:
+            val = node.pair, True
         elif isinstance(node, Neg):
             val = self.valuation(node.operand)
         elif isinstance(node, (Add, Sub)):
@@ -608,7 +633,7 @@ class _Plan:
         if name == "subq":
             k = _fold_rational(args[1])
             val = self.valuation(args[0])
-            return None if val is None or k <= 0 else (val[0] * k, val[1])
+            return None if val is None or k[0] <= 0 else (qmul(val[0], k), val[1])
         if name == "negq":
             return self.valuation(args[0])
         if name in BLOCKS:
@@ -626,6 +651,8 @@ class _Plan:
             return QSeries.constant(node.value)
         if isinstance(node, QPow):
             return QSeries.from_monomial(qpow(node.exponent))
+        if type(node) is QMonomial:
+            return QSeries.from_monomial(node)
         if isinstance(node, Add):
             return self.series(node.left, w) + self.series(node.right, w)
         if isinstance(node, Sub):
@@ -648,14 +675,13 @@ class _Plan:
             if vb is None and va is not None:
                 a, va, get_a, b, vb, get_b = b, vb, get_b, a, va, get_a
             sa = get_a(a, _target(w, vb, va))
-            sb = get_b(b, _target(w, sa.low_degree(), vb))
+            sb = get_b(b, _target(w, sa.low(), vb))
             if vb is None:
-                p = product_precision(sa.precision, sa.low_degree(),
-                                      sb.precision, sb.low_degree())
-                if p is not None and p < w:
+                p = product_precision(sa.prec, sa.low(), sb.prec, sb.low())
+                if p is not None and qlt(p, w):
                     # neither factor had a valuation: b's start now sets
                     # a's order, before the product is formed
-                    sa = get_a(a, _target(w, sb.low_degree(), va))
+                    sa = get_a(a, _target(w, sb.low(), va))
             return _times(sa, sb)
         if isinstance(node, Pow):
             return self._power(node.base, node.exponent, w)
@@ -683,11 +709,11 @@ class _Plan:
         val = self.valuation(base)
         v = _bound(_val_inverse(val) if k < 0 else val)
         n = abs(k)
-        s = get(base, w if v is None else _target(w, (n - 1) * v, v))
-        low = s.low_degree()
-        if v is None and low is not None and s.precision is not None \
-                and s.precision + (n - 1) * low < w:
-            s = get(base, w - (n - 1) * low)
+        s = get(base, w if v is None else _target(w, qmul(v, n - 1), v))
+        low = s.low()
+        if v is None and low is not None and s.prec is not None \
+                and qlt(qadd(s.prec, qmul(low, n - 1)), w):
+            s = get(base, qsub(w, qmul(low, n - 1)))
         return s ** n
 
     def _inverse(self, node, w):
@@ -699,7 +725,7 @@ class _Plan:
         val = self.valuation(node)
         if val is not None and val[1]:
             d = val[0]  # asked past d, the divisor's leading term shows
-            den = self.series(node, max(w + 2 * d, d + 1))
+            den = self.series(node, qmax(qadd(w, qmul(d, 2)), qadd(d, Q1)))
         else:
             den = self._eval_divisor(node, w, _bound(val))
         return _Reciprocal(den, w)
@@ -715,17 +741,17 @@ class _Plan:
         ZeroSeries; once its start d shows, it is evaluated once more if its
         precision falls short of w + 2d, which the inverse known below w
         needs."""
-        t = w if v is None else max(w + 2 * v, v + 1)
+        t = w if v is None else qmax(qadd(w, qmul(v, 2)), qadd(v, Q1))
         den = self.series(node, t)
         for _ in range(3):
-            if not den.is_zero() or den.precision is None:
+            if not den.is_zero() or den.prec is None:
                 break
-            t = 2 * max(t, _R0) + 1
+            t = qadd(qmul(qmax(t, Q0), 2), Q1)
             den = self.series(node, t)
-        if den.is_zero() or den.precision is None:
+        if den.is_zero() or den.prec is None:
             return den
-        need = w + 2 * den.low_degree()
-        return den if den.precision >= need else self.series(node, need)
+        need = qadd(w, qmul(den.low(), 2))
+        return den if qle(need, den.prec) else self.series(node, need)
 
     def _fold_args(self, node):
         key = id(node)
@@ -745,9 +771,9 @@ class _Plan:
         name, args = node.name, node.args
         if name == "subq":
             k = _fold_rational(args[1])
-            if k <= 0:
-                raise NonPositivePower(f"subq power must be positive, got {k}")
-            return self.series(args[0], w / k).substitute_power(k)
+            if k[0] <= 0:
+                raise NonPositivePower(f"subq power must be positive, got {qrat(k)}")
+            return self.series(args[0], qdiv(w, k)).substitute_power(k)
         if name == "negq":
             return self.series(args[0], w).negate_base()
         if name not in FUNCTIONS:
@@ -755,13 +781,20 @@ class _Plan:
         if name in BLOCKS:
             return self.series(self._expand(node), w)
         owner, attr = FUNCTIONS[name][1]
-        return getattr(owner, attr)(*self._fold_args(node), w)
+        args = self._fold_args(node)
+        if name not in _THETAS:
+            return getattr(owner, attr)(*args, w)
+        key = (name, *args)
+        s = self._thetas.get(key)
+        if s is None or s.prec is not None and qlt(s.prec, w):
+            s = self._thetas[key] = getattr(owner, attr)(*args, w)
+        return s.truncate(w)
 
 
 def _eval(node, order):
     """One evaluation pass: ``node`` as a series known below ``order``, every
     subexpression at the working order the plan gives it."""
-    return _Plan().series(node, order)
+    return _Plan().series(node, as_pair(order))
 
 
 def evaluate(node, order):
@@ -774,7 +807,7 @@ def evaluate(node, order):
     error, ``InsufficientPrecision``."""
     order = rat(order)
     out = _eval(node, order)
-    if out.precision is not None and out.precision < order:
+    if out.prec is not None and qlt(out.prec, as_pair(order)):
         raise InsufficientPrecision(
             f"internal error: the planned pass reached precision {out.precision}, "
             f"not {order}"

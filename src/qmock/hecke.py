@@ -12,8 +12,8 @@ enumeration that provably drops no term.
 
 from __future__ import annotations
 
-from ._rational import rat
-from .series import as_triple, exponent_grid, lattice_series, triple_mul, triple_pow
+from ._rational import as_pair
+from .series import exponent_grid, lattice_series, triple_mul, triple_pow
 from .theta import as_base
 
 __all__ = ["f_abc"]
@@ -29,11 +29,11 @@ def f_abc(a, b, c, x, y, base, order):
     """Signed lattice sum of all terms with exponent below ``order``."""
     _check_params(a, b, c)
     base = as_base(base)
-    order = rat(order)
+    order = as_pair(order)
     L, eb, ex, ey = exponent_grid(base, x, y)
-    cb, cx, cy = [as_triple(m.coeff) for m in (base, x, y)]
+    cb, cx, cy = base.triple, x.triple, y.triple
     # an exponent E/L lies below the order when E*od < on*L
-    top, od = int(order.numerator) * L, int(order.denominator)
+    top, od = order[0] * L, order[1]
     points = _quadrant(a, b, c, (eb, ex, ey), (cb, cx, cy), top, od)
     # r, s < 0: the first quadrant at x' = b^(2a+b)/x and y' = b^(2c+b)/y,
     # times the flip monomial -b^(a+b+c)/(xy) = scale*q^(shift/L)

@@ -35,9 +35,12 @@ the universal mock theta function and the catalog run on one integer grid:
 P_n is one pair of numerator vectors, extended by such a pass or shifted
 add per factor, and the weighted terms go into one vector at the end, with
 integer exponents and (re, im, den) coefficient triples throughout.  No
-rational number is built per term.
-``QSeries.terms`` is a read-only view {exponent: GaussianRational} of the
-same series, boxed when first read.
+rational number is built per term, nor for the precision bookkeeping:
+``prec``, ``low()`` and every order a method takes or passes on are
+(num, den) pairs of ``qmock._rational``, and ``precision`` and
+``low_degree()`` give them in the ground type.  ``QSeries.terms`` is a
+read-only view {exponent: GaussianRational} of the same series, boxed
+when first read.
 """
 
 from __future__ import annotations
@@ -50,8 +53,9 @@ from operator import add, neg, or_, sub
 from types import MappingProxyType
 
 # the coefficient type and its constants are part of this module's interface too
-from ._rational import (GR_I, GR_ONE, GR_ZERO, RAT, GaussianRational, as_gaussian, as_triple, is_integer,
-                        rat, triple_mul, triple_pow)
+from ._rational import (GR_I, GR_ZERO, RAT, GaussianRational, QMonomial, as_gaussian, as_pair,
+                        as_triple, format_exp, format_term, gaussian, mono, qadd, qlt, qle, qmin, qmul,
+                        qpair, qpow, qrat, qsub, rat, triple_mul, triple_pow)
 
 __all__ = [
     "GaussianRational",
@@ -128,75 +132,12 @@ class LatticeTooLarge(QSeriesError):
     """A series would need more lattice slots than are allocated at once."""
 
 
-_R0 = RAT(0)
-_R1 = RAT(1)
-
-
-class QMonomial:
-    """A single term c*q^e with c != 0; the argument form for x, y, z slots."""
-
-    __slots__ = ("coeff", "exp")
-
-    def __init__(self, coeff, exp):
-        coeff = as_gaussian(coeff)
-        if coeff.is_zero():
-            raise ValueError("monomial coefficient must be nonzero")
-        self.coeff = coeff
-        self.exp = exp if type(exp) is type(_R0) else rat(exp)
-
-    def __mul__(self, other):
-        return QMonomial(self.coeff * other.coeff, self.exp + other.exp)
-
-    def inverse(self):
-        return QMonomial(self.coeff.inverse(), -self.exp)
-
-    def __neg__(self):
-        return QMonomial(-self.coeff, self.exp)
-
-    def __pow__(self, k):
-        """Integer power; rational k is allowed only for coefficient 1."""
-        if isinstance(k, int) or is_integer(rat(k)):
-            k = int(k)
-            return QMonomial(self.coeff ** k, self.exp * k)
-        k = rat(k)
-        if self.coeff != GR_ONE:
-            raise FractionalExponent(
-                f"({self})^({k}) needs an integer exponent unless the coefficient is 1"
-            )
-        return QMonomial(GR_ONE, self.exp * k)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QMonomial)
-            and self.coeff == other.coeff
-            and self.exp == other.exp
-        )
-
-    def __hash__(self):
-        return hash((self.coeff, self.exp))
-
-    def __repr__(self):
-        return f"QMonomial({self.coeff!r}, {self.exp!r})"
-
-    def __str__(self):
-        return _format_term(self.coeff, self.exp)
-
-
-def qpow(e):
-    """The monomial q^e."""
-    return QMonomial(GR_ONE, rat(e))
-
-
-def mono(c, e=0):
-    """The monomial c*q^e."""
-    return QMonomial(c, rat(e))
-
-
 def product_precision(pa, la, pb, lb):
     """min(pa + lb, pb + la): the precision of a product of two series
-    with precisions pa, pb and low degrees la, lb; None means unbounded."""
-    p = None if pa is None or lb is None else pa + lb
-    return p if pb is None or la is None else _pmin(p, pb + la)
+    with precisions pa, pb and low degrees la, lb, all pairs; None means
+    unbounded."""
+    p = None if pa is None or lb is None else qadd(pa, lb)
+    return p if pb is None or la is None else _pmin(p, qadd(pb, la))
 
 
 def _pmin(p1, p2):
@@ -204,18 +145,19 @@ def _pmin(p1, p2):
         return p2
     if p2 is None:
         return p1
-    return min(p1, p2)
+    return qmin(p1, p2)
 
 
 def _prec(p):
-    return p if p is None or type(p) is type(_R0) else rat(p)
+    return None if p is None else as_pair(p)
 
 
 class QSeries:
     """Truncated sparse Puiseux series on an integer lattice (see the module
-    docstring) with a strict precision bound."""
+    docstring) with a strict precision bound: ``prec`` and ``low()`` are
+    ``precision`` and ``low_degree()`` as pairs."""
 
-    __slots__ = ("_L", "_lo", "_step", "_re", "_im", "_den", "precision", "_view")
+    __slots__ = ("_L", "_lo", "_step", "_re", "_im", "_den", "prec", "_view")
 
     def __new__(cls, terms=None, precision=None):
         """The series of a map {exponent: coefficient}; zero coefficients and
@@ -248,9 +190,7 @@ class QSeries:
 
     @staticmethod
     def from_monomial(m, precision=None):
-        e = m.exp
-        return lattice_series(int(e.denominator), [(int(e.numerator), as_triple(m.coeff))],
-                              _prec(precision))
+        return lattice_series(m.pair[1], [(m.pair[0], m.triple)], _prec(precision))
 
     # -- inspection ----------------------------------------------------------
 
@@ -262,7 +202,7 @@ class QSeries:
             L, lo, step, den, re, im = (self._L, self._lo, self._step, self._den,
                                         self._re, self._im)
             view = self._view = MappingProxyType({
-                _ratio(lo + step * i, L): _box(re[i], 0 if im is None else im[i], den)
+                RAT(lo + step * i, L): gaussian((re[i], 0 if im is None else im[i], den))
                 for i in _occupied(re, im)
             })
         return view
@@ -271,23 +211,29 @@ class QSeries:
         """True when no coefficient below the precision is nonzero."""
         return not self._re
 
+    @property
+    def precision(self):
+        return qrat(self.prec)
+
     def low_degree(self):
         """Least stored exponent; for a zero series, its precision (None = exact 0)."""
-        if self._re:
-            return _ratio(self._lo, self._L)
-        return self.precision
+        return qrat(self.low())
+
+    def low(self):
+        """``low_degree()`` as a pair."""
+        return qpair(self._lo, self._L) if self._re else self.prec
 
     def coeff(self, e):
-        e = rat(e)
-        if self.precision is not None and e >= self.precision:
+        e = as_pair(e)
+        if self.prec is not None and not qlt(e, self.prec):
             raise BeyondPrecision(
-                f"coefficient at q^{e} requested, series known only below q^{self.precision}"
+                f"coefficient at q^{qrat(e)} requested, series known only below q^{self.precision}"
             )
-        x, r = divmod(int(e.numerator) * self._L, int(e.denominator))
+        x, r = divmod(e[0] * self._L, e[1])
         i, r2 = divmod(x - self._lo, self._step)
         if r or r2 or not 0 <= i < len(self._re):
             return GR_ZERO
-        return _box(self._re[i], 0 if self._im is None else self._im[i], self._den)
+        return gaussian((self._re[i], 0 if self._im is None else self._im[i], self._den))
 
     def items_sorted(self):
         return sorted(self.terms.items())
@@ -308,7 +254,7 @@ class QSeries:
     def __neg__(self):
         im = None if self._im is None else list(map(neg, self._im))
         return _make(self._L, self._lo, self._step, list(map(neg, self._re)), im,
-                     self._den, self.precision)
+                     self._den, self.prec)
 
     def __sub__(self, other):
         if not isinstance(other, QSeries):
@@ -325,11 +271,9 @@ class QSeries:
             other = QSeries.constant(other)
         # an exact one-term factor shifts and scales the other's lattice
         for a, t in ((self, other), (other, self)):
-            if t.precision is None and len(t._re) == 1:
-                return a._times_term(_ratio(t._lo, t._L), t._lo, t._L, t._re[0],
-                                     0 if t._im is None else t._im[0], t._den)
-        p = product_precision(self.precision, self.low_degree(),
-                               other.precision, other.low_degree())
+            if t.prec is None and len(t._re) == 1:
+                return a._times_term(t._lo, t._L, t._re[0], 0 if t._im is None else t._im[0], t._den)
+        p = product_precision(self.prec, self.low(), other.prec, other.low())
         if not self._re or not other._re:
             return QSeries.zero(p)
         L, (lo_a, step_a), (lo_b, step_b), step = _common_grid(self, other)
@@ -347,13 +291,12 @@ class QSeries:
     __rmul__ = __mul__
 
     def mul_monomial(self, m):
-        e = m.exp
-        return self._times_term(e, int(e.numerator), int(e.denominator), *as_triple(m.coeff))
+        return self._times_term(*m.pair, *m.triple)
 
-    def _times_term(self, e, en, ed, cr, ci, cd):
-        """self * (cr + ci*i)/cd * q^e for e = en/ed: the lattice shifted and
+    def _times_term(self, en, ed, cr, ci, cd):
+        """self * (cr + ci*i)/cd * q^(en/ed): the lattice shifted and
         scaled, with the precision of the product by the exact term."""
-        p = None if self.precision is None else self.precision + e
+        p = None if self.prec is None else qadd(self.prec, qpair(en, ed))
         if not self._re:
             return QSeries.zero(p)
         L = lcm(self._L, ed)
@@ -366,7 +309,7 @@ class QSeries:
         add each on one running lattice, with the precision of the product
         by the exact binomials."""
         P = _Running(self, None)
-        for k, c in P.on_grid([(m.exp, as_triple(m.coeff)) for m in ms]):
+        for k, c in P.on_grid([(m.pair, m.triple) for m in ms]):
             P.times_one_minus(k, c)
         return P.series()
 
@@ -384,7 +327,7 @@ class QSeries:
         constant 1/(1 - c).
         """
         P = _Running(self, _prec(order))
-        (k, c), = P.on_grid([(m.exp, as_triple(m.coeff))])
+        (k, c), = P.on_grid([(m.pair, m.triple)])
         P.over_one_minus(k, c)
         return P.series()
 
@@ -419,8 +362,8 @@ class QSeries:
         inv_r, inv_i = self._den * r0, -self._den * x0
         if relative is None:
             return _make(self._L, -self._lo, 1, [inv_r], [inv_i], norm, None)
-        if relative <= 0:  # the inverse starts at q^-d, at or past the order
-            return QSeries.zero(relative - d)
+        if relative[0] <= 0:  # the inverse starts at q^-d, at or past the order
+            return QSeries.zero(qsub(relative, d))
         # the unit part self/lead on slots 0 .. n-1, from the exponent d on
         n = _slots(_slots_below(relative, self._L, 0, self._step))
         unit_r, unit_i = _scale(self._re[:n], None if self._im is None else self._im[:n], r0, -x0)
@@ -440,33 +383,42 @@ class QSeries:
                 v_r, v_i = _convolution((v_r, v_i), (t_r, t_i), p)
                 v_r, v_i, v_den = _reduce(v_r, v_i, v_den * uv_den)
         out_r, out_i = _scale(v_r, v_i, inv_r, inv_i)
-        return _make(self._L, -self._lo, self._step, out_r, out_i, v_den * norm, relative - d)
+        return _make(self._L, -self._lo, self._step, out_r, out_i, v_den * norm, qsub(relative, d))
 
     def _unit_precision(self, order):
-        """(d, relative): where self starts, and the precision of its unit
-        part self/(lead*q^d) below which ``invert(order)`` takes it;
-        relative is None for an exact single term, whose inverse is exact."""
+        """(d, relative), pairs: where self starts, and the precision of
+        its unit part self/(lead*q^d) below which ``invert(order)`` takes
+        it; relative is None for an exact single term, whose inverse is
+        exact."""
         if not self._re:
             raise ZeroSeries("cannot invert a series that is zero to its precision")
-        d = self.low_degree()
-        if self.precision is None:
+        d = self.low()
+        if self.prec is None:
             if len(self._re) == 1:
                 return d, None
             if order is None:
                 raise ValueError("order is required to invert an exact multi-term series")
-            return d, rat(order) + d
-        relative = self.precision - d
-        return d, relative if order is None else min(relative, rat(order) + d)
+            return d, qadd(as_pair(order), d)
+        relative = qsub(self.prec, d)
+        return d, relative if order is None else qmin(relative, qadd(as_pair(order), d))
+
+    def inverse_low(self, order=None):
+        """``self.invert(order).low()``, without inverting."""
+        d, relative = self._unit_precision(order)
+        return (-d[0], d[1]) if relative is None or relative[0] > 0 else qsub(relative, d)
+
+    def inverse_prec(self, order=None):
+        """``self.invert(order).prec``, without inverting."""
+        d, relative = self._unit_precision(order)
+        return None if relative is None else qsub(relative, d)
 
     def inverse_low_degree(self, order=None):
         """``self.invert(order).low_degree()``, without inverting."""
-        d, relative = self._unit_precision(order)
-        return -d if relative is None or relative > 0 else relative - d
+        return qrat(self.inverse_low(order))
 
     def inverse_precision(self, order=None):
         """``self.invert(order).precision``, without inverting."""
-        d, relative = self._unit_precision(order)
-        return None if relative is None else relative - d
+        return qrat(self.inverse_prec(order))
 
     def divide(self, other, order=None):
         """self / other, equal in value and in precision to
@@ -483,11 +435,11 @@ class QSeries:
         Newton inverse and the product; the quotient is Newton's inverse
         times self otherwise."""
         d, relative = other._unit_precision(order)
-        if relative is None or relative <= 0:
+        if relative is None or relative[0] <= 0:
             return self * other.invert(order)
         # the product by the inverse, which starts at q^-d on other's
         # lattice reflected and is known below relative - d
-        p = product_precision(self.precision, self.low_degree(), relative - d, -d)
+        p = product_precision(self.prec, self.low(), qsub(relative, d), (-d[0], d[1]))
         if not self._re:
             return QSeries.zero(p)
         L, (lo_a, step_a), (lo_b, step_b), step = _common_grid(self, other)
@@ -516,25 +468,24 @@ class QSeries:
 
     def truncate(self, order):
         order = _prec(order)
-        if self.precision is not None and self.precision <= order:
+        if self.prec is not None and qle(self.prec, order):
             return self
         return _make(self._L, self._lo, self._step, self._re, self._im, self._den, order)
 
     def substitute_power(self, k):
         """q -> q^k termwise; exponents and the precision scale by k."""
-        k = rat(k)
-        if k <= 0:
-            raise NonPositivePower(f"substitute_power requires k > 0, got {k}")
-        p = None if self.precision is None else self.precision * k
-        kn, kd = int(k.numerator), int(k.denominator)
+        kn, kd = k = as_pair(k)
+        if kn <= 0:
+            raise NonPositivePower(f"substitute_power requires k > 0, got {qrat(k)}")
+        p = None if self.prec is None else qmul(self.prec, k)
         return _make(self._L * kd, self._lo * kn, self._step * kn,
                      self._re, self._im, self._den, p)
 
     def substitute_monomial(self, m):
         """q -> c*q^e on an integer-exponent series (e > 0)."""
-        if m.exp <= 0:
+        if m.pair[0] <= 0:
             raise NonPositivePower(f"substitution base must have positive exponent, got {m}")
-        p = None if self.precision is None else self.precision * m.exp
+        p = None if self.prec is None else qmul(self.prec, m.pair)
         if not self._re:
             return QSeries.zero(p)
         L, lo, step, re, im = self._L, self._lo, self._step, self._re, self._im
@@ -546,7 +497,7 @@ class QSeries:
         if bad is not None:
             raise FractionalExponent(
                 f"q -> {m} substitution requires integer exponents, "
-                f"found {_format_exp(_ratio(lo + step * bad, L))}"
+                f"found {format_exp(RAT(lo + step * bad, L))}"
             )
         if stride > 1:
             re = re[::stride]
@@ -555,17 +506,17 @@ class QSeries:
         # with its coefficient times c^(e0 + s*i)
         e0, s = lo // L, step * stride // L
         den = self._den
-        if m.coeff != GR_ONE:
-            cr, ci, cd = as_triple(m.coeff ** e0)
+        if m.triple != (1, 0, 1):
+            cr, ci, cd = triple_pow(m.triple, e0)
             re, im = _scale(re, im, cr, ci)
-            re, im, twist_den = _twist(re, im, as_triple(m.coeff ** s))
+            re, im, twist_den = _twist(re, im, triple_pow(m.triple, s))
             den *= cd * twist_den
-        en, ed = int(m.exp.numerator), int(m.exp.denominator)
+        en, ed = m.pair
         return _make(ed, e0 * en, s * en, re, im, den, p)
 
     def negate_base(self):
         """q -> -q (integer exponents only)."""
-        return self.substitute_monomial(QMonomial(GaussianRational(-1), _R1))
+        return self.substitute_monomial(mono(-1, 1))
 
     # -- comparison / display --------------------------------------------------
 
@@ -581,12 +532,12 @@ class QSeries:
     def __eq__(self, other):
         return (
             isinstance(other, QSeries)
-            and self.precision == other.precision
+            and self.prec == other.prec
             and (self is other or self._key() == other._key())
         )
 
     def __hash__(self):
-        return hash((self._key(), self.precision))
+        return hash((self._key(), self.prec))
 
     def __repr__(self):
         return f"QSeries({dict(self.terms)!r}, precision={self.precision!r})"
@@ -596,7 +547,7 @@ class QSeries:
             return "0"
         parts = []
         for e, c in self.items_sorted():
-            t = _format_term(c, e)
+            t = format_term(c, e)
             if not parts:
                 parts.append(t)
             elif t.startswith("-"):
@@ -632,7 +583,7 @@ def _make(L, lo, step, re, im, den, precision):
         im = None if im is None else im[k:n]
         lo += step * k
     s = object.__new__(QSeries)
-    s.precision = precision
+    s.prec = precision
     s._view = None
     if not re:
         s._L, s._lo, s._step, s._re, s._im, s._den = 1, 0, 1, [], None, 1
@@ -662,7 +613,7 @@ def lattice_series(L, points, precision):
     coefficient c = (re, im, den) of integers with den > 0; points at the
     same x add up."""
     if precision is not None:
-        top, pd = int(precision.numerator) * L, int(precision.denominator)
+        top, pd = precision[0] * L, precision[1]
         points = [pt for pt in points if pt[0] * pd < top]
     if not points:
         return QSeries.zero(precision)
@@ -684,9 +635,9 @@ def lattice_series(L, points, precision):
 def sum_series(parts, precision=None):
     """The sum of the series ``parts`` below ``precision`` and below each
     part's own precision, all parts placed on one grid at once."""
-    p = precision
+    p = _prec(precision)
     for s in parts:
-        p = _pmin(p, s.precision)
+        p = _pmin(p, s.prec)
     live = [s for s in parts if s._re]
     if len(live) == 1:
         s = live[0]
@@ -699,7 +650,7 @@ def eulerian_sum(weight, factors, order, divide=True):
     and factors(n): the front end of ``eulerian_terms``, which defines the
     sum, on the grid of the monomials' exponents."""
     def term(m):
-        return m.exp, as_triple(m.coeff)
+        return m.pair, m.triple
 
     return sum_lattices(*eulerian_terms(
         1, lambda n: term(weight(n)), lambda n: [term(m) for m in factors(n)], order, divide))
@@ -723,14 +674,14 @@ def eulerian_terms(L, weight, factors, order, divide=True):
     order (or P_n is zero to the same precision), so a term that stops the
     sum is then found without forming its P_n; for an order <= 0, P_n can
     be zero to a lower precision, which the sum's precision follows."""
-    P = _Running(QSeries.one(), rat(order), L)
+    P = _Running(QSeries.one(), as_pair(order), L)
     parts, precision = [], P.order
     n, step = 0, factors(0)
     while True:
         (e, cw), *step = P.on_grid([weight(n), *step])
         after = factors(n + 1)
-        stops = all([k > 0 for k, _ in after])
-        if stops and 0 < P.order and P.reaches(e) and all([k > 0 for k, _ in step]):
+        stops = all([(k if type(k) is int else k[0]) > 0 for k, _ in after])
+        if stops and P.order[0] > 0 and P.reaches(e) and all([k > 0 for k, _ in step]):
             break
         for k, c in step:
             if divide:
@@ -743,7 +694,7 @@ def eulerian_terms(L, weight, factors, order, divide=True):
         # the term is known below P_n's precision plus e, which is past the
         # order when that precision is the order and e >= 0
         if P.prec is not None and (e < 0 or P.prec is not P.order):
-            precision = min(precision, P.prec + _ratio(e, P.grid))
+            precision = qmin(precision, qadd(P.prec, qpair(e, P.grid)))
         if P.re:
             re, im = _scale(P.re, P.im, cw[0], cw[1])
             parts.append((P.grid, P.lo + e, P.step or 1, re, im, P.den * cw[2]))
@@ -770,7 +721,7 @@ class _Running:
         f = self.grid // s._L
         self.scale, self.order = self.grid // L, order
         self.top = None if order is None else _first_slot(order, self.grid)
-        self.re, self.im, self.den, self.prec = s._re, s._im, s._den, s.precision
+        self.re, self.im, self.den, self.prec = s._re, s._im, s._den, s.prec
         self.lo, self.step = s._lo * f, s._step * f if len(s._re) > 1 else 0
 
     def series(self):
@@ -779,22 +730,23 @@ class _Running:
 
     def on_grid(self, terms):
         """The pairs (exponent, coefficient) ``terms``, exponents given in
-        1/L, with the exponents turned into slots of the grid; the grid is
-        refined first when one falls off it."""
+        1/L as ints or as (num, den) pairs, with the exponents turned into
+        slots of the grid; the grid is refined first when one falls off
+        it."""
         if self.scale == 1 and all([type(k) is int for k, _ in terms]):
             return terms
-        ks = [k * self.scale for k, _ in terms]
-        d = lcm(*[1 if type(k) is int else int(k.denominator) for k in ks])
+        ks = [(k * self.scale, 1) if type(k) is int else (k[0] * self.scale, k[1]) for k, _ in terms]
+        d = lcm(*[kd // gcd(kn, kd) for kn, kd in ks])
         if d != 1:
             self.grid, self.scale, self.lo, self.step = (
                 self.grid * d, self.scale * d, self.lo * d, self.step * d)
             if self.order is not None:
                 self.top = _first_slot(self.order, self.grid)
-        return [(int(k * d), c) for k, (_, c) in zip(ks, terms)]
+        return [(kn * d // kd, c) for (kn, kd), (_, c) in zip(ks, terms)]
 
     def low(self):
-        """Where P_n starts, as ``QSeries.low_degree`` has it."""
-        return _ratio(self.lo, self.grid) if self.re else self.prec
+        """Where P_n starts, as ``QSeries.low`` has it."""
+        return qpair(self.lo, self.grid) if self.re else self.prec
 
     def reaches(self, e):
         """True when the term q^(e/grid) * P_n starts at or past the order
@@ -803,7 +755,7 @@ class _Running:
             return self.lo + e >= self.top
         if self.prec is None:
             return e >= self.top
-        return _ratio(e, self.grid) + self.prec >= self.order
+        return qle(self.order, qadd(qpair(e, self.grid), self.prec))
 
     def _zero(self, p):
         self.re, self.im, self.den, self.lo, self.step, self.prec = [], None, 1, 0, 0, p
@@ -821,7 +773,7 @@ class _Running:
         return max(0, -((self.lo - cut) // self.step))
 
     def truncate(self, p):
-        if self.prec is not None and (self.prec is p or self.prec <= p):
+        if self.prec is not None and (self.prec is p or qle(self.prec, p)):
             return
         self.prec = p
         n = self._below(p)
@@ -834,7 +786,7 @@ class _Running:
     def times_term(self, k, c):
         """P_n times the exact term c*q^(k/grid)."""
         if k and self.prec is not None:
-            self.prec += _ratio(k, self.grid)
+            self.prec = qadd(self.prec, qpair(k, self.grid))
         if self.re:
             self.lo += k
             re, im = _scale(self.re, self.im, c[0], c[1])
@@ -865,15 +817,15 @@ class _Running:
             self.times_term(-k, (-inv[0], -inv[1], inv[2]))
             self.over_one_minus(-k, inv)
             if ld is not None:
-                self.truncate(self.order + ld)
+                self.truncate(qadd(self.order, ld))
             return
         if self.re and self.lo >= 0 and (self.prec is None or self.prec is self.order):
             p = self.order
         else:
             ld = self.low()
-            p = self.order if ld is None else min(self.order, self.order + ld)
+            p = self.order if ld is None or ld[0] >= 0 else qadd(self.order, ld)
             if self.prec is not None:
-                p = min(p, self.prec)
+                p = qmin(p, self.prec)
         if not k:
             if cr == cd and not ci:
                 raise PoleAtOne("1/(1 - q^0) is excluded: argument hit a power of q")
@@ -908,7 +860,7 @@ class _Running:
             else:
                 self.times_term(0, (cd - cr, -ci, cd))
             return
-        p = self.prec if k > 0 or self.prec is None else self.prec + _ratio(k, self.grid)
+        p = self.prec if k > 0 or self.prec is None else qadd(self.prec, qpair(k, self.grid))
         if not self.re:
             self._zero(p)
             return
@@ -940,8 +892,8 @@ def _shifted_sum(u, v, s, n):
 
 
 def _first_slot(p, L):
-    """The first slot of the grid 1/L at or past the exponent p."""
-    return -((-int(p.numerator) * L) // int(p.denominator))
+    """The first slot of the grid 1/L at or past the exponent p, a pair."""
+    return -((-p[0] * L) // p[1])
 
 
 def geometric_runs(L, runs, precision):
@@ -1057,17 +1009,8 @@ def _rescale(blocks, n, stride, cd):
 def exponent_grid(*monomials):
     """(L, E1, E2, ...): the exponents of the monomials are E1/L, E2/L, ...
     with L the least common denominator."""
-    L = lcm(*[int(m.exp.denominator) for m in monomials])
-    return (L, *[int(m.exp.numerator) * (L // int(m.exp.denominator)) for m in monomials])
-
-
-def _ratio(num, den):
-    """num/den in the ground type; for den == 1 without the gcd."""
-    return RAT(num) if den == 1 else RAT(num, den)
-
-
-def _box(r, x, den):
-    return GaussianRational(_ratio(r, den), _ratio(x, den) if x else _R0)
+    L = lcm(*[m.pair[1] for m in monomials])
+    return (L, *[m.pair[0] * (L // m.pair[1]) for m in monomials])
 
 
 # Longer lattices are refused rather than allocated: a few terms on grids
@@ -1083,8 +1026,8 @@ def _slots(n):
 
 
 def _slots_below(p, L, lo, step):
-    """How many slots i >= 0 have (lo + step*i)/L < p."""
-    pn, pd = int(p.numerator), int(p.denominator)
+    """How many slots i >= 0 have (lo + step*i)/L < p, a pair."""
+    pn, pd = p
     return max(0, -((lo * pd - pn * L) // (step * pd)))
 
 
@@ -1430,26 +1373,6 @@ def _unpack(packed, count, wb, off):
     half = 1 << (8 * wb - 1)
     chunks = map(raw.__getitem__, map(slice, range(0, size, wb), range(wb, size + wb, wb)))
     return list(map(half.__rsub__, map(half.__xor__, map(int.from_bytes, chunks, repeat("little")))))
-
-
-def _format_exp(e):
-    if is_integer(e) and e >= 0:
-        return f"q^{e}" if e != 1 else "q"
-    return f"q^({e})"
-
-
-def _format_term(c, e):
-    if e == 0:
-        return str(c)
-    qs = _format_exp(e)
-    if c == GR_ONE:
-        return qs
-    if c == GaussianRational(-1):
-        return f"-{qs}"
-    cs = str(c)
-    if c.im and c.re:
-        cs = f"({cs})"
-    return f"{cs}*{qs}"
 
 
 def format_series(s, order=None):

@@ -6,25 +6,25 @@ twist the coefficient by c^k and scale the exponent by e*k.
 
 The finite and the infinite Pochhammer products come from one loop that
 multiplies in their factors 1 - c*q^k, one shifted add each on one running
-lattice.  j is computed from its bilateral sum (quadratic exponent growth
-gives O(sqrt(order)) terms), written term by term into one lattice vector;
-the triple-product form is kept as an independent cross-check.
+lattice; below an order, only the factors below the order raised by the
+negative exponents among them are taken.  j is computed from its bilateral
+sum (quadratic exponent growth gives O(sqrt(order)) terms), written term
+by term into one lattice vector; the interval of terms below the order is
+solved in closed form, so a sum too long to allocate fails before any term
+is formed.  Exponents, orders and coefficients are integer pairs and
+triples throughout (``qmock._rational``).
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
-from ._rational import RAT, rat
+from ._rational import QMonomial, as_pair, qadd, qlt, qmul, qpair, qpow, qrat, qsub
 from .series import (
     DivergentProduct,
-    GR_ONE,
-    QMonomial,
     QSeries,
-    as_triple,
     exponent_grid,
     vector_series,
-    qpow,
     triple_mul,
     triple_pow,
     _slots,
@@ -41,14 +41,31 @@ __all__ = [
     "Jm",
 ]
 
-_R0 = RAT(0)
-
 
 def as_base(b):
-    """Coerce a rational e (meaning q^e) or a monomial to a base monomial."""
+    """Coerce a rational e (meaning q^e; a ground rational or a pair) or a
+    monomial to a base monomial."""
     if isinstance(b, QMonomial):
         return b
-    return qpow(rat(b))
+    return qpow(b)
+
+
+def _factors(x, base, order, n=None):
+    """x*b^i for i < n, or for every i >= 0 if n is None: all of them for
+    ``order`` None or a base whose exponent is not positive, else those
+    below the order raised by the negative exponents among them.  The
+    others are 1 below the order, in value and in precision, in the
+    product of all of them."""
+    top = None
+    if order is not None and base.pair[0] > 0:
+        top, e, i = order, x.pair, 0
+        while e[0] < 0 and i != n:
+            top, e, i = qsub(top, e), qadd(e, base.pair), i + 1
+    factors, f = [], x
+    while len(factors) != n and (top is None or qlt(f.pair, top)):
+        factors.append(f)
+        f = f * base
+    return factors
 
 
 def _product(factors, order):
@@ -56,11 +73,12 @@ def _product(factors, order):
     ``order`` None, else formed below the order raised by the factors'
     negative exponents, which is what they erode, and truncated to it."""
     if order is None:
-        out = QSeries.one()
-    else:
-        out = QSeries.one(order - sum([m.exp for m in factors if m.exp < 0], _R0))
-    out = out.times_one_minus(*factors)
-    return out if order is None else out.truncate(order)
+        return QSeries.one().times_one_minus(*factors)
+    top = order
+    for m in factors:
+        if m.pair[0] < 0:
+            top = qsub(top, m.pair)
+    return QSeries.one(top).times_one_minus(*factors).truncate(order)
 
 
 def pochhammer_finite(x, base, n, order=None):
@@ -71,49 +89,46 @@ def pochhammer_finite(x, base, n, order=None):
     """
     if n < 0:
         raise ValueError(f"pochhammer length must be nonnegative, got {n}")
-    base = as_base(base)
-    return _product([x * base ** i for i in range(n)], None if order is None else rat(order))
+    order = None if order is None else as_pair(order)
+    return _product(_factors(x, as_base(base), order, n), order)
 
 
 def pochhammer_infinite(x, base, order):
-    """(x; b)_inf truncated below ``order``.  The factors with negative
-    exponents lower the product's start by their sum, so the factors from
-    the order raised by that sum on are 1 there."""
+    """(x; b)_inf truncated below ``order``."""
     base = as_base(base)
-    order = rat(order)
-    if base.exp <= 0:
+    order = as_pair(order)
+    if base.pair[0] <= 0:
         raise DivergentProduct(
             f"infinite product needs a base with positive exponent, got {base}"
         )
-    top, e = order, x.exp
-    while e < 0:
-        top -= e
-        e += base.exp
-    factors, f = [], x
-    while f.exp < top:
-        factors.append(f)
-        f = f * base
-    return _product(factors, order)
+    return _product(_factors(x, base, order), order)
 
 
-def theta_valuation(x, base):
-    """The exponent where j(x; b) starts; None when x is an integral power of
-    b, where j(x; b) vanishes.
+def theta_start(x, base):
+    """The exponent where j(x; b) starts, as a pair; None when x is an
+    integral power of b, where j(x; b) vanishes.
 
     Term n of the bilateral sum lies at E(n)/L (see ``jacobi_theta``), least
     at n = floor(1/2 - X/B) or at the n after it.  When the two tie,
     X = -n*B, and their coefficients cancel only for x = b^-n."""
     base = as_base(base)
-    if base.exp <= 0:
+    if base.pair[0] <= 0:
         raise DivergentProduct(
             f"theta sum needs a base with positive exponent, got {base}"
         )
     L, B, X = exponent_grid(base, x)
     n = (B - 2 * X) // (2 * B)
     e0, e1 = B * (n * (n - 1) // 2) + X * n, B * (n * (n + 1) // 2) + X * (n + 1)
-    if e0 == e1 and x.coeff * base.coeff ** n == GR_ONE:
-        return None
-    return RAT(min(e0, e1), L)
+    if e0 == e1:
+        r, i, d = triple_mul(x.triple, triple_pow(base.triple, n))
+        if r == d and not i:
+            return None
+    return qpair(min(e0, e1), L)
+
+
+def theta_valuation(x, base):
+    """``theta_start`` in the ground type."""
+    return qrat(theta_start(x, base))
 
 
 def jacobi_theta(x, base, order):
@@ -127,35 +142,36 @@ def jacobi_theta(x, base, order):
     and b's coefficients 1 or -1 each coefficient is a sign.  The terms are
     written into one lattice vector of step gcd(B, X)."""
     base = as_base(base)
-    order = rat(order)
-    if base.exp <= 0:
+    order = as_pair(order)
+    if base.pair[0] <= 0:
         raise DivergentProduct(
             f"theta sum needs a base with positive exponent, got {base}"
         )
     L, B, X = exponent_grid(base, x)
     # E(n) lies below the order when E(n) < top
-    top = -((-int(order.numerator) * L) // int(order.denominator))
-    # E(n + 1) = E(n) + B*n + X, and E is least at floor(1/2 - X/B) or at
-    # the n after it
+    top = -((-order[0] * L) // order[1])
+
+    def E(n):
+        return B * (n * (n - 1) // 2) + X * n
+
+    # E is least at floor(1/2 - X/B) or at the n after it
     low = (B - 2 * X) // (2 * B)
-    e_low = B * (low * (low - 1) // 2) + X * low
-    if B * low + X < 0:
-        low, e_low = low + 1, e_low + B * low + X
+    low += E(low + 1) < E(low)
+    e_low = E(low)
     if e_low >= top:
         return QSeries.zero(order)
-    # the terms below the order are the n of [first, last]
-    first, last, e_first, e_last = low, low, e_low, e_low
-    while e_last + B * last + X < top:
-        e_last += B * last + X
-        last += 1
-    while e_first - B * (first - 1) - X < top:
-        first -= 1
-        e_first -= B * first + X
+    # the terms below the order are the n of [first, last], where 2*E(n) =
+    # B*n^2 - b*n <= 2*top - 1: between the roots (b -+ sqrt(D))/(2B), and
+    # for integers b and B, rounding them is rounding (b -+ isqrt(D))/(2B).
+    # So a sum too long to allocate fails before its terms are walked.
+    b = B - 2 * X
+    root = isqrt(b * b + 4 * B * (2 * top - 1))
+    first, last = -((root - b) // (2 * B)), (b + root) // (2 * B)
     h = gcd(B, X)
     Bh, Xh = B // h, X // h
     origin = e_low // h
-    size = _slots((max(e_first, e_last) - e_low) // h + 1)
-    cx, cb = as_triple(x.coeff), as_triple(base.coeff)
+    size = _slots((max(E(first), E(last)) - e_low) // h + 1)
+    cx, cb = x.triple, base.triple
     if cx[1:] == cb[1:] == (0, 1) and abs(cx[0]) == abs(cb[0]) == 1:
         # term n is (-x)^n * b^binom(n, 2), a sign
         flip_n, flip_binom = int(cx[0] == 1), int(cb[0] == -1)
@@ -205,5 +221,5 @@ def Jbar(a, m, order):
 
 def Jm(m, order):
     """J_m = (q^m; q^m)_inf, computed as J_{m,3m} (Euler pentagonal series)."""
-    m = rat(m)
-    return J(m, 3 * m, order)
+    m = as_pair(m)
+    return J(m, qmul(m, 3), order)

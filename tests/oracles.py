@@ -603,7 +603,7 @@ def _retry_divisor(node, w):
 def _retry_call(node, w):
     name, args = node.name, node.args
     if name == "subq":
-        k = dsl._fold_rational(args[1])
+        k = rat(*dsl._fold_rational(args[1]))    # a (num, den) pair
         if k <= 0:
             raise NonPositivePower(f"subq power must be positive, got {k}")
         return _retry_eval(args[0], w / k).substitute_power(k)
@@ -852,3 +852,32 @@ BLOCKS = {
     "theta_abc": theta_abc,
     "msplit_rhs": msplit_rhs,
 }
+
+
+# -- monomials and precisions in the ground types ---------------------------------
+#
+# The engine keeps exponents and precisions as integer pairs and monomials
+# as integer triples and pairs; these references redo the same operations
+# on a coefficient (re, im) of Fractions and a Fraction exponent.
+
+
+def ref_monomial_mul(a, b):
+    """(c, e) * (c', e') for coefficient pairs c, c' and Fractions e, e'."""
+    return gauss_mul(a[0], b[0]), a[1] + b[1]
+
+
+def ref_monomial_pow(a, k):
+    return gauss_pow(a[0], k), a[1] * k
+
+
+def ref_product_precision(pa, la, pb, lb):
+    """min(pa + lb, pb + la) on Fractions, None for unbounded."""
+    p = None if pa is None or lb is None else pa + lb
+    return p if pb is None or la is None else _ref_pmin(p, pb + la)
+
+
+def ref_target(w, other, own):
+    """The working order of a factor: w less the other factor's start, at
+    least the factor's own bound."""
+    t = w if other is None else w - other
+    return t if own is None else max(t, own)

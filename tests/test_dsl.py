@@ -214,6 +214,8 @@ class TestEvaluate:
         assert out.agrees_with(evaluate(parse("Jm(3)"), 30))
         half = evaluate(parse("subq(1/(1-q), 1/2)"), 2)
         assert series_to_dict(half) == {0: 1, Fraction(1, 2): 1, 1: 1, Fraction(3, 2): 1}
+        for text, order in (("subq(Jm(1), 3)", 30), ("subq(1/(1-q), 1/2)", 2), ("negq(subq(J(1,3), 2))", 7)):
+            assert evaluate(parse(text), order) == retry_evaluate(parse(text), order)
 
 
 class TestRetryCap:
@@ -326,6 +328,45 @@ class TestPlannedPass:
             got = evaluate(diff, rec.order)
             assert passes == [rec.order], rec.id
             assert got == retry_evaluate(diff, rec.order), rec.id
+
+
+class TestThetaMemo:
+    @pytest.mark.parametrize("text", ["j(-q^(1/3), 2*q^(2/5))", "J(1, 7/2)", "JB(2/3, 3)", "Jm(1/2)",
+                                      "j((1+i)*q^(-1/2), -q)"])
+    def test_lower_order_is_the_earlier_result_truncated(self, text, monkeypatch):
+        node = parse(text)
+        orders = [(40, 3), (7, 2), (40, 3), (-3, 4), (50, 1)]
+        want = [dsl._Plan().series(node, w) for w in orders]
+        calls = []
+        inner = theta.jacobi_theta
+        monkeypatch.setattr(theta, "jacobi_theta", lambda *args: calls.append(args) or inner(*args))
+        plan = dsl._Plan()
+        got = [plan.series(node, w) for w in orders]
+        assert got == want and [s.precision for s in got] == [s.precision for s in want]
+        # the last order is higher than any asked before it
+        assert [args[2] for args in calls] == [(40, 3), (50, 1)]
+
+    def test_equal_calls_in_different_nodes(self, monkeypatch):
+        calls = []
+        inner = theta.jacobi_theta
+        monkeypatch.setattr(theta, "jacobi_theta", lambda *args: calls.append(args) or inner(*args))
+        node = parse("j(q, q^3) + q^2*j(q, q^3) - J(1, 3) + J(1, 3)*q")
+        got = evaluate(node, 12)
+        assert len(calls) == 2     # one for j, one for J
+        monkeypatch.undo()
+        assert got == retry_evaluate(node, 12)
+
+    def test_block_makes_fewer_theta_calls(self, monkeypatch):
+        node = parse("theta_np(3, 2, q^(2/7), q^(3/7), q)")
+        asked, made = [], []
+        inner, call = theta.jacobi_theta, dsl._Plan._call
+        monkeypatch.setattr(theta, "jacobi_theta", lambda *args: made.append(1) or inner(*args))
+        monkeypatch.setattr(dsl._Plan, "_call", lambda plan, n, w: (
+            n.name in ("j", "J", "JB", "Jm") and asked.append(1)) or call(plan, n, w))
+        got = evaluate(node, 25)
+        assert 0 < len(made) < len(asked)
+        monkeypatch.undo()
+        assert got == retry_evaluate(node, 25)
 
 
 class TestDivisionByFactors:

@@ -1,11 +1,13 @@
 """Theta products: Pochhammer symbols, the bilateral sum, named shortcuts."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from qmock.series import DivergentProduct, GaussianRational, mono, qpow
+from qmock.dsl import IdentityRecord, evaluate, parse, verify_identity
+from qmock.series import DivergentProduct, GaussianRational, LatticeTooLarge, mono, qpow
 from qmock.theta import (
     J,
     Jbar,
@@ -62,6 +64,24 @@ class TestPochhammerFinite:
             cut = pochhammer_finite(mono(c, e), qpow(b), n, order)
             assert cut.precision == order
             assert series_to_dict(cut) == {x: v for x, v in want.items() if x < order}
+
+    def test_cut_product_is_the_exact_one_truncated(self):
+        # below an order, only the factors below the order raised by the
+        # negative exponents are formed; any base, either sign of exponent
+        rnd = random.Random(272)
+        for _ in range(300):
+            x = mono(rnd.choice([1, -1, 3, Fraction(-2, 3), GaussianRational(1, 1)]),
+                     Fraction(rnd.randint(-9, 9), rnd.choice([1, 2, 3])))
+            b = mono(rnd.choice([1, -1, 2]), Fraction(rnd.randint(-3, 6), rnd.choice([1, 2])))
+            n = rnd.randint(0, 14)
+            order = Fraction(rnd.randint(-12, 12), rnd.choice([1, 2, 5]))
+            assert pochhammer_finite(x, b, n, order) == pochhammer_finite(x, b, n).truncate(order)
+
+    def test_long_product_at_a_low_order(self):
+        start = time.perf_counter()
+        out = evaluate(parse("poch_fin(q, q, 10^6)"), 3)
+        assert time.perf_counter() - start < 5
+        assert str(out) == "1 - q - q^2" and out.precision == 3
 
 
 class TestPochhammerInfinite:
@@ -195,6 +215,18 @@ class TestJacobiTheta:
         assert lhs.agrees_with(jacobi_theta(qpow(1) * x.inverse(), qpow(1), 20))
         rhs = jacobi_theta(x.inverse(), qpow(1), 22).mul_monomial(-x)
         assert lhs.agrees_with(rhs)
+
+
+    @pytest.mark.parametrize("text", ["J(1, 10^-9)", "J(10^9, 1)"])
+    def test_too_long_sum_fails_before_its_terms(self, text):
+        # about 2*10^9 terms lie below the order: the closed-form interval
+        # refuses the lattice without walking them
+        start = time.perf_counter()
+        report = verify_identity(IdentityRecord("long", "", Fraction(3), parse(text), parse("0")))
+        assert time.perf_counter() - start < 5
+        assert report.status == "ERROR" and report.detail.startswith("LatticeTooLarge")
+        with pytest.raises(LatticeTooLarge):
+            jacobi_theta(qpow(1), qpow(Fraction(1, 10 ** 9)), 3)
 
 
 class TestThetaValuation:
