@@ -14,8 +14,10 @@ written into one lattice.  The sum is divided by j(z; b) in one
 ``QSeries.divide``, which for the theta function's few nonzero slots of
 +-1 is one recurrence, with no inverse formed.  The universal mock theta
 function g is summed by the Eulerian loop of the catalog series,
-``series.eulerian_terms``, on the integer grid of x and b, which divides by
-its Pochhammer factors one pass over one pair of numerator vectors each.
+``series.eulerian_terms``, on the integer grid of x and b.  For x = ±q^a
+and b's coefficient ±1 every coefficient is a unit, and the loop divides
+by each Pochhammer factor with a few shift-adds of one packed integer;
+otherwise with one pass over one pair of numerator vectors.
 
 The block sums ``g_abc`` ... ``msplit_rhs`` are templates in ``qmock.blocks``,
 evaluated here by ``dsl.evaluate`` like any DSL expression.
@@ -33,6 +35,7 @@ from .series import (
     eulerian_terms,
     exponent_grid,
     geometric_runs,
+    span_slots,
     sum_lattices,
     triple_mul,
     triple_pow,
@@ -172,6 +175,13 @@ def _bilateral_sum(x, base, z, work):
     cb, cx, cz = base.triple, x.triple, z.triple
     cxz = triple_mul(cx, cz)
     lo, hi = _vertex_limits(B, Z)
+    # the lattice holds the first two terms of the summands at the vertex,
+    # so a sum that they alone make too long fails before it is walked
+    near = []
+    for r in range(lo // (2 * B), -(-hi // (2 * B)) + 1):
+        first, k = _least_exp(B, X, Z, r), _summand_exps(B, X, Z, r)[1]
+        near += [t for t in (first, first + abs(k)) if t * wd < top]
+    span_slots(near)
     runs = []
     for r, direction, limit in ((0, 1, hi), (-1, -1, -lo)):
         while True:
@@ -224,8 +234,9 @@ def universal_g_eulerian(x, base, order):
     """g(x, b) = x^(-1) (-1 + sum_n b^(n^2) / ((x;b)_(n+1) (b/x;b)_n)),
 
     through ``series.eulerian_terms`` on the grid of x and b: step 0
-    divides by 1 - x, and step n by 1 - x*b^n and 1 - b^n/x, one pass over
-    the vectors each, and the sum less 1 is divided by x on its lattice.
+    divides by 1 - x, and step n by 1 - x*b^n and 1 - b^n/x, on one packed
+    integer when x's and b's coefficients are 1 or -1 and on the vectors
+    otherwise, and the sum less 1 is divided by x on its lattice.
     """
     base = as_base(base)
     order = as_pair(order)

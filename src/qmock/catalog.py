@@ -4,10 +4,11 @@ stanzas of the shipped corpus.
 
 Every generator takes a truncation order and returns the exact expansion
 below it from the Eulerian loop ``series.eulerian_terms``, the loop of the
-universal mock theta function g too, on the integer grid: the Pochhammer
-product is one pair of numerator vectors, extended one factor 1 + q^k or
-1 - q^k at a time, dividing by it one pass over the vectors and
-multiplying by it one shifted add, and the terms are summed once at the
+universal mock theta function g too, on the integer grid.  Every
+coefficient is 1 or -1, so the loop runs on packed integers: the
+Pochhammer product is one integer, extended one factor 1 + q^k or 1 - q^k
+at a time, dividing by it a few shift-adds and multiplying by it one, and
+each term is one shifted add into the sum, which is unpacked once at the
 end.  The DSL calls a series through ``CatalogEntry.at``.
 """
 

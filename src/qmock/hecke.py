@@ -13,7 +13,7 @@ enumeration that provably drops no term.
 from __future__ import annotations
 
 from ._rational import as_pair
-from .series import exponent_grid, lattice_series, triple_mul, triple_pow
+from .series import exponent_grid, lattice_series, span_slots, triple_mul, triple_pow
 from .theta import as_base
 
 __all__ = ["f_abc"]
@@ -75,6 +75,10 @@ def _quadrant(a, b, c, grid, coeffs, top, od):
         vf = max(0, col_vertex(r))
         return min(exponent(r, vf), exponent(r, vf + 1)) * od < top
 
+    # the lattice holds the terms of the first three rows and columns
+    # that lie below the order, so a quadrant that they alone make too
+    # long fails before it is walked
+    span_slots([e for e in (exponent(r, s) for r in range(3) for s in range(3)) if e * od < top])
     points = []
     r = 0
     while row_below(r) or r <= row_limit:

@@ -28,13 +28,15 @@ two's complement through a machine ``array``, with no Python work per slot;
 wider slots, and every slot on a big-endian machine, go through a per-slot
 codec with the same offset arithmetic.  A factor 1 - c*q^k is never
 expanded: multiplying by it is one shifted add, and dividing by it one pass
-over the lattice, which for c = 1 or -1 is one list map per block of k
-slots, or one running sum per residue class mod k when the blocks are
-shorter than they are many.  The Eulerian sums sum_n weight(n) * P_n of
-the universal mock theta function and the catalog run on one integer grid:
-P_n is one pair of numerator vectors, extended by such a pass or shifted
-add per factor, and the weighted terms go into one vector at the end, with
-integer exponents and (re, im, den) coefficient triples throughout.  No
+over the lattice, a few list maps per block of k slots.  The Eulerian sums
+sum_n weight(n) * P_n of the universal mock theta function and the catalog
+run on one integer grid, with integer exponents and (re, im, den)
+coefficient triples throughout.  When every coefficient is 1 or -1, P_n
+and the sum are one packed integer each, in the slots of the Kronecker
+products: a factor is a few big-int shift-adds and a term one, and the sum
+is unpacked once.  Otherwise P_n is one pair of numerator vectors,
+extended by such a pass or shifted add per factor, and the weighted terms
+go into one vector at the end.  No
 rational number is built per term, nor for the precision bookkeeping:
 ``prec``, ``low()`` and every order a method takes or passes on are
 (num, den) pairs of ``qmock._rational``, and ``precision`` and
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from itertools import accumulate, chain, compress, repeat
+from itertools import chain, compress, repeat
 from math import gcd, lcm
 from operator import add, neg, or_, sub
 from types import MappingProxyType
@@ -673,9 +675,18 @@ def eulerian_terms(L, weight, factors, order, divide=True):
     factors of step n, P_n starts where P_(n-1) does, which lies below the
     order (or P_n is zero to the same precision), so a term that stops the
     sum is then found without forming its P_n; for an order <= 0, P_n can
-    be zero to a lower precision, which the sum's precision follows."""
+    be zero to a lower precision, which the sum's precision follows.
+
+    A sum whose steps are all unit steps (``_unit_steps``) runs on packed
+    integers (``_packed_terms``) into one part."""
     P = _Running(QSeries.one(), as_pair(order), L)
     parts, precision = [], P.order
+    weights, steps = [], [factors(0)]
+    if P.order[0] > 0 and P.top <= _MAX_SLOTS and _unit_steps(weights, steps, weight, factors, P.top):
+        if len(weights) > 1:
+            parts.append(_packed_terms(weights, steps, P.grid, P.top, divide))
+        return parts, precision
+    weight, factors = _replay(weights, weight), _replay(steps, factors)
     n, step = 0, factors(0)
     while True:
         (e, cw), *step = P.on_grid([weight(n), *step])
@@ -700,6 +711,111 @@ def eulerian_terms(L, weight, factors, order, divide=True):
             parts.append((P.grid, P.lo + e, P.step or 1, re, im, P.den * cw[2]))
         n, step = n + 1, after
     return parts, precision
+
+
+def _replay(done, f):
+    """f, whose values at 0, 1, ..., len(done) - 1 were fetched into
+    ``done``."""
+    return lambda n: done[n] if n < len(done) else f(n)
+
+
+_UNITS = ((1, 0, 1), (-1, 0, 1))
+
+
+def _unit_steps(weights, steps, weight, factors, top):
+    """Fetch weight(n) and factors(n + 1) for n = 0, 1, ... into the lists,
+    steps holding factors(0), while the sum is a unit sum: every weight
+    c*q^e and every factor 1 - c*q^k of the steps so far has c = 1 or -1
+    and integer exponents, k > 0 and e >= 0 not falling as n grows.  True
+    when the sum stops at the last weight: e reaches the slot ``top`` while
+    the factors after it have positive exponents."""
+    last = 0
+    while True:
+        n = len(weights)
+        weights.append(weight(n))
+        steps.append(factors(n + 1))
+        e, c = weights[n]
+        if not (type(e) is int and last <= e and c in _UNITS and all(
+                [type(k) is int and k > 0 and c in _UNITS for k, c in steps[n]])):
+            return False
+        if e >= top and all([(k if type(k) is int else k[0]) > 0 for k, _ in steps[n + 1]]):
+            return True
+        last = e
+
+
+def _packed_terms(weights, steps, L, top, divide):
+    """The terms of a unit sum (``_unit_steps``) before its last weight, on
+    the grid 1/L below the slot ``top``, as one lattice part.
+
+    P_n and the sum are integers of w bytes per slot, signed slots as
+    ``_pack`` writes them, on the slots of step g, the gcd of the
+    exponents; P_n only below the m slots its term has below the order.
+    Dividing by 1 - c*Y, Y = q^k, multiplies by (1 + c*Y)(1 + Y^2)(1 + Y^4)
+    ... to the last of the T factors that starts below slot m, one
+    shift-add each; multiplying is one shift-add (T = 1); either is then
+    cut to its residue mod 2^(8w*m), which keeps the slots below m and
+    leaves a borrow from slot m - 1 as a 1 in slot m, past every slot that
+    P_n's term needs.  Before each, one mask test checks that every slot
+    lies below 2^(8w - 2 - T), so that none can reach 2^(8w - 1), or below
+    2^(8w - 2) for the sum before a term is added; the slots of both are
+    widened in place until it holds, doubling to 8 bytes and then one byte
+    at a time."""
+    N = len(weights) - 1
+    e0 = weights[0][0]
+    g = gcd(*[k for step in steps[:N] for k, _ in step], *[e - e0 for e, _ in weights[:N]]) or 1
+    count = -((e0 - top) // g)
+    w, R, tests = 1, int.from_bytes(b"\1" * count, "little"), {}
+    v, total = 1, 0
+
+    def fits(x, b):
+        if b < 0:
+            return False
+        t = tests.get(b)
+        if t is None:
+            t = tests[b] = (R << b, R * ((1 << 8 * w) - (2 << b)))
+        return not (x + t[0]) & t[1]
+
+    def widen():
+        nonlocal w, R, tests, v, total
+        wide = 2 * w if w < 8 else w + 1
+        R_wide = int.from_bytes((b"\1" + bytes(wide - 1)) * count, "little")
+        v, total = [_respace(x, count, w, R, wide, R_wide) for x in (v, total)]
+        w, R, tests = wide, R_wide, {}
+
+    for n in range(N):
+        e, cw = weights[n]
+        m = -((e - top) // g)
+        for k, c in steps[n]:
+            k //= g
+            T = ((m - 1) // k).bit_length() if divide else int(k < m)
+            if not T:
+                continue
+            while not fits(v, 8 * w - 2 - T):
+                widen()
+            s = 8 * w * k
+            v = v + (v << s) if (c[0] > 0) == divide else v - (v << s)
+            for _ in range(1, T):
+                s <<= 1
+                v += v << s
+            v &= (1 << 8 * w * m) - 1
+        while not fits(total, 8 * w - 2):
+            widen()
+        t = v << (8 * w * ((e - e0) // g))
+        total = total + t if cw[0] > 0 else total - t
+    return L, e0, g, _unpack(total, count, w, R << (8 * w - 1)), None, 1
+
+
+def _respace(x, count, w, R, wide, R_wide):
+    """The first ``count`` slots of the packed integer x, w bytes per slot
+    and R the sum of their units, in slots of ``wide`` bytes: each slot
+    offset by 2^(8w - 1) to be nonnegative, its bytes moved, and the
+    offset taken off again."""
+    size = count * w
+    raw = ((x + (R << (8 * w - 1))) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    out = bytearray(count * wide)
+    for t in range(w):
+        out[t::wide] = raw[t::w]
+    return int.from_bytes(out, "little") - (R_wide << (8 * w - 1))
 
 
 class _Running:
@@ -950,8 +1066,6 @@ def _divide_pass(re, im, stride, cr, ci, cd):
     for the numerator vectors v = (re, im), im None only when v and c are
     real.  Block j of ``stride`` slots is v_j*cd^j + (cr + ci*i)*t_(j-1)
     over cd^j; the blocks come back as vectors over cd^J, J the last."""
-    if not ci and cd == 1 and cr in (1, -1):
-        return _divide_unit(re, stride, cr), None if im is None else _divide_unit(im, stride, cr)
     tr, ti = re[:stride], None if im is None else im[:stride]
     blocks_r, blocks_i = [tr], [ti]
     scale = 1
@@ -965,33 +1079,6 @@ def _divide_pass(re, im, stride, cr, ci, cd):
         blocks_i.append(ti)
     return (_rescale(blocks_r, len(re), stride, cd),
             None if ti is None else _rescale(blocks_i, len(re), stride, cd))
-
-
-def _divide_unit(v, stride, c):
-    """t_i = v_i + c*t_(i - stride) for c = 1 or -1: one map over each
-    block when the blocks are fewer than their slots, else one running sum
-    over each residue class mod ``stride``, whose odd places are negated
-    before and after the sum for c = -1."""
-    n = len(v)
-    if stride * stride > n:
-        op = add if c == 1 else sub
-        t = v[:stride]
-        blocks = [t]
-        for j0 in range(stride, n, stride):
-            t = list(map(op, v[j0:j0 + stride], t))
-            blocks.append(t)
-        return list(chain.from_iterable(blocks))
-    out = [0] * n
-    for r in range(stride):
-        if c == 1:
-            out[r::stride] = accumulate(v[r::stride])
-        else:
-            t = v[r::stride]
-            t[1::2] = map(neg, t[1::2])
-            t = list(accumulate(t))
-            t[1::2] = map(neg, t[1::2])
-            out[r::stride] = t
-    return out
 
 
 def _rescale(blocks, n, stride, cd):
@@ -1023,6 +1110,15 @@ def _slots(n):
     if n > _MAX_SLOTS:
         raise LatticeTooLarge(f"the series needs {n} lattice slots, more than {_MAX_SLOTS}")
     return n
+
+
+def span_slots(xs):
+    """Refuse, before they are walked, the terms of a lattice that holds the
+    integer exponents xs when these alone need more slots than it may
+    have: its step divides their differences."""
+    if xs:
+        lo = min(xs)
+        _slots((max(xs) - lo) // (gcd(*[x - lo for x in xs]) or 1) + 1)
 
 
 def _slots_below(p, L, lo, step):

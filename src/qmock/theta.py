@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from math import gcd, isqrt, lcm
 
-from ._rational import QMonomial, as_pair, qadd, qlt, qmul, qpair, qpow, qrat, qsub
+from ._rational import QMonomial, as_pair, qmul, qpair, qpow, qrat, qsub
 from .series import (
     DivergentProduct,
     QSeries,
@@ -55,14 +55,24 @@ def _factors(x, base, order, n=None):
     ``order`` None or a base whose exponent is not positive, else those
     below the order raised by the negative exponents among them.  The
     others are 1 below the order, in value and in precision, in the
-    product of all of them."""
-    top = None
+    product of all of them.
+
+    The count is solved in closed form first: the factors lie at distinct
+    slots of the product's lattice, so more of them than it can hold fail
+    before any is formed."""
+    count = n
     if order is not None and base.pair[0] > 0:
-        top, e, i = order, x.pair, 0
-        while e[0] < 0 and i != n:
-            top, e, i = qsub(top, e), qadd(e, base.pair), i + 1
+        L, B, X = exponent_grid(base, x)
+        # the first j factors have negative exponents and raise the order
+        j = max(0, -(X // B))
+        if n is not None:
+            j = min(j, n)
+        tn, td = qsub(order, qpair(j * X + B * (j * (j - 1) // 2), L))
+        # factor i lies below it when (X + B*i)*td < tn*L
+        below = max(0, -((X * td - tn * L) // (B * td)))
+        count = _slots(below if n is None else min(n, below))
     factors, f = [], x
-    while len(factors) != n and (top is None or qlt(f.pair, top)):
+    for _ in range(count):
         factors.append(f)
         f = f * base
     return factors

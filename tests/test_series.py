@@ -396,16 +396,14 @@ class TestPackedKernel:
     @pytest.mark.parametrize("gaussian", [False, True])
     def test_division_by_one_minus_unit(self, c, gaussian):
         rnd = random.Random(37 + c + 2 * gaussian)
-        shapes = {"blocks": 0, "residues": 0}
         for _ in range(200):
             stride = rnd.randint(1, 12)
             n = rnd.randint(1, 80)
-            shapes["blocks" if stride * stride > n else "residues"] += 1
             re = [rnd.choice([0, rnd.randint(-2 ** 70, 2 ** 70), rnd.randint(-9, 9)]) for _ in range(n)]
             im = [rnd.randint(-9, 9) for _ in range(n)] if gaussian else None
             got_re, got_im = series._divide_pass(re, im, stride, c, 0, 1)
-            # the same c written as 2c/2 takes the general block pass,
-            # over 2^J for J the last block
+            # the same c written as 2c/2 gives the quotient over 2^J, J
+            # the last block
             scale = 2 ** ((n - 1) // stride)
             gen_re, gen_im = series._divide_pass(re, im, stride, 2 * c, 0, 2)
             assert gen_re == [scale * x for x in got_re]
@@ -418,7 +416,6 @@ class TestPackedKernel:
                     assert got == want
             if gaussian:
                 assert gen_im == [scale * x for x in got_im]
-        assert min(shapes.values()) >= 40, shapes
 
 
 def _frac(x):
@@ -920,6 +917,160 @@ class TestEulerianSum:
             outcomes["zero" if got[0].is_zero() else "value"] += 1
             outcomes["order <= 0"] += order <= 0
         assert min(outcomes.values()) >= 10, outcomes
+
+
+class TestPackedEulerianLoop:
+    """Unit sums of ``series.eulerian_terms`` (every coefficient 1 or -1,
+    integer exponents, positive factors, weights from 0 up that do not
+    fall) run on packed integers.  Each is checked against the same sum on
+    the vector path, forced by giving its exponents as (num, den) pairs,
+    and against ``oracles.eulerian_sum_stepwise``, in value and in
+    precision; every other shape must take the vector path."""
+
+    ONE, MINUS = (1, 0, 1), (-1, 0, 1)
+
+    @staticmethod
+    def _sum(L, weight, factors, order, divide, pairs=False):
+        """The sum and the calls (name, n) it made, exponents given as
+        pairs when ``pairs``."""
+        calls = []
+
+        def as_given(e):
+            return (e, 1) if pairs and type(e) is int else e
+
+        def w(n):
+            calls.append(("weight", n))
+            e, c = weight(n)
+            return as_given(e), c
+
+        def f(n):
+            calls.append(("factors", n))
+            return [(as_given(k), c) for k, c in factors(n)]
+
+        return series.sum_lattices(*series.eulerian_terms(L, w, f, order, divide)), calls
+
+    @staticmethod
+    def _oracle(L, weight, factors, order, divide):
+        def mono_of(e, c):
+            e = Fraction(e, L) if type(e) is int else Fraction(e[0], e[1] * L)
+            return QMonomial(GaussianRational(Fraction(c[0], c[2]), Fraction(c[1], c[2])), e)
+
+        return oracles.eulerian_sum_stepwise(
+            lambda n: mono_of(*weight(n)), lambda n: [mono_of(k, c) for k, c in factors(n)],
+            order, divide)
+
+    def _check(self, L, weight, factors, order, divide, oracle=True):
+        """The packed sum, after checking it against the vector path and,
+        if ``oracle``, the stepwise oracle."""
+        got, calls = self._sum(L, weight, factors, order, divide)
+        want, want_calls = self._sum(L, weight, factors, order, divide, pairs=True)
+        assert (got, got.prec) == (want, want.prec)
+        # factors(n) and weight(n) once each, n = 0, 1, ... in turn
+        assert calls == want_calls
+        assert calls == [("factors", 0)] + [(name, n + (name == "factors"))
+                                            for n in range(len(calls) // 2) for name in ("weight", "factors")]
+        if oracle:
+            assert got == self._oracle(L, weight, factors, order, divide)
+        return got
+
+    def _random_sum(self, rnd):
+        L = rnd.choice([1, 1, 2, 3, 5])
+        w0, w1, w2 = rnd.randint(0, 4), rnd.randint(0, 3), rnd.randint(0, 2)
+        w1 += not (w1 or w2)
+        rep = rnd.choice([1, 1, 2])    # 2: equal consecutive weights
+        signs = rnd.choice([(self.ONE,), (self.MINUS,), (self.ONE, self.MINUS)])
+        steps = [(rnd.randint(1, 6), rnd.randint(0, 4), rnd.choice([self.ONE, self.MINUS]),
+                  rnd.choice([True, False]))
+                 for _ in range(rnd.randint(1, 3))]
+
+        def weight(n):
+            j = n // rep
+            return w0 + w1 * j + w2 * j * j, signs[n % len(signs)]
+
+        def factors(n):
+            # a factor may start at n = 1, as the catalog's do
+            return [(a + s * n, c) for a, s, c, first in steps if n or first]
+
+        return L, weight, factors, Fraction(rnd.randint(1, 24), rnd.choice([1, 2, 3])), rnd.random() < 0.6
+
+    def test_against_vector_path_and_oracle(self, monkeypatch):
+        ran = []
+        inner = series._packed_terms
+        monkeypatch.setattr(series, "_packed_terms", lambda *a: ran.append(a) or inner(*a))
+        rnd = random.Random(1511)
+        seen = dict.fromkeys(["divide", "multiply", "equal weights", "stop at the order"], 0)
+        for _ in range(300):
+            L, weight, factors, order, divide = self._random_sum(rnd)
+            ran.clear()
+            self._check(L, weight, factors, order, divide)
+            if not ran:
+                continue    # the sum stops at its first weight
+            weights = ran[0][0]
+            seen["divide" if divide else "multiply"] += 1
+            seen["equal weights"] += any(a[0] == b[0] for a, b in zip(weights, weights[1:-1]))
+            seen["stop at the order"] += Fraction(weights[-1][0], L) == order
+        assert min(seen.values()) >= 10, seen
+
+    @pytest.mark.parametrize("codec", ["native", "per-slot"])
+    def test_every_slot_width(self, monkeypatch, codec):
+        # P_n = 1/(1 - q)^(n + 1) or (1 + q)^(n + 1) over many slowly
+        # weighted terms: the coefficients cross 2^7, 2^15, 2^31 and 2^63
+        # as the order grows, so the slots widen 1 -> 2 -> 4 -> 8 bytes and
+        # on one byte at a time
+        if codec == "per-slot":
+            monkeypatch.setattr(series, "_CODES", {})
+        widened, final = set(), set()
+        respace, unpack = series._respace, series._unpack
+        monkeypatch.setattr(series, "_respace",
+                            lambda x, count, w, R, wide, Rw: widened.add((w, wide)) or respace(x, count, w, R, wide, Rw))
+        monkeypatch.setattr(series, "_unpack",
+                            lambda packed, count, wb, off: final.add(wb) or unpack(packed, count, wb, off))
+        for order, divide, c in [(3, True, self.ONE), (12, True, self.ONE), (20, True, self.MINUS),
+                                 (30, True, self.ONE), (45, True, self.ONE), (70, True, self.MINUS),
+                                 (90, False, self.MINUS), (150, False, self.MINUS), (120, True, self.ONE)]:
+            got = self._check(1, lambda n: (n // 3, self.ONE), lambda n: [(1, c)], Fraction(order),
+                              divide, oracle=order <= 45)
+            assert got.prec == (order, 1)
+        assert {(1, 2), (2, 4), (4, 8), (8, 9), (9, 10), (10, 11)} <= widened
+        assert {1, 2, 4, 8, 9} <= final
+        assert max(map(abs, got._re)).bit_length() > 64
+
+    def test_other_shapes_take_the_vector_path(self, monkeypatch):
+        ran = []
+        inner = series._packed_terms
+        monkeypatch.setattr(series, "_packed_terms", lambda *a: ran.append(a) or inner(*a))
+        ONE, MINUS = self.ONE, self.MINUS
+
+        def weights(*changed):
+            return lambda n: dict(changed).get(n, (n * n, ONE if n % 3 else MINUS))
+
+        def factors(*changed):
+            return lambda n: dict(changed).get(n, [(2 * n + 1, MINUS), (n + 2, ONE)])
+
+        order = Fraction(17, 2)
+        shapes = {
+            "order 0": (weights(), factors(), Fraction(0)),
+            "order < 0": (weights(), factors(), Fraction(-5, 2)),
+            "factor coefficient 2": (weights(), factors((2, [(5, (2, 0, 1))])), order),
+            "factor coefficient 1/2": (weights(), factors((1, [(3, (1, 0, 2))])), order),
+            "factor coefficient i": (weights(), factors((3, [(7, (0, 1, 1))])), order),
+            "weight coefficient 3": (weights((2, (4, (3, 0, 1)))), factors(), order),
+            "negative weight": (weights((0, (-1, ONE))), factors(), order),
+            "falling weight": (weights((1, (3, ONE)), (2, (2, MINUS))), factors(), order),
+            "factor exponent 0": (weights(), factors((2, [(0, MINUS)])), order),
+            "negative factor exponent": (weights(), factors((1, [(-2, ONE)])), order),
+            "rational factor exponent": (weights(), factors((1, [((3, 2), ONE)])), order),
+            "rational weight exponent": (weights((2, ((9, 2), ONE))), factors(), order),
+        }
+        for name, (weight, factor, o) in shapes.items():
+            for divide in (True, False):
+                ran.clear()
+                got, _ = self._sum(1, weight, factor, o, divide)
+                assert not ran, name
+                assert got == self._oracle(1, weight, factor, o, divide), name
+        # the same sum with none of the changes is packed
+        self._sum(1, weights(), factors(), order, True)
+        assert ran
 
 
 class TestCoeff:

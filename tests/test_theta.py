@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from qmock.appell import appell_m
 from qmock.dsl import IdentityRecord, evaluate, parse, verify_identity
+from qmock.hecke import f_abc
 from qmock.series import DivergentProduct, GaussianRational, LatticeTooLarge, mono, qpow
 from qmock.theta import (
     J,
@@ -19,8 +21,10 @@ from qmock.theta import (
 )
 
 from oracles import (
+    appell_m_pairwise,
     assert_dict_eq,
     bilateral_theta,
+    f_abc_via_quadrants,
     jacobi_theta_product,
     pochhammer_pairwise,
     poly_mul,
@@ -217,16 +221,27 @@ class TestJacobiTheta:
         assert lhs.agrees_with(rhs)
 
 
-    @pytest.mark.parametrize("text", ["J(1, 10^-9)", "J(10^9, 1)"])
+    @pytest.mark.parametrize("text", ["J(1, 10^-9)", "J(10^9, 1)", "poch_inf(q, q^(1/1000000000))",
+                                      "f(1,1,1,q,q,q^(1/1000000000))",
+                                      "m(q, q^(1/1000000000), q^(1/3))"])
     def test_too_long_sum_fails_before_its_terms(self, text):
-        # about 2*10^9 terms lie below the order: the closed-form interval
-        # refuses the lattice without walking them
+        # about 2*10^9 terms or factors lie below the order: their count in
+        # closed form, or the span of the first few, refuses the lattice
+        # without walking them
         start = time.perf_counter()
         report = verify_identity(IdentityRecord("long", "", Fraction(3), parse(text), parse("0")))
         assert time.perf_counter() - start < 5
         assert report.status == "ERROR" and report.detail.startswith("LatticeTooLarge")
         with pytest.raises(LatticeTooLarge):
             jacobi_theta(qpow(1), qpow(Fraction(1, 10 ** 9)), 3)
+
+    def test_far_terms_past_the_order_are_not_counted(self):
+        # a base of q^(10^8) puts the first terms that the guards look at
+        # past the order, where they must not count towards the lattice
+        big = qpow(10 ** 8)
+        got = appell_m(qpow(Fraction(1, 3)), big, qpow(Fraction(1, 2)), 3)
+        assert got == appell_m_pairwise(qpow(Fraction(1, 3)), big, qpow(Fraction(1, 2)), 3)
+        assert f_abc(1, 1, 1, qpow(1), qpow(1), big, 3) == f_abc_via_quadrants(1, 1, 1, qpow(1), qpow(1), big, 3)
 
 
 class TestThetaValuation:
