@@ -25,7 +25,7 @@ evaluated here by ``dsl.evaluate`` like any DSL expression.
 
 from __future__ import annotations
 
-from ._rational import Q0, Q1, as_pair, qadd, qdiv, qlt, qmax, qmin, qmul, qpair, qrat, qsub, rat
+from ._rational import Q0, Q1, as_pair, qadd, qdiv, qlt, qmax, qmin, qmul, qpair, qsub, rat
 from .blocks import BLOCKS
 from .series import (
     DegenerateX,
@@ -44,9 +44,7 @@ from .theta import as_base, jacobi_theta, theta_start
 
 __all__ = [
     "appell_m",
-    "appell_m_valuation",
     "universal_g_eulerian",
-    "universal_g_valuation",
     "g_abc",
     "h_abc",
     "theta_np",
@@ -157,11 +155,6 @@ def appell_m_start(x, base, z):
     return qsub(qpair(min(_least_exp(B, X, Z, r) for r in r_range), L), d)
 
 
-def appell_m_valuation(x, base, z):
-    """``appell_m_start`` in the ground type."""
-    return qrat(appell_m_start(x, base, z))
-
-
 def _bilateral_sum(x, base, z, work):
     """sum_r (-1)^r b^binom(r,2) z^r / (1 - b^(r-1) x z) below ``work``.
 
@@ -223,11 +216,6 @@ def universal_g_start(x, base):
     L, B, X = exponent_grid(as_base(base), x)
     later = B + max(0, -X) + max(0, -X - B) + max(0, X - B)
     return qpair(min(max(X, 0), later) - X, L)
-
-
-def universal_g_valuation(x, base):
-    """``universal_g_start`` in the ground type."""
-    return qrat(universal_g_start(x, base))
 
 
 def universal_g_eulerian(x, base, order):

@@ -132,7 +132,8 @@ def run_corpus(records, order_override=None, jobs=1):
     if order_override is not None:
         records = [dataclasses.replace(rec, order=order_override) for rec in records]
     if jobs > 1 and len(records) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a fork pool starts all its workers at the first submit
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(records))) as pool:
             futures = [pool.submit(_verify_payload, _as_text(rec)) for rec in records]
             reports = [_pool_report(f, rec) for f, rec in zip(futures, records)]
     else:
@@ -154,7 +155,7 @@ def cmd_corpus(args):
         try:
             with open(args.path, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"cannot read corpus: {exc}", file=sys.stderr)
             return 2
     try:

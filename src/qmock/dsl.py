@@ -17,8 +17,8 @@ habit in corpus files.
 The parser's ASTs hold ground rationals; below it, the folded arguments of
 a call are integer monomials, triples and pairs, and the plan's
 valuations and working orders are pairs (``qmock._rational``), so an
-evaluation does no rational arithmetic.  Equal theta calls of one
-evaluation are evaluated once.
+evaluation does no rational arithmetic.  Theta calls of one evaluation
+that are the same j(x; b) are evaluated once.
 """
 
 from __future__ import annotations
@@ -106,11 +106,23 @@ class CorpusSyntaxError(QSeriesError):
         super().__init__(f"corpus line {line}: {message}")
 
 
+# A theta call's folded arguments -> the (x, b) of the j(x; b) it is, which
+# are the arguments its engine takes and the key of the plan's theta memo:
+# J(1, 3), Jm(1) and j(q, q^3) are one entry.
+_THETAS = {
+    "j": lambda x, b: (x, b),
+    "J": lambda a, m: (qpow(a), qpow(m)),
+    "JB": lambda a, m: (-qpow(a), qpow(m)),
+    "Jm": lambda m: (qpow(m), qpow(qmul(m, 3))),
+}
+
+
 # name -> (argument slot kinds, engine, start).  Slot kinds: m = monomial,
 # b = base (a monomial with positive exponent), r = rational (folded to a
 # pair), n = integer, e = expression.  The engine is an (owner, attribute)
 # pair, looked up when the call is made, so that a rebound attribute takes
-# effect; it is called with the folded arguments and the working order.
+# effect; it is called with the folded arguments (for a theta call, the
+# (x, b) of _THETAS) and the working order.
 # The start is a pair (function of the folded arguments, exact): the
 # function gives the exponent where the call's series starts if exact, a
 # lower bound for it otherwise, or None where the series vanishes.  Rows
@@ -120,9 +132,9 @@ FUNCTIONS = {
     "poch_inf": ("mb", (theta, "pochhammer_infinite"), None),
     "poch_fin": ("mmn", (theta, "pochhammer_finite"), None),
     "j": ("mb", (theta, "jacobi_theta"), (theta.theta_start, True)),
-    "J": ("rr", (theta, "J"), (lambda a, m: theta.theta_start(qpow(a), qpow(m)), True)),
-    "JB": ("rr", (theta, "Jbar"), (lambda a, m: theta.theta_start(-qpow(a), qpow(m)), True)),
-    "Jm": ("r", (theta, "Jm"), (lambda m: theta.theta_start(qpow(m), qpow(qmul(m, 3))), True)),
+    "J": ("rr", (theta, "jacobi_theta"), (theta.theta_start, True)),
+    "JB": ("rr", (theta, "jacobi_theta"), (theta.theta_start, True)),
+    "Jm": ("r", (theta, "jacobi_theta"), (theta.theta_start, True)),
     "m": ("mbm", (appell, "appell_m"), (appell.appell_m_start, False)),
     "f": ("nnnmmb", (hecke, "f_abc"), None),
     "g": ("mb", (appell, "universal_g_eulerian"), (appell.universal_g_start, False)),
@@ -505,8 +517,9 @@ def _fold_int(node):
 # zero starts no lower than its bound.  A quotient whose divisor is a
 # product or a quotient is planned and evaluated in its split form
 # (``_Plan._split``), so that each factor of a divisor is its own divisor.
-# The theta functions j, J, JB and Jm are evaluated once per distinct call,
-# at the highest order asked so far, and a lower order is that truncated.
+# The theta functions j, J, JB and Jm are evaluated once per distinct
+# j(x; b), whatever name calls it, at the highest order asked so far, and a
+# lower order is that truncated.
 
 
 def _target(w, other, own):
@@ -577,8 +590,6 @@ def _times(x, y):
 
 _FOLD = {"m": _fold_monomial, "b": _fold_base, "r": _fold_rational, "n": _fold_int}
 
-_THETAS = frozenset(("j", "J", "JB", "Jm"))
-
 
 class _Plan:
     """One evaluation pass over an AST: valuations memoized per node, and
@@ -587,8 +598,8 @@ class _Plan:
     def __init__(self):
         # id(node) -> valuation, folded call arguments, a block call's
         # expansion, a quotient's split form; the AST outlives the plan,
-        # which keeps the nodes it makes.  (name, *folded arguments) -> a
-        # theta call's series at the highest order asked.
+        # which keeps the nodes it makes.  (x, b) -> j(x; b) at the highest
+        # order asked.
         self._vals = {}
         self._args = {}
         self._blocks = {}
@@ -757,7 +768,8 @@ class _Plan:
         key = id(node)
         if key not in self._args:
             kinds = FUNCTIONS[node.name][0]
-            self._args[key] = [_FOLD[kind](arg) for kind, arg in zip(kinds, node.args)]
+            args = [_FOLD[kind](arg) for kind, arg in zip(kinds, node.args)]
+            self._args[key] = _THETAS[node.name](*args) if node.name in _THETAS else args
         return self._args[key]
 
     def _expand(self, node):
@@ -784,10 +796,9 @@ class _Plan:
         args = self._fold_args(node)
         if name not in _THETAS:
             return getattr(owner, attr)(*args, w)
-        key = (name, *args)
-        s = self._thetas.get(key)
+        s = self._thetas.get(args)
         if s is None or s.prec is not None and qlt(s.prec, w):
-            s = self._thetas[key] = getattr(owner, attr)(*args, w)
+            s = self._thetas[args] = getattr(owner, attr)(*args, w)
         return s.truncate(w)
 
 

@@ -308,29 +308,11 @@ class QSeries:
 
     def times_one_minus(self, *ms):
         """self * (1 - m) for each monomial m = c*q^k in turn: one shifted
-        add each on one running lattice, with the precision of the product
-        by the exact binomials."""
-        P = _Running(self, None)
-        for k, c in P.on_grid([(m.pair, m.triple) for m in ms]):
-            P.times_one_minus(k, c)
-        return P.series()
-
-    def over_one_minus(self, m, order):
-        """self / (1 - m) for a monomial m = c*q^k, below ``order``.
-
-        Equal in value and precision to self times the expansion of
-        1/(1 - c*q^k) below the order, truncated there: the geometric series
-        for k > 0, -q^(-k)/c / (1 - q^(-k)/c) expanded so for k < 0.  For
-        k > 0 it is one pass over the lattice: slot i of the quotient is
-        t_i = a_i + c*t_(i-s), s being k in slots, so with c = cn/cd each
-        block of s slots is a_j*cd^j + cn*t_(j-1) over the denominator
-        cd^j, and every block is then scaled to the last one's.  k < 0 is
-        the reflected form -q^(-k)/c / (1 - q^(-k)/c), and k = 0 the
-        constant 1/(1 - c).
-        """
-        P = _Running(self, _prec(order))
-        (k, c), = P.on_grid([(m.pair, m.triple)])
-        P.over_one_minus(k, c)
+        add each on one running lattice, whose grid holds every k, with the
+        precision of the product by the exact binomials."""
+        P = _Running(self, None, lcm(*[m.pair[1] for m in ms]))
+        for m in ms:
+            P.times_one_minus(m.pair[0] * (P.grid // m.pair[1]), m.triple)
         return P.series()
 
     def __pow__(self, k):
@@ -413,14 +395,6 @@ class QSeries:
         """``self.invert(order).prec``, without inverting."""
         d, relative = self._unit_precision(order)
         return None if relative is None else qsub(relative, d)
-
-    def inverse_low_degree(self, order=None):
-        """``self.invert(order).low_degree()``, without inverting."""
-        return qrat(self.inverse_low(order))
-
-    def inverse_precision(self, order=None):
-        """``self.invert(order).precision``, without inverting."""
-        return qrat(self.inverse_prec(order))
 
     def divide(self, other, order=None):
         """self / other, equal in value and in precision to
@@ -603,13 +577,6 @@ def _make(L, lo, step, re, im, den, precision):
     return s
 
 
-def vector_series(L, lo, step, re, im, den, precision):
-    """The series with slot i at the exponent (lo + step*i)/L holding
-    (re[i] + im[i]*i)/den, den > 0 and im None for a real one, below
-    ``precision``: the vectors become the series' own."""
-    return _make(L, lo, step, re, im, den, precision)
-
-
 def lattice_series(L, points, precision):
     """The sum of c*q^(x/L) over ``points``, pairs of an integer x and a
     coefficient c = (re, im, den) of integers with den > 0; points at the
@@ -647,17 +614,6 @@ def sum_series(parts, precision=None):
     return sum_lattices([(s._L, s._lo, s._step, s._re, s._im, s._den) for s in live], p)
 
 
-def eulerian_sum(weight, factors, order, divide=True):
-    """sum_{n >= 0} weight(n) * P_n below ``order``, for monomials weight(n)
-    and factors(n): the front end of ``eulerian_terms``, which defines the
-    sum, on the grid of the monomials' exponents."""
-    def term(m):
-        return m.pair, m.triple
-
-    return sum_lattices(*eulerian_terms(
-        1, lambda n: term(weight(n)), lambda n: [term(m) for m in factors(n)], order, divide))
-
-
 def eulerian_terms(L, weight, factors, order, divide=True):
     """(parts, precision): the terms of sum_{n >= 0} weight(n) * P_n below
     ``order`` as lattice parts of ``sum_lattices``, and the sum's precision.
@@ -665,17 +621,16 @@ def eulerian_terms(L, weight, factors, order, divide=True):
     P_n is P_(n-1) (the exact 1 for n = 0) divided by, or if not
     ``divide`` multiplied by, 1 - c*q^(k/L) for each pair (k, c) of
     factors(n), and kept below the order; weight(n) is a pair (e, c) for
-    c*q^(e/L).  Each c is an (re, im, den) triple, and each exponent an
-    integer or, from the monomial front end, a rational, which refines the
-    grid where it falls off it.  Each of factors(n) and weight(n) is called
-    once, n = 0, 1, 2, ... in turn.  The sum stops at the first term that
-    starts at or past the order while every later factor has a positive
-    exponent, which requires the exponents of the weights and of the
-    factors not to fall as n grows.  For a positive order and positive
-    factors of step n, P_n starts where P_(n-1) does, which lies below the
-    order (or P_n is zero to the same precision), so a term that stops the
-    sum is then found without forming its P_n; for an order <= 0, P_n can
-    be zero to a lower precision, which the sum's precision follows.
+    c*q^(e/L).  Each c is an (re, im, den) triple and each exponent an
+    integer.  Each of factors(n) and weight(n) is called once, n = 0, 1,
+    2, ... in turn.  The sum stops at the first term that starts at or past
+    the order while every later factor has a positive exponent, which
+    requires the exponents of the weights and of the factors not to fall
+    as n grows.  For a positive order and positive factors of step n, P_n
+    starts where P_(n-1) does, which lies below the order (or P_n is zero
+    to the same precision), so a term that stops the sum is then found
+    without forming its P_n; for an order <= 0, P_n can be zero to a lower
+    precision, which the sum's precision follows.
 
     A sum whose steps are all unit steps (``_unit_steps``) runs on packed
     integers (``_packed_terms``) into one part."""
@@ -689,9 +644,9 @@ def eulerian_terms(L, weight, factors, order, divide=True):
     weight, factors = _replay(weights, weight), _replay(steps, factors)
     n, step = 0, factors(0)
     while True:
-        (e, cw), *step = P.on_grid([weight(n), *step])
+        e, cw = weight(n)
         after = factors(n + 1)
-        stops = all([(k if type(k) is int else k[0]) > 0 for k, _ in after])
+        stops = all([k > 0 for k, _ in after])
         if stops and P.order[0] > 0 and P.reaches(e) and all([k > 0 for k, _ in step]):
             break
         for k, c in step:
@@ -725,20 +680,19 @@ _UNITS = ((1, 0, 1), (-1, 0, 1))
 def _unit_steps(weights, steps, weight, factors, top):
     """Fetch weight(n) and factors(n + 1) for n = 0, 1, ... into the lists,
     steps holding factors(0), while the sum is a unit sum: every weight
-    c*q^e and every factor 1 - c*q^k of the steps so far has c = 1 or -1
-    and integer exponents, k > 0 and e >= 0 not falling as n grows.  True
-    when the sum stops at the last weight: e reaches the slot ``top`` while
-    the factors after it have positive exponents."""
+    c*q^e and every factor 1 - c*q^k of the steps so far has c = 1 or -1,
+    k > 0 and e >= 0 not falling as n grows.  True when the sum stops at
+    the last weight: e reaches the slot ``top`` while the factors after it
+    have positive exponents."""
     last = 0
     while True:
         n = len(weights)
         weights.append(weight(n))
         steps.append(factors(n + 1))
         e, c = weights[n]
-        if not (type(e) is int and last <= e and c in _UNITS and all(
-                [type(k) is int and k > 0 and c in _UNITS for k, c in steps[n]])):
+        if not (last <= e and c in _UNITS and all([k > 0 and c in _UNITS for k, c in steps[n]])):
             return False
-        if e >= top and all([(k if type(k) is int else k[0]) > 0 for k, _ in steps[n + 1]]):
+        if e >= top and all([k > 0 for k, _ in steps[n + 1]]):
             return True
         last = e
 
@@ -820,22 +774,23 @@ def _respace(x, count, w, R, wide, R_wide):
 
 class _Running:
     """A series stepped by factors 1 - c*q^k in place: the running product
-    P_n of ``eulerian_terms``, and of ``QSeries.over_one_minus`` and
-    ``QSeries.times_one_minus``.  Slot lo + step*i of the grid 1/grid holds
-    (re[i] + im[i]*i)/den, below the precision prec (None for exact).  re
-    is empty for a series zero to its precision, and slot 0 is nonzero
-    otherwise, so lo is where P_n starts; step is 0 while P_n is a single
-    slot.  ``top`` is the first slot at or past the order.  The steps leave
-    every vector they were given as it was."""
+    P_n of ``eulerian_terms``, and of ``QSeries.times_one_minus``.  Every
+    exponent k a step takes is an integer, for q^(k/grid).  Slot lo +
+    step*i of the grid 1/grid holds (re[i] + im[i]*i)/den, below the
+    precision prec (None for exact).  re is empty for a series zero to its
+    precision, and slot 0 is nonzero otherwise, so lo is where P_n starts;
+    step is 0 while P_n is a single slot.  ``top`` is the first slot at or
+    past the order.  The steps leave every vector they were given as it
+    was."""
 
-    __slots__ = ("grid", "scale", "order", "top", "re", "im", "den", "lo", "step", "prec")
+    __slots__ = ("grid", "order", "top", "re", "im", "den", "lo", "step", "prec")
 
-    def __init__(self, s, order, L=1):
+    def __init__(self, s, order, L):
         """The series s, stepped below ``order`` (None for none), on the grid
         1/L refined to hold s."""
         self.grid = lcm(L, s._L)
         f = self.grid // s._L
-        self.scale, self.order = self.grid // L, order
+        self.order = order
         self.top = None if order is None else _first_slot(order, self.grid)
         self.re, self.im, self.den, self.prec = s._re, s._im, s._den, s.prec
         self.lo, self.step = s._lo * f, s._step * f if len(s._re) > 1 else 0
@@ -843,22 +798,6 @@ class _Running:
     def series(self):
         """P_n as a series."""
         return _make(self.grid, self.lo, self.step or 1, self.re, self.im, self.den, self.prec)
-
-    def on_grid(self, terms):
-        """The pairs (exponent, coefficient) ``terms``, exponents given in
-        1/L as ints or as (num, den) pairs, with the exponents turned into
-        slots of the grid; the grid is refined first when one falls off
-        it."""
-        if self.scale == 1 and all([type(k) is int for k, _ in terms]):
-            return terms
-        ks = [(k * self.scale, 1) if type(k) is int else (k[0] * self.scale, k[1]) for k, _ in terms]
-        d = lcm(*[kd // gcd(kn, kd) for kn, kd in ks])
-        if d != 1:
-            self.grid, self.scale, self.lo, self.step = (
-                self.grid * d, self.scale * d, self.lo * d, self.step * d)
-            if self.order is not None:
-                self.top = _first_slot(self.order, self.grid)
-        return [(kn * d // kd, c) for (kn, kd), (_, c) in zip(ks, terms)]
 
     def low(self):
         """Where P_n starts, as ``QSeries.low`` has it."""
@@ -922,8 +861,11 @@ class _Running:
         self.step = step
 
     def over_one_minus(self, k, c):
-        """P_n / (1 - c*q^(k/grid)), as ``QSeries.over_one_minus`` below the
-        order."""
+        """P_n / (1 - c*q^(k/grid)) below the order, equal in value and
+        precision to P_n times the expansion of 1/(1 - c*q^(k/grid)) there,
+        truncated: for k > 0 one pass over the lattice (``_divide_pass``),
+        for k < 0 the reflected form -q^(-k)/c / (1 - q^(-k)/c), for k = 0
+        the constant 1/(1 - c)."""
         cr, ci, cd = c
         if k < 0:
             # -q^(-k)/c / (1 - q^(-k)/c), truncated at the order raised by

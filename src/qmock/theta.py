@@ -19,14 +19,14 @@ from __future__ import annotations
 
 from math import gcd, isqrt, lcm
 
-from ._rational import QMonomial, as_pair, qmul, qpair, qpow, qrat, qsub
+from ._rational import QMonomial, as_pair, qmul, qpair, qpow, qsub
 from .series import (
     DivergentProduct,
     QSeries,
     exponent_grid,
-    vector_series,
     triple_mul,
     triple_pow,
+    _make,
     _slots,
 )
 
@@ -35,7 +35,6 @@ __all__ = [
     "pochhammer_finite",
     "pochhammer_infinite",
     "jacobi_theta",
-    "theta_valuation",
     "J",
     "Jbar",
     "Jm",
@@ -136,11 +135,6 @@ def theta_start(x, base):
     return qpair(min(e0, e1), L)
 
 
-def theta_valuation(x, base):
-    """``theta_start`` in the ground type."""
-    return qrat(theta_start(x, base))
-
-
 def jacobi_theta(x, base, order):
     """j(x; b) as the bilateral sum of (-1)^n b^binom(n,2) x^n below ``order``.
 
@@ -193,7 +187,7 @@ def jacobi_theta(x, base, order):
                 re[i] -= 1
             else:
                 re[i] += 1
-        return vector_series(L, e_low, h, re, None, 1, order)
+        return _make(L, e_low, h, re, None, 1, order)
     start = min(max(first, 0), last)
     binom = start * (start - 1) // 2
     t = triple_mul(triple_pow(cx, start), triple_pow(cb, binom))
@@ -216,7 +210,7 @@ def jacobi_theta(x, base, order):
         re[i] += r * f
         if im is not None:
             im[i] += j * f
-    return vector_series(L, e_low, h, re, im, den, order)
+    return _make(L, e_low, h, re, im, den, order)
 
 
 def J(a, m, order):

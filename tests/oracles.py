@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from qmock import appell, catalog, dsl, hecke, theta
-from qmock._rational import as_int, rat
+from qmock._rational import as_int, qrat, rat
 from qmock.series import (
     DegenerateDenominator,
     DegenerateX,
@@ -26,7 +26,7 @@ from qmock.series import (
     QSeries,
     qpow,
 )
-from qmock.theta import as_base, jacobi_theta, theta_valuation
+from qmock.theta import as_base, jacobi_theta, theta_start
 
 
 def poly_mul(a, b, bound=None):
@@ -377,7 +377,7 @@ def appell_m_pairwise(x, base, z, order):
         k = m.exp / base.exp
         if k.denominator == 1 and m.coeff == base.coeff ** int(k):
             raise DegenerateZ(f"{m} is an integral power of the base {base}")
-    d = theta_valuation(z, base)
+    d = qrat(theta_start(z, base))
     work = order + max(d, 0)
     total = bilateral_sum_pairwise(x, base, z, work)
     ls = total.low_degree()
@@ -518,7 +518,7 @@ def universal_g_via_m(x, base, order):
 
 
 def eulerian_sum_stepwise(weight, factors, order, divide=True):
-    """sum_n weight(n) * P_n below ``order`` as ``series.eulerian_sum``
+    """sum_n weight(n) * P_n below ``order`` as ``series.eulerian_terms``
     defines it, forming every P_n, the one of the term that stops the sum
     included, with each factor 1 - m expanded and multiplied in."""
     order = rat(order)

@@ -265,6 +265,41 @@ class TestCorpus:
             assert reports[i].detail == "BrokenProcessPool: worker killed"
         assert reports["planted"].anchor == "off by q^5"
 
+    def test_pool_has_no_more_workers_than_stanzas(self, monkeypatch):
+        # a fork pool starts every worker it may have at the first submit:
+        # a stub pool records its size and runs each stanza here, so no
+        # process is started
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, record):
+                future = concurrent.futures.Future()
+                future.set_result(fn(record))
+                return future
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", Pool)
+        records = parse_corpus(FAILING_CORPUS)
+        for jobs in (5000, 3, 2):
+            assert [r.status for r in cli.run_corpus(records, jobs=jobs)] == ["PASS", "PASS", "FAIL"]
+        assert sizes == [3, 3, 2]
+
+    def test_non_utf8_file_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "latin.qid"
+        path.write_bytes(SMALL_CORPUS.encode("ascii") + b"# \xff\n")
+        code, out, err = run(capsys, "corpus", str(path))
+        assert code == 2 and not out
+        assert err.startswith("cannot read corpus: ") and "0xff" in err
+        assert "Traceback" not in err
+
     def test_non_ascii_digit_exit_2(self, capsys, tmp_path):
         path = tmp_path / "digit.qid"
         path.write_text(SMALL_CORPUS

@@ -79,7 +79,7 @@ class TestNoFractionArithmetic:
                  for _ in range(30)]
         fraction_ops.clear()
         for x, b in cases:
-            theta.theta_valuation(x, b)
+            qrat(theta.theta_start(x, b))
             theta.jacobi_theta(x, b, (31, 3))
             theta.jacobi_theta(x, b, 4)
         assert fraction_ops == []

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from qmock import series
-from qmock._rational import RAT
+from qmock._rational import RAT, as_pair
 from qmock.series import (
     BeyondPrecision,
     FractionalExponent,
@@ -582,6 +582,14 @@ class TestOnePassFactors:
     def _factor(self, rnd):
         return rnd.choice(self.COEFFS), rnd.choice(self.KS)
 
+    @staticmethod
+    def _over_one_minus(s, m, order):
+        """s / (1 - m) below ``order`` by the running product of the
+        Eulerian loop, on the grid of s and m."""
+        P = series._Running(s, as_pair(order), m.pair[1])
+        P.over_one_minus(m.pair[0] * (P.grid // m.pair[1]), m.triple)
+        return P.series()
+
     def test_division(self):
         rnd = random.Random(71)
         seen = dict.fromkeys(["integer", "rational", "gaussian", "k<0", "k=0", "off grid",
@@ -594,9 +602,9 @@ class TestOnePassFactors:
                             (s.low_degree() or 0) + Fraction(rnd.randint(-3, 20), rnd.choice([1, 2]))])
             if not k and c == 1:
                 with pytest.raises(PoleAtOne):
-                    s.over_one_minus(m, w)
+                    self._over_one_minus(s, m, w)
                 continue
-            got = s.over_one_minus(m, w)
+            got = self._over_one_minus(s, m, w)
             old = (s * unit_fraction_expand(c, k, w)).truncate(w)
             assert got == old and got.precision == old.precision, (s, c, k, w)
             _assert_ground_types(got)
@@ -815,12 +823,12 @@ class TestQuotient:
             try:
                 inv = b.invert(order)
             except (ValueError, ZeroSeries) as exc:
-                for helper in (b.inverse_low_degree, b.inverse_precision):
+                for helper in (b.inverse_low, b.inverse_prec):
                     with pytest.raises(type(exc), match=str(exc)):
                         helper(order)
                 continue
-            assert b.inverse_low_degree(order) == inv.low_degree()
-            assert b.inverse_precision(order) == inv.precision
+            assert b.inverse_low(order) == inv.low()
+            assert b.inverse_prec(order) == inv.prec
             if inv.precision is None:
                 kinds["exact one-term"] += 1
             else:
@@ -885,6 +893,16 @@ class TestEulerianSum:
             return PoleAtOne
         return out, out.precision
 
+    @staticmethod
+    def _on_sixths(weight, factors, order, divide):
+        """``series.eulerian_terms`` of monomials whose exponents lie on
+        the grid 1/6, summed."""
+        def term(m):
+            return m.pair[0] * (6 // m.pair[1]), m.triple
+
+        return series.sum_lattices(*series.eulerian_terms(
+            6, lambda n: term(weight(n)), lambda n: [term(m) for m in factors(n)], order, divide))
+
     def test_against_every_product_formed(self):
         # factors that start below zero, products that are zero to their
         # precision, and orders <= 0, where the loop must form the product
@@ -909,7 +927,7 @@ class TestEulerianSum:
             order = Fraction(rnd.randint(-6, 14), rnd.choice([1, 2, 3]))
             divide = rnd.random() < 0.6
             got, want = (self._outcome(f, weight, factors, order, divide)
-                         for f in (series.eulerian_sum, oracles.eulerian_sum_stepwise))
+                         for f in (self._on_sixths, oracles.eulerian_sum_stepwise))
             assert got == want, (steps, cw, (w0, w1, w2), order, divide)
             if got is PoleAtOne:
                 outcomes["PoleAtOne"] += 1
@@ -923,37 +941,35 @@ class TestPackedEulerianLoop:
     """Unit sums of ``series.eulerian_terms`` (every coefficient 1 or -1,
     integer exponents, positive factors, weights from 0 up that do not
     fall) run on packed integers.  Each is checked against the same sum on
-    the vector path, forced by giving its exponents as (num, den) pairs,
-    and against ``oracles.eulerian_sum_stepwise``, in value and in
+    the vector path, forced by making ``series._unit_steps`` find no unit
+    sum, and against ``oracles.eulerian_sum_stepwise``, in value and in
     precision; every other shape must take the vector path."""
 
     ONE, MINUS = (1, 0, 1), (-1, 0, 1)
 
     @staticmethod
-    def _sum(L, weight, factors, order, divide, pairs=False):
-        """The sum and the calls (name, n) it made, exponents given as
-        pairs when ``pairs``."""
+    def _sum(L, weight, factors, order, divide, vector=False):
+        """The sum and the calls (name, n) it made, on the vector path when
+        ``vector``."""
         calls = []
-
-        def as_given(e):
-            return (e, 1) if pairs and type(e) is int else e
 
         def w(n):
             calls.append(("weight", n))
-            e, c = weight(n)
-            return as_given(e), c
+            return weight(n)
 
         def f(n):
             calls.append(("factors", n))
-            return [(as_given(k), c) for k, c in factors(n)]
+            return factors(n)
 
-        return series.sum_lattices(*series.eulerian_terms(L, w, f, order, divide)), calls
+        with pytest.MonkeyPatch.context() as mp:
+            if vector:
+                mp.setattr(series, "_unit_steps", lambda *args: False)
+            return series.sum_lattices(*series.eulerian_terms(L, w, f, order, divide)), calls
 
     @staticmethod
     def _oracle(L, weight, factors, order, divide):
         def mono_of(e, c):
-            e = Fraction(e, L) if type(e) is int else Fraction(e[0], e[1] * L)
-            return QMonomial(GaussianRational(Fraction(c[0], c[2]), Fraction(c[1], c[2])), e)
+            return QMonomial(GaussianRational(Fraction(c[0], c[2]), Fraction(c[1], c[2])), Fraction(e, L))
 
         return oracles.eulerian_sum_stepwise(
             lambda n: mono_of(*weight(n)), lambda n: [mono_of(k, c) for k, c in factors(n)],
@@ -963,7 +979,7 @@ class TestPackedEulerianLoop:
         """The packed sum, after checking it against the vector path and,
         if ``oracle``, the stepwise oracle."""
         got, calls = self._sum(L, weight, factors, order, divide)
-        want, want_calls = self._sum(L, weight, factors, order, divide, pairs=True)
+        want, want_calls = self._sum(L, weight, factors, order, divide, vector=True)
         assert (got, got.prec) == (want, want.prec)
         # factors(n) and weight(n) once each, n = 0, 1, ... in turn
         assert calls == want_calls
@@ -1059,8 +1075,8 @@ class TestPackedEulerianLoop:
             "falling weight": (weights((1, (3, ONE)), (2, (2, MINUS))), factors(), order),
             "factor exponent 0": (weights(), factors((2, [(0, MINUS)])), order),
             "negative factor exponent": (weights(), factors((1, [(-2, ONE)])), order),
-            "rational factor exponent": (weights(), factors((1, [((3, 2), ONE)])), order),
-            "rational weight exponent": (weights((2, ((9, 2), ONE))), factors(), order),
+            # weight 9 reaches the order, but the factor after it does not start above 0
+            "negative factor after the stopping weight": (weights(), factors((4, [(-2, ONE)])), order),
         }
         for name, (weight, factor, o) in shapes.items():
             for divide in (True, False):
