@@ -715,16 +715,19 @@ class _Plan:
 
     def _power(self, base, k, w):
         """base^k known below w: the base, or its inverse for k < 0, is
-        asked for w less (|k| - 1) times where it starts."""
+        asked for w less (|k| - 1) times where it starts, and cut there,
+        so that an exact base is not raised to its full degree."""
         get = self._inverse if k < 0 else self.series
         val = self.valuation(base)
         v = _bound(_val_inverse(val) if k < 0 else val)
         n = abs(k)
-        s = get(base, w if v is None else _target(w, qmul(v, n - 1), v))
+        t = w if v is None else _target(w, qmul(v, n - 1), v)
+        s = get(base, t).truncate(t)
         low = s.low()
         if v is None and low is not None and s.prec is not None \
                 and qlt(qadd(s.prec, qmul(low, n - 1)), w):
-            s = get(base, qsub(w, qmul(low, n - 1)))
+            t = qsub(w, qmul(low, n - 1))
+            s = get(base, t).truncate(t)
         return s ** n
 
     def _inverse(self, node, w):

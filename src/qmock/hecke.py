@@ -12,6 +12,8 @@ enumeration that provably drops no term.
 
 from __future__ import annotations
 
+from math import isqrt
+
 from ._rational import as_pair
 from .series import exponent_grid, lattice_series, span_slots, triple_mul, triple_pow
 from .theta import as_base
@@ -75,10 +77,21 @@ def _quadrant(a, b, c, grid, coeffs, top, od):
         vf = max(0, col_vertex(r))
         return min(exponent(r, vf), exponent(r, vf + 1)) * od < top
 
-    # the lattice holds the terms of the first three rows and columns
-    # that lie below the order, so a quadrant that they alone make too
-    # long fails before it is walked
-    span_slots([e for e in (exponent(r, s) for r in range(3) for s in range(3)) if e * od < top])
+    def last(B, X):
+        # the greatest n with B*binom(n, 2) + X*n <= M, the last exponent
+        # below the order: n <= (beta + sqrt(D))/(2B) with beta = B - 2X,
+        # which for integers rounds as (beta + isqrt(D))/(2B), as in
+        # jacobi_theta; 0 when no n has it
+        beta, M = B - 2 * X, (top - 1) // od
+        D = beta * beta + 8 * B * M
+        return max(0, (beta + isqrt(D)) // (2 * B)) if D >= 0 else 0
+
+    # the lattice holds the terms of the first three rows and columns, and
+    # the last ones of row 0 and of column 0, that lie below the order, so
+    # a quadrant that they alone make too long fails before it is walked
+    far = [exponent(0, last(eb * c, ey)), exponent(last(eb * a, ex), 0)]
+    span_slots([e for e in (*far, *(exponent(r, s) for r in range(3) for s in range(3)))
+                if e * od < top])
     points = []
     r = 0
     while row_below(r) or r <= row_limit:

@@ -16,11 +16,10 @@ common positive denominator.  Neither end of the vectors is zero, den shares
 no factor with all the numerators, and no slot lies at or past the
 precision.  So sums place all their terms on one grid and add the vectors,
 shifts and substitutions move the grid and scale the vectors, truncation
-slices, and products (with Newton inversion through them) convolve the
-vectors; an exact one-term factor only shifts and scales the other.  A
-quotient is one exact recurrence over the divisor's nonzero slots
-instead, whatever its lead, when a fixed cost rule finds that cheaper
-than Newton's inverse and a product.  A convolution is either a loop over the term pairs or one big-int product of
+slices, and products convolve the vectors; an exact one-term factor only
+shifts and scales the other.  A quotient, and so an inverse, is one exact
+recurrence over the divisor's nonzero slots, whatever its lead.  A
+convolution is either a loop over the term pairs or one big-int product of
 the Kronecker-packed vectors, whichever a fixed cost rule, weighing the term
 pairs and their bits against the packed bytes, finds cheaper.  A slot of at
 most 8 bytes is widened to 1, 2, 4 or 8 bytes and packed and unpacked in
@@ -316,7 +315,10 @@ class QSeries:
         return P.series()
 
     def __pow__(self, k):
-        k = int(k)
+        if not isinstance(k, int):
+            if type(k) is not RAT or k.denominator != 1:
+                raise FractionalExponent(f"a series to the power {k} needs an integer exponent")
+            k = int(k)
         if k < 0:
             return self.invert() ** (-k)
         out = QSeries.one(None)
@@ -331,43 +333,24 @@ class QSeries:
         return out
 
     def invert(self, order=None):
-        """Multiplicative inverse by Newton iteration.
+        """Multiplicative inverse, ``QSeries.one().divide(self, order)``.
 
         The result is correct below ``a.precision - 2*lowdeg(a)``; for an
         exact (polynomial) input, ``order`` fixes the target precision
         instead and is mandatory unless the input is a single monomial,
-        whose inverse is returned exact whatever ``order`` is.
+        whose inverse is returned exact whatever ``order`` is.  An inverse
+        that starts at or past that precision is zero to it.
         """
         d, relative = self._unit_precision(order)
-        r0 = self._re[0]
-        x0 = 0 if self._im is None else self._im[0]
-        norm = r0 * r0 + x0 * x0
-        # 1/lead = den * (r0 - x0*i) / norm
-        inv_r, inv_i = self._den * r0, -self._den * x0
         if relative is None:
-            return _make(self._L, -self._lo, 1, [inv_r], [inv_i], norm, None)
+            r0 = self._re[0]
+            x0 = 0 if self._im is None else self._im[0]
+            # 1/lead = den * (r0 - x0*i) / (r0^2 + x0^2)
+            return _make(self._L, -self._lo, 1, [self._den * r0], [-self._den * x0],
+                         r0 * r0 + x0 * x0, None)
         if relative[0] <= 0:  # the inverse starts at q^-d, at or past the order
             return QSeries.zero(qsub(relative, d))
-        # the unit part self/lead on slots 0 .. n-1, from the exponent d on
-        n = _slots(_slots_below(relative, self._L, 0, self._step))
-        unit_r, unit_i = _scale(self._re[:n], None if self._im is None else self._im[:n], r0, -x0)
-        unit_r, unit_i, unit_den = _reduce(unit_r, unit_i, norm)
-        v_r, v_i, v_den = [1], None, 1
-        gap = next(_occupied(unit_r[1:], None if unit_i is None else unit_i[1:]), None)
-        if gap is not None:
-            # Newton: v <- v (2 - unit v), correct below twice as many slots
-            p = gap + 1
-            while p < n:
-                p = min(p * 2, n)
-                uv_r, uv_i = _convolution((unit_r, unit_i), (v_r, v_i), p)
-                uv_den = unit_den * v_den
-                t_r = list(map(neg, uv_r))
-                t_r[0] += 2 * uv_den
-                t_i = None if uv_i is None else list(map(neg, uv_i))
-                v_r, v_i = _convolution((v_r, v_i), (t_r, t_i), p)
-                v_r, v_i, v_den = _reduce(v_r, v_i, v_den * uv_den)
-        out_r, out_i = _scale(v_r, v_i, inv_r, inv_i)
-        return _make(self._L, -self._lo, self._step, out_r, out_i, v_den * norm, qsub(relative, d))
+        return QSeries.one().divide(self, order)
 
     def _unit_precision(self, order):
         """(d, relative), pairs: where self starts, and the precision of
@@ -406,10 +389,9 @@ class QSeries:
         they start with an integer u > 0.  The quotient's numerators then
         solve one exact recurrence, q_i*u = a_i - sum_j b_j*q_(i-j) over
         the divisor's nonzero slots j > 0, over a denominator that grows
-        only where a slot needs it (``_recurrence``).  It is taken when a
-        fixed cost rule, ``_recurrence_cheaper``, finds it cheaper than the
-        Newton inverse and the product; the quotient is Newton's inverse
-        times self otherwise."""
+        only where a slot needs it (``_recurrence``).  An exact one-term
+        divisor, and one whose inverse starts at or past the order, take
+        ``invert``'s own two cases."""
         d, relative = other._unit_precision(order)
         if relative is None or relative[0] <= 0:
             return self * other.invert(order)
@@ -433,8 +415,6 @@ class QSeries:
         if g != 1:
             div = g.__rfloordiv__
             br, bi = list(map(div, br)), None if bi is None else list(map(div, bi))
-        if not _recurrence_cheaper(n, (br, bi)):
-            return self * other.invert(order)
         a = _spread(self, step_a // step, _slots(n))
         re, im, den = _recurrence(_scale(*a, ur, -ui) if ui else a, (br, bi), n)
         re, im = _scale(re, im, other._den if g > 0 else -other._den, 0)
@@ -1155,31 +1135,6 @@ def _twist(re, im, w):
     if im is not None:
         out_im = list(map(add, out_im, map(int.__mul__, im, fr)))
     return out_re, out_im, dens[0]
-
-
-def _recurrence_cheaper(n, b):
-    """True when the recurrence for n quotient slots costs less than a
-    Newton inverse and a product.  Its inner loop runs n - j times for each
-    nonzero slot 0 < j < n of the divisor b, and a Gaussian divisor's step
-    costs about twice a real one's; Newton's products cost per slot about
-    as much as _RECURRENCE_STEPS of those steps.  A lead u > 1 adds a
-    divisibility test per slot and the rescales, which grow the numerators
-    on both paths alike."""
-    br, bi = b
-    steps = sum(map(n.__sub__, _occupied(br, bi))) - n
-    if bi is not None:
-        steps *= 2
-    return steps <= _RECURRENCE_STEPS * n
-
-
-# Fitted by timing both paths on the 281 divisions with a unit lead in one
-# verification of the shipped corpus and of its Appell-Lerch and g stanzas
-# at order 200 (2 vCPUs, CPython 3.11); checked again since any lead takes
-# the recurrence and the DSL divides by each factor: on the 499 and 150
-# divisions with a choice there (78 and 22 with a lead u > 1), the rule
-# totals 175 ms and 2.56 s, the faster path of each 163 ms and 2.55 s, and
-# Newton's path 545 ms and 28.5 s, for any constant from 32 to 256.
-_RECURRENCE_STEPS = 64
 
 
 def _recurrence(a, b, n):

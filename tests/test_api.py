@@ -64,3 +64,51 @@ def test_every_import_is_used(name):
     unused = [bound for bound, span in _imports(tree)
               if bound not in kept and not any("# noqa" in lines[i - 1] for i in span)]
     assert not unused, f"qmock.{name} imports {unused} and neither uses nor exports them"
+
+
+def _private_definitions(tree):
+    """(name, node) for each function, class or constant that a module
+    defines at its top level under a private name (one ``_`` first, no
+    dunder)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                yield name, node
+
+
+def _references(trees):
+    """(module, name, line) for each read of a name in the trees: a bare
+    name, an attribute or a name imported from a sibling module."""
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                yield module, node.id, node.lineno
+            elif isinstance(node, ast.Attribute):
+                yield module, node.attr, node.lineno
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    yield module, alias.name, node.lineno
+
+
+def _unreferenced_private_names(trees):
+    """'module.name' for each private module-level name of the trees that
+    nothing reads outside its own definition."""
+    read = {}
+    for module, name, line in _references(trees):
+        read.setdefault(name, []).append((module, line))
+    return [f"{module}.{name}" for module, tree in trees.items()
+            for name, node in _private_definitions(tree)
+            if not any(m != module or not node.lineno <= line <= node.end_lineno
+                       for m, line in read.get(name, ()))]
+
+
+def test_every_private_name_is_referenced():
+    dead = _unreferenced_private_names(TREES)
+    assert not dead, f"private names that nothing in qmock reads: {dead}"

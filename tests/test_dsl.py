@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -203,6 +204,31 @@ class TestEvaluate:
         for bad in ("j(1-1, q)", "j(0*q, q)", "j(q+1, q)", "j((1+q)*q, q)", "J(1+i, 5)"):
             with pytest.raises(EvaluationError):
                 evaluate(parse(bad), 4)
+
+    @pytest.mark.parametrize("text, base, n", [
+        pytest.param(text, base, n, id=text) for text, base, n in (
+            ("(1+q)^100000", {0: 1, 1: 1}, 100000), ("(1+q+q^2)^50000", {0: 1, 1: 1, 2: 1}, 50000),
+            ("(q^(-1)+1)^5", {-1: 1, 0: 1}, 5), ("(q^(-1)+1+0)^5", {-1: 1, 0: 1}, 5))])
+    def test_exact_base_to_a_large_power(self, text, base, n, monkeypatch):
+        # the base is cut at the order it is asked for, on the second ask
+        # too (a base whose valuation is unknown, as "+0" makes it), so the
+        # power never holds the base's full degree; the binomial and
+        # trinomial coefficients by convolving the oracle's dicts
+        raised = []
+        inner = QSeries.__pow__
+        monkeypatch.setattr(QSeries, "__pow__", lambda s, k: raised.append(s.precision) or inner(s, k))
+        start = time.perf_counter()
+        out = evaluate(parse(text), 3)
+        assert time.perf_counter() - start < 5
+        assert raised and None not in raised
+        cut = 3 - n * min(0, min(base))   # past it, no term comes back below 3
+        want = {0: 1}
+        for bit in bin(n)[2:]:
+            want = oracles.poly_mul(want, want, cut)
+            if bit == "1":
+                want = oracles.poly_mul(want, base, cut)
+        assert series_to_dict(out) == {e: c for e, c in want.items() if e < 3}
+        assert out.precision == 3
 
     def test_negq(self):
         out = evaluate(parse("negq(psi(q)) + psi(q)"), 30)

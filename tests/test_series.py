@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from qmock import series
-from qmock._rational import RAT, as_pair
+from qmock._rational import RAT, as_pair, qlt
 from qmock.series import (
     BeyondPrecision,
     FractionalExponent,
@@ -121,6 +121,19 @@ class TestMul:
     def test_exact_zero_annihilates(self):
         out = QSeries.zero(None) * S({0: 1, 1: 1}, 7)
         assert out.is_zero() and out.precision is None
+
+
+class TestPower:
+    def test_integer_exponents(self):
+        a = S({0: 1, 1: 1})
+        assert a ** 3 == a ** Fraction(3) == S({0: 1, 1: 3, 2: 3, 3: 1})
+        assert a ** 0 == QSeries.one()
+        assert S(a.terms, 3) ** -2 == S({0: 1, 1: -2, 2: 3}, 3)
+
+    @pytest.mark.parametrize("k", [Fraction(1, 2), Fraction(-3, 2), 2.7, 2.0])
+    def test_non_integral_exponent_raises(self, k):
+        with pytest.raises(FractionalExponent):
+            S({0: 1, 1: 1}) ** k
 
 
 class TestInvert:
@@ -660,10 +673,10 @@ class TestOnePassFactors:
 
 
 class TestQuotient:
-    """QSeries.divide on each of its two paths, forced, and as its rule
-    picks: equal in value and precision to the Newton inverse times the
-    numerator, and in value to the schoolbook long division of
-    tests/oracles.py followed by its pair product."""
+    """QSeries.divide, one exact recurrence past ``invert``'s two cases:
+    equal in value and precision to the inverse times the numerator, and
+    in value to the schoolbook long division of tests/oracles.py followed
+    by its pair product."""
 
     LEADS = [GaussianRational(1), GaussianRational(-1), GaussianRational(0, 1),
              GaussianRational(0, -1), GaussianRational(2), GaussianRational(Fraction(1, 2))]
@@ -712,13 +725,12 @@ class TestQuotient:
             return poly_mul(scaled_a, long_division_invert(scaled_b, -min(scaled_b) + 1)), L
         return poly_mul(scaled_a, long_division_invert(scaled_b, (p - la) * L), p * L), L
 
-    def test_against_newton_and_long_division(self, monkeypatch):
+    def test_against_the_inverse_and_long_division(self, monkeypatch):
         ran = []
         inner = series._recurrence
         monkeypatch.setattr(series, "_recurrence", lambda *args: ran.append(1) or inner(*args))
-        rule = series._recurrence_cheaper
         rnd = random.Random(91)
-        seen = dict.fromkeys(["both paths", "newton only", "gaussian",
+        seen = dict.fromkeys(["recurrence", "no recurrence", "gaussian",
                               "dense divisor", "sparse divisor", "exact", "zero divisor",
                               *map(str, self.LEADS)], 0)
         for _ in range(400):
@@ -737,10 +749,8 @@ class TestQuotient:
                     a.divide(b, order)
                 seen["zero divisor"] += isinstance(exc, ZeroSeries)
                 continue
-            got, took = self._each_path(monkeypatch, ran, rule, a, b, order, want)
-            # a divisor with a unit lead took each path, any other Newton's
-            # unless its lead divides it
-            seen["both paths" if took[True] else "newton only"] += 1
+            got, took = self._divide(ran, a, b, order, want)
+            seen["recurrence" if took else "no recurrence"] += 1
             if got.is_zero():
                 continue
             want_terms, L = self._oracle(a, b, got)
@@ -749,9 +759,9 @@ class TestQuotient:
             seen["dense divisor" if dense else "sparse divisor"] += 1
             seen["exact"] += a.precision is None or b.precision is None
             seen[str(lead)] += 1
-        assert min(seen.values()) >= 10 and seen["both paths"] >= 40, seen
+        assert min(seen.values()) >= 10 and seen["recurrence"] >= 40, seen
         # a divisor that is its lead u times a series of Gaussian-integer
-        # numerators with lead 1 takes the recurrence too
+        # numerators with lead 1
         i = GaussianRational(0, 1)
         divisors = [S({0: 2, 1: -2, 3: -2}), jacobi_theta(qpow(1), qpow(2), 30) * (1 + i)]
         for _ in range(40):
@@ -781,34 +791,38 @@ class TestQuotient:
             order = rnd.choice([None, Fraction(rnd.randint(1, 30), rnd.choice([1, 2]))])
             if b.precision is None and order is None:
                 order = 12
-            want = a * b.invert(order)
-            got, took = self._each_path(monkeypatch, ran, rule, a, b, order, want)
-            assert took[True] or got.is_zero(), (a, b, order)
+            got, took = self._divide(ran, a, b, order, a * b.invert(order))
+            assert took or got.is_zero(), (a, b, order)
             if not got.is_zero():
                 want_terms, L = self._oracle(a, b, got)
                 assert {e * L: c for e, c in got.terms.items()} == want_terms
         # 1/(2 - q): the common denominator doubles at every slot
         a, b = S({0: 1}), S({0: 2, 1: -1})
-        got, took = self._each_path(monkeypatch, ran, rule, a, b, 40, a * b.invert(40))
-        assert took[True] and took["rule"]
-        assert got == S({k: Fraction(1, 2 ** (k + 1)) for k in range(40)}, 40)
+        got, took = self._divide(ran, a, b, 40, a * b.invert(40))
+        assert took and got == S({k: Fraction(1, 2 ** (k + 1)) for k in range(40)}, 40)
+        # a dense divisor of 300 slots: about 150 taps per quotient slot
+        a, b = S({0: 1, 1: 3, 2: -1}), S({k: 1 + (k == 0) for k in range(300)}, 300)
+        got, took = self._divide(ran, a, b, 300, a * b.invert(300))
+        assert took and got.precision == 300
+        want_terms, L = self._oracle(a, b, got)
+        assert {e * L: c for e, c in got.terms.items()} == want_terms
 
     @staticmethod
-    def _each_path(monkeypatch, ran, rule, a, b, order, want):
-        """a.divide(b, order) as the rule picks and with each path forced,
-        asserted equal to want in value and precision; and which of the
-        three ran the recurrence."""
-        took = {}
-        for force in ("rule", True, False):
-            monkeypatch.setattr(series, "_recurrence_cheaper",
-                                rule if force == "rule" else lambda *args, f=force: f)
-            before = len(ran)
-            got = a.divide(b, order)
-            assert got == want and got.precision == want.precision, (a, b, order, force)
-            _assert_ground_types(got)
-            took[force] = len(ran) > before
-        assert not took[False]
-        return got, took
+    def _divide(ran, a, b, order, want):
+        """a.divide(b, order), asserted equal to want in value and in
+        precision, and whether it ran the recurrence: exactly once past
+        ``invert``'s two cases (an exact one-term divisor, an inverse that
+        starts at or past the order) unless the quotient is zero, and never
+        in them."""
+        before = len(ran)
+        got = a.divide(b, order)
+        assert got == want and got.precision == want.precision, (a, b, order)
+        _assert_ground_types(got)
+        took = len(ran) - before
+        inverse_prec = b.inverse_prec(order)
+        special = inverse_prec is None or not qlt(b.inverse_low(order), inverse_prec)
+        assert took == (not special and not got.is_zero()), (a, b, order, took)
+        return got, took == 1
 
     def test_inverse_start_and_precision_without_inverting(self):
         # what the DSL plan reads of a divisor it has not inverted
@@ -834,31 +848,6 @@ class TestQuotient:
             else:
                 kinds["starts past the order" if inv.is_zero() else "inexact"] += 1
         assert min(kinds.values()) >= 10, kinds
-
-    def test_rule(self, monkeypatch):
-        # the recurrence's steps are sum(n - j) over the divisor's nonzero
-        # slots 0 < j < n: about 38 per slot when they fill the top half,
-        # 100 when they fill two slots in three
-        n = 300
-        top_half = ([1] + [0] * 149 + [1, -1] * 75, None)
-        dense = ([1] + [1, -1, 0] * 99 + [1, 1], None)
-        assert series._recurrence_cheaper(n, top_half)
-        assert not series._recurrence_cheaper(n, dense)
-        # a Gaussian divisor's steps count twice
-        assert not series._recurrence_cheaper(n, (top_half[0], [0] * n))
-        # a divisor takes the recurrence as the rule picks it whatever its
-        # lead, 2 + q too, whose lead 2 does not divide the numerator 1; a
-        # dense one of 300 slots takes Newton's path
-        ran = []
-        inner = series._recurrence
-        monkeypatch.setattr(series, "_recurrence", lambda *args: ran.append(1) or inner(*args))
-        a = S({0: 1, 1: 3, 2: -1}, 40)
-        i = GaussianRational(0, 1)
-        for b, path in ((S({0: 2, 1: -2, 3: -2}), 1), (jacobi_theta(qpow(1), qpow(2), 40) * (1 + i), 1),
-                        (S({0: 2, 1: 1}), 1), (S({k: 1 + (k == 0) for k in range(300)}, 300), 0)):
-            a.divide(b, 40) if path else S(a.terms).divide(b, 300)
-            assert len(ran) == path, b
-            ran.clear()
 
     def test_lead_and_denominator_of_the_recurrence(self, monkeypatch):
         # the recurrence gets the divisor over its numerators' gcd, times

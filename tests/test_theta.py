@@ -222,15 +222,20 @@ class TestJacobiTheta:
         assert lhs.agrees_with(rhs)
 
 
-    @pytest.mark.parametrize("text", ["J(1, 10^-9)", "J(10^9, 1)", "poch_inf(q, q^(1/1000000000))",
-                                      "f(1,1,1,q,q,q^(1/1000000000))",
-                                      "m(q, q^(1/1000000000), q^(1/3))"])
-    def test_too_long_sum_fails_before_its_terms(self, text):
-        # about 2*10^9 terms or factors lie below the order: their count in
-        # closed form, or the span of the first few, refuses the lattice
-        # without walking them
+    @pytest.mark.parametrize("text, order", [
+        pytest.param(text, order, id=text) for text, order in (
+            ("J(1, 10^-9)", 3), ("J(10^9, 1)", 3), ("poch_inf(q, q^(1/1000000000))", 3),
+            ("f(1,1,1,q,q,q^(1/1000000000))", 3), ("f(1,1,1,q,q,q)", 10 ** 8),
+            ("f(1,1,1,q,q^(100000000000000000),q)", 10 ** 16),
+            ("m(q, q^(1/1000000000), q^(1/3))", 3))])
+    def test_too_long_sum_fails_before_its_terms(self, text, order):
+        # about 2*10^9 terms or factors lie below the order (about 10^8
+        # for f at order 10^8, 1.4*10^8 rows of one term at 10^16): their
+        # count in closed form, or the span of the first few and of the
+        # last of row 0 and of column 0, refuses the lattice without
+        # walking them
         start = time.perf_counter()
-        report = verify_identity(IdentityRecord("long", "", Fraction(3), parse(text), parse("0")))
+        report = verify_identity(IdentityRecord("long", "", Fraction(order), parse(text), parse("0")))
         assert time.perf_counter() - start < 5
         assert report.status == "ERROR" and report.detail.startswith("LatticeTooLarge")
         with pytest.raises(LatticeTooLarge):
