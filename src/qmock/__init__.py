@@ -26,6 +26,7 @@ from .series import (
     DivisibilityViolation,
     InsufficientPrecision,
     LatticeTooLarge,
+    PowerTooLarge,
 )
 from .theta import (
     J,

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from math import lcm
 from typing import Optional
 
 from ._rational import (Q0, Q1, as_int, as_pair, as_triple, is_integer, monomial, num_den, qadd, qdiv, qle,
@@ -107,14 +108,31 @@ class CorpusSyntaxError(QSeriesError):
 
 
 # A theta call's folded arguments -> the (x, b) of the j(x; b) it is, which
-# are the arguments its engine takes and the key of the plan's theta memo:
-# J(1, 3), Jm(1) and j(q, q^3) are one entry.
+# are the arguments its engine takes: J(1, 3), Jm(1) and j(q, q^3) are one
+# series, and so are j(x; b) and j(b/x; b) (``_symmetric``).
 _THETAS = {
     "j": lambda x, b: (x, b),
     "J": lambda a, m: (qpow(a), qpow(m)),
     "JB": lambda a, m: (-qpow(a), qpow(m)),
     "Jm": lambda m: (qpow(m), qpow(qmul(m, 3))),
 }
+
+
+def _symmetric(x, b):
+    """(x, b) or (b/x, b), whichever sorts first by exponent pair, then by
+    coefficient: j(x; b) = j(b/x; b) exactly, so one theta memo entry and
+    one divisor serve both."""
+    e = qsub(b.pair, x.pair)
+    if x.pair < e:
+        return x, b
+    y = b * x.inverse()
+    return (x, b) if x.pair == e and x.triple <= y.triple else (y, b)
+
+
+# The bilateral sum of m(x, b, z) over the reduced z: the call that m
+# expands to divides it by j(z; b).  The tokenizer reads no ':' in a name,
+# so the language has no such function.
+_BILATERAL = "m:bilateral"
 
 
 # name -> (argument slot kinds, engine, start).  Slot kinds: m = monomial,
@@ -126,8 +144,8 @@ _THETAS = {
 # The start is a pair (function of the folded arguments, exact): the
 # function gives the exponent where the call's series starts if exact, a
 # lower bound for it otherwise, or None where the series vanishes.  Rows
-# without an engine (the block sums of qmock.blocks, subq, negq) have their
-# own paths in _Plan.
+# without an engine (m and the block sums of qmock.blocks, which expand
+# into other calls, subq and negq) have their own paths in _Plan.
 FUNCTIONS = {
     "poch_inf": ("mb", (theta, "pochhammer_infinite"), None),
     "poch_fin": ("mmn", (theta, "pochhammer_finite"), None),
@@ -135,7 +153,8 @@ FUNCTIONS = {
     "J": ("rr", (theta, "jacobi_theta"), (theta.theta_start, True)),
     "JB": ("rr", (theta, "jacobi_theta"), (theta.theta_start, True)),
     "Jm": ("r", (theta, "jacobi_theta"), (theta.theta_start, True)),
-    "m": ("mbm", (appell, "appell_m"), (appell.appell_m_start, False)),
+    "m": ("mbm", None, None),
+    _BILATERAL: ("mbm", (appell, appell._bilateral_sum.__name__), (appell.bilateral_start, False)),
     "f": ("nnnmmb", (hecke, "f_abc"), None),
     "g": ("mb", (appell, "universal_g_eulerian"), (appell.universal_g_start, False)),
     "g_abc": ("nnnmmbmm", None, None),
@@ -146,6 +165,20 @@ FUNCTIONS = {
     "subq": ("er", None, None),
     "negq": ("e", None, None),
 }
+
+
+def _m_quotient(x, b, z):
+    """m(x, b, z) as the plan evaluates it: its bilateral sum over j(z; b),
+    for the reduced z (``appell.reduced_z``)."""
+    z = appell.reduced_z(x, b, z)
+    return Div(Call(_BILATERAL, (x, b, z)), Call("j", (z, b)))
+
+
+# name -> the template of the AST that a call of it expands to
+_EXPANSIONS = {**BLOCKS, "m": _m_quotient}
+
+# the engines whose series the plan keeps, per engine and folded arguments
+_MEMO = {*_THETAS, _BILATERAL}
 
 
 # --------------------------------------------------------------------------
@@ -514,12 +547,17 @@ def _fold_int(node):
 # starts (its precision, if it is zero below it); a divisor with an exact
 # valuation d is asked for its inverse's order plus 2d.  Each factor is
 # asked at least for its own valuation, so even a factor that comes back
-# zero starts no lower than its bound.  A quotient whose divisor is a
-# product or a quotient is planned and evaluated in its split form
-# (``_Plan._split``), so that each factor of a divisor is its own divisor.
-# The theta functions j, J, JB and Jm are evaluated once per distinct
-# j(x; b), whatever name calls it, at the highest order asked so far, and a
-# lower order is that truncated.
+# zero starts no lower than its bound.
+# The plan evaluates each node in its form (``_Plan._form``), an equal AST
+# in which division comes last: a call of m or of a block sum is its
+# expansion, m's being its bilateral sum over j(z; b); a divisor that is a
+# product or a quotient is split, so that each of its factors is its own
+# divisor; a product with a quotient factor is one quotient; and the
+# quotients of a sum that share a theta divisor are one quotient by it.
+# Valuations are those of the forms.  The theta functions j, J, JB and Jm
+# are evaluated once per distinct j(x; b), whatever name calls it, and the
+# bilateral sums once per m(x, b, z), at the highest order asked so far,
+# and a lower order is that truncated.
 
 
 def _target(w, other, own):
@@ -588,23 +626,28 @@ def _times(x, y):
     return x * y
 
 
+# the node types that _Plan._form may rewrite
+_REWRITTEN = (Div, Mul, Neg, Add, Sub, Call)
+
 _FOLD = {"m": _fold_monomial, "b": _fold_base, "r": _fold_rational, "n": _fold_int}
 
 
 class _Plan:
-    """One evaluation pass over an AST: valuations memoized per node, and
-    each node's series at the working order its parent asks for."""
+    """One evaluation pass over an AST: the form of each node, valuations
+    memoized per node, and each node's series at the working order its
+    parent asks for."""
 
     def __init__(self):
-        # id(node) -> valuation, folded call arguments, a block call's
-        # expansion, a quotient's split form; the AST outlives the plan,
-        # which keeps the nodes it makes.  (x, b) -> j(x; b) at the highest
-        # order asked.
+        # id(node) -> valuation, folded call arguments, a call's expansion,
+        # the node and its form, its grid; the AST outlives the plan, which
+        # keeps the nodes it makes.  (engine, folded arguments) -> a theta
+        # or a bilateral sum at the highest order asked.
         self._vals = {}
         self._args = {}
-        self._blocks = {}
-        self._splits = {}
-        self._thetas = {}
+        self._expansions = {}
+        self._forms = {}
+        self._grids = {}
+        self._memo = {}
 
     def valuation(self, node):
         """The valuation of ``node`` (see above), from those of its parts."""
@@ -617,14 +660,13 @@ class _Plan:
             val = as_pair(node.exponent), True
         elif type(node) is QMonomial:
             val = node.pair, True
-        elif isinstance(node, Neg):
+        elif isinstance(node := self._form(node), Neg):
             val = self.valuation(node.operand)
         elif isinstance(node, (Add, Sub)):
             val = _val_sum(self.valuation(node.left), self.valuation(node.right))
         elif isinstance(node, Mul):
             val = _val_product(self.valuation(node.left), self.valuation(node.right))
         elif isinstance(node, Div):
-            node = self._split(node)
             val = _val_product(self.valuation(node.left),
                                _val_inverse(self.valuation(node.right)))
         elif isinstance(node, Pow):
@@ -647,8 +689,6 @@ class _Plan:
             return None if val is None or k[0] <= 0 else (qmul(val[0], k), val[1])
         if name == "negq":
             return self.valuation(args[0])
-        if name in BLOCKS:
-            return self.valuation(self._expand(node))
         row = FUNCTIONS.get(name)  # an unknown name fails when evaluated
         if row is None or row[2] is None:
             return None
@@ -664,6 +704,7 @@ class _Plan:
             return QSeries.from_monomial(qpow(node.exponent))
         if type(node) is QMonomial:
             return QSeries.from_monomial(node)
+        node = self._form(node)
         if isinstance(node, Add):
             return self.series(node.left, w) + self.series(node.right, w)
         if isinstance(node, Sub):
@@ -675,8 +716,6 @@ class _Plan:
             # nests no deeper than a long sum.  A factor without a valuation
             # is evaluated first, so that where it starts is known when its
             # partner's order is set.
-            if isinstance(node, Div):
-                node = self._split(node)
             a, b = node.left, node.right
             get_a, get_b = self.series, self.series
             vb = self.valuation(b)
@@ -700,18 +739,184 @@ class _Plan:
             return self._call(node, w)
         raise TypeError(f"not an AST node: {node!r}")
 
+    def _form(self, node):
+        """``node`` as the plan evaluates it (see above), each rewrite made
+        once per node."""
+        kind = type(node)
+        if kind is Call and node.name not in _EXPANSIONS or kind not in _REWRITTEN:
+            return node
+        key = id(node)
+        if key in self._forms:
+            return self._forms[key][1]
+        if kind is Div:
+            form = self._split(node)
+        elif kind is Mul or kind is Neg:
+            form = self._product(node)
+        elif kind is Add or kind is Sub:
+            form = self._gather(node)
+        else:  # a call of m or of a block sum
+            try:
+                expansion = self._expand(node)
+            except EVALUATION_ERRORS:
+                form = node  # evaluating the call raises the error
+            else:
+                form = self._form(expansion)
+        # the node is kept with its form, so that no node the plan makes
+        # and drops leaves its id to another
+        self._forms[key] = node, form
+        return form
+
     def _split(self, node):
         """The quotient ``node`` with a divisor that is no product or
         quotient: a/(b*c) is (a/b)/c and a/(b/c) is (a*c)/b, so that each
         factor of a divisor is divided by on its own and their product is
-        never formed."""
+        never formed.  The divisor as written is split, not its form, so
+        that a call of m keeps its path as a divisor."""
+        a, b = node.left, node.right
+        while isinstance(b, (Mul, Div)):
+            a, b = (Div(a, b.left), b.right) if isinstance(b, Mul) else (Mul(a, b.right), b.left)
+        return node if b is node.right else Div(a, b)
+
+    def _last(self, den):
+        """True when a quotient by ``den`` may be divided last: den's
+        valuation is exact and not positive.  Any other divisor keeps its
+        place."""
+        val = self.valuation(den)
+        return val is not None and val[1] and val[0][0] <= 0
+
+    def _product(self, node):
+        """A product with a quotient factor as one quotient: (a/b)*c and
+        c*(a/b) are (a*c)/b, and -(a/b) is (-a)/b, for a divisor b that may
+        go last (``_last``) and a factor c that may join it (``_joins``).
+        So a constant, a monomial, a theta or the bilateral sum of an m on
+        the quotient's grid joins the numerator, and (a/b)*(c/d) is
+        (a*c)/(b*d): no product of two quotients is formed."""
+        if type(node) is Neg:
+            f = self._form(node.operand)
+            return Div(Neg(f.left), f.right) if type(f) is Div and self._last(f.right) else node
+        a, c = self._form(node.left), self._form(node.right)
+        if type(a) is Div and self._last(a.right) and self._joins(c, a):
+            return Div(Mul(a.left, c), a.right)
+        if type(c) is Div and self._last(c.right) and self._joins(a, c):
+            return Div(Mul(a, c.left), c.right)
+        return node
+
+    def _joins(self, c, quotient):
+        """True when the factor c may join the numerator of ``quotient``:
+        c lies on its grid (``_grid``), or c is a quotient or a sum with a
+        quotient term, whose product with the quotient would be dense
+        times dense."""
+        if self._grid(quotient) % self._grid(c) == 0 or type(c) is Div:
+            return True
+        return type(c) in (Add, Sub) and any(type(t) is Div for _, t in self._terms(c)[0])
+
+    def _grid(self, node):
+        """The least common denominator L of the exponents that ``node`` is
+        built from: its series lies on the grid 1/L or a coarser one."""
         key = id(node)
-        if key not in self._splits:
-            a, b = node.left, node.right
-            while isinstance(b, (Mul, Div)):
-                a, b = (Div(a, b.left), b.right) if isinstance(b, Mul) else (Mul(a, b.right), b.left)
-            self._splits[key] = node if b is node.right else Div(a, b)
-        return self._splits[key]
+        if key not in self._grids:
+            node = self._form(node)
+            if isinstance(node, (Add, Sub, Mul, Div)):
+                grid = lcm(self._grid(node.left), self._grid(node.right))
+            elif isinstance(node, (Neg, Pow)):
+                grid = self._grid(node.operand if isinstance(node, Neg) else node.base)
+            elif isinstance(node, QPow):
+                grid = as_pair(node.exponent)[1]
+            elif type(node) is QMonomial:
+                grid = node.pair[1]
+            elif isinstance(node, Call):
+                try:
+                    if node.name in ("subq", "negq"):  # q -> q^k or -q
+                        k = _fold_rational(node.args[1])[1] if node.name == "subq" else 1
+                        grid = self._grid(node.args[0]) * k
+                    else:
+                        grid = lcm(*[a.pair[1] for a in self._fold_args(node) if type(a) is QMonomial])
+                except EVALUATION_ERRORS:
+                    grid = 1  # evaluating the call raises the error
+            else:
+                grid = 1
+            self._grids[key] = grid
+        return self._grids[key]
+
+    def _gather(self, node):
+        """The sum ``node`` with its quotients by one theta as one quotient:
+        a/d ± b/d is (a ± b)/d, for the divisors of ``_theta_key`` keyed by
+        their (x, b), so that d is divided by once.  A term's divisors are
+        the thetas it is divided by last; the one that the most terms
+        share goes last of all, so that a/(d*e) + b/(d*f) is
+        (a/e + b/f)/d.  A sum with no shared theta is its own form, and so
+        is each sum inside it."""
+        terms, inner = self._terms(node)
+        parts = [(sign, term, *self._divisors(term)) for sign, term in terms]
+        gathered = False
+        while True:
+            count = {}
+            for *_, dens in parts:
+                for k in dict(dens):
+                    count[k] = count.get(k, 0) + 1
+            best = max(count, key=count.get, default=None)
+            if best is None or count[best] < 2:
+                break
+            num, rest = [], []
+            for part in parts:
+                sign, _, core, dens = part
+                keys = [k for k, _ in dens]
+                if best in keys:
+                    i = keys.index(best)
+                    den = dens[i][1]
+                    num.append((sign, _divided(core, dens[:i] + dens[i + 1:])))
+                else:
+                    rest.append(part)
+            term = Div(self._form(_signed_sum(num, [])), den)
+            parts = rest + [(1, term, *self._divisors(term))]
+            gathered = True
+        if gathered:
+            inner = []
+            node = _signed_sum([(sign, term) for sign, term, _, _ in parts], inner)
+        for n in inner:
+            self._forms[id(n)] = n, n
+        return node
+
+    def _terms(self, node):
+        """The signed terms of the sum ``node``, each in its form, and the
+        sums passed through on the way; a term whose form is a sum, such as
+        a block call's, is passed through too."""
+        terms, inner, stack = [], [], [(1, node)]
+        while stack:
+            sign, n = stack.pop()
+            kind = type(n)
+            if kind is Add or kind is Sub:
+                inner.append(n)
+                stack.append((-sign if kind is Sub else sign, n.right))
+                stack.append((sign, n.left))
+            elif kind is Neg:
+                stack.append((-sign, n.operand))
+            else:
+                f = self._form(n)
+                if f is not n and type(f) in (Add, Sub, Neg):
+                    stack.append((sign, f))
+                else:
+                    terms.append((sign, f))
+        return terms, inner
+
+    def _divisors(self, term):
+        """(core, dens): the term is core divided by the thetas of dens,
+        (key, divisor) pairs from the one divided by last inwards."""
+        dens = []
+        while type(term) is Div:
+            key = self._theta_key(term.right)
+            if key is None:
+                break
+            dens.append((key, term.right))
+            term = self._form(term.left)
+        return term, dens
+
+    def _theta_key(self, den):
+        """The (x, b) of a theta divisor that a sum may gather by, or None:
+        a theta call whose arguments fold and which may go last."""
+        if type(den) is not Call or den.name not in _THETAS or not self._last(den):
+            return None
+        return self._fold_args(den)
 
     def _power(self, base, k, w):
         """base^k known below w: the base, or its inverse for k < 0, is
@@ -772,15 +977,15 @@ class _Plan:
         if key not in self._args:
             kinds = FUNCTIONS[node.name][0]
             args = [_FOLD[kind](arg) for kind, arg in zip(kinds, node.args)]
-            self._args[key] = _THETAS[node.name](*args) if node.name in _THETAS else args
+            self._args[key] = _symmetric(*_THETAS[node.name](*args)) if node.name in _THETAS else args
         return self._args[key]
 
     def _expand(self, node):
-        """The AST of a block call, from its template."""
+        """The AST that a call of m or of a block sum expands to."""
         key = id(node)
-        if key not in self._blocks:
-            self._blocks[key] = BLOCKS[node.name](*self._fold_args(node))
-        return self._blocks[key]
+        if key not in self._expansions:
+            self._expansions[key] = _EXPANSIONS[node.name](*self._fold_args(node))
+        return self._expansions[key]
 
     def _call(self, node, w):
         name, args = node.name, node.args
@@ -793,16 +998,39 @@ class _Plan:
             return self.series(args[0], w).negate_base()
         if name not in FUNCTIONS:
             raise EvaluationError(f"no evaluator for function {name!r}")
-        if name in BLOCKS:
+        if name in _EXPANSIONS:  # its form is the call when it fails to expand
             return self.series(self._expand(node), w)
         owner, attr = FUNCTIONS[name][1]
         args = self._fold_args(node)
-        if name not in _THETAS:
+        if name not in _MEMO:
             return getattr(owner, attr)(*args, w)
-        s = self._thetas.get(args)
+        key = (attr, *args)
+        s = self._memo.get(key)
         if s is None or s.prec is not None and qlt(s.prec, w):
-            s = self._thetas[args] = getattr(owner, attr)(*args, w)
+            s = self._memo[key] = getattr(owner, attr)(*args, w)
         return s.truncate(w)
+
+
+def _divided(node, dens):
+    """``node`` divided by the divisors of dens, (key, divisor) pairs, the
+    first one last."""
+    for _, den in reversed(dens):
+        node = Div(node, den)
+    return node
+
+
+def _signed_sum(terms, inner):
+    """The sum of the (sign, node) pairs ``terms``, as a balanced tree whose
+    sums are appended to ``inner``."""
+    while len(terms) > 1:
+        paired = []
+        for (s, a), (t, b) in zip(terms[::2], terms[1::2]):
+            node = Add(a, b) if s == t else Sub(a, b)
+            inner.append(node)
+            paired.append((s, node))
+        terms = paired + terms[len(paired) * 2:]
+    sign, node = terms[0]
+    return node if sign > 0 else Neg(node)
 
 
 def _eval(node, order):

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from functools import reduce
 from itertools import chain, compress, repeat
 from math import gcd, lcm
 from operator import add, neg, or_, sub
@@ -77,6 +78,7 @@ __all__ = [
     "DivisibilityViolation",
     "InsufficientPrecision",
     "LatticeTooLarge",
+    "PowerTooLarge",
 ]
 
 
@@ -131,6 +133,11 @@ class InsufficientPrecision(QSeriesError):
 
 class LatticeTooLarge(QSeriesError):
     """A series would need more lattice slots than are allocated at once."""
+
+
+class PowerTooLarge(QSeriesError):
+    """A power's terms could need more coefficient bits than are formed at
+    once."""
 
 
 def product_precision(pa, la, pb, lb):
@@ -321,6 +328,7 @@ class QSeries:
             k = int(k)
         if k < 0:
             return self.invert() ** (-k)
+        _check_power(self, k)
         out = QSeries.one(None)
         base = self
         while k:
@@ -1043,6 +1051,40 @@ def span_slots(xs):
         _slots((max(xs) - lo) // (gcd(*[x - lo for x in xs]) or 1) + 1)
 
 
+# A power whose numerators could hold more bits than this in all is
+# refused before it is formed: (q^(-1) + 1)^100000 below q^3 has about
+# 10^5 terms of up to 10^5 bits each.
+_MAX_POWER_BITS = 1 << 28
+
+
+def _check_power(s, n):
+    """Refuse s^n, n > 1, before its squarings when its numerators could
+    hold more than _MAX_POWER_BITS bits.  s^n lies on s's lattice, in at
+    most n*(len - 1) + 1 slots and, for an s known below p from q^l on,
+    known below p + (n - 1)*l, which leaves it s's slots below p.  With
+    c the size of s's first numerator, M the largest and S their sum, its
+    j-th slot is at most c^n (2nM)^j and at most S^n, so it takes at most
+    the bits of the lesser, at most min(n*lg c + j*lg 2nM, n*lg S) + 1 with
+    lg x = (x - 1).bit_length() >= log2 x."""
+    if n < 2 or not s._re:
+        return
+    sizes = list(map(abs, s._re)) if s._im is None else list(map(add, map(abs, s._re), map(abs, s._im)))
+    first = n * (sizes[0] - 1).bit_length()
+    step = (2 * n * max(sizes) - 1).bit_length()
+    cap = n * (sum(sizes) - 1).bit_length()
+    slots = n * (len(sizes) - 1) + 1
+    if s.prec is not None:
+        slots = min(slots, _slots_below(s.prec, s._L, s._lo, s._step))
+    rising = min(slots, max(0, -((first - cap) // step)))  # the slots j with first + j*step < cap
+    bits = (first + 1) * rising + step * rising * (rising - 1) // 2 + (cap + 1) * (slots - rising)
+    if s._im is not None:
+        bits *= 2
+    if bits > _MAX_POWER_BITS:
+        raise PowerTooLarge(
+            f"the power {n} of a series of {len(sizes)} slots could need {bits} "
+            f"coefficient bits, more than {_MAX_POWER_BITS}")
+
+
 def _slots_below(p, L, lo, step):
     """How many slots i >= 0 have (lo + step*i)/L < p, a pair."""
     pn, pd = p
@@ -1077,9 +1119,22 @@ def _spread(s, stride, count):
 
 
 def _reduce(re, im, den):
-    """Numerators and denominator divided by their greatest common factor."""
+    """Numerators and denominator divided by their greatest common factor.
+    For a power of two den wider than 64 bits, that is the lowest bit set
+    in den or any numerator, which the OR of them all shows.  On the 94
+    such calls of universal-g-base4-split-3 at order 400 this took 0.19 s
+    where the gcd took 2.6 s (2 vCPUs, CPython 3.11); at the corpus's own
+    orders dens are narrower (5 of the 3394 calls of a toolkit pass take
+    this path, none of appell-heavy's), and there the gcd is the faster."""
     if den == 1:
         return re, im, den
+    if den.bit_length() > 64 and not den & (den - 1):
+        bits = reduce(or_, re, den) if im is None else reduce(or_, im, reduce(or_, re, den))
+        k = (bits & -bits).bit_length() - 1
+        if not k:
+            return re, im, den
+        shift = k.__rrshift__
+        return list(map(shift, re)), None if im is None else list(map(shift, im)), den >> k
     g = gcd(den, *filter(None, re))
     if im is not None and g != 1:
         g = gcd(g, *filter(None, im))
@@ -1141,10 +1196,12 @@ def _recurrence(a, b, n):
     """(qr, qi, D): the first n slots of the quotient of two numerator
     vector pairs (re, im or None), over D, for a divisor b with an integer
     lead u > 0: q_i*u = a_i*D - sum_j b_j*q_(i-j) over b's nonzero slots
-    0 < j < n.  D starts at 1; where u does not divide q_i*u, D, the
-    quotient so far and the rest of a are multiplied by u/gcd(u, q_i*u).
-    A real divisor runs the real recurrence on each part of a, the second
-    scaled by the first one's D."""
+    0 < j < n.  While it runs, D is a power of u, raised by one factor u
+    where u does not divide q_i*u; each q_i is kept over the power it was
+    found at and read scaled to the power of the moment, so that nothing
+    found is rescaled where D grows (``_over_last``).  A real divisor runs
+    the real recurrence on each part of a, the second scaled by the first
+    one's D."""
     (ar, ai), (br, bi) = a, b
     pad = [0] * (n - len(ar))
     if bi is None:
@@ -1154,42 +1211,41 @@ def _recurrence(a, b, n):
         qi, di = _real_recurrence(list(map(dr.__mul__, ai)) + pad, br)
         return list(map(di.__mul__, qr)), qi, dr * di
     taps = [(j, br[j], bi[j]) for j in _occupied(br, bi) if j]
-    ar, ai = ar + pad, [0] * n if ai is None else ai + pad
-    u, D = br[0], 1
-    qr, qi = [], []
-    for i, tr, ti in zip(range(n), ar, ai):
+    ai = [0] * len(ar) if ai is None else ai
+    u, E, power = br[0], 0, [1]
+    qr, qi, e = [], [], []
+    for i, tr, ti in zip(range(n), ar + pad, ai + pad):
+        tr, ti = tr * power[E], ti * power[E]
         for j, cr, ci in taps:
             if j > i:
                 break
-            sr, si = qr[i - j], qi[i - j]
+            f = power[E - e[i - j]]
+            sr, si = qr[i - j] * f, qi[i - j] * f
             tr -= cr * sr - ci * si
             ti -= cr * si + ci * sr
-        if u != 1:
-            g = u // gcd(tr, ti, u)
-            if g != 1:
-                mul = g.__mul__
-                qr[:], qi[:] = map(mul, qr), map(mul, qi)
-                ar[i + 1:], ai[i + 1:] = map(mul, ar[i + 1:]), map(mul, ai[i + 1:])
-                tr, ti, D = tr * g, ti * g, D * g
-            tr, ti = tr // u, ti // u
-        qr.append(tr)
-        qi.append(ti)
-    return qr, qi, D
+        if tr % u or ti % u:
+            tr, ti, E = tr * u, ti * u, E + 1
+            power.append(power[-1] * u)
+        qr.append(tr // u)
+        qi.append(ti // u)
+        e.append(E)
+    return _over_last(qr, qi, e, power)
 
 
 def _real_recurrence(a, b):
     """(q, D) as in ``_recurrence`` for real vectors, one slot of a at a
-    time, rescaling a in place: the slots j > 0 of b that hold 1 or -1
-    subtract or add q_(i-j), and the others multiply it.  On the 73 real
-    recurrences of one verification of the shipped appell stanzas (2
-    vCPUs, CPython 3.11), this split took 25 ms in the median of 40 rounds
-    against 31 ms for one loop of ``t -= c*q[i-j]`` over all taps, and was
-    faster in 36 of the 40."""
+    time: the slots j > 0 of b that hold 1 or -1 subtract or add q_(i-j),
+    and the others multiply it.  On the 73 real recurrences of one
+    verification of the shipped appell stanzas (2 vCPUs, CPython 3.11),
+    this split took 25 ms in the median of 40 rounds against 31 ms for one
+    loop of ``t -= c*q[i-j]`` over all taps, and was faster in 36 of the
+    40.  A lead other than 1 takes ``_scaled_recurrence``."""
     taps = [j for j in _occupied(b, None) if j]
+    if b[0] != 1:
+        return _scaled_recurrence(a, [(j, b[j]) for j in taps], b[0])
     plus = [j for j in taps if b[j] == 1]
     minus = [j for j in taps if b[j] == -1]
     rest = [(j, b[j]) for j in taps if b[j] not in (1, -1)]
-    u, D = b[0], 1
     q = []
     for i, t in enumerate(a):
         for j in plus:
@@ -1204,14 +1260,48 @@ def _real_recurrence(a, b):
             if j > i:
                 break
             t -= c * q[i - j]
-        if u != 1:
-            g = u // gcd(t, u)
-            if g != 1:
-                q[:], a[i + 1:] = map(g.__mul__, q), map(g.__mul__, a[i + 1:])
-                t, D = t * g, D * g
-            t //= u
         q.append(t)
+    return q, 1
+
+
+def _scaled_recurrence(a, taps, u):
+    """(q, D) of ``_real_recurrence`` for the lead u > 1: each q_i is kept
+    over the power u^e_i that D was when it was found, and read times
+    u^(E - e_i), so that where D grows nothing already found is rescaled.
+    On the 35 such recurrences of a toolkit pass, whose leads are powers of
+    two, this took 7.5 ms against 9.8 ms for rescaling the quotient and the
+    rest of a wherever D grows, and 7.2 ms for a loop of shifts that only
+    leads 2^k could take (best of 7); on the two of appell-split-2-minus1-3
+    at order 400 (leads 2^28 and 2^40, 3602 slots) 0.21 s against 0.14 s
+    for the shifts, where the stanza took 3.9 s in all with the rescaling
+    (2 vCPUs, CPython 3.11, a shared host)."""
+    E, q, e, power = 0, [], [], [1]
+    for i, t in enumerate(a):
+        t *= power[E]
+        for j, c in taps:
+            if j > i:
+                break
+            t -= c * q[i - j] * power[E - e[i - j]]
+        if t % u:
+            t *= u
+            E += 1
+            power.append(power[-1] * u)
+        q.append(t // u)
+        e.append(E)
+    q, _, D = _over_last(q, None, e, power)
     return q, D
+
+
+def _over_last(qr, qi, e, power):
+    """(qr, qi, D): the q_i, each kept over power[e_i], brought over the
+    last power and reduced with it, which leaves D the least common
+    denominator of the q_i, the one that rescaling at each slot only by
+    what that slot needs would reach."""
+    last = len(power) - 1
+
+    def scaled(v):
+        return [x * power[last - f] for x, f in zip(v, e)]
+    return _reduce(scaled(qr), None if qi is None else scaled(qi), power[last])
 
 
 def _convolution(a, b, count):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from qmock import appell, catalog, dsl, hecke, theta
-from qmock._rational import as_int, qrat, rat
+from qmock._rational import as_int, qrat, qsub, rat
 from qmock.series import (
     DegenerateDenominator,
     DegenerateX,
@@ -133,6 +133,43 @@ def long_division_invert(series, order):
                 rem[k + e] = rem.get(k + e, Fraction(0)) - c * ce
         k += 1
     return {e - d: c for e, c in out.items() if c}
+
+
+def rescaled_recurrence(a, b):
+    """(q, D) with q_i*u = a_i*D - sum_j b_j*q_(i-j) for integer vectors a
+    and b, u = b[0] > 0: where u does not divide a slot, D, the quotient so
+    far and the rest of a are multiplied by u/gcd(u, t), one slot at a
+    time over every tap."""
+    a, q, u, D = list(a), [], b[0], 1
+    for i in range(len(a)):
+        t = a[i] - sum(b[j] * q[i - j] for j in range(1, min(i, len(b) - 1) + 1))
+        g = u // gcd(t, u)
+        q, a[i + 1:] = [g * x for x in q], [g * x for x in a[i + 1:]]
+        D *= g
+        q.append(t * g // u)
+    return q, D
+
+
+def quotient_slots(ar, ai, br, bi, n):
+    """The first n slots of (ar + ai*i)/(br + bi*i) as (re, im) pairs of
+    Fractions, by long division, for a divisor with a nonzero lead."""
+    ai, bi = ai or [0] * len(ar), bi or [0] * len(br)
+    a = [(Fraction(x), Fraction(y)) for x, y in zip(ar, ai)] + [(Fraction(0), Fraction(0))] * n
+    norm = br[0] * br[0] + bi[0] * bi[0]
+    q = []
+    for i in range(n):
+        tr, ti = a[i]
+        for j in range(1, min(i, len(br) - 1) + 1):
+            sr, si = q[i - j]
+            tr, ti = tr - br[j] * sr + bi[j] * si, ti - br[j] * si - bi[j] * sr
+        q.append(((tr * br[0] + ti * bi[0]) / norm, (ti * br[0] - tr * bi[0]) / norm))
+    return q
+
+
+def reduced_by_gcd(re, im, den):
+    """Numerators and denominator over their greatest common divisor."""
+    g = gcd(den, *re, *(im or ()))
+    return [x // g for x in re], None if im is None else [x // g for x in im], den // g
 
 
 def series_to_dict(s):
@@ -390,6 +427,16 @@ def appell_m_pairwise(x, base, z, order):
     return result.truncate(order)
 
 
+def appell_m_start(x, base, z):
+    """A v, a pair, such that m(x, b, z) starts at q^v or later: where its
+    bilateral sum starts less where j(z; b) starts, the two bounds the plan
+    reads for the quotient that m expands to.  None when j(z; b)
+    vanishes."""
+    base = as_base(base)
+    d = theta_start(z, base)
+    return None if d is None else qsub(appell.bilateral_start(x, base, z), d)
+
+
 def universal_g_pairwise(x, base, order):
     """g(x, b) = x^(-1) (-1 + sum_n b^(n^2) / ((x;b)_(n+1) (b/x;b)_n)) below
     ``order``, each Pochhammer factor expanded and multiplied in."""
@@ -629,7 +676,7 @@ _ENGINES = {
     "J": theta.J,
     "JB": theta.Jbar,
     "Jm": theta.Jm,
-    "m": appell.appell_m,
+    "m": appell_m_pairwise,
     "f": hecke.f_abc,
     "g": appell.universal_g_eulerian,
     **{name: _catalog_at(name) for name in catalog.CATALOG},

@@ -7,13 +7,12 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from oracles import universal_g_via_m
+from oracles import appell_m_start, universal_g_via_m
 
 from qmock import appell
 from qmock._rational import qrat
 from qmock.appell import (
     appell_m,
-    appell_m_start,
     g_abc,
     h_abc,
     msplit_rhs,

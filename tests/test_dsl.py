@@ -1,5 +1,6 @@
 """Expression language: parsing, printing, evaluation, verification, corpus."""
 
+import math
 import pickle
 import random
 import time
@@ -10,7 +11,7 @@ import pytest
 import importlib.util
 import pathlib
 
-from qmock import appell, catalog, dsl, hecke, theta
+from qmock import appell, catalog, dsl, hecke, series, theta
 from qmock._rational import rat
 from qmock.dsl import (
     FUNCTIONS,
@@ -39,6 +40,7 @@ from qmock.series import (
     GaussianRational,
     GR_I,
     InsufficientPrecision,
+    PowerTooLarge,
     QSeries,
     QSeriesError,
     mono,
@@ -229,6 +231,54 @@ class TestEvaluate:
                 want = oracles.poly_mul(want, base, cut)
         assert series_to_dict(out) == {e: c for e, c in want.items() if e < 3}
         assert out.precision == 3
+
+    def test_oversized_power_is_refused_before_it_is_formed(self):
+        # below q^3, (q^(-1) + 1)^100000 has 100001 terms of up to 10^5
+        # bits: refused at once, while ^2000 expands to its binomials
+        start = time.perf_counter()
+        with pytest.raises(PowerTooLarge, match="coefficient bits"):
+            evaluate(parse("(q^(-1)+1)^100000"), 3)
+        assert time.perf_counter() - start < 1
+        out = evaluate(parse("(q^(-1)+1)^2000"), 3)
+        assert series_to_dict(out) == {-k: math.comb(2000, k) for k in range(2001)}
+        assert out.precision == 3
+
+    @pytest.mark.parametrize("n, order", [(1000000, 200), (50000000, 3)])
+    def test_huge_powers_of_a_cut_base_are_formed(self, n, order):
+        # the base is cut below the order, so the answer is a few binomials
+        # of at most order*log2(n) bits however large n is
+        out = evaluate(parse(f"(1+q)^{n}"), order)
+        assert series_to_dict(out) == {k: math.comb(n, k) for k in range(order)}
+        assert out.precision == order
+
+    def test_no_shipped_power_comes_near_the_bound(self, monkeypatch):
+        # every stanza passes at its own order with the bound 2^10 times
+        # lower, and every power written in the corpus, on its own at
+        # orders 200 and 400, with the bound 2^4 times lower
+        from qmock.cli import run_corpus, shipped_corpus_path
+
+        records = parse_corpus(shipped_corpus_path().read_text(encoding="utf-8"))
+        bound = series._MAX_POWER_BITS
+        monkeypatch.setattr(series, "_MAX_POWER_BITS", bound >> 10)
+        assert {r.status for r in run_corpus(records, jobs=1)} == {"PASS"}
+        monkeypatch.setattr(series, "_MAX_POWER_BITS", bound >> 4)
+        powers = {}
+        stack = [node for rec in records for node in (rec.lhs, rec.rhs)]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (Add, Sub, Mul, Div)):
+                stack += [node.left, node.right]
+            elif isinstance(node, Neg):
+                stack.append(node.operand)
+            elif isinstance(node, Pow):
+                powers[to_text(node)] = node
+                stack.append(node.base)
+            elif isinstance(node, Call):
+                stack += node.args
+        assert len(powers) >= 40
+        for node in powers.values():
+            for order in (200, 400):
+                assert evaluate(node, order).precision == order
 
     def test_negq(self):
         out = evaluate(parse("negq(psi(q)) + psi(q)"), 30)
@@ -450,6 +500,136 @@ class TestDivisionByFactors:
         monkeypatch.undo()
         assert got == retry_evaluate(parse(text), 6)
 
+    # terms of sums that share a theta divisor once the plan has rewritten
+    # them: m's with the same base and reduced z, the z -> b*z and the
+    # x -> 1/x pairs of m, j(x; b) beside j(b/x; b), and constant or
+    # monomial factors that move into a numerator
+    BASES = ["q", "q^2", "-q", "q^(1/2)"]
+    FACTORS = ["", "2*", "(1-2*i)*", "q^(-1)*", "-q^(1/3)*", "(2+i)*q^(2/3)*"]
+    NUMERATORS = ["1", "Jm(1)", "q^(-1)*j(q^(1/2),q)", "(2+i)*q^(2/3)", "Jm(2)^3"]
+
+    def _monomial(self, rnd):
+        c = rnd.choice(["", "-", "2*", "(1+i)*", "(1/2)*"])
+        return f"{c}q^({Fraction(rnd.randint(-6, 6), rnd.choice([1, 3, 5]))})"
+
+    def _shared_terms(self, rnd, kind):
+        b, x, z = rnd.choice(self.BASES), self._monomial(rnd), self._monomial(rnd)
+        f, g = rnd.choice(self.FACTORS), rnd.choice(self.FACTORS)
+        if kind == "m pair":
+            s, t = rnd.choice([-1, 1, 2]), rnd.choice([0, 1])
+            return [f"{f}m({x},{b},{z})", f"{g}m(({x})*({b})^({t}),{b},({z})*({b})^({s}))"]
+        if kind == "z-shift":
+            return [f"m({x},{b},{z})", f"(-1)*m({x},{b},({b})*({z}))"]
+        if kind == "inversion":
+            return [f"{f}m({x},q,{z})", f"(-1)*{f}({x})^(-1)*m(({x})^(-1),q,({z})^(-1))"]
+        num, other = rnd.choice(self.NUMERATORS), rnd.choice(self.NUMERATORS)
+        if kind == "theta pair":
+            return [f"{f}{num}/j({z},{b})", f"{g}{other}/j(({b})/({z}),{b})"]
+        if kind == "m over theta":
+            w = self._monomial(rnd)
+            return [f"{f}m({x},{b},{z})", f"{g}{num}/(j({w},q^3)*j(({b})/({z}),{b}))"]
+        # a quotient by a divisor that keeps its place: one that starts
+        # above q^0, whose leading terms may cancel, or without a valuation
+        den = rnd.choice(["(q+q^2)", "q^(1/2)*j(q,q^3)", "(j(q,q^3) - 1)", "m(q,q^12,q^2)",
+                          "f(1,2,1,q^(1/5),q^(2/5),q)"])
+        return [f"({num}/{den})*{other}", f"{f}{other}/{den}"]
+
+    KINDS = ["m pair", "z-shift", "inversion", "theta pair", "m over theta", "kept"]
+
+    def test_rewritten_sums_match_the_retry_oracle(self, monkeypatch):
+        rnd = random.Random(1809)
+        seen = dict.fromkeys(self.KINDS + ["fewer divisions", "error"], 0)
+        inner = series._recurrence
+        ran = []
+        monkeypatch.setattr(series, "_recurrence", lambda *args: ran.append(1) or inner(*args))
+        for case in range(120):
+            kinds = [self.KINDS[case % len(self.KINDS)]] + rnd.sample(self.KINDS, rnd.randint(0, 2))
+            terms = [t for kind in kinds for t in self._shared_terms(rnd, kind)]
+            rnd.shuffle(terms)
+            text = " + ".join(f"({t})" if rnd.random() < 0.5 else f"-({t})" for t in terms)
+            for order in (6, Fraction(7, 2)):
+                try:
+                    want = retry_evaluate(parse(text), order)
+                except QSeriesError as exc:
+                    with pytest.raises(type(exc)):
+                        evaluate(parse(text), order)
+                    seen["error"] += 1
+                    continue
+                ran.clear()
+                got = evaluate(parse(text), order)
+                assert got == want and got.precision == want.precision, (text, order)
+                whole = len(ran)
+                for t in terms:
+                    ran.clear()
+                    evaluate(parse(t), order)
+                    whole -= len(ran)
+                seen["fewer divisions"] += whole < 0
+            for kind in kinds:
+                seen[kind] += 1
+        assert min(seen.values()) >= 5 and seen["fewer divisions"] >= 60, seen
+
+    @pytest.mark.parametrize("text", [
+        "(Jm(1)/(q+q^2))*Jm(2)", "(Jm(1)/(j(q,q^3)*q^(1/2)))*Jm(2)",
+        "(Jm(1)/(j(q,q^3) - 1))*Jm(2)", "(Jm(1)/m(q,q^12,q^2))*Jm(2)",
+        "(Jm(1)/f(1,2,1,q^(1/5),q^(2/5),q))*Jm(2)",
+        "Jm(1)/(q+q^2) + Jm(2)/(q+q^2)", "Jm(1)/(j(q,q^3) - 1) - Jm(2)/(j(q,q^3) - 1)",
+    ])
+    def test_divisors_that_keep_their_place(self, text):
+        # a divisor that starts above q^0, whose leading terms may cancel
+        # or without a valuation is not moved: the product keeps its
+        # quotient factor, and a sum its quotients
+        node = parse(text)
+        form = dsl._Plan()._form(node)
+        if isinstance(node, Mul):
+            assert isinstance(form, Mul) and isinstance(dsl._Plan()._form(node.left), Div)
+        else:
+            assert form is node
+        assert evaluate(node, 6) == retry_evaluate(node, 6)
+
+    def test_recurrences_of_the_shipped_stanzas(self, monkeypatch):
+        # the second specialization of each Appell-Lerch and universal-g
+        # family ran 50 recurrences, dividing by one theta once per term,
+        # and the 134 other stanzas 349
+        from qmock.cli import shipped_corpus_path
+
+        records = parse_corpus(shipped_corpus_path().read_text(encoding="utf-8"))
+        families, toolkit = {}, []
+        for rec in records:
+            if rec.id.startswith(("appell-", "universal-g-")):
+                families.setdefault(rec.id.rsplit("-", 1)[0], []).append(rec)
+            else:
+                toolkit.append(rec)
+        second = [members[1] for members in families.values()]
+        assert len(second) == 15 and len(toolkit) == 134
+        inner = series._recurrence
+        ran = []
+        monkeypatch.setattr(series, "_recurrence", lambda *args: ran.append(1) or inner(*args))
+        for stanzas, most in ((second, 40), (toolkit, 349)):
+            ran.clear()
+            assert {verify_identity(rec).status for rec in stanzas} == {"PASS"}
+            assert len(ran) <= most
+
+    @pytest.mark.parametrize("text, divides", [
+        # the z -> q*z pair: an exact zero over j(z; q), with no recurrence
+        ("m(q^(1/7),q,q^(3/7)) - m(q^(1/7),q,q*q^(3/7))", 0),
+        ("m(-q^(2/5),q,q^(4/5)) - (-q^(2/5))^(-1)*m((-q^(2/5))^(-1),q,(q^(4/5))^(-1))", 0),
+        # j(q; q^3) and j(q^2; q^3) are one divisor
+        ("Jm(1)/j(q,q^3) + Jm(2)/j(q^2,q^3)", 1),
+        ("m(q^(1/7),q,q^(3/7)) + 2*q*m(q^(8/7),q,q^(3/7))", 1),
+        # a/(d*e) + b/(d*f): d goes last, once
+        ("Jm(1)/(j(q,q^2)*j(q,q^5)) - Jm(2)/(j(q,q^5)*JB(1,2))", 3),
+        # (a/b)*(c/d) and a monomial times m: the quotients of one sum
+        ("(Jm(1)/j(q,q^5))*(Jm(2)/j(q^2,q^3)) + q^(-1)*Jm(3)/j(q,q^3)", 2),
+    ])
+    def test_one_recurrence_per_shared_divisor(self, text, divides, monkeypatch):
+        inner = series._recurrence
+        ran = []
+        monkeypatch.setattr(series, "_recurrence", lambda *args: ran.append(1) or inner(*args))
+        got = evaluate(parse(text), 10)
+        assert len(ran) == divides
+        monkeypatch.undo()
+        assert got == retry_evaluate(parse(text), 10)
+
 
 class TestOrderAgreement:
     def test_random_asts_agree_across_orders(self):
@@ -507,7 +687,11 @@ DIRECT = {
     "J": ("1, 5", lambda w: theta.J(1, 5, w)),
     "JB": ("2, 7", lambda w: theta.Jbar(2, 7, w)),
     "Jm": ("3/2", lambda w: theta.Jm(R(3, 2), w)),
-    "m": ("q, q^12, q^2", lambda w: appell.appell_m(qpow(1), qpow(12), qpow(2), w)),
+    # appell.appell_m is itself an evaluation of this call, so m is held
+    # against the pairwise bilateral sum over j(z; b) of tests/oracles.py
+    "m": ("q, q^12, q^2", lambda w: oracles.appell_m_pairwise(qpow(1), qpow(12), qpow(2), w)),
+    # the bilateral sum that m expands to, under a name the parser never reads
+    dsl._BILATERAL: ("q, q^12, q^2", lambda w: appell._bilateral_sum(qpow(1), qpow(12), qpow(2), w)),
     "f": ("1, 2, 1, -q^(2/5), 2q^(4/5), q",
           lambda w: hecke.f_abc(1, 2, 1, X, Y, qpow(1), w)),
     "g": ("-q, q^8", lambda w: appell.universal_g_eulerian(mono(-1, 1), qpow(8), w)),
@@ -532,15 +716,31 @@ DIRECT = {
 }
 
 
+def _call(name, args):
+    """The call of ``name`` on the comma-separated ``args``: parsed, or for
+    a name that the language does not have, built from the parsed
+    arguments."""
+    if name.isidentifier():
+        return parse(f"{name}({args})")
+    return Call(name, tuple(parse(a) for a in args.split(",")))
+
+
 class TestDispatchTable:
     def test_every_function_sampled(self):
         assert set(DIRECT) == set(FUNCTIONS)
+
+    def test_hidden_rows_do_not_parse(self):
+        hidden = [name for name in FUNCTIONS if not name.isidentifier()]
+        assert hidden == [dsl._BILATERAL]
+        for name in hidden:
+            with pytest.raises(ExpressionSyntaxError):
+                parse(f"{name}({DIRECT[name][0]})")
 
     @pytest.mark.parametrize("name", sorted(FUNCTIONS))
     def test_call_equals_engine(self, name):
         args, direct = DIRECT[name]
         order = 6
-        got = evaluate(parse(f"{name}({args})"), order)
+        got = evaluate(_call(name, args), order)
         want = direct(order)
         assert want.precision >= order
         assert got.precision == order
@@ -553,9 +753,9 @@ class TestDispatchTable:
             if kind != "b":
                 continue
             for bad in ("q^0", "q^-1"):
-                call = f"{name}({', '.join(args[:i] + [bad] + args[i + 1:])})"
+                call = _call(name, ", ".join(args[:i] + [bad] + args[i + 1:]))
                 with pytest.raises(EvaluationError, match="positive exponent"):
-                    evaluate(parse(call), 6)
+                    evaluate(call, 6)
 
 
 class TestVerify:

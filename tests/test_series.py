@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from qmock.series import (
     LatticeTooLarge,
     NonPositivePower,
     PoleAtOne,
+    PowerTooLarge,
     QMonomial,
     QSeries,
     ZeroSeries,
@@ -134,6 +136,36 @@ class TestPower:
     def test_non_integral_exponent_raises(self, k):
         with pytest.raises(FractionalExponent):
             S({0: 1, 1: 1}) ** k
+
+    def test_oversized_power_is_refused_before_it_is_formed(self):
+        start = time.perf_counter()
+        with pytest.raises(PowerTooLarge, match="coefficient bits"):
+            S({-1: 1, 0: 1}) ** 100000
+        with pytest.raises(PowerTooLarge):
+            S({0: 1, 1: 1}) ** 100000
+        assert time.perf_counter() - start < 1
+        out = S({0: 1, 1: 1}, 200) ** 1000000
+        assert out.terms == {k: math.comb(1000000, k) for k in range(200)}
+
+    def test_the_power_bound_holds_what_is_formed(self, monkeypatch):
+        # with the bound one bit under what s^n holds, s^n is refused: the
+        # check never lets through more than its bound
+        rng = random.Random(18)
+        for _ in range(300):
+            terms = {}
+            for e in rng.sample(range(-3, 12), rng.randint(1, 5)):
+                re, im = rng.randint(-40, 40) or 1, rng.choice([0, 0, rng.randint(-9, 9)])
+                terms[Fraction(e, rng.choice([1, 2]))] = GaussianRational(re, im) / rng.randint(1, 4)
+            base = S(terms, rng.choice([None, 4, Fraction(15, 2)]))
+            n = rng.randint(2, 40)
+            out = base ** n
+            held = sum(x.bit_length() for v in (out._re, out._im or []) for x in v)
+            if not held:   # a base zero to its precision
+                continue
+            monkeypatch.setattr(series, "_MAX_POWER_BITS", held - 1)
+            with pytest.raises(PowerTooLarge):
+                base ** n
+            monkeypatch.undo()
 
 
 class TestInvert:
@@ -871,6 +903,65 @@ class TestQuotient:
     def test_zero_divisor(self):
         with pytest.raises(ZeroSeries, match="cannot invert a series that is zero to its precision"):
             S({0: 1, 1: 1}, 5).divide(QSeries.zero(5), 3)
+
+    def test_scaled_lead_equals_the_rescaling_loop(self, monkeypatch):
+        # a lead other than 1 (2^k up to 2^64, odd, composite) takes
+        # _scaled_recurrence, with the (q, D) of rescaling every slot where
+        # D grows: dividends with zero, negative and wide slots, taps of
+        # +-1, +-2^e and others, and divisors that leave D at 1
+        scaled = []
+        inner = series._scaled_recurrence
+        monkeypatch.setattr(series, "_scaled_recurrence", lambda *args: scaled.append(1) or inner(*args))
+        rnd = random.Random(1807)
+        grew = 0
+        for case in range(300):
+            if case % 3:
+                u = 1 << (rnd.choice([1, 2, 3, 28, 40, 64]) if case % 10 else rnd.randint(1, 8))
+            else:
+                u = rnd.choice([3, 6, 9, 10, 12, 35, 3 ** 30 * 2 ** 5])
+            n = rnd.randint(1, 40)
+            a = [rnd.choice([0, 0, 1, -1, rnd.randint(-9, 9), rnd.randint(-2 ** 70, 2 ** 70)])
+                 for _ in range(n)]
+            b = [u] + [rnd.choice([0, 0, 1, -1, 2, -(2 ** rnd.randint(1, 70)), rnd.randint(-9, 9)])
+                       for _ in range(rnd.randint(0, 12))]
+            if case % 7 == 0:   # a divisor that is the lead times one with lead 1
+                b = [x * u for x in [1] + b[1:]]
+            want = oracles.rescaled_recurrence(a, b)
+            assert series._real_recurrence(list(a), b) == want, (a, b)
+            grew += want[1] > 1
+        assert len(scaled) == 300 and grew >= 100
+
+    def test_gaussian_recurrence_is_the_long_division(self):
+        # a Gaussian divisor with an integer lead u: the quotient's slots
+        # over the least common denominator of them all
+        rnd = random.Random(1809)
+        for case in range(200):
+            u = rnd.choice([1, 1, 2, 3, 4, 6, 2 ** 30])
+            n = rnd.randint(1, 25)
+            ar = [rnd.choice([0, 1, -1, rnd.randint(-9, 9), rnd.randint(-2 ** 40, 2 ** 40)]) for _ in range(n)]
+            ai = None if case % 4 == 0 else [rnd.randint(-5, 5) for _ in ar]
+            m = rnd.randint(1, 10)
+            br = [u] + [rnd.choice([0, 1, -1, rnd.randint(-9, 9)]) for _ in range(m)]
+            bi = [0] + [rnd.choice([0, 1, -1, rnd.randint(-9, 9)]) for _ in range(m)]
+            qr, qi, D = series._recurrence((ar, ai), (br, bi), n)
+            want = oracles.quotient_slots(ar, ai, br, bi, n)
+            assert [(Fraction(x, D), Fraction(y, D)) for x, y in zip(qr, qi)] == want
+            assert D == math.lcm(*[c.denominator for pair in want for c in pair])
+
+    def test_power_of_two_denominator_reduction(self):
+        # the lowest set bit of the denominator and every numerator, against
+        # their gcd, for dyadic and other denominators, negative numerators
+        # and zero slots, real and Gaussian
+        rnd = random.Random(1808)
+        for case in range(1000):
+            den = 1 << rnd.randint(0, 80) if case % 3 else rnd.randint(1, 10 ** 6)
+            scale = 1 << rnd.randint(0, 90)
+            re = [scale * rnd.choice([0, 0, 1, -1, 3, rnd.randint(-10 ** 9, 10 ** 9)])
+                  for _ in range(rnd.randint(1, 30))]
+            im = None if rnd.random() < 0.5 else [scale * rnd.randint(-5, 5) for _ in re]
+            if not any(re) and not any(im or ()):
+                re[0] = scale
+            assert series._reduce(re, im, den) == oracles.reduced_by_gcd(re, im, den), (re, im, den)
 
 
 class TestEulerianSum:
