@@ -10,6 +10,11 @@ minimized by ``qadd``, ``qlt``, ``qmin`` and their kin, and a coefficient
 is an (re, im, den) *triple* of integers over a positive denominator.  A
 ``QMonomial`` c*q^e holds one reduced triple and one pair, so its
 products, powers, equality and hash are integer operations.
+
+Integers of any length go to and from decimal text through
+``decimal_int`` and ``decimal_text``, in parts below CPython's limit on
+int<->str conversion, which they leave as it is; ``json_pair`` writes a
+number past that limit to a JSON report as its decimal string.
 """
 
 from fractions import Fraction
@@ -35,13 +40,56 @@ def is_integer(value):
 
 def as_int(value):
     if value.denominator != 1:
-        raise ValueError(f"expected an integer, got {value}")
+        raise ValueError(f"expected an integer, got {decimal_text(value)}")
     return int(value.numerator)
 
 
-def num_den(value):
-    """(numerator, denominator) as plain ints, e.g. for JSON output."""
-    return int(value.numerator), int(value.denominator)
+# -- integers of any length as decimal text ------------------------------------
+#
+# CPython (3.11 on, and 3.10.7 on) refuses int(text) and str(n) past a number
+# of digits, 4300 by default and never below 640, set for the whole process
+# (sys.set_int_max_str_digits), which a library must leave alone.  So a
+# longer integer is read and written in parts of at most 640 digits.
+
+_LIMB = 640
+_LIMB_BITS = 2126  # 2^2126 < 10^640: an int this wide has at most 640 digits
+_LOG10_2 = 0.30102999566398
+
+
+def decimal_int(digits):
+    """The int that a string of ASCII digits writes, of any length."""
+    n = len(digits)
+    if n <= _LIMB:
+        return int(digits)
+    h = n // 2
+    return decimal_int(digits[:h]) * 10 ** (n - h) + decimal_int(digits[h:])
+
+
+def decimal_text(x):
+    """str(x) for an int or a ground rational (``p`` or ``p/r``) of any size."""
+    if type(x) is not int:
+        if x.denominator != 1:
+            return f"{decimal_text(x.numerator)}/{decimal_text(x.denominator)}"
+        x = x.numerator
+    bits = x.bit_length()
+    if bits <= _LIMB_BITS:
+        return str(x)
+    if x < 0:
+        return "-" + decimal_text(-x)
+    low = int((bits - 1) * _LOG10_2) // 2  # x has more than 2*low digits
+    high, rest = divmod(x, 10 ** low)
+    return decimal_text(high) + decimal_text(rest).zfill(low)
+
+
+_JSON_DIGITS = 10 ** 4300  # CPython's default limit
+
+
+def json_pair(value):
+    """A ground rational as the [numerator, denominator] of a JSON report.
+    Each is a number, or past 4300 digits, which json.dumps cannot write at
+    CPython's default limit, its decimal string."""
+    return [n if -_JSON_DIGITS < n < _JSON_DIGITS else decimal_text(n)
+            for n in (value.numerator, value.denominator)]
 
 
 # -- pairs: rationals as (num, den) in lowest terms, den > 0 -------------------
@@ -181,7 +229,7 @@ class GaussianRational:
             k = rat(k)
             if not is_integer(k):
                 from .series import FractionalExponent  # series imports this module
-                raise FractionalExponent(f"({self})^({k}) needs an integer exponent")
+                raise FractionalExponent(f"({self})^({decimal_text(k)}) needs an integer exponent")
         k = int(k)
         if not self.im:
             if not self.re and k < 0:
@@ -221,12 +269,12 @@ class GaussianRational:
 
     def __str__(self):
         if not self.im:
-            return str(self.re)
+            return decimal_text(self.re)
         im = _scalar_i(self.im)
         if not self.re:
             return im
         sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{_scalar_i(abs(self.im))}"
+        return f"{decimal_text(self.re)}{sign}{_scalar_i(abs(self.im))}"
 
 
 def _scalar_i(v):
@@ -234,7 +282,7 @@ def _scalar_i(v):
         return "i"
     if v == -1:
         return "-i"
-    return f"{v}*i"
+    return f"{decimal_text(v)}*i"
 
 
 def as_gaussian(x):
@@ -343,9 +391,8 @@ class QMonomial:
             if k[1] != 1:
                 if self.triple != (1, 0, 1):
                     from .series import FractionalExponent  # series imports this module
-                    raise FractionalExponent(
-                        f"({self})^({qrat(k)}) needs an integer exponent unless the coefficient is 1"
-                    )
+                    raise FractionalExponent(f"({self})^({decimal_text(qrat(k))}) needs an integer "
+                                             "exponent unless the coefficient is 1")
                 return monomial(self.triple, qmul(self.pair, k))
             k = k[0]
         return monomial(triple_reduce(triple_pow(self.triple, k)), qmul(self.pair, k))
@@ -382,8 +429,8 @@ def mono(c, e=0):
 
 def format_exp(e):
     if is_integer(e) and e >= 0:
-        return f"q^{e}" if e != 1 else "q"
-    return f"q^({e})"
+        return f"q^{decimal_text(e)}" if e != 1 else "q"
+    return f"q^({decimal_text(e)})"
 
 
 def format_term(c, e):

@@ -14,7 +14,7 @@ import os
 import sys
 from importlib import resources
 
-from ._rational import num_den
+from ._rational import decimal_text, json_pair
 from .dsl import (
     EVALUATION_ERRORS,
     CorpusSyntaxError,
@@ -46,10 +46,10 @@ def _default_order():
 def _series_json(series):
     return {
         "terms": [
-            list(num_den(e)) + list(num_den(c.re)) + list(num_den(c.im))
+            json_pair(e) + json_pair(c.re) + json_pair(c.im)
             for e, c in series.items_sorted()
         ],
-        "precision": list(num_den(series.precision)),
+        "precision": json_pair(series.precision),
     }
 
 
@@ -74,10 +74,10 @@ def cmd_expand(args):
 
 def _report_line(report):
     if report.status == "PASS":
-        extra = f"order={report.achieved_precision}"
+        extra = f"order={decimal_text(report.achieved_precision)}"
     elif report.status == "FAIL":
         e, c = report.first_mismatch
-        extra = f"first mismatch at q^{e}: coefficient {c}"
+        extra = f"first mismatch at q^{decimal_text(e)}: coefficient {c}"
     else:
         extra = report.detail
     return f"{report.status:<6} {report.id:<28} {extra}  [{report.elapsed_ms:.1f} ms]"

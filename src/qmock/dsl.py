@@ -14,6 +14,14 @@ powers are restricted to the formal variable: q^(p/r).  Implicit
 multiplication by juxtaposition (``2q^2 J(1,2)``) matches mathematical
 habit in corpus files.
 
+The front end reads an expression in one scan of one compiled pattern,
+into two lists, the tokens' kinds and texts, and one recursive descent over
+them; an error's line and column are worked out from its token's offset
+only when it is raised.  ``q^k`` is one ``QPow(k)``.  Parentheses, argument
+lists and unary minus signs nest at most ``MAX_DEPTH`` levels, counted
+together.  Integers of any length are read and printed exactly
+(``_rational.decimal_int`` and ``decimal_text``).
+
 The parser's ASTs hold ground rationals; below it, the folded arguments of
 a call are integer monomials, triples and pairs, and the plan's
 valuations and working orders are pairs (``qmock._rational``), so an
@@ -23,13 +31,17 @@ that are the same j(x; b) are evaluated once.
 
 from __future__ import annotations
 
+import re
 import time
 from dataclasses import dataclass
+from itertools import islice
 from math import lcm
+from operator import itemgetter
 from typing import Optional
 
-from ._rational import (Q0, Q1, as_int, as_pair, as_triple, is_integer, monomial, num_den, qadd, qdiv, qle,
-                        qlt, qmax, qmul, qpair, qrat, qsub, rat, triple_mul, triple_pow, triple_reduce)
+from ._rational import (Q0, Q1, RAT, ZERO, as_pair, as_triple, decimal_int, decimal_text, is_integer,
+                        json_pair, monomial, qadd, qdiv, qle, qlt, qmax, qmul, qpair, qrat, qsub, rat,
+                        triple_mul, triple_pow, triple_reduce)
 from . import appell, catalog, hecke, theta
 from .blocks import BLOCKS
 from .nodes import Add, Call, Div, Literal, Mul, Neg, Pow, QPow, Sub
@@ -184,58 +196,46 @@ _MEMO = {*_THETAS, _BILATERAL}
 # --------------------------------------------------------------------------
 # tokenizer
 
-_SYMBOLS = "+-*/^(),"
-_DIGITS = "0123456789"  # str.isdigit also takes digits such as '²' that int() refuses
+# One match per token: a number (ASCII digits only: int() reads other
+# scripts' digits too), a word, or any other character but a blank (a
+# symbol, or an unexpected character).  \w holds exactly where str.isalnum()
+# does, and for '_', which is how a name goes on; that a name starts with a
+# letter or '_' is checked by _tokenize.
+_TOKEN = re.compile(r"[0-9]+|\w+|[^ \t\r\n]")
 
-
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        # kind: NUM, NAME, one of _SYMBOLS, EOF
-        self.kind, self.text, self.line, self.col = kind, text, line, col
+# the first character of a token -> its kind, for every ASCII token; any
+# other token is a name if it starts with a letter, else an unexpected
+# character
+_KINDS = {
+    **{c: c for c in "+-*/^(),"},
+    **dict.fromkeys("0123456789", "NUM"),
+    **dict.fromkeys("_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ", "NAME"),
+}
 
 
 def _tokenize(text):
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            tokens.append(_Token("NUM", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("NAME", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ExpressionSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col))
-    return tokens
+    """The kinds and the texts of the tokens of ``text``, two lists ending
+    in an EOF token.  A kind is NUM, NAME, EOF or the symbol itself."""
+    texts = _TOKEN.findall(text)
+    kinds = list(map(_KINDS.get, map(itemgetter(0), texts)))
+    if None in kinds:
+        for i, t in enumerate(texts):
+            if kinds[i] is None:
+                if not t[0].isalpha():
+                    raise _error(text, f"unexpected character {t[0]!r}", i)
+                kinds[i] = "NAME"
+    kinds.append("EOF")
+    texts.append("")
+    return kinds, texts
+
+
+def _error(text, message, i, expected=(), kind=ExpressionSyntaxError):
+    """The error ``kind`` at the i-th token of ``text``: its line and column
+    are found from the token's offset only here, when raising."""
+    match = next(islice(_TOKEN.finditer(text), i, None), None)
+    offset = len(text) if match is None else match.start()  # past the last token: EOF
+    col = offset - text.rfind("\n", 0, offset)
+    return kind(message, text.count("\n", 0, offset) + 1, col, expected)
 
 
 # --------------------------------------------------------------------------
@@ -243,153 +243,171 @@ def _tokenize(text):
 
 _ATOM_START = ("NUM", "NAME", "(")
 
+# Parentheses, argument lists and unary minus signs may nest this deep, at
+# most three Python frames a level, well inside the interpreter's recursion
+# limit wherever a parse runs (under a test runner, in a pool worker).
+MAX_DEPTH = 200
+
+_ONE = RAT(1)
+
 
 class _Parser:
+    """Recursive descent over the token lists: ``pos`` indexes the next
+    token, and ``depth`` counts the levels open around it."""
+
     def __init__(self, text):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.kinds, self.texts = _tokenize(text)
         self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+        self.depth = 0
 
     def expect(self, kind):
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ExpressionSyntaxError(
-                f"unexpected {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.col,
-                expected=(kind,),
-            )
-        return self.next()
+        i = self.pos
+        if self.kinds[i] != kind:
+            raise _error(self.text, f"unexpected {self.texts[i] or 'end of input'!r}", i, (kind,))
+        self.pos = i + 1
+        return self.texts[i]
+
+    def enter(self, i):
+        """Open a level at the i-th token."""
+        if self.depth == MAX_DEPTH:
+            raise _error(self.text, "expression nested too deeply", i)
+        self.depth += 1
 
     def parse(self):
         node = self.expr()
-        tok = self.peek()
-        if tok.kind != "EOF":
-            raise ExpressionSyntaxError(
-                f"trailing input {tok.text!r}", tok.line, tok.col, expected=("EOF",)
-            )
+        i = self.pos
+        if self.kinds[i] != "EOF":
+            raise _error(self.text, f"trailing input {self.texts[i]!r}", i, ("EOF",))
         return node
 
     def expr(self):
         node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
-
-    def term(self):
-        node = self.factor()
+        kinds = self.kinds
         while True:
-            kind = self.peek().kind
-            if kind == "*":
-                self.next()
-                node = Mul(node, self.factor())
-            elif kind == "/":
-                self.next()
-                node = Div(node, self.factor())
-            elif kind in _ATOM_START:
-                node = Mul(node, self.factor())  # juxtaposition
+            kind = kinds[self.pos]
+            if kind == "+":
+                self.pos += 1
+                node = Add(node, self.term())
+            elif kind == "-":
+                self.pos += 1
+                node = Sub(node, self.term())
             else:
                 return node
 
-    def factor(self):
-        if self.peek().kind == "-":
-            self.next()
-            return Neg(self.factor())
-        return self.power()
+    def term(self):
+        """term := factor (('*' | '/') factor | factor)*, with each factor
+        read in this frame: factor := '-' factor | power, a run of signs at
+        once, and power := atom ['^' exponent], where q^k is one QPow."""
+        kinds, texts = self.kinds, self.texts
+        node, op = None, None
+        while True:
+            pos = start = self.pos
+            while kinds[pos] == "-":
+                pos += 1
+            signs = pos - start
+            if signs:
+                if self.depth + signs > MAX_DEPTH:
+                    raise _error(self.text, "expression nested too deeply", start + MAX_DEPTH - self.depth)
+                self.depth += signs
+                self.pos = pos
+            if texts[pos] == "q" and kinds[pos + 1] == "^":
+                self.pos = pos + 2
+                f = QPow(self.exponent())
+            else:
+                f = self.atom()
+                if kinds[self.pos] == "^":
+                    f = self.power(f)
+            if signs:
+                self.depth -= signs
+                for _ in range(signs):
+                    f = Neg(f)
+            node = f if op is None else op(node, f)
+            kind = kinds[self.pos]
+            if kind == "*":
+                self.pos += 1
+                op = Mul
+            elif kind == "/":
+                self.pos += 1
+                op = Div
+            elif kind in _ATOM_START:
+                op = Mul  # juxtaposition
+            else:
+                return node
 
-    def power(self):
-        base = self.atom()
-        if self.peek().kind != "^":
-            return base
-        caret = self.next()
+    def power(self, base):
+        """base ^ exponent, the '^' next."""
+        caret = self.pos
+        self.pos += 1
         k = self.exponent()
         if isinstance(base, QPow):
             return QPow(base.exponent * k)
-        if not is_integer(k):
-            raise ExpressionSyntaxError(
-                "fractional powers are allowed only on q",
-                caret.line,
-                caret.col,
-            )
-        return Pow(base, as_int(k))
+        if k.denominator != 1:
+            raise _error(self.text, "fractional powers are allowed only on q", caret)
+        return Pow(base, k.numerator)
 
     def exponent(self):
-        if self.peek().kind == "(":
-            self.next()
-            value = self.signed_rational()
+        """exponent := ['-'] NUM | '(' ['-'] NUM ['/' NUM] ')', a rational."""
+        kinds = self.kinds
+        paren = kinds[self.pos] == "("
+        if paren:
+            self.pos += 1
+        negative = kinds[self.pos] == "-"
+        if negative:
+            self.pos += 1
+        num = decimal_int(self.expect("NUM"))
+        if negative:
+            num = -num
+        if paren and kinds[self.pos] == "/":
+            i = self.pos + 1
+            self.pos = i
+            den = decimal_int(self.expect("NUM"))
+            if not den:
+                raise _error(self.text, "zero denominator", i)
+            value = RAT(num, den)
+        else:
+            value = RAT(num)
+        if paren:
             self.expect(")")
-            return value
-        return self.signed_rational(paren=False)
-
-    def signed_rational(self, paren=True):
-        sign = 1
-        if self.peek().kind == "-":
-            self.next()
-            sign = -1
-        num = self.expect("NUM")
-        value = rat(int(num.text))
-        if paren and self.peek().kind == "/":
-            self.next()
-            den = self.expect("NUM")
-            if int(den.text) == 0:
-                raise ExpressionSyntaxError("zero denominator", den.line, den.col)
-            value = value / int(den.text)
-        return sign * value
+        return value
 
     def atom(self):
-        tok = self.peek()
-        if tok.kind == "NUM":
-            self.next()
-            return Literal(GaussianRational(int(tok.text)))
-        if tok.kind == "(":
-            self.next()
+        i = self.pos
+        kind, text = self.kinds[i], self.texts[i]
+        if kind == "NUM":
+            self.pos = i + 1
+            return Literal(GaussianRational(RAT(decimal_int(text)), ZERO))
+        if kind == "(":
+            self.enter(i)
+            self.pos = i + 1
             node = self.expr()
             self.expect(")")
+            self.depth -= 1
             return node
-        if tok.kind == "NAME":
-            self.next()
-            if tok.text == "q":
-                return QPow(rat(1))
-            if tok.text == "i":
+        if kind == "NAME":
+            self.pos = i + 1
+            if text == "q":
+                return QPow(_ONE)
+            if text == "i":
                 return Literal(GR_I)
-            if tok.text in FUNCTIONS:
-                if self.peek().kind != "(":
-                    raise ExpressionSyntaxError(
-                        f"function {tok.text!r} needs an argument list",
-                        tok.line,
-                        tok.col,
-                        expected=("(",),
-                    )
-                self.next()
-                args = [self.expr()]
-                while self.peek().kind == ",":
-                    self.next()
-                    args.append(self.expr())
-                self.expect(")")
-                want = len(FUNCTIONS[tok.text][0])
-                if len(args) != want:
-                    raise ArityError(
-                        f"{tok.text} takes {want} arguments, got {len(args)}",
-                        tok.line,
-                        tok.col,
-                    )
-                return Call(tok.text, tuple(args))
-            raise UnknownFunction(f"unknown name {tok.text!r}", tok.line, tok.col)
-        raise ExpressionSyntaxError(
-            f"unexpected {tok.text or 'end of input'!r}",
-            tok.line,
-            tok.col,
-            expected=_ATOM_START,
-        )
+            row = FUNCTIONS.get(text)
+            if row is None:
+                raise _error(self.text, f"unknown name {text!r}", i, kind=UnknownFunction)
+            if self.kinds[i + 1] != "(":
+                raise _error(self.text, f"function {text!r} needs an argument list", i, ("(",))
+            self.enter(i + 1)
+            self.pos = i + 2
+            args = [self.expr()]
+            while self.kinds[self.pos] == ",":
+                self.pos += 1
+                args.append(self.expr())
+            self.expect(")")
+            self.depth -= 1
+            want = len(row[0])
+            if len(args) != want:
+                raise _error(self.text, f"{text} takes {want} arguments, got {len(args)}", i, kind=ArityError)
+            return Call(text, tuple(args))
+        raise _error(self.text, f"unexpected {text or 'end of input'!r}", i, _ATOM_START)
 
 
 def parse(text):
@@ -397,19 +415,12 @@ def parse(text):
     parser = _Parser(text)
     try:
         return parser.parse()
-    except RecursionError:
-        tok = parser.peek()
-        raise ExpressionSyntaxError("expression nested too deeply", tok.line, tok.col) from None
+    except RecursionError:  # a caller already deep in its own recursion
+        raise _error(parser.text, "expression nested too deeply", parser.pos) from None
 
 
 # --------------------------------------------------------------------------
 # printer (canonical, reparseable)
-
-def _rat_text(value):
-    if is_integer(value):
-        return str(value)
-    return f"{value.numerator}/{value.denominator}"
-
 
 def _literal_text(value):
     """A parseable rendering of any constant; Literal-shaped only for the
@@ -417,7 +428,7 @@ def _literal_text(value):
     if not value.im:
         r = value.re
         if r >= 0:
-            return _rat_text(r) if is_integer(r) else f"({_rat_text(r)})"
+            return decimal_text(r) if is_integer(r) else f"({decimal_text(r)})"
         return f"(-{_literal_text(GaussianRational(-r))})"
     if value == GR_I:
         return "i"
@@ -438,8 +449,8 @@ def to_text(node):
         if e == 1:
             return "q"
         if is_integer(e) and e >= 0:
-            return f"q^{e}"
-        return f"q^({_rat_text(e)})"
+            return f"q^{decimal_text(e)}"
+        return f"q^({decimal_text(e)})"
     if isinstance(node, Add):
         return f"({to_text(node.left)} + {to_text(node.right)})"
     if isinstance(node, Sub):
@@ -452,7 +463,7 @@ def to_text(node):
         return f"(-{to_text(node.operand)})"
     if isinstance(node, Pow):
         k = node.exponent
-        suffix = f"^{k}" if k >= 0 else f"^(-{-k})"
+        suffix = f"^{decimal_text(k)}" if k >= 0 else f"^(-{decimal_text(-k)})"
         return f"{to_text(node.base)}{suffix}"
     if isinstance(node, Call):
         return f"{node.name}({', '.join(to_text(a) for a in node.args)})"
@@ -992,7 +1003,7 @@ class _Plan:
         if name == "subq":
             k = _fold_rational(args[1])
             if k[0] <= 0:
-                raise NonPositivePower(f"subq power must be positive, got {qrat(k)}")
+                raise NonPositivePower(f"subq power must be positive, got {decimal_text(qrat(k))}")
             return self.series(args[0], qdiv(w, k)).substitute_power(k)
         if name == "negq":
             return self.series(args[0], w).negate_base()
@@ -1086,7 +1097,7 @@ class VerificationReport:
             "id": self.id,
             "status": self.status,
             "achieved_precision": (
-                None if self.achieved_precision is None else list(num_den(self.achieved_precision))
+                None if self.achieved_precision is None else json_pair(self.achieved_precision)
             ),
             "first_mismatch": None,
             "anchor": self.anchor,
@@ -1095,8 +1106,8 @@ class VerificationReport:
         if self.first_mismatch is not None:
             e, c = self.first_mismatch
             d["first_mismatch"] = {
-                "exponent": list(num_den(e)),
-                "coefficient": list(num_den(c.re) + num_den(c.im)),
+                "exponent": json_pair(e),
+                "coefficient": json_pair(c.re) + json_pair(c.im),
             }
         if not stable:
             d["elapsed_ms"] = round(self.elapsed_ms, 3)

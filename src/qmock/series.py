@@ -56,8 +56,8 @@ from types import MappingProxyType
 
 # the coefficient type and its constants are part of this module's interface too
 from ._rational import (GR_I, GR_ZERO, RAT, GaussianRational, QMonomial, as_gaussian, as_pair,
-                        as_triple, format_exp, format_term, gaussian, mono, qadd, qlt, qle, qmin, qmul,
-                        qpair, qpow, qrat, qsub, rat, triple_mul, triple_pow)
+                        as_triple, decimal_text, format_exp, format_term, gaussian, mono, qadd, qlt, qle,
+                        qmin, qmul, qpair, qpow, qrat, qsub, rat, triple_mul, triple_pow)
 
 __all__ = [
     "GaussianRational",
@@ -1038,7 +1038,7 @@ _MAX_SLOTS = 1 << 24
 def _slots(n):
     """n, unless a lattice of n slots is too long to allocate."""
     if n > _MAX_SLOTS:
-        raise LatticeTooLarge(f"the series needs {n} lattice slots, more than {_MAX_SLOTS}")
+        raise LatticeTooLarge(f"the series needs {decimal_text(n)} lattice slots, more than {_MAX_SLOTS}")
     return n
 
 

@@ -29,6 +29,18 @@ from qmock.series import (
 from qmock.theta import as_base, jacobi_theta, theta_start
 
 
+def decimal_digits(n):
+    """str(n) for an int of any length, written 100 digits at a time from
+    the low end: below CPython's int<->str limit at every step."""
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    limb = 10 ** 100
+    parts = []
+    while n >= limb:
+        n, r = divmod(n, limb)
+        parts.append(f"{r:0100d}")
+    return sign + str(n) + "".join(reversed(parts))
+
+
 def poly_mul(a, b, bound=None):
     out = {}
     for ea, ca in a.items():

@@ -11,6 +11,8 @@ from qmock import cli
 from qmock.cli import main
 from qmock.dsl import parse_corpus
 
+import oracles
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -344,3 +346,74 @@ class TestCorpus:
         code1, out1, _ = run(capsys, "corpus", str(path), "--json", "--stable", "--jobs", "1")
         code2, out2, _ = run(capsys, "corpus", str(path), "--json", "--stable", "--jobs", "2")
         assert (code1, out1) == (code2, out2)
+
+
+BIG = 7 * 10 ** 4999 + 123  # 5000 digits: past CPython's 4300-digit int<->str limit
+BIG_CORPUS = f"""
+[identity big-literal]
+anchor = "a 5000-digit literal"
+order = 3
+lhs = {oracles.decimal_digits(BIG)}
+rhs = 0
+
+[identity big-power]
+anchor = "2^16610, 5001 digits"
+order = 3
+lhs = 1 + 2^16610*q
+rhs = 1
+"""
+
+
+class TestBigIntegers:
+    """Integers past CPython's int<->str limit are read, printed and
+    written to JSON exactly, with the documented exit codes."""
+
+    def test_expand(self, capsys):
+        digits = oracles.decimal_digits(BIG)
+        assert run(capsys, "expand", digits, "--order", "3") == (0, digits + "\n", "")
+        code, out, _ = run(capsys, "expand", "2^16610", "--order", "3")
+        assert (code, out.strip()) == (0, oracles.decimal_digits(2 ** 16610))
+
+    @pytest.mark.parametrize("template, message", [
+        ("subq(q, -{})", "NonPositivePower: subq power must be positive, got -{}\n"),
+        ("J({}, 2)", "LatticeTooLarge: the series needs "),
+    ])
+    def test_errors_name_their_cause(self, capsys, template, message):
+        digits = oracles.decimal_digits(BIG)
+        code, out, err = run(capsys, "expand", template.format(digits), "--order", "3")
+        assert (code, out) == (3, "")
+        assert err.startswith("evaluation error: " + message.format(digits))
+
+    def test_expand_json(self, capsys):
+        code, out, _ = run(capsys, "expand", f"{oracles.decimal_digits(BIG)}*q - q^2", "--order", "3", "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert data == {"terms": [[1, 1, oracles.decimal_digits(BIG), 1, 0, 1], [2, 1, -1, 1, 0, 1]],
+                        "precision": [3, 1]}
+
+    def test_verify(self, capsys):
+        code, out, _ = run(capsys, "verify", "2^16610", "0", "--order", "3")
+        assert code == 1
+        assert f"first mismatch at q^0: coefficient {oracles.decimal_digits(2 ** 16610)}  [" in out
+
+    def test_corpus(self, capsys, tmp_path):
+        path = tmp_path / "big.qid"
+        path.write_text(BIG_CORPUS)
+        code, out, _ = run(capsys, "corpus", str(path))
+        assert code == 1
+        assert f"coefficient {oracles.decimal_digits(BIG)}  [" in out
+        assert f"first mismatch at q^1: coefficient {oracles.decimal_digits(2 ** 16610)}  [" in out
+
+    def test_corpus_json(self, capsys, tmp_path):
+        path = tmp_path / "big.qid"
+        path.write_text(BIG_CORPUS)
+        code1, out1, _ = run(capsys, "corpus", str(path), "--json", "--stable", "--jobs", "1")
+        code2, out2, _ = run(capsys, "corpus", str(path), "--json", "--stable", "--jobs", "2")
+        assert (code1, out1) == (code2, out2)
+        assert code1 == 1
+        reports = {r["id"]: r for r in json.loads(out1)}
+        assert reports["big-literal"]["first_mismatch"] == {
+            "exponent": [0, 1], "coefficient": [oracles.decimal_digits(BIG), 1, 0, 1]}
+        assert reports["big-power"]["first_mismatch"] == {
+            "exponent": [1, 1], "coefficient": [oracles.decimal_digits(2 ** 16610), 1, 0, 1]}
+        assert reports["big-power"]["achieved_precision"] == [3, 1]

@@ -1,8 +1,10 @@
 """Expression language: parsing, printing, evaluation, verification, corpus."""
 
+import hashlib
 import math
 import pickle
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -111,12 +113,51 @@ class TestParse:
         with pytest.raises(CorpusSyntaxError, match="nested too deeply"):
             parse_corpus(f'[identity a]\nanchor = "x"\norder = 5\nlhs = {deep}\nrhs = q\n')
 
+    @pytest.mark.parametrize("pieces", [["("], ["Jm("], ["-"], ["(", "-", "Jm("]])
+    def test_nesting_bound(self, pieces):
+        # 200 levels parse, here under the test runner's own frames; the
+        # level past the bound is the error's place, however deep the text
+        assert dsl.MAX_DEPTH == 200
+        parse(_nested(pieces, 200)[0])
+        for n in (201, 600):
+            text, col = _nested(pieces, n)
+            with pytest.raises(ExpressionSyntaxError, match="nested too deeply") as err:
+                parse(text)
+            assert (err.value.line, err.value.col, type(err.value)) == (1, col, ExpressionSyntaxError)
+
+    def test_stanza_past_the_nesting_bound(self):
+        deep = _nested(["("], 201)[0]
+        with pytest.raises(CorpusSyntaxError, match="identity 'a': line 1, column 201: expression nested too deeply"):
+            parse_corpus(f'[identity a]\nanchor = "x"\norder = 5\nlhs = q\nrhs = {deep}\n')
+
+    def test_recursion_error_is_a_syntax_error(self):
+        # the bound keeps a parse within the recursion limit; a caller that
+        # has used most of it still gets the syntax error
+        frame, depth = sys._getframe(), 0
+        while frame:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            with pytest.raises(ExpressionSyntaxError, match="nested too deeply"):
+                parse(_nested(["("], 150)[0])
+        finally:
+            sys.setrecursionlimit(limit)
+
     def test_precedence(self):
         assert parse("1+2*3") == Add(
             Literal(GaussianRational(1)),
             Mul(Literal(GaussianRational(2)), Literal(GaussianRational(3))),
         )
         assert parse("-q^2") == Neg(QPow(rat(2)))
+
+
+def _nested(pieces, n):
+    """(text, col): n levels opened by the pieces in turn, each by its last
+    character, around 1; col is where the level past MAX_DEPTH opens."""
+    opened = [pieces[k % len(pieces)] for k in range(n)]
+    closing = "".join(")" for p in reversed(opened) if p.endswith("("))
+    return "".join(opened) + "1" + closing, len("".join(opened[:dsl.MAX_DEPTH + 1]))
 
 
 def _random_ast(rnd, depth=0, dens=(1, 2, 7)):
@@ -848,3 +889,120 @@ class TestShippedCorpus:
         generator = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(generator)
         assert generator.render().encode("utf-8") == shipped_corpus_path().read_bytes()
+
+
+# --------------------------------------------------------------------------
+# front-end pins: the parser's ASTs and errors as fixed values, which any
+# change to the tokenizer or the parser must keep; the error for nesting
+# past the bound is not among them, since its column depends on the bound
+
+def _outcome(text):
+    """The AST's repr, or the error as (type, message, line, col, expected)."""
+    try:
+        return repr(parse(text))
+    except ExpressionSyntaxError as exc:
+        return type(exc).__name__, str(exc), exc.line, exc.col, exc.expected
+
+
+_BAD_INPUTS = [
+    ("q^(1/2", ("ExpressionSyntaxError", "line 1, column 7: unexpected 'end of input' (expected one of: ))", 1, 7, (")",))),
+    ("J(1)", ("ArityError", "line 1, column 1: J takes 2 arguments, got 1", 1, 1, ())),
+    ("m(q,q)", ("ArityError", "line 1, column 1: m takes 3 arguments, got 2", 1, 1, ())),
+    ("zeta(3)", ("UnknownFunction", "line 1, column 1: unknown name 'zeta'", 1, 1, ())),
+    ("q^(1/0)", ("ExpressionSyntaxError", "line 1, column 6: zero denominator", 1, 6, ())),
+    ("q ^ ( 3 / 0 )", ("ExpressionSyntaxError", "line 1, column 11: zero denominator", 1, 11, ())),
+    ("q +\n  (1 - \n q", ("ExpressionSyntaxError", "line 3, column 3: unexpected 'end of input' (expected one of: ))", 3, 3, (")",))),
+    ("(\n1\n+\n2", ("ExpressionSyntaxError", "line 4, column 2: unexpected 'end of input' (expected one of: ))", 4, 2, (")",))),
+    ("q\r\n+ 2 $", ("ExpressionSyntaxError", "line 2, column 5: unexpected character '$'", 2, 5, ())),
+    ("q\t+\t!", ("ExpressionSyntaxError", "line 1, column 5: unexpected character '!'", 1, 5, ())),
+    ("\r\r\n\tq\n\n ?", ("ExpressionSyntaxError", "line 4, column 2: unexpected character '?'", 4, 2, ())),
+    ("éx", ("UnknownFunction", "line 1, column 1: unknown name 'éx'", 1, 1, ())),
+    ("xéy", ("UnknownFunction", "line 1, column 1: unknown name 'xéy'", 1, 1, ())),
+    ("x²y", ("UnknownFunction", "line 1, column 1: unknown name 'x²y'", 1, 1, ())),
+    ("²", ("ExpressionSyntaxError", "line 1, column 1: unexpected character '²'", 1, 1, ())),
+    ("٣", ("ExpressionSyntaxError", "line 1, column 1: unexpected character '٣'", 1, 1, ())),
+    ("½", ("ExpressionSyntaxError", "line 1, column 1: unexpected character '½'", 1, 1, ())),
+    ("q\xa0+ 1", ("ExpressionSyntaxError", "line 1, column 2: unexpected character '\\xa0'", 1, 2, ())),
+    ("J(1, 2٣)", ("ExpressionSyntaxError", "line 1, column 7: unexpected character '٣'", 1, 7, ())),
+    ("q^(3/٣)", ("ExpressionSyntaxError", "line 1, column 6: unexpected character '٣'", 1, 6, ())),
+    ("", ("ExpressionSyntaxError", "line 1, column 1: unexpected 'end of input' (expected one of: NUM, NAME, ()", 1, 1, ("NUM", "NAME", "("))),
+    ("-", ("ExpressionSyntaxError", "line 1, column 2: unexpected 'end of input' (expected one of: NUM, NAME, ()", 1, 2, ("NUM", "NAME", "("))),
+    ("q)", ("ExpressionSyntaxError", "line 1, column 2: trailing input ')' (expected one of: EOF)", 1, 2, ("EOF",))),
+    ("1 2 3 )", ("ExpressionSyntaxError", "line 1, column 7: trailing input ')' (expected one of: EOF)", 1, 7, ("EOF",))),
+    ("Jm(1)^(1/2)", ("ExpressionSyntaxError", "line 1, column 6: fractional powers are allowed only on q", 1, 6, ())),
+    ("Jm 1", ("ExpressionSyntaxError", "line 1, column 1: function 'Jm' needs an argument list (expected one of: ()", 1, 1, ("(",))),
+    ("q^", ("ExpressionSyntaxError", "line 1, column 3: unexpected 'end of input' (expected one of: NUM)", 1, 3, ("NUM",))),
+    ("q^(-)", ("ExpressionSyntaxError", "line 1, column 5: unexpected ')' (expected one of: NUM)", 1, 5, ("NUM",))),
+    ("1 + * 2", ("ExpressionSyntaxError", "line 1, column 5: unexpected '*' (expected one of: NUM, NAME, ()", 1, 5, ("NUM", "NAME", "("))),
+    ("J(1,,2)", ("ExpressionSyntaxError", "line 1, column 5: unexpected ',' (expected one of: NUM, NAME, ()", 1, 5, ("NUM", "NAME", "("))),
+    ("q^(1/2/3)", ("ExpressionSyntaxError", "line 1, column 7: unexpected '/' (expected one of: ))", 1, 7, (")",))),
+    ("m(q, q^2", ("ExpressionSyntaxError", "line 1, column 9: unexpected 'end of input' (expected one of: ))", 1, 9, (")",))),
+    ("_ + 1", ("UnknownFunction", "line 1, column 1: unknown name '_'", 1, 1, ())),
+    ("2 3 q x_1", ("UnknownFunction", "line 1, column 7: unknown name 'x_1'", 1, 7, ())),
+    ("q^(1", ("ExpressionSyntaxError", "line 1, column 5: unexpected 'end of input' (expected one of: ))", 1, 5, (")",))),
+    ("j(q,\n\tq^2,\n\tq^3)", ("ArityError", "line 1, column 1: j takes 2 arguments, got 3", 1, 1, ())),
+]
+
+_FUZZ_ATOMS = ["q", "q", "i", "x", "J", "Jm", "j", "m", "_", "0", "1", "2", "12", "3"]
+_FUZZ_SYMBOLS = ["+", "-", "*", "/", "^", "^", "(", "(", ")", ")", ",", " ", "\t", "\n", "\r"]
+_FUZZ_ODD = ["é", "²", "٣", "½", "\xa0"]
+
+
+def _fuzz_piece(rnd):
+    r = rnd.random()
+    return rnd.choice(_FUZZ_ATOMS if r < 0.5 else _FUZZ_SYMBOLS if r < 0.96 else _FUZZ_ODD)
+
+
+def _fuzz_expr(rnd, depth=0):
+    """A short valid expression, spaced and broken over lines at random."""
+    r = rnd.random()
+    if depth > 2 or r < 0.3:
+        return rnd.choice(["q", "i", "2", "12", "q^3", "q^(-1/2)", "q^-2", "(q)^(2/3)", "Jm(1)"])
+    if r < 0.6:
+        op = rnd.choice(["+", " - ", "*", "/", " ", "\n"])
+        return _fuzz_expr(rnd, depth + 1) + op + _fuzz_expr(rnd, depth + 1)
+    if r < 0.7:
+        return "-" + _fuzz_expr(rnd, depth + 1)
+    if r < 0.8:
+        return "(" + _fuzz_expr(rnd, depth + 1) + ")^" + rnd.choice(["2", "(-1)", "(1/3)"])
+    name, arity = rnd.choice([("J", 2), ("j", 2), ("m", 3), ("Jm", 1), ("g", 2)])
+    return f"{name}(" + ",\t".join(_fuzz_expr(rnd, depth + 1) for _ in range(arity)) + ")"
+
+
+def _fuzz_texts(n=2000, seed=19):
+    """n short strings: odd ones random pieces of the token alphabet and a
+    few non-ASCII characters, even ones valid expressions with, half of the
+    time, one character replaced by such a piece."""
+    rnd = random.Random(seed)
+    texts = []
+    for k in range(n):
+        if k % 2:
+            texts.append("".join(_fuzz_piece(rnd) for _ in range(rnd.randint(1, 10))))
+        else:
+            t = _fuzz_expr(rnd)
+            i = rnd.randrange(len(t) + 1)
+            if rnd.random() < 0.5:
+                t = t[:i] + _fuzz_piece(rnd) + t[i + 1:]
+            texts.append(t)
+    return texts
+
+
+class TestFrontEndPins:
+    def test_shipped_asts(self):
+        from qmock.cli import shipped_corpus_path
+
+        records = parse_corpus(shipped_corpus_path().read_text(encoding="utf-8"))
+        text = "".join(f"{r.id}\n{r.lhs!r}\n{r.rhs!r}\n" for r in records)
+        assert len(records) == 179
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "2d4936c5a8bfc6669c7acba61ee492ee4f6676d886b7019ff3c2a8ab4b85a296"
+
+    @pytest.mark.parametrize("text, expected", _BAD_INPUTS)
+    def test_bad_inputs(self, text, expected):
+        assert _outcome(text) == expected
+
+    def test_fuzz(self):
+        outcomes = [_outcome(t) for t in _fuzz_texts()]
+        assert sum(type(o) is str for o in outcomes) == 581  # parsed
+        digest = hashlib.sha256("\n".join(map(repr, outcomes)).encode()).hexdigest()
+        assert digest == "f631111d42f5a69165283da170a03adad3e9f4e09742337d280ff097f7c3251d"

@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 
 from qmock import dsl, theta
-from qmock._rational import (GaussianRational, QMonomial, as_pair, mono, qadd, qdiv, qle, qlt, qmax,
-                             qmin, qmul, qpow, qrat, qsub)
+from qmock._rational import (GaussianRational, QMonomial, as_pair, decimal_int, decimal_text, json_pair, mono,
+                             qadd, qdiv, qle, qlt, qmax, qmin, qmul, qpow, qrat, qsub)
 from qmock.series import FractionalExponent, product_precision
 
 import oracles
@@ -72,6 +72,13 @@ class TestNoFractionArithmetic:
                 product_precision(pa, la, (1, 6), (-2, 5))
                 dsl._target((9, 2), la, pa)
         assert fraction_ops == []
+
+    def test_parsed_powers_of_q(self, fraction_ops):
+        # q^k is one QPow(k): no Fraction arithmetic, whatever the exponent
+        ast = dsl.parse("q^5*q^(-3)/q^(4/6) + 2*q - q^-7")
+        assert fraction_ops == []
+        assert ast.left.left.right == dsl.QPow(Fraction(2, 3))
+        assert ast.right == dsl.QPow(Fraction(-7))
 
     def test_theta(self, fraction_ops):
         rnd = random.Random(8)
@@ -144,3 +151,33 @@ class TestAgainstTheGroundTypes:
             w, other, own = _exponent(rnd), value(), value()
             got = dsl._target(as_pair(w), *[None if v is None else as_pair(v) for v in (other, own)])
             assert qrat(got) == oracles.ref_target(w, other, own)
+
+
+class TestDecimalText:
+    """Integers of any length to and from decimal text, in parts below
+    CPython's int<->str limit, against a 100-digit-at-a-time oracle."""
+
+    def test_round_trip(self):
+        rnd = random.Random(15)
+        values = [0, 7, -1, 10 ** 639, 10 ** 640 - 1, 10 ** 640, 2 ** 2126, 2 ** 2127, 10 ** 4300,
+                  1 - 10 ** 5000, 2 ** 16610]
+        values += [rnd.choice([1, -1]) * rnd.randrange(10 ** rnd.randint(600, 9000)) for _ in range(40)]
+        for n in values:
+            text = decimal_text(n)
+            assert text == oracles.decimal_digits(n)
+            assert decimal_int(text.lstrip("-")) == abs(n)
+        assert decimal_int("000" + "9" * 700) == 10 ** 700 - 1
+
+    def test_rationals(self):
+        big = 10 ** 5000 + 1
+        assert decimal_text(Fraction(-big, 3)) == f"-{oracles.decimal_digits(big)}/3"
+        assert decimal_text(Fraction(big, 1)) == oracles.decimal_digits(big)
+        assert decimal_text(Fraction(-3, 4)) == "-3/4"
+        assert str(GaussianRational(Fraction(big, 7), -big)) == \
+            f"{oracles.decimal_digits(big)}/7-{oracles.decimal_digits(big)}*i"
+
+    def test_json_pair(self):
+        assert json_pair(Fraction(-3, 4)) == [-3, 4]
+        assert json_pair(Fraction(10 ** 4300 - 1)) == [10 ** 4300 - 1, 1]  # 4300 digits: a number
+        assert json_pair(Fraction(1, 10 ** 4300)) == [1, oracles.decimal_digits(10 ** 4300)]
+        assert json_pair(Fraction(-(10 ** 4300))) == [oracles.decimal_digits(-(10 ** 4300)), 1]
