@@ -18,7 +18,8 @@ function g is summed by the Eulerian loop of the catalog series,
 ``series.eulerian_terms``, on the integer grid of x and b.  For x = ±q^a
 and b's coefficient ±1 every coefficient is a unit, and the loop divides
 by each Pochhammer factor with a few shift-adds of one packed integer;
-otherwise with one pass over one pair of numerator vectors.
+otherwise with one pass over the lattice of the running product, a
+series, that gives the next one.
 
 The block sums ``g_abc`` ... ``msplit_rhs`` are templates in ``qmock.blocks``,
 evaluated here by ``dsl.evaluate`` like any DSL expression.

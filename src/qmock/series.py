@@ -33,9 +33,9 @@ run on one integer grid, with integer exponents and (re, im, den)
 coefficient triples throughout.  When every coefficient is 1 or -1, P_n
 and the sum are one packed integer each, in the slots of the Kronecker
 products: a factor is a few big-int shift-adds and a term one, and the sum
-is unpacked once.  Otherwise P_n is one pair of numerator vectors,
-extended by such a pass or shifted add per factor, and the weighted terms
-go into one vector at the end.  No
+is unpacked once.  Otherwise P_n is a series like any other, each factor
+one such pass or shifted add and one ``_make``, and the weighted terms go
+into one vector at the end.  No
 rational number is built per term, nor for the precision bookkeeping:
 ``prec``, ``low()`` and every order a method takes or passes on are
 (num, den) pairs of ``qmock._rational``, and ``precision`` and
@@ -55,7 +55,7 @@ from operator import add, neg, or_, sub
 from types import MappingProxyType
 
 # the coefficient type and its constants are part of this module's interface too
-from ._rational import (GR_I, GR_ZERO, RAT, GaussianRational, QMonomial, as_gaussian, as_pair,
+from ._rational import (GR_I, GR_ZERO, Q0, RAT, GaussianRational, QMonomial, as_gaussian, as_pair,
                         as_triple, decimal_text, format_exp, format_term, gaussian, mono, qadd, qlt, qle,
                         qmin, qmul, qpair, qpow, qrat, qsub, rat, triple_mul, triple_pow)
 
@@ -313,13 +313,86 @@ class QSeries:
         return _make(L, lo + en * (L // ed), step, re, im, self._den * cd, p)
 
     def times_one_minus(self, *ms):
-        """self * (1 - m) for each monomial m = c*q^k in turn: one shifted
-        add each on one running lattice, whose grid holds every k, with the
-        precision of the product by the exact binomials."""
-        P = _Running(self, None, lcm(*[m.pair[1] for m in ms]))
+        """self * (1 - m) for each monomial m = c*q^k in turn, one shifted
+        add each (``_times_one_minus``), with the precision of the product
+        by the exact binomials."""
+        s = self
         for m in ms:
-            P.times_one_minus(m.pair[0] * (P.grid // m.pair[1]), m.triple)
-        return P.series()
+            s = s._times_one_minus(*m.pair, m.triple)
+        return s
+
+    def _times_one_minus(self, kn, kd, c):
+        """self * (1 - c*q^(kn/kd)), c an (re, im, den) triple: one shifted
+        add on the lattice whose step holds the exponent too, with the
+        precision of the product by the exact binomial."""
+        cr, ci, cd = c
+        if not kn:
+            if cr == cd and not ci:
+                return QSeries.zero(None)    # times an exact zero
+            return self._times_term(0, 1, cd - cr, -ci, cd)
+        p = self.prec if kn > 0 or self.prec is None else qadd(self.prec, qpair(kn, kd))
+        if not self._re:
+            return self if p is self.prec else QSeries.zero(p)
+        L = lcm(self._L, kd)
+        lo, step = _on_grid(self, L)
+        k = kn * (L // kd)
+        if len(self._re) == 1:
+            step = abs(k)
+        g = gcd(step, k)
+        s = k // g
+        if s < 0:
+            lo += k
+        n = (len(self._re) - 1) * (step // g) + 1 + abs(s)
+        if p is not None:
+            n = min(n, _slots_below(p, L, lo, g))
+        re, im = _spread(self, step // g, _slots(n))
+        a, b = _scale(re, im, cd, 0), _scale(re, im, -cr, -ci)
+        if s < 0:
+            a, b, s = b, a, -s
+        return _make(L, lo, g, _shifted_sum(a[0], b[0], s, n), _shifted_sum(a[1], b[1], s, n),
+                     self._den * cd, p)
+
+    def _over_one_minus(self, k, L, c, order):
+        """self / (1 - c*q^(k/L)) below ``order``, for an integer k and an
+        (re, im, den) triple c, equal in value and precision to self times
+        the expansion of 1/(1 - c*q^(k/L)) there, truncated: for k > 0 one
+        pass over the lattice whose step holds k too (``_divide_pass``), for
+        k < 0 the reflected form -q^(-k)/c / (1 - q^(-k)/c), for k = 0 the
+        constant 1/(1 - c)."""
+        ld = self.low()
+        if k < 0:
+            # truncated at the order raised by where self starts
+            inv = triple_pow(c, -1)
+            s = self._times_term(-k, L, -inv[0], -inv[1], inv[2])._over_one_minus(-k, L, inv, order)
+            return s if ld is None else s.truncate(qadd(order, ld))
+        p = order if ld is None or ld[0] >= 0 else qadd(order, ld)
+        if self.prec is not None:
+            p = qmin(p, self.prec)
+        cr, ci, cd = c
+        if not k:
+            if cr == cd and not ci:
+                raise PoleAtOne("1/(1 - q^0) is excluded: argument hit a power of q")
+            return self._times_term(0, 1, *triple_pow((cd - cr, -ci, cd), -1)).truncate(p)
+        if not self._re:
+            return QSeries.zero(p)
+        G = lcm(self._L, L)
+        lo, step = _on_grid(self, G)
+        k *= G // L
+        if len(self._re) == 1:
+            step = k
+        g = gcd(step, k)
+        n = _slots(_slots_below(p, G, lo, g))
+        if not n:
+            return QSeries.zero(p)
+        re, im = _spread(self, step // g, n)
+        if len(re) < n:
+            pad = [0] * (n - len(re))
+            re, im = re + pad, None if im is None else im + pad
+        if im is None and ci:
+            im = [0] * n
+        stride = k // g
+        re, im = _divide_pass(re, im, stride, cr, ci, cd)
+        return _make(G, lo, g, re, im, self._den * cd ** ((n - 1) // stride), p)
 
     def __pow__(self, k):
         if not isinstance(k, int):
@@ -621,37 +694,46 @@ def eulerian_terms(L, weight, factors, order, divide=True):
     precision, which the sum's precision follows.
 
     A sum whose steps are all unit steps (``_unit_steps``) runs on packed
-    integers (``_packed_terms``) into one part."""
-    P = _Running(QSeries.one(), as_pair(order), L)
-    parts, precision = [], P.order
+    integers (``_packed_terms``) into one part.  Any other holds P_n as a
+    series, stepped by ``QSeries._over_one_minus`` or ``_times_one_minus``
+    per factor, and each weighted term is one part on the grid of P_n and
+    1/L."""
+    order = as_pair(order)
+    top = _first_slot(order, L)
+    parts, precision = [], order
     weights, steps = [], [factors(0)]
-    if P.order[0] > 0 and P.top <= _MAX_SLOTS and _unit_steps(weights, steps, weight, factors, P.top):
+    if order[0] > 0 and top <= _MAX_SLOTS and _unit_steps(weights, steps, weight, factors, top):
         if len(weights) > 1:
-            parts.append(_packed_terms(weights, steps, P.grid, P.top, divide))
+            parts.append(_packed_terms(weights, steps, L, top, divide))
         return parts, precision
     weight, factors = _replay(weights, weight), _replay(steps, factors)
-    n, step = 0, factors(0)
+
+    def reaches(P, e):
+        """True when q^(e/L) * P starts at or past the order (an exact zero
+        P taken to start at 0)."""
+        return qle(order, qadd(qpair(e, L), P.low() or Q0))
+
+    P, n, step = QSeries.one(), 0, factors(0)
     while True:
         e, cw = weight(n)
         after = factors(n + 1)
         stops = all([k > 0 for k, _ in after])
-        if stops and P.order[0] > 0 and P.reaches(e) and all([k > 0 for k, _ in step]):
+        if stops and order[0] > 0 and reaches(P, e) and all([k > 0 for k, _ in step]):
             break
         for k, c in step:
-            if divide:
-                P.over_one_minus(k, c)
-            else:
-                P.truncate(P.order)
-                P.times_one_minus(k, c)
-        if stops and P.reaches(e):
+            P = P._over_one_minus(k, L, c, order) if divide else P.truncate(order)._times_one_minus(k, L, c)
+        if stops and reaches(P, e):
             break
         # the term is known below P_n's precision plus e, which is past the
         # order when that precision is the order and e >= 0
-        if P.prec is not None and (e < 0 or P.prec is not P.order):
-            precision = qmin(precision, qadd(P.prec, qpair(e, P.grid)))
-        if P.re:
-            re, im = _scale(P.re, P.im, cw[0], cw[1])
-            parts.append((P.grid, P.lo + e, P.step or 1, re, im, P.den * cw[2]))
+        if P.prec is not None and (e < 0 or P.prec != order):
+            precision = qmin(precision, qadd(P.prec, qpair(e, L)))
+        if P._re:
+            # P's own grid is reduced, so the term goes on the grid of both
+            G = lcm(P._L, L)
+            f = G // P._L
+            re, im = _scale(P._re, P._im, cw[0], cw[1])
+            parts.append((G, P._lo * f + e * (G // L), P._step * f, re, im, P._den * cw[2]))
         n, step = n + 1, after
     return parts, precision
 
@@ -760,177 +842,13 @@ def _respace(x, count, w, R, wide, R_wide):
     return int.from_bytes(out, "little") - (R_wide << (8 * w - 1))
 
 
-class _Running:
-    """A series stepped by factors 1 - c*q^k in place: the running product
-    P_n of ``eulerian_terms``, and of ``QSeries.times_one_minus``.  Every
-    exponent k a step takes is an integer, for q^(k/grid).  Slot lo +
-    step*i of the grid 1/grid holds (re[i] + im[i]*i)/den, below the
-    precision prec (None for exact).  re is empty for a series zero to its
-    precision, and slot 0 is nonzero otherwise, so lo is where P_n starts;
-    step is 0 while P_n is a single slot.  ``top`` is the first slot at or
-    past the order.  The steps leave every vector they were given as it
-    was."""
-
-    __slots__ = ("grid", "order", "top", "re", "im", "den", "lo", "step", "prec")
-
-    def __init__(self, s, order, L):
-        """The series s, stepped below ``order`` (None for none), on the grid
-        1/L refined to hold s."""
-        self.grid = lcm(L, s._L)
-        f = self.grid // s._L
-        self.order = order
-        self.top = None if order is None else _first_slot(order, self.grid)
-        self.re, self.im, self.den, self.prec = s._re, s._im, s._den, s.prec
-        self.lo, self.step = s._lo * f, s._step * f if len(s._re) > 1 else 0
-
-    def series(self):
-        """P_n as a series."""
-        return _make(self.grid, self.lo, self.step or 1, self.re, self.im, self.den, self.prec)
-
-    def low(self):
-        """Where P_n starts, as ``QSeries.low`` has it."""
-        return qpair(self.lo, self.grid) if self.re else self.prec
-
-    def reaches(self, e):
-        """True when the term q^(e/grid) * P_n starts at or past the order
-        (an exact zero P_n taken to start at 0)."""
-        if self.re:
-            return self.lo + e >= self.top
-        if self.prec is None:
-            return e >= self.top
-        return qle(self.order, qadd(qpair(e, self.grid), self.prec))
-
-    def _zero(self, p):
-        self.re, self.im, self.den, self.lo, self.step, self.prec = [], None, 1, 0, 0, p
-
-    def _set(self, re, im, den):
-        if im is not None and not any(im):
-            im = None
-        self.re, self.im, self.den = _reduce(re, im, den)
-
-    def _below(self, p):
-        """How many slots of P_n's grid lie below the precision p."""
-        cut = self.top if p is self.order else _first_slot(p, self.grid)
-        if not self.step:
-            return 1 if self.lo < cut else 0
-        return max(0, -((self.lo - cut) // self.step))
-
-    def truncate(self, p):
-        if self.prec is not None and (self.prec is p or qle(self.prec, p)):
-            return
-        self.prec = p
-        n = self._below(p)
-        if not n:
-            self._zero(p)
-        elif n < len(self.re):
-            self.re = self.re[:n]
-            self.im = None if self.im is None else self.im[:n]
-
-    def times_term(self, k, c):
-        """P_n times the exact term c*q^(k/grid)."""
-        if k and self.prec is not None:
-            self.prec = qadd(self.prec, qpair(k, self.grid))
-        if self.re:
-            self.lo += k
-            re, im = _scale(self.re, self.im, c[0], c[1])
-            self._set(re, im, self.den * c[2])
-
-    def _refine_step(self, k):
-        """Put P_n on the step that holds k too: the gcd of the two."""
-        step = gcd(self.step, k)
-        if step != self.step and len(self.re) > 1:
-            f = self.step // step
-            for name in ("re", "im"):
-                v = getattr(self, name)
-                if v is not None:
-                    w = [0] * _slots((len(v) - 1) * f + 1)
-                    w[::f] = v
-                    setattr(self, name, w)
-        self.step = step
-
-    def over_one_minus(self, k, c):
-        """P_n / (1 - c*q^(k/grid)) below the order, equal in value and
-        precision to P_n times the expansion of 1/(1 - c*q^(k/grid)) there,
-        truncated: for k > 0 one pass over the lattice (``_divide_pass``),
-        for k < 0 the reflected form -q^(-k)/c / (1 - q^(-k)/c), for k = 0
-        the constant 1/(1 - c)."""
-        cr, ci, cd = c
-        if k < 0:
-            # -q^(-k)/c / (1 - q^(-k)/c), truncated at the order raised by
-            # where P_n starts
-            ld = self.low()
-            inv = triple_pow(c, -1)
-            self.times_term(-k, (-inv[0], -inv[1], inv[2]))
-            self.over_one_minus(-k, inv)
-            if ld is not None:
-                self.truncate(qadd(self.order, ld))
-            return
-        if self.re and self.lo >= 0 and (self.prec is None or self.prec is self.order):
-            p = self.order
-        else:
-            ld = self.low()
-            p = self.order if ld is None or ld[0] >= 0 else qadd(self.order, ld)
-            if self.prec is not None:
-                p = qmin(p, self.prec)
-        if not k:
-            if cr == cd and not ci:
-                raise PoleAtOne("1/(1 - q^0) is excluded: argument hit a power of q")
-            self.times_term(0, triple_pow((cd - cr, -ci, cd), -1))
-            self.truncate(p)
-            return
-        n = self._below(p) if self.re else 0
-        if not n:
-            self._zero(p)
-            return
-        self._refine_step(k)
-        n = _slots(self._below(p))
-        re = self.re[:n]
-        re += [0] * (n - len(re))
-        if self.im is not None:
-            im = self.im[:n]
-            im += [0] * (n - len(im))
-        else:
-            im = [0] * n if ci else None
-        stride = k // self.step
-        re, im = _divide_pass(re, im, stride, cr, ci, cd)
-        self.prec = p
-        self._set(re, im, self.den * cd ** ((n - 1) // stride))
-
-    def times_one_minus(self, k, c):
-        """P_n times 1 - c*q^(k/grid), with the precision of the product by
-        the exact binomial."""
-        cr, ci, cd = c
-        if not k:
-            if cr == cd and not ci:
-                self._zero(None)    # times an exact zero
-            else:
-                self.times_term(0, (cd - cr, -ci, cd))
-            return
-        p = self.prec if k > 0 or self.prec is None else qadd(self.prec, qpair(k, self.grid))
-        if not self.re:
-            self._zero(p)
-            return
-        self._refine_step(abs(k))
-        s = k // self.step
-        a = _scale(self.re, self.im, cd, 0)
-        b = _scale(self.re, self.im, -cr, -ci)
-        if s < 0:
-            self.lo += k
-            a, b, s = b, a, -s
-        n = _slots(len(self.re) + s if p is None else min(len(self.re) + s, self._below(p)))
-        self.prec = p
-        re, im = [_shifted_sum(u, v, s, n) for u, v in zip(a, b)]
-        self._set(re, im, self.den * cd)
-
-
 def _shifted_sum(u, v, s, n):
     """The first n slots of u plus v shifted up s slots; None for two
     None."""
     if u is None and v is None:
         return None
-    out = [0] * n
-    if u is not None:
-        out[:len(u)] = u[:n]
+    out = [] if u is None else u[:n]
+    out += [0] * (n - len(out))
     if v is not None and s < n:
         v = v[:n - s]
         out[s:s + len(v)] = map(add, out[s:s + len(v)], v)
@@ -1107,9 +1025,11 @@ def _on_grid(s, L):
 
 def _spread(s, stride, count):
     """s's numerator vectors on a grid ``stride`` times finer, cut to the
-    slots below ``count``."""
+    slots below ``count``: s's own vectors when that changes neither."""
     keep = -(-count // stride)
-    vecs = [s._re[:keep], None if s._im is None else s._im[:keep]]
+    vecs = [s._re, s._im]
+    if keep < len(s._re):
+        vecs = [s._re[:keep], None if s._im is None else s._im[:keep]]
     if stride != 1:
         for i, v in enumerate(vecs):
             if v is not None:

@@ -629,11 +629,15 @@ class TestOnePassFactors:
 
     @staticmethod
     def _over_one_minus(s, m, order):
-        """s / (1 - m) below ``order`` by the running product of the
-        Eulerian loop, on the grid of s and m."""
-        P = series._Running(s, as_pair(order), m.pair[1])
-        P.over_one_minus(m.pair[0] * (P.grid // m.pair[1]), m.triple)
-        return P.series()
+        """s / (1 - m) below ``order`` by one division step of the Eulerian
+        loop's running product, on the grid of s and m."""
+        return s._over_one_minus(*m.pair, m.triple, as_pair(order))
+
+    @staticmethod
+    def _operand(s):
+        """What a step must leave of its operand s as it was: its lattice
+        key, its precision and the contents of its numerator vectors."""
+        return s._key(), s.prec, list(s._re), None if s._im is None else list(s._im)
 
     def test_division(self):
         rnd = random.Random(71)
@@ -649,7 +653,9 @@ class TestOnePassFactors:
                 with pytest.raises(PoleAtOne):
                     self._over_one_minus(s, m, w)
                 continue
+            before = self._operand(s)
             got = self._over_one_minus(s, m, w)
+            assert self._operand(s) == before, (s, c, k, w)
             old = (s * unit_fraction_expand(c, k, w)).truncate(w)
             assert got == old and got.precision == old.precision, (s, c, k, w)
             _assert_ground_types(got)
@@ -680,7 +686,9 @@ class TestOnePassFactors:
         for _ in range(600):
             s = self._series(rnd)
             c, k = self._factor(rnd)
+            before = self._operand(s)
             got = s.times_one_minus(QMonomial(c, k))
+            assert self._operand(s) == before, (s, c, k)
             binomial = QSeries.constant(1 - c) if not k else QSeries({0: 1, k: -c})
             old = s * binomial
             assert got == old and got.precision == old.precision, (s, c, k)
