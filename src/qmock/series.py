@@ -346,10 +346,14 @@ class QSeries:
         if p is not None:
             n = min(n, _slots_below(p, L, lo, g))
         re, im = _spread(self, step // g, _slots(n))
-        a, b = _scale(re, im, cd, 0), _scale(re, im, -cr, -ci)
+        # cd*P - c*P shifted up s slots, a negative real c added as -c so that
+        # no unit c scales a copy of P; for s < 0, -c*P + cd*P shifted up -s
         if s < 0:
-            a, b, s = b, a, -s
-        return _make(L, lo, g, _shifted_sum(a[0], b[0], s, n), _shifted_sum(a[1], b[1], s, n),
+            a, b, op, s = _scale(re, im, -cr, -ci), _scale(re, im, cd, 0), add, -s
+        else:
+            op, m = (add, (-cr, 0)) if cr < 0 and not ci else (sub, (cr, ci))
+            a, b = _scale(re, im, cd, 0), _scale(re, im, *m)
+        return _make(L, lo, g, _shifted_sum(a[0], b[0], s, n, op), _shifted_sum(a[1], b[1], s, n, op),
                      self._den * cd, p)
 
     def _over_one_minus(self, k, L, c, order):
@@ -842,16 +846,16 @@ def _respace(x, count, w, R, wide, R_wide):
     return int.from_bytes(out, "little") - (R_wide << (8 * w - 1))
 
 
-def _shifted_sum(u, v, s, n):
-    """The first n slots of u plus v shifted up s slots; None for two
-    None."""
+def _shifted_sum(u, v, s, n, op):
+    """The first n slots of u op v shifted up s slots, for op add or sub;
+    None for two None."""
     if u is None and v is None:
         return None
     out = [] if u is None else u[:n]
     out += [0] * (n - len(out))
     if v is not None and s < n:
         v = v[:n - s]
-        out[s:s + len(v)] = map(add, out[s:s + len(v)], v)
+        out[s:s + len(v)] = map(op, out[s:s + len(v)], v)
     return out
 
 

@@ -9,10 +9,11 @@ multiplies in their factors 1 - c*q^k, one shifted add each on one running
 lattice; below an order, only the factors below the order raised by the
 negative exponents among them are taken.  j is computed from its bilateral
 sum (quadratic exponent growth gives O(sqrt(order)) terms), written term
-by term into one lattice vector; the interval of terms below the order is
-solved in closed form, so a sum too long to allocate fails before any term
-is formed.  Exponents, orders and coefficients are integer pairs and
-triples throughout (``qmock._rational``).
+by term into one lattice vector; its terms below the order, like those of
+each row of a Hecke-type sum, are one window solved in closed form
+(``theta_window``), so a sum too long to allocate fails before any term is
+formed.  Exponents, orders and coefficients are integer pairs and triples
+throughout (``qmock._rational``).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .series import (
     exponent_grid,
     triple_mul,
     triple_pow,
+    _first_slot,
     _make,
     _slots,
 )
@@ -35,6 +37,7 @@ __all__ = [
     "pochhammer_finite",
     "pochhammer_infinite",
     "jacobi_theta",
+    "theta_window",
     "J",
     "Jbar",
     "Jm",
@@ -113,12 +116,34 @@ def pochhammer_infinite(x, base, order):
     return _product(_factors(x, base, order), order)
 
 
+def theta_exponent(B, X, n):
+    """E(n) = B*binom(n, 2) + X*n: term n of j(x; b) lies at E(n)/L."""
+    return B * (n * (n - 1) // 2) + X * n
+
+
+def theta_window(B, X, top=None):
+    """For E = theta_exponent(B, X, .), B > 0: the vertex v = floor((B - 2X)/(2B)),
+    E being least at v or v + 1, and for an integer ``top`` the range of the
+    n with E(n) < top (else None).  With b = B - 2X, 2*E(n) = B*n^2 - b*n is at
+    most 2*top - 1 between the roots (b -+ sqrt(D))/(2B), D = b^2 + 4B(2*top - 1),
+    which for integers round as (b -+ isqrt(D))/(2B); for D < 0, nowhere."""
+    b = B - 2 * X
+    vertex = b // (2 * B)
+    if top is None:
+        return vertex, None
+    D = b * b + 4 * B * (2 * top - 1)
+    if D < 0:
+        return vertex, range(0)
+    root = isqrt(D)
+    return vertex, range(-((root - b) // (2 * B)), (b + root) // (2 * B) + 1)
+
+
 def theta_start(x, base):
     """The exponent where j(x; b) starts, as a pair; None when x is an
     integral power of b, where j(x; b) vanishes.
 
     Term n of the bilateral sum lies at E(n)/L (see ``jacobi_theta``), least
-    at n = floor(1/2 - X/B) or at the n after it.  When the two tie,
+    at the vertex n of ``theta_window`` or at the n after it.  When the two tie,
     X = -n*B, and their coefficients cancel only for x = b^-n."""
     base = as_base(base)
     if base.pair[0] <= 0:
@@ -126,8 +151,8 @@ def theta_start(x, base):
             f"theta sum needs a base with positive exponent, got {base}"
         )
     L, B, X = exponent_grid(base, x)
-    n = (B - 2 * X) // (2 * B)
-    e0, e1 = B * (n * (n - 1) // 2) + X * n, B * (n * (n + 1) // 2) + X * (n + 1)
+    n, _ = theta_window(B, X)
+    e0, e1 = theta_exponent(B, X, n), theta_exponent(B, X, n + 1)
     if e0 == e1:
         r, i, d = triple_mul(x.triple, triple_pow(base.triple, n))
         if r == d and not i:
@@ -152,35 +177,21 @@ def jacobi_theta(x, base, order):
             f"theta sum needs a base with positive exponent, got {base}"
         )
     L, B, X = exponent_grid(base, x)
-    # E(n) lies below the order when E(n) < top
-    top = -((-order[0] * L) // order[1])
-
-    def E(n):
-        return B * (n * (n - 1) // 2) + X * n
-
-    # E is least at floor(1/2 - X/B) or at the n after it
-    low = (B - 2 * X) // (2 * B)
-    low += E(low + 1) < E(low)
-    e_low = E(low)
-    if e_low >= top:
+    low, window = theta_window(B, X, _first_slot(order, L))
+    if not window:
         return QSeries.zero(order)
-    # the terms below the order are the n of [first, last], where 2*E(n) =
-    # B*n^2 - b*n <= 2*top - 1: between the roots (b -+ sqrt(D))/(2B), and
-    # for integers b and B, rounding them is rounding (b -+ isqrt(D))/(2B).
-    # So a sum too long to allocate fails before its terms are walked.
-    b = B - 2 * X
-    root = isqrt(b * b + 4 * B * (2 * top - 1))
-    first, last = -((root - b) // (2 * B)), (b + root) // (2 * B)
+    e_low = min(theta_exponent(B, X, low), theta_exponent(B, X, low + 1))
+    first, last = window[0], window[-1]
     h = gcd(B, X)
     Bh, Xh = B // h, X // h
     origin = e_low // h
-    size = _slots((max(E(first), E(last)) - e_low) // h + 1)
+    size = _slots((max(theta_exponent(B, X, first), theta_exponent(B, X, last)) - e_low) // h + 1)
     cx, cb = x.triple, base.triple
     if cx[1:] == cb[1:] == (0, 1) and abs(cx[0]) == abs(cb[0]) == 1:
         # term n is (-x)^n * b^binom(n, 2), a sign
         flip_n, flip_binom = int(cx[0] == 1), int(cb[0] == -1)
         re = [0] * size
-        for n in range(first, last + 1):
+        for n in window:
             binom = n * (n - 1) // 2
             i = Bh * binom + Xh * n - origin
             if ((flip_n & n) ^ (flip_binom & binom)) & 1:

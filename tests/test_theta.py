@@ -3,6 +3,7 @@
 import random
 import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -19,6 +20,7 @@ from qmock.theta import (
     pochhammer_finite,
     pochhammer_infinite,
     theta_start,
+    theta_window,
 )
 
 from oracles import (
@@ -248,6 +250,40 @@ class TestJacobiTheta:
         got = appell_m(qpow(Fraction(1, 3)), big, qpow(Fraction(1, 2)), 3)
         assert got == appell_m_pairwise(qpow(Fraction(1, 3)), big, qpow(Fraction(1, 2)), 3)
         assert f_abc(1, 1, 1, qpow(1), qpow(1), big, 3) == f_abc_via_quadrants(1, 1, 1, qpow(1), qpow(1), big, 3)
+
+
+class TestThetaWindow:
+    """theta_window against a scan of E(n) = B*binom(n, 2) + X*n < top over
+    integers that hold every such n: E(n) = B/2*(n - m)^2 + E(m) with
+    m = (B - 2X)/(2B), so these lie within sqrt(2*(top - E(m))/B) of m."""
+
+    def test_against_a_scan(self):
+        rnd = random.Random(3141)
+        seen = dict.fromkeys(["nonempty", "empty", "negative discriminant",
+                              "empty, discriminant >= 0", "top <= 0", "|X| >> B"], 0)
+        for _ in range(3000):
+            B = rnd.randint(1, 40)
+            X = rnd.choice([-1, 1]) * rnd.choice([rnd.randint(0, 60), rnd.randint(10 ** 5, 10 ** 7)])
+
+            def E(n):
+                return B * Fraction(n) * (n - 1) / 2 + X * n
+
+            m = Fraction(B - 2 * X, 2 * B)
+            top = int(E(m)) + rnd.choice([rnd.randint(-30, 60), rnd.randint(0, 5000), rnd.randint(0, 2)])
+            vertex, window = theta_window(B, X, top)
+            w = isqrt(max(0, int(2 * (top - E(m)) / B) + 1)) + 1
+            scan = range(int(m) - w - 1, int(m) + w + 2)
+            assert list(window) == [n for n in scan if E(n) < top], (B, X, top)
+            assert theta_window(B, X) == (vertex, None)
+            assert E(vertex) < E(vertex - 1) and E(vertex + 1) < E(vertex + 2), (B, X)
+            assert min(E(vertex), E(vertex + 1)) == min(E(n) for n in range(vertex - 3, vertex + 5))
+            seen["nonempty" if window else "empty"] += 1
+            negative = (B - 2 * X) ** 2 + 4 * B * (2 * top - 1) < 0
+            seen["negative discriminant"] += negative
+            seen["empty, discriminant >= 0"] += not window and not negative
+            seen["top <= 0"] += top <= 0
+            seen["|X| >> B"] += abs(X) > 1000 * B
+        assert min(seen.values()) >= 100, seen
 
 
 class TestThetaValuation:
