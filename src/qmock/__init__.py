@@ -27,6 +27,7 @@ from .series import (
     InsufficientPrecision,
     LatticeTooLarge,
     PowerTooLarge,
+    QuotientTooLarge,
 )
 from .theta import (
     J,

@@ -5,21 +5,23 @@ The level-one Appell-Lerch sum
 
     m(x, b, z) = 1/j(z;b) * sum_r (-1)^r b^binom(r,2) z^r / (1 - b^(r-1) x z)
 
-is evaluated by expanding each denominator geometrically and bounding the
-bilateral r-range exactly: the summand's least possible exponent grows
-quadratically in |r|, including the most-negative contribution of the
-expanded denominator, so the truncation is provably conservative.  The
-exponents are integers on one grid, and every summand's geometric run is
-written into one lattice.  The division by j(z; b) is not made here: the
-DSL plan expands a call of m into its bilateral sum over j(z; b), so that
-the m's of one sum that share a theta, and the theta quotients beside
-them, are divided by it once (``dsl._Plan``).  The universal mock theta
-function g is summed by the Eulerian loop of the catalog series,
-``series.eulerian_terms``, on the integer grid of x and b.  For x = ±q^a
-and b's coefficient ±1 every coefficient is a unit, and the loop divides
-by each Pochhammer factor with a few shift-adds of one packed integer;
-otherwise with one pass over the lattice of the running product, a
-series, that gives the next one.
+is evaluated by expanding each denominator geometrically.  On the grid of
+the exponents B, X, Z of b, x and z, summand r starts at
+E(r) = B*binom(r, 2) + Z*r while its ratio exponent K = B*(r - 1) + X + Z
+is not negative, for r >= r0 = 1 - floor((X + Z)/B), and at
+E(r) - K = E(r - 1) - X below r0: the summands that start below an order
+are two theta windows of E cut at r0, the sum starts at E at its vertex
+clamped to either side of r0, and the terms at the ends and the vertex of
+each window bound the lattice of their geometric runs.  The division by
+j(z; b) is not made here: the DSL plan expands a call of m into its
+bilateral sum over j(z; b), so that the m's of one sum that share a theta,
+and the theta quotients beside them, are divided by it once
+(``dsl._Plan``).  The universal mock theta function g is summed by the
+Eulerian loop of the catalog series, ``series.eulerian_terms``, on the
+integer grid of x and b.  For x = ±q^a and b's coefficient ±1 every
+coefficient is a unit, and the loop divides by each Pochhammer factor with
+a few shift-adds of one packed integer; otherwise with one pass over the
+lattice of the running product, a series, that gives the next one.
 
 The block sums ``g_abc`` ... ``msplit_rhs`` are templates in ``qmock.blocks``,
 evaluated here by ``dsl.evaluate`` like any DSL expression.
@@ -30,20 +32,10 @@ from __future__ import annotations
 from ._rational import Q0, as_pair, qadd, qdiv, qmax, qpair, qrat, rat
 from .blocks import BLOCKS
 from .nodes import Call
-from .series import (
-    DegenerateX,
-    DegenerateZ,
-    InsufficientPrecision,
-    PoleAtOne,
-    eulerian_terms,
-    exponent_grid,
-    geometric_runs,
-    span_slots,
-    sum_lattices,
-    triple_mul,
-    triple_pow,
-)
-from .theta import as_base
+from .series import (DegenerateX, DegenerateZ, InsufficientPrecision, PoleAtOne, _first_slot,
+                     eulerian_terms, exponent_grid, geometric_runs, span_slots, sum_lattices,
+                     triple_mul, triple_pow)
+from .theta import as_base, theta_exponent, theta_window, window_ends
 # Unused here, but perfbench/tracer.py's check_bindings probes this name in
 # this module to confirm its wrappers reach every binding.
 from .theta import jacobi_theta  # noqa: F401
@@ -111,32 +103,27 @@ def appell_m(x, base, z, order):
     return evaluate(Call("m", (x, base, z)), qrat(as_pair(order)))
 
 
-def _summand_exps(B, X, Z, r):
-    """(E, K): summand r of the bilateral sum is c*q^(E/L) / (1 - c'*q^(K/L))."""
-    return B * (r * (r - 1) // 2) + Z * r, B * (r - 1) + X + Z
-
-
-def _least_exp(B, X, Z, r):
-    """L times the least exponent of summand r once its denominator is
-    expanded."""
-    e, k = _summand_exps(B, X, Z, r)
-    return e - k if k < 0 else e
-
-
-def _vertex_limits(B, Z):
-    """(lo, hi): the least exponent of summand r increases as r goes up
-    from hi or down from lo, where 2*B*lo = -B - 2*Z and 2*B*hi = 5*B - 2*Z;
-    returned as 2*B*lo and 2*B*hi."""
-    return -B - 2 * Z, 5 * B - 2 * Z
+def _summands(B, X, Z, top=None):
+    """(r0, v, upper, lower): r0 and the vertex v of E of the module
+    docstring, and for an integer ``top`` the windows of the r >= r0 and
+    of the r < r0 whose summands start below it, else None."""
+    r0 = 1 - (X + Z) // B
+    v, upper = theta_window(B, Z, top)
+    if top is None:
+        return r0, v, None, None
+    lower = theta_window(B, Z, top + X)[1]
+    return (r0, v, range(max(upper.start, r0), upper.stop),
+            range(lower.start + 1, min(lower.stop + 1, r0)))
 
 
 def bilateral_start(x, base, z):
     """A v, a pair, such that the bilateral sum of m(x, b, z) starts at q^v
-    or later: the least exponent of its summands."""
+    or later: E at its vertex clamped to r >= r0, or E(r - 1) - X at it
+    clamped to r < r0, whichever is less."""
     L, B, X, Z = exponent_grid(as_base(base), x, z)
-    lo, hi = _vertex_limits(B, Z)
-    r_range = range(lo // (2 * B), -(-hi // (2 * B)) + 1)
-    return qpair(min(_least_exp(B, X, Z, r) for r in r_range), L)
+    r0, v, _, _ = _summands(B, X, Z)
+    starts = [theta_exponent(B, Z, max(n, r0)) for n in (v, v + 1)]
+    return qpair(min(starts + [theta_exponent(B, Z, min(n, r0 - 2)) - X for n in (v, v + 1)]), L)
 
 
 def _bilateral_sum(x, base, z, work):
@@ -144,38 +131,28 @@ def _bilateral_sum(x, base, z, work):
 
     Summand r is a geometric run: c*c'^j at the exponents E + j*K for
     K > 0, -c*c'^(-j-1) at E - (j+1)*K for K < 0 (the expansion inside the
-    unit disk), one term c/(1 - c') for K = 0.  All runs of the summands
-    that reach below ``work`` go into one lattice."""
+    unit disk), one term c/(1 - c') for K = 0.  The runs of the summands
+    that start below ``work``, the r of the two windows of ``_summands``,
+    go into one lattice."""
     work = as_pair(work)
     L, B, X, Z = exponent_grid(base, x, z)
-    top, wd = work[0] * L, work[1]
-    cb, cx, cz = base.triple, x.triple, z.triple
-    cxz = triple_mul(cx, cz)
-    lo, hi = _vertex_limits(B, Z)
-    # the lattice holds the first two terms of the summands at the vertex,
-    # so a sum that they alone make too long fails before it is walked
-    near = []
-    for r in range(lo // (2 * B), -(-hi // (2 * B)) + 1):
-        first, k = _least_exp(B, X, Z, r), _summand_exps(B, X, Z, r)[1]
-        near += [t for t in (first, first + abs(k)) if t * wd < top]
-    span_slots(near)
-    runs = []
-    for r, direction, limit in ((0, 1, hi), (-1, -1, -lo)):
-        while True:
-            below = _least_exp(B, X, Z, r) * wd < top
-            if not below and 2 * B * r * direction > limit:
-                break
-            if below:
-                runs.append(_summand_run(B, X, Z, r, cb, cz, cxz))
-            r += direction
-    return geometric_runs(L, runs, work)
+    top = _first_slot(work, L)
+    _, v, upper, lower = _summands(B, X, Z, top)
+    # the lattice holds the first two terms of the summands at the ends and
+    # the vertex of each window: a sum they make too long fails at once
+    ends = window_ends(v, upper) + window_ends(v + 1, lower)
+    ks = [B * (r - 1) + X + Z for r in ends]
+    starts = [theta_exponent(B, Z, r) - min(k, 0) for r, k in zip(ends, ks)]
+    span_slots([t for e, k in zip(starts, ks) for t in (e, e + abs(k)) if t < top])
+    cb, cz, cxz = base.triple, z.triple, triple_mul(x.triple, z.triple)
+    return geometric_runs(L, [_summand_run(B, X, Z, r, cb, cz, cxz) for r in (*lower, *upper)], work)
 
 
 def _summand_run(B, X, Z, r, cb, cz, cxz):
     """Summand r of the bilateral sum as a run (x, s, lead, ratio) of
     ``geometric_runs``."""
-    e, k = _summand_exps(B, X, Z, r)
     binom = r * (r - 1) // 2
+    e, k = B * binom + Z * r, B * (r - 1) + X + Z
     lr, li, ld = triple_mul(triple_pow(cb, binom), triple_pow(cz, r))
     lead = (-lr, -li, ld) if r & 1 else (lr, li, ld)
     ratio = triple_mul(triple_pow(cb, r - 1), cxz)

@@ -109,8 +109,9 @@ class EvaluationError(QSeriesError):
 
 
 # What evaluating an expression raises on bad input; RecursionError for
-# expressions too deep to walk.
-EVALUATION_ERRORS = (QSeriesError, ValueError, ZeroDivisionError, OverflowError, RecursionError)
+# expressions too deep to walk, MemoryError for series too big to hold.
+EVALUATION_ERRORS = (QSeriesError, ValueError, ZeroDivisionError, OverflowError, RecursionError,
+                     MemoryError)
 
 
 class CorpusSyntaxError(QSeriesError):

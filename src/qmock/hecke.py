@@ -8,7 +8,9 @@ first at the flipped arguments, shifted and scaled.  Row r of the first is
 (-x)^r b^(a*binom(r,2)) times the partial theta sum of y*b^(b*r) over b^c,
 whose terms below the order are one window of s >= 0 (``theta_window``).
 Past the vertex of column 0 the exponent grows with r in every column, so
-the rows stop at the first empty one there and no term is dropped.
+the rows stop at the first empty one there and no term is dropped.  The
+terms at the ends and the vertex of column 0 and of row 0, and the corner
+r + s <= 2, bound the lattice before the rows are walked.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from itertools import count
 
 from ._rational import as_pair
 from .series import _first_slot, exponent_grid, lattice_series, span_slots, triple_mul, triple_pow
-from .theta import as_base, theta_exponent, theta_window
+from .theta import as_base, theta_exponent, theta_window, window_ends
 
 __all__ = ["f_abc"]
 
@@ -65,14 +67,14 @@ def _quadrant(a, b, c, grid, coeffs, top):
         return e, X, range(max(window.start, 0), window.stop)
 
     row_limit, column = theta_window(A, ex, top)
-    # the lattice holds the terms of the first three rows and columns, and
-    # the last ones of row 0 and of column 0, that lie below the order, so
-    # a quadrant that they alone make too long fails before it is walked
-    rows = [row(r) for r in range(3)]
-    span_slots([e + theta_exponent(C, X, s)
-                for e, X, ss in rows for s in range(ss.start, min(ss.stop, 3))]
-               + [e + theta_exponent(C, X, ss[-1]) for e, X, ss in rows[:1] if ss]
-               + [theta_exponent(A, ex, r) for r in column[-1:] if r >= 0])
+    vertex, row0 = theta_window(C, ey, top)
+    # the lattice holds the terms below the order at the ends and the vertex
+    # of column 0 and of row 0, and in the corner r + s <= 2, whose
+    # differences fix the step
+    near = [theta_exponent(B, X, n)
+            for B, X, v, ns in ((A, ex, row_limit, column), (C, ey, vertex, row0))
+            for n in window_ends(v, range(max(ns.start, 0), ns.stop))]
+    span_slots([t for t in near + [0, ex, ey, A + 2 * ex, ex + ey + b * eb, C + 2 * ey] if t < top])
     cbc = triple_pow(cb, c)
     points = []
     for r in count():

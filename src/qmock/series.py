@@ -79,6 +79,7 @@ __all__ = [
     "InsufficientPrecision",
     "LatticeTooLarge",
     "PowerTooLarge",
+    "QuotientTooLarge",
 ]
 
 
@@ -138,6 +139,10 @@ class LatticeTooLarge(QSeriesError):
 class PowerTooLarge(QSeriesError):
     """A power's terms could need more coefficient bits than are formed at
     once."""
+
+
+class QuotientTooLarge(QSeriesError):
+    """A quotient's recurrence would take more steps than are run at once."""
 
 
 def product_precision(pa, la, pb, lb):
@@ -501,6 +506,10 @@ class QSeries:
             div = g.__rfloordiv__
             br, bi = list(map(div, br)), None if bi is None else list(map(div, bi))
         a = _spread(self, step_a // step, _slots(n))
+        taps = _nonzero((br, bi)) - 1
+        if n * taps > _MAX_RECURRENCE_STEPS:
+            raise QuotientTooLarge(f"the quotient needs {n} slots by {taps} divisor taps, "
+                                   f"more than {_MAX_RECURRENCE_STEPS} recurrence steps")
         re, im, den = _recurrence(_scale(*a, ur, -ui) if ui else a, (br, bi), n)
         re, im = _scale(re, im, other._den if g > 0 else -other._den, 0)
         return _make(L, lo, step, re, im, self._den * abs(g) * den, p)
@@ -651,11 +660,9 @@ def lattice_series(L, points, precision):
         points = [pt for pt in points if pt[0] * pd < top]
     if not points:
         return QSeries.zero(precision)
-    xs = [x for x, _ in points]
-    lo = min(xs)
-    step = gcd(*[x - lo for x in xs]) or 1
+    lo, step, n = span_slots([x for x, _ in points])
     den = lcm(*[c[2] for _, c in points])
-    re = [0] * _slots((max(xs) - lo) // step + 1)
+    re = [0] * n
     im = [0] * len(re) if any(c[1] for _, c in points) else None
     for x, (r, i, d) in points:
         k = (x - lo) // step
@@ -965,18 +972,21 @@ def _slots(n):
 
 
 def span_slots(xs):
-    """Refuse, before they are walked, the terms of a lattice that holds the
-    integer exponents xs when these alone need more slots than it may
-    have: its step divides their differences."""
-    if xs:
-        lo = min(xs)
-        _slots((max(xs) - lo) // (gcd(*[x - lo for x in xs]) or 1) + 1)
+    """(lo, step, n): the least of the integer exponents xs, and the step and
+    the slots of the least lattice that holds them, refused when too many:
+    no lattice that holds them and more is shorter, so a few terms refuse it."""
+    lo = min(xs, default=0)
+    step = gcd(*[x - lo for x in xs]) or 1
+    return lo, step, _slots((max(xs, default=lo) - lo) // step + 1)
 
 
 # A power whose numerators could hold more bits than this in all is
 # refused before it is formed: (q^(-1) + 1)^100000 below q^3 has about
 # 10^5 terms of up to 10^5 bits each.
 _MAX_POWER_BITS = 1 << 28
+# Or a quotient whose recurrence takes more steps, slots times divisor taps:
+# the corpus at order 800 takes at most 7200 x 532.
+_MAX_RECURRENCE_STEPS = 1 << 28
 
 
 def _check_power(s, n):

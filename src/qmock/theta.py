@@ -138,6 +138,12 @@ def theta_window(B, X, top=None):
     return vertex, range(-((root - b) // (2 * B)), (b + root) // (2 * B) + 1)
 
 
+def window_ends(vertex, ns):
+    """The n of the range ns at its ends and at the vertex v or v + 1 of
+    ``theta_window``: E on ns is least at one of them and greatest at an end."""
+    return [n for n in (ns[0], vertex, vertex + 1, ns[-1]) if n in ns] if ns else []
+
+
 def theta_start(x, base):
     """The exponent where j(x; b) starts, as a pair; None when x is an
     integral power of b, where j(x; b) vanishes.

@@ -29,6 +29,7 @@ from qmock.series import (
     DivisibilityViolation,
     FractionalExponent,
     GaussianRational,
+    LatticeTooLarge,
     QSeries,
     QSeriesError,
     mono,
@@ -79,6 +80,18 @@ class TestAppellM:
             seen.clear()
             appell_m(x, base, z, 3)
             assert seen == [z * base ** k]  # its exponent in [0, e_b)
+
+    @pytest.mark.parametrize("sum_of, x, base, z, order", [
+        # far grids: the lattices of the sums below the order
+        (appell_m, qpow(R(1, 3)), qpow(R(1, 1000000)), qpow(R(1, 7)), 5),
+        (appell_m, qpow(R(-1, 999)), qpow(R(1, 10007)), qpow(R(-3, 50000)), 3),
+        # the summands near the vertex, r about -12866, start near q^(-8271)
+        # on a grid of step 1/70049: about 5.8*10^8 slots
+        (appell._bilateral_sum, qpow(R(-1, 7)), qpow(R(1, 10007)), qpow(R(9, 7)), 6),
+    ])
+    def test_oversized_sum_is_refused_before_it_is_summed(self, sum_of, x, base, z, order):
+        with pytest.raises(LatticeTooLarge):
+            sum_of(x, base, z, order)
 
     def test_psi_combination(self):
         # -q^(-1) m(q, q^12, q^2) - m(q^5, q^12, q^2) = psi(q)
@@ -334,6 +347,19 @@ class TestValuationBounds:
     def test_m_starts_at_or_past_its_bound(self, x, base, z):
         v = qrat(appell_m_start(x, base, z))
         assert appell_m(x, base, z, v + 4).low_degree() >= v
+
+    def test_bilateral_start_is_the_least_summand_start(self):
+        # the closed form against the least start of the summands of a wide
+        # r range: |r0|, |v| <= 101 here, and the starts fall towards them
+        # from either end; z unreduced
+        rnd = random.Random(2201)
+        for _ in range(400):
+            base = rnd.choice([qpow(R(1, 2)), qpow(R(4, 3)), mono(-1, 1)])
+            x = mono(rnd.choice([1, -1, 2]), R(rnd.randint(-30, 30), rnd.choice([1, 2, 3, 5, 7])))
+            z = mono(rnd.choice([1, -1]), R(rnd.randint(-20, 20), rnd.choice([1, 2, 3, 7, 9])))
+            starts = [oracles._least_exp(x, base, z, r) for r in range(-110, 111)]
+            assert min(starts) < min(starts[0], starts[-1])
+            assert qrat(appell.bilateral_start(x, base, z)) == min(starts), (x, base, z)
 
     @pytest.mark.parametrize("x, base", [
         (mono(-1, R(2, 5)), qpow(1)), (qpow(R(-3, 2)), qpow(1)), (mono(2, 3), qpow(2)),

@@ -7,7 +7,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from qmock import cli
+from qmock import cli, hecke
 from qmock.cli import main
 from qmock.dsl import parse_corpus
 
@@ -222,6 +222,26 @@ class TestCorpus:
                 "pass-1": "PASS", "pass-2": "PASS", "planted": "FAIL", "bad-block": "ERROR",
             }
             assert reports["bad-block"]["detail"] == "ValueError: need n > 0 and p > 0, got (1, 0)"
+
+    def test_out_of_memory_stanza_errors_alone(self, capsys, tmp_path, monkeypatch):
+        # an engine that runs out of memory fails its own stanza and the run
+        # goes on; at --jobs 1 only, where the patched engine runs
+        def exhausted(*args):
+            raise MemoryError("no room for the lattice")
+
+        monkeypatch.setattr(hecke, "f_abc", exhausted)
+        path = tmp_path / "oom.qid"
+        path.write_text(FAILING_CORPUS + '\n[identity big-f]\nanchor = "x"\norder = 5\n'
+                        'lhs = f(2,1,3,q,q,q)\nrhs = 1\n')
+        code, out, _ = run(capsys, "corpus", str(path), "--json", "--stable", "--jobs", "1")
+        assert code == 1
+        reports = {r["id"]: r for r in json.loads(out)}
+        assert {i: r["status"] for i, r in reports.items()} == {
+            "pass-1": "PASS", "pass-2": "PASS", "planted": "FAIL", "big-f": "ERROR",
+        }
+        assert reports["big-f"]["detail"] == "MemoryError: no room for the lattice"
+        code, _, err = run(capsys, "expand", "f(2,1,3,q,q,q)", "--order", "5")
+        assert code == 3 and "MemoryError: no room for the lattice" in err
 
     def test_records_without_text_reach_workers(self):
         # a record built from its ASTs alone goes to a worker as their

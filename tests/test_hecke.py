@@ -2,12 +2,13 @@
 shift/flip/base-change recurrences."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from qmock.hecke import f_abc
-from qmock.series import GaussianRational, QSeries, mono, qpow
+from qmock.series import GaussianRational, LatticeTooLarge, QSeries, mono, qpow
 from qmock.theta import Jm, jacobi_theta
 from qmock.catalog import psi3
 
@@ -140,6 +141,24 @@ class TestRecurrences:
             rhs = t1 - t2.mul_monomial(x) - t3.mul_monomial(y) \
                 + t4.mul_monomial((x * y) * (base ** b))
             assert lhs.agrees_with(rhs.truncate(22)), (a, b, c, x, y, base)
+
+
+class TestLatticePrecheck:
+    @pytest.mark.parametrize("a, b, c, x, y, base, order", [
+        # column 0 or row 0 falls far below the corner and the windows' ends
+        # at its vertex: to about -2.5*10^11 and -1.7*10^11 in the first two
+        (2, 1, 3, qpow(-1000000), qpow(1), qpow(1), 5),
+        (2, 1, 3, qpow(1), qpow(-1000000), qpow(1), 5),
+        (1, 1, 3, qpow(R(-4519199, 125)), qpow(R(18548149, 200)), qpow(2), 10),
+        # fine grids
+        (1, 3, 2, qpow(R(-3, 1000000)), qpow(R(2, 7)), qpow(3), 3),
+        (3, 2, 2, qpow(R(-7471, 2500)), qpow(R(86617, 1000000)), qpow(R(1, 1000)), 3),
+    ])
+    def test_oversized_quadrant_is_refused_before_it_is_walked(self, a, b, c, x, y, base, order):
+        start = time.perf_counter()
+        with pytest.raises(LatticeTooLarge):
+            f_abc(a, b, c, x, y, base, order)
+        assert time.perf_counter() - start < 2
 
 
 class TestParameterValidation:

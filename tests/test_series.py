@@ -19,6 +19,7 @@ from qmock.series import (
     PoleAtOne,
     PowerTooLarge,
     QMonomial,
+    QuotientTooLarge,
     QSeries,
     ZeroSeries,
     mono,
@@ -720,6 +721,23 @@ class TestQuotient:
 
     LEADS = [GaussianRational(1), GaussianRational(-1), GaussianRational(0, 1),
              GaussianRational(0, -1), GaussianRational(2), GaussianRational(Fraction(1, 2))]
+
+    def test_oversized_quotient_is_refused_before_it_runs(self, monkeypatch):
+        # below q^20000, 1/(1 + q + ... + q^20000) takes 20000 slots of up
+        # to 19999 divisor taps each, more than 2^28 recurrence steps
+        start = time.perf_counter()
+        with pytest.raises(QuotientTooLarge, match="20000 slots by 19999 divisor taps"):
+            S({0: 1}).divide(S({k: 1 for k in range(20001)}), 20000)
+        assert time.perf_counter() - start < 1
+        # below q^10, 1/(1 + q - 2q^3 + q^12) takes 10 slots of 2 taps: the
+        # bound counts slots times taps, not the divisor's own slots
+        divisor = S({0: 1, 1: 1, 3: -2, 12: 1})
+        want = S({0: 1}).divide(divisor, 10)
+        monkeypatch.setattr(series, "_MAX_RECURRENCE_STEPS", 20)
+        assert S({0: 1}).divide(divisor, 10) == want
+        monkeypatch.setattr(series, "_MAX_RECURRENCE_STEPS", 19)
+        with pytest.raises(QuotientTooLarge):
+            S({0: 1}).divide(divisor, 10)
 
     def _coefficient(self, rnd, gaussian, unit):
         """+-1 (and +-i, 1 + i for a Gaussian series) for a unit one, else a
