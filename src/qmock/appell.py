@@ -18,10 +18,11 @@ bilateral sum over j(z; b), so that the m's of one sum that share a theta,
 and the theta quotients beside them, are divided by it once
 (``dsl._Plan``).  The universal mock theta function g is summed by the
 Eulerian loop of the catalog series, ``series.eulerian_terms``, on the
-integer grid of x and b.  For x = ±q^a and b's coefficient ±1 every
-coefficient is a unit, and the loop divides by each Pochhammer factor with
-a few shift-adds of one packed integer; otherwise with one pass over the
-lattice of the running product, a series, that gives the next one.
+integer grid of x and b, its steps the paper's closed forms in n: step n
+divides by 1 - x*b^n and 1 - b^n/x.  For x = ±q^a and b's coefficient ±1
+every coefficient is a unit, and the loop divides by each Pochhammer factor
+with a few shift-adds of one packed integer; otherwise with one pass over
+the lattice of the running product, a series, that gives the next one.
 
 The block sums ``g_abc`` ... ``msplit_rhs`` are templates in ``qmock.blocks``,
 evaluated here by ``dsl.evaluate`` like any DSL expression.
@@ -185,7 +186,8 @@ def universal_g_eulerian(x, base, order):
     through ``series.eulerian_terms`` on the grid of x and b: step 0
     divides by 1 - x, and step n by 1 - x*b^n and 1 - b^n/x, on one packed
     integer when x's and b's coefficients are 1 or -1 and on the vectors
-    otherwise, and the sum less 1 is divided by x on its lattice.
+    otherwise, and the sum less 1 is divided by x on its lattice.  Each
+    step and weight is a function of n alone, by one power of b.
     """
     base = as_base(base)
     order = as_pair(order)
@@ -194,24 +196,15 @@ def universal_g_eulerian(x, base, order):
     L, B, X = exponent_grid(base, x)
     cb, cx = base.triple, x.triple
     cx_inv = triple_pow(cx, -1)
-    # eulerian_terms asks for n = 0, 1, 2, ... in turn, so each coefficient
-    # is the last one times one power of the base's: x*b^n, b^n/x, and
-    # b^(n^2) = b^((n-1)^2) * b^(2n-1)
-    up, down, square, odd = cx, cx_inv, (1, 0, 1), cb
-    cb2 = triple_mul(cb, cb)
 
     def factors(n):
-        nonlocal up, down
         if not n:
             return [(X, cx)]
-        up, down = triple_mul(up, cb), triple_mul(down, cb)
-        return [(X + n * B, up), (n * B - X, down)]
+        bn = triple_pow(cb, n)
+        return [(X + n * B, triple_mul(cx, bn)), (n * B - X, triple_mul(bn, cx_inv))]
 
     def weight(n):
-        nonlocal square, odd
-        if n:
-            square, odd = triple_mul(square, odd), triple_mul(odd, cb2)
-        return B * n * n, square
+        return B * n * n, triple_pow(cb, n * n)
 
     try:
         parts, p = eulerian_terms(L, weight, factors, qadd(order, qmax(x.pair, Q0)))

@@ -650,13 +650,12 @@ class _Plan:
     parent asks for."""
 
     def __init__(self):
-        # id(node) -> valuation, folded call arguments, a call's expansion,
-        # the node and its form, its grid; the AST outlives the plan, which
-        # keeps the nodes it makes.  (engine, folded arguments) -> a theta
-        # or a bilateral sum at the highest order asked.
+        # id(node) -> valuation, folded call arguments, the node and its
+        # form, its grid; the AST outlives the plan, which keeps the nodes
+        # it makes.  (engine, folded arguments) -> a theta or a bilateral
+        # sum at the highest order asked.
         self._vals = {}
         self._args = {}
-        self._expansions = {}
         self._forms = {}
         self._grids = {}
         self._memo = {}
@@ -994,10 +993,7 @@ class _Plan:
 
     def _expand(self, node):
         """The AST that a call of m or of a block sum expands to."""
-        key = id(node)
-        if key not in self._expansions:
-            self._expansions[key] = _EXPANSIONS[node.name](*self._fold_args(node))
-        return self._expansions[key]
+        return _EXPANSIONS[node.name](*self._fold_args(node))
 
     def _call(self, node, w):
         name, args = node.name, node.args

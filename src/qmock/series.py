@@ -694,15 +694,17 @@ def eulerian_terms(L, weight, factors, order, divide=True):
     ``divide`` multiplied by, 1 - c*q^(k/L) for each pair (k, c) of
     factors(n), and kept below the order; weight(n) is a pair (e, c) for
     c*q^(e/L).  Each c is an (re, im, den) triple and each exponent an
-    integer.  Each of factors(n) and weight(n) is called once, n = 0, 1,
-    2, ... in turn.  The sum stops at the first term that starts at or past
-    the order while every later factor has a positive exponent, which
-    requires the exponents of the weights and of the factors not to fall
-    as n grows.  For a positive order and positive factors of step n, P_n
-    starts where P_(n-1) does, which lies below the order (or P_n is zero
-    to the same precision), so a term that stops the sum is then found
-    without forming its P_n; for an order <= 0, P_n can be zero to a lower
-    precision, which the sum's precision follows.
+    integer.  Both must be functions of n alone: the sum may call them
+    more than once for one n, as a sum that leaves the packed path below
+    starts again from n = 0 on the vector path.  The sum stops at the
+    first term that starts at or past the order while every later factor
+    has a positive exponent, which requires the exponents of the weights
+    and of the factors not to fall as n grows.  For a positive order and
+    positive factors of step n, P_n starts where P_(n-1) does, which lies
+    below the order (or P_n is zero to the same precision), so a term that
+    stops the sum is then found without forming its P_n; for an order
+    <= 0, P_n can be zero to a lower precision, which the sum's precision
+    follows.
 
     A sum whose steps are all unit steps (``_unit_steps``) runs on packed
     integers (``_packed_terms``) into one part.  Any other holds P_n as a
@@ -712,12 +714,11 @@ def eulerian_terms(L, weight, factors, order, divide=True):
     order = as_pair(order)
     top = _first_slot(order, L)
     parts, precision = [], order
-    weights, steps = [], [factors(0)]
-    if order[0] > 0 and top <= _MAX_SLOTS and _unit_steps(weights, steps, weight, factors, top):
-        if len(weights) > 1:
-            parts.append(_packed_terms(weights, steps, L, top, divide))
+    unit = order[0] > 0 and top <= _MAX_SLOTS and _unit_steps(weight, factors, top)
+    if unit:
+        if len(unit[0]) > 1:
+            parts.append(_packed_terms(*unit, L, top, divide))
         return parts, precision
-    weight, factors = _replay(weights, weight), _replay(steps, factors)
 
     def reaches(P, e):
         """True when q^(e/L) * P starts at or past the order (an exact zero
@@ -749,32 +750,27 @@ def eulerian_terms(L, weight, factors, order, divide=True):
     return parts, precision
 
 
-def _replay(done, f):
-    """f, whose values at 0, 1, ..., len(done) - 1 were fetched into
-    ``done``."""
-    return lambda n: done[n] if n < len(done) else f(n)
-
-
 _UNITS = ((1, 0, 1), (-1, 0, 1))
 
 
-def _unit_steps(weights, steps, weight, factors, top):
-    """Fetch weight(n) and factors(n + 1) for n = 0, 1, ... into the lists,
-    steps holding factors(0), while the sum is a unit sum: every weight
-    c*q^e and every factor 1 - c*q^k of the steps so far has c = 1 or -1,
-    k > 0 and e >= 0 not falling as n grows.  True when the sum stops at
-    the last weight: e reaches the slot ``top`` while the factors after it
-    have positive exponents."""
-    last = 0
+def _unit_steps(weight, factors, top):
+    """(weights, steps): weight(n) and factors(n) for n = 0, 1, ..., the
+    steps one further, fetched in turn while the sum is a unit sum: every
+    weight c*q^e and every factor 1 - c*q^k of the steps so far has c = 1
+    or -1, k > 0 and e >= 0 not falling as n grows.  The lists end where
+    the sum stops at the last weight: e reaches the slot ``top`` while the
+    factors after it have positive exponents; None when the sum is no unit
+    sum."""
+    weights, steps, last = [], [factors(0)], 0
     while True:
         n = len(weights)
         weights.append(weight(n))
         steps.append(factors(n + 1))
         e, c = weights[n]
         if not (last <= e and c in _UNITS and all([k > 0 and c in _UNITS for k, c in steps[n]])):
-            return False
+            return None
         if e >= top and all([k > 0 for k, _ in steps[n + 1]]):
-            return True
+            return weights, steps
         last = e
 
 

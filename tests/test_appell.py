@@ -257,6 +257,15 @@ class TestAgainstPairwiseLoops:
                     (x, base, order)
 
 
+class TestAgainstPairwiseLoopsAtScaledBases(TestAgainstPairwiseLoops):
+    """The same checks at bases whose coefficient is not 1 or -1, where
+    b^k and b^(-k) differ: a power of the base's coefficient taken with the
+    wrong sign, in a Pochhammer factor or weight of g or in a summand of
+    m, changes the series here and nowhere above."""
+
+    BASES = [mono(2, 1), mono(R(1, 2), 1), mono(-2, R(3, 2)), mono(GaussianRational(1, 1), 1)]
+
+
 class TestBlocksAgainstHandCoded:
     """The block sums, DSL templates planned in one pass, against the
     hand-coded sums of tests/oracles.py, which run through the retry loop:

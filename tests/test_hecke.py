@@ -61,6 +61,22 @@ class TestAgainstQuadrantOracle:
                 for r in range(-8, 0) for s in range(-8, 0))
         assert reaching >= 50
 
+    @pytest.mark.parametrize("base", [mono(2, 1), mono(R(1, 2), 1), mono(-2, R(3, 2)),
+                                      mono(GaussianRational(1, 1), 1)])
+    def test_fuzz_at_bases_whose_coefficient_is_not_a_sign(self, base):
+        # b^k and b^(-k) differ here, so a row's ratio or lead with a power
+        # of the base taken with the wrong sign changes the series
+        rnd = random.Random(9192)
+        coeffs = [1, -1, 2, R(-3, 2), GaussianRational(0, 1), GaussianRational(1, 1)]
+        for _ in range(50):
+            a, c, b = rnd.randint(1, 3), rnd.randint(1, 3), rnd.randint(0, 5)
+            x = mono(rnd.choice(coeffs), R(rnd.randint(-4, 5), rnd.choice([1, 2, 3])))
+            y = mono(rnd.choice(coeffs), R(rnd.randint(-4, 5), rnd.choice([1, 2, 3])))
+            order = R(rnd.randint(-3, 12), rnd.choice([1, 1, 2]))
+            got = f_abc(a, b, c, x, y, base, order)
+            want = f_abc_via_quadrants(a, b, c, x, y, base, order)
+            assert (got.terms, got.precision) == (want.terms, want.precision), (a, b, c, x, y, base, order)
+
     def test_fractional_negated_base_point(self):
         args = (3, 5, 3, qpow(R(5, 4)), mono(-1, R(5, 4)), mono(-1, R(1, 2)))
         lhs = f_abc(*args, 40)
