@@ -38,12 +38,6 @@ def is_integer(value):
     return value.denominator == 1
 
 
-def as_int(value):
-    if value.denominator != 1:
-        raise ValueError(f"expected an integer, got {decimal_text(value)}")
-    return int(value.numerator)
-
-
 # -- integers of any length as decimal text ------------------------------------
 #
 # CPython (3.11 on, and 3.10.7 on) refuses int(text) and str(n) past a number

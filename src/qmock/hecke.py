@@ -5,12 +5,14 @@ term (-1)^(r+s) x^r y^s b^(a*binom(r,2) + b*r*s + c*binom(s,2)).  By the
 flip identity f(x, y) = -b^(a+b+c)/(xy) f(b^(2a+b)/x, b^(2c+b)/y)
 (Hickerson-Mortenson, Proc. LMS 109, 2014) the second quadrant is the
 first at the flipped arguments, shifted and scaled.  Row r of the first is
-(-x)^r b^(a*binom(r,2)) times the partial theta sum of y*b^(b*r) over b^c,
-whose terms below the order are one window of s >= 0 (``theta_window``).
-Past the vertex of column 0 the exponent grows with r in every column, so
-the rows stop at the first empty one there and no term is dropped.  The
-terms at the ends and the vertex of column 0 and of row 0, and the corner
-r + s <= 2, bound the lattice before the rows are walked.
+the lead (-x)^r b^(a*binom(r,2)) times the partial theta sum of y*b^(b*r)
+over b^c, whose terms below the order are one window of s >= 0
+(``theta_window``); term s is the lead times (-y)^s b^(b*r*s + c*binom(s,2)),
+its coefficient a function of (r, s) alone.  Past the vertex of column 0
+the exponent grows with r in every column, so the rows stop at the first
+empty one there and no term is dropped.  The terms at the ends and the
+vertex of column 0 and of row 0, and the corner r + s <= 2, bound the
+lattice before any row is formed.
 """
 
 from __future__ import annotations
@@ -75,7 +77,6 @@ def _quadrant(a, b, c, grid, coeffs, top):
             for B, X, v, ns in ((A, ex, row_limit, column), (C, ey, vertex, row0))
             for n in window_ends(v, range(max(ns.start, 0), ns.stop))]
     span_slots([t for t in near + [0, ex, ey, A + 2 * ex, ex + ey + b * eb, C + 2 * ey] if t < top])
-    cbc = triple_pow(cb, c)
     points = []
     for r in count():
         e, X, ss = row(r)
@@ -83,13 +84,7 @@ def _quadrant(a, b, c, grid, coeffs, top):
             if r > row_limit:
                 return points
             continue
-        s = ss.start
-        t = triple_mul(triple_mul(triple_pow(nx, r), triple_pow(ny, s)),
-                       triple_pow(cb, a * (r * (r - 1) // 2) + b * r * s + c * (s * (s - 1) // 2)))
-        ratio = triple_mul(ny, triple_pow(cb, b * r + c * s))
-        e += theta_exponent(C, X, s)
-        for s in ss:
-            points.append((e, t))
-            e += C * s + X
-            t = triple_mul(t, ratio)
-            ratio = triple_mul(ratio, cbc)
+        lead = triple_mul(triple_pow(nx, r), triple_pow(cb, a * (r * (r - 1) // 2)))
+        points += [(e + C * binom + X * s,
+                    triple_mul(lead, triple_mul(triple_pow(ny, s), triple_pow(cb, b * r * s + c * binom))))
+                   for s in ss for binom in (s * (s - 1) // 2,)]

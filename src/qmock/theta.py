@@ -171,11 +171,10 @@ def jacobi_theta(x, base, order):
 
     Term n sits at the exponent E(n)/L, E(n) = B*binom(n, 2) + X*n, and
     the terms below the order are the n of one interval around the vertex
-    of E.  Each coefficient is its neighbour's times -x*b^n going up, or
-    -b^(1-n)/x going down, walking away from the n of that interval
-    nearest 0, so every power of b's coefficient is a positive one; for x
-    and b's coefficients 1 or -1 each coefficient is a sign.  The terms are
-    written into one lattice vector of step gcd(B, X)."""
+    of E.  Each coefficient is its closed form (-x)^n * b^binom(n, 2) in
+    x's and b's coefficients, a function of n alone; for x and b's
+    coefficients 1 or -1 it is a sign.  The terms are written into one
+    lattice vector of step gcd(B, X)."""
     base = as_base(base)
     order = as_pair(order)
     if base.pair[0] <= 0:
@@ -205,20 +204,9 @@ def jacobi_theta(x, base, order):
             else:
                 re[i] += 1
         return _make(L, e_low, h, re, None, 1, order)
-    start = min(max(first, 0), last)
-    binom = start * (start - 1) // 2
-    t = triple_mul(triple_pow(cx, start), triple_pow(cb, binom))
-    t0 = (-t[0], -t[1], t[2]) if start & 1 else t
-    terms = [(Bh * binom + Xh * start - origin, t0)]
-    for ns, ratio in ((range(start + 1, last + 1), triple_mul(cx, triple_pow(cb, start))),
-                      (range(start - 1, first - 1, -1),
-                       triple_mul(triple_pow(cx, -1), triple_pow(cb, 1 - start)))):
-        t = t0
-        ratio = (-ratio[0], -ratio[1], ratio[2])
-        for n in ns:
-            t = triple_mul(t, ratio)
-            ratio = triple_mul(ratio, cb)
-            terms.append((Bh * (n * (n - 1) // 2) + Xh * n - origin, t))
+    nx = (-cx[0], -cx[1], cx[2])
+    terms = [(Bh * binom + Xh * n - origin, triple_mul(triple_pow(nx, n), triple_pow(cb, binom)))
+             for n in window for binom in (n * (n - 1) // 2,)]
     den = lcm(*[d for _, (_, _, d) in terms])
     re = [0] * size
     im = [0] * size if any([c[1] for _, c in terms]) else None

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from qmock import appell, catalog, dsl, hecke, theta
-from qmock._rational import as_int, qrat, qsub, rat
+from qmock._rational import decimal_text, qrat, qsub, rat
 from qmock.series import (
     DegenerateDenominator,
     DegenerateX,
@@ -27,6 +27,12 @@ from qmock.series import (
     qpow,
 )
 from qmock.theta import as_base, jacobi_theta, theta_start
+
+
+def as_int(value):
+    if value.denominator != 1:
+        raise ValueError(f"expected an integer, got {decimal_text(value)}")
+    return int(value.numerator)
 
 
 def decimal_digits(n):

@@ -671,6 +671,22 @@ class TestDivisionByFactors:
         monkeypatch.undo()
         assert got == retry_evaluate(parse(text), 10)
 
+    @pytest.mark.parametrize("text", [
+        "(1 + q^(1/1000)) * (j(q, q^3)/j(q^2, q^3))",
+        "(j(q, q^3)/j(q^2, q^3)) * (1 - q^(1/999))",
+    ])
+    def test_factor_off_the_grid_stays_outside(self, text, monkeypatch):
+        # a factor on a finer grid than the quotient's is not moved into its
+        # numerator, so the recurrence runs on the quotient's 30 slots, not
+        # on the factor's grid (about 30000)
+        inner = series._recurrence
+        slots = []
+        monkeypatch.setattr(series, "_recurrence", lambda a, b, n: slots.append(n) or inner(a, b, n))
+        got = evaluate(parse(text), 30)
+        assert slots == [30]
+        monkeypatch.undo()
+        assert got == retry_evaluate(parse(text), 30) and got.precision == 30
+
 
 class TestOrderAgreement:
     def test_random_asts_agree_across_orders(self):
