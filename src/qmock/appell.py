@@ -12,7 +12,11 @@ is not negative, for r >= r0 = 1 - floor((X + Z)/B), and at
 E(r) - K = E(r - 1) - X below r0: the summands that start below an order
 are two theta windows of E cut at r0, the sum starts at E at its vertex
 clamped to either side of r0, and the terms at the ends and the vertex of
-each window bound the lattice of their geometric runs.  The division by
+each window bound the lattice of their geometric runs.  For b's, z's and
+x*z's coefficients 1 or -1 each lead and ratio is a sign of the parities
+of r and binom(r, 2), and each run two strided slices of +-1 in one
+vector, unless a summand's one term c/(1 - c') at K = 0 keeps the sum on
+the general path.  The division by
 j(z; b) is not made here: the DSL plan expands a call of m into its
 bilateral sum over j(z; b), so that the m's of one sum that share a theta,
 and the theta quotients beside them, are divided by it once
@@ -30,12 +34,14 @@ evaluated here by ``dsl.evaluate`` like any DSL expression.
 
 from __future__ import annotations
 
+from math import gcd
+
 from ._rational import Q0, as_pair, qadd, qdiv, qmax, qpair, qrat, rat
 from .blocks import BLOCKS
 from .nodes import Call
 from .series import (DegenerateX, DegenerateZ, InsufficientPrecision, PoleAtOne, _first_slot,
-                     eulerian_terms, exponent_grid, geometric_runs, span_slots, sum_lattices,
-                     triple_mul, triple_pow)
+                     _make, _slots, eulerian_terms, exponent_grid, geometric_runs, span_slots,
+                     sum_lattices, triple_mul, triple_pow)
 from .theta import as_base, theta_exponent, theta_window, window_ends
 # Unused here, but perfbench/tracer.py's check_bindings probes this name in
 # this module to confirm its wrappers reach every binding.
@@ -134,11 +140,12 @@ def _bilateral_sum(x, base, z, work):
     K > 0, -c*c'^(-j-1) at E - (j+1)*K for K < 0 (the expansion inside the
     unit disk), one term c/(1 - c') for K = 0.  The runs of the summands
     that start below ``work``, the r of the two windows of ``_summands``,
-    go into one lattice."""
+    go into one lattice: as signs (``_sign_runs``) for b's, z's and x*z's
+    coefficients 1 or -1 and no K = 0, else by ``geometric_runs``."""
     work = as_pair(work)
     L, B, X, Z = exponent_grid(base, x, z)
     top = _first_slot(work, L)
-    _, v, upper, lower = _summands(B, X, Z, top)
+    r0, v, upper, lower = _summands(B, X, Z, top)
     # the lattice holds the first two terms of the summands at the ends and
     # the vertex of each window: a sum they make too long fails at once
     ends = window_ends(v, upper) + window_ends(v + 1, lower)
@@ -146,7 +153,42 @@ def _bilateral_sum(x, base, z, work):
     starts = [theta_exponent(B, Z, r) - min(k, 0) for r, k in zip(ends, ks)]
     span_slots([t for e, k in zip(starts, ks) for t in (e, e + abs(k)) if t < top])
     cb, cz, cxz = base.triple, z.triple, triple_mul(x.triple, z.triple)
+    # K = 0 only at r0, and there only when B divides X + Z
+    if ((X + Z) % B or r0 not in upper) and all([c[1:] == (0, 1) and c[0] in (1, -1) for c in (cb, cz, cxz)]):
+        return _sign_runs(L, B, X, Z, (*lower, *upper), top, min(starts, default=0),
+                          int(cb[0] < 0), int(cz[0] < 0), int(cxz[0] < 0), work)
     return geometric_runs(L, [_summand_run(B, X, Z, r, cb, cz, cxz) for r in (*lower, *upper)], work)
+
+
+def _sign_runs(L, B, X, Z, rs, top, lo, nb, nz, nxz, work):
+    """The runs of the summands ``rs`` below ``top``, from their least
+    start ``lo``, for b, z and x*z of sign (-1)^nb, (-1)^nz, (-1)^nxz and
+    no K = 0: summand r's lead is negative for r + nb*binom(r, 2) + nz*r
+    odd and its ratio for nb*(r - 1) + nxz odd, and for K < 0 the run
+    starts at E - K, step -K, its lead negated and times the ratio.  A
+    first pass finds the lattice of ``sum_lattices``, the second adds each
+    run as two slices of stride 2K, of the lead's sign and its next term's."""
+    hi, step = lo, 0
+    for r in rs:
+        e, k = B * (r * (r - 1) // 2) + Z * r, B * (r - 1) + X + Z
+        if k < 0:
+            e, k = e - k, -k
+        n = (top - 1 - e) // k
+        step = gcd(step, e - lo, k if n else 0)
+        hi = max(hi, e + n * k)
+    step = step or 1
+    re = [0] * _slots((hi - lo) // step + 1)
+    for r in rs:
+        binom = r * (r - 1) // 2
+        e, k = B * binom + Z * r, B * (r - 1) + X + Z
+        neg, flip = (r ^ (nb & binom) ^ (nz & r)) & 1, ((nb & (r - 1)) ^ nxz) & 1
+        if k < 0:
+            e, k, neg = e - k, -k, neg ^ 1 ^ flip
+        # for a run of one term the stride reaches past the end
+        i, s = (e - lo) // step, -(-k // step)
+        re[i::2 * s] = map((1 - 2 * neg).__add__, re[i::2 * s])
+        re[i + s::2 * s] = map((1 - 2 * (neg ^ flip)).__add__, re[i + s::2 * s])
+    return _make(L, lo, step, re, None, 1, work)
 
 
 def _summand_run(B, X, Z, r, cb, cz, cxz):

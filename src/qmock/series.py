@@ -282,11 +282,13 @@ class QSeries:
             return self.mul_monomial(other)
         if not isinstance(other, QSeries):
             other = QSeries.constant(other)
-        # an exact one-term factor shifts and scales the other's lattice
-        for a, t in ((self, other), (other, self)):
-            if t.prec is None and len(t._re) == 1:
-                return a._times_term(t._lo, t._L, t._re[0], 0 if t._im is None else t._im[0], t._den)
         p = product_precision(self.prec, self.low(), other.prec, other.low())
+        # a one-term factor shifts and scales the other's lattice, which an
+        # inexact one then cuts at the product's precision
+        for a, t in ((self, other), (other, self)):
+            if len(t._re) == 1:
+                out = a._times_term(t._lo, t._L, t._re[0], 0 if t._im is None else t._im[0], t._den)
+                return out if t.prec is None else out.truncate(p)
         if not self._re or not other._re:
             return QSeries.zero(p)
         L, (lo_a, step_a), (lo_b, step_b), step = _common_grid(self, other)
