@@ -295,18 +295,26 @@ def as_triple(c):
 
 
 def triple_pow(t, n):
-    """t^n for a nonzero triple t = (re, im, den) and any integer n."""
+    """t^n for a nonzero triple t = (re, im, den) and any integer n: a real
+    t takes (re^n, 0, den^n), of its reciprocal for n < 0, and only a
+    Gaussian one ``_gaussian_pow``."""
     r, i, d = t
+    if i:
+        return _gaussian_pow(r, i, d, n)
+    if n < 0:
+        if not r:
+            raise ZeroDivisionError("inverse of zero")
+        r, d, n = (d, r, -n) if r > 0 else (-d, -r, -n)
+    return r ** n, 0, d ** n
+
+
+def _gaussian_pow(r, i, d, n):
+    """(r + i*i)/d to the n-th power by squaring, for any nonzero triple."""
     if n < 0:
         if not r and not i:
             raise ZeroDivisionError("inverse of zero")
-        if i:
-            r, i, d = r * d, -i * d, r * r + i * i
-        else:
-            r, d = (d, r) if r > 0 else (-d, -r)
+        r, i, d = r * d, -i * d, r * r + i * i
         n = -n
-    if not i:
-        return r ** n, 0, d ** n
     dn = d ** n
     pr, pi = 1, 0
     while n:

@@ -25,14 +25,23 @@ together.  Integers of any length are read and printed exactly
 The parser's ASTs hold ground rationals; below it, the folded arguments of
 a call are integer monomials, triples and pairs, and the plan's
 valuations and working orders are pairs (``qmock._rational``), so an
-evaluation does no rational arithmetic.  Theta calls of one evaluation
-that are the same j(x; b) are evaluated once.
+evaluation does no rational arithmetic.
+
+Every call that has an engine (the thetas, m's bilateral sums, g, f, the
+catalog series and the Pochhammer products) goes through one process memo,
+``_store``: keyed by the engine and the folded arguments, it keeps each
+series at the highest order asked, in any evaluation of the process, and
+serves a lower order as that series truncated, which is what the call
+itself gives.  It holds at most ``_STORE_BYTES`` bytes, counted from the
+numerators' bit lengths and a fixed cost per slot, no series larger than
+``_ENTRY_BYTES``, and drops the least recently used entries first.
 """
 
 from __future__ import annotations
 
 import re
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import islice
 from math import lcm
@@ -133,7 +142,7 @@ _THETAS = {
 
 def _symmetric(x, b):
     """(x, b) or (b/x, b), whichever sorts first by exponent pair, then by
-    coefficient: j(x; b) = j(b/x; b) exactly, so one theta memo entry and
+    coefficient: j(x; b) = j(b/x; b) exactly, so one memo entry and
     one divisor serve both."""
     e = qsub(b.pair, x.pair)
     if x.pair < e:
@@ -189,9 +198,6 @@ def _m_quotient(x, b, z):
 
 # name -> the template of the AST that a call of it expands to
 _EXPANSIONS = {**BLOCKS, "m": _m_quotient}
-
-# the engines whose series the plan keeps, per engine and folded arguments
-_MEMO = {*_THETAS, _BILATERAL}
 
 
 # --------------------------------------------------------------------------
@@ -566,10 +572,12 @@ def _fold_int(node):
 # product or a quotient is split, so that each of its factors is its own
 # divisor; a product with a quotient factor is one quotient; and the
 # quotients of a sum that share a theta divisor are one quotient by it.
-# Valuations are those of the forms.  The theta functions j, J, JB and Jm
-# are evaluated once per distinct j(x; b), whatever name calls it, and the
-# bilateral sums once per m(x, b, z), at the highest order asked so far,
-# and a lower order is that truncated.
+# Valuations are those of the forms.  A call with an engine is made once
+# per process (``_Store``): the theta functions j, J, JB and Jm once per
+# distinct j(x; b), whatever name calls it, the bilateral sums once per
+# m(x, b, z), and g, f, the catalog series and the Pochhammer products once
+# per folded arguments, each at the highest order asked so far, and a lower
+# order is that truncated.
 
 
 def _target(w, other, own):
@@ -643,6 +651,79 @@ _REWRITTEN = (Div, Mul, Neg, Add, Sub, Call)
 
 _FOLD = {"m": _fold_monomial, "b": _fold_base, "r": _fold_rational, "n": _fold_int}
 
+# The process memo's budget in bytes; the largest series it keeps; and
+# what it counts for a numerator beside its bits, 4 bytes per 30 of them: a
+# list slot and an int's header.  A large series kept pins the heap it was
+# built in, so that later stanzas grow past it: at order 800 one 13 MB g
+# series kept from universal-g-base4-split-3 raised the next big stanza's
+# peak RSS by 51 MB, and keeping series up to 2 MiB left the corpus's peak
+# 36 MB above the parent's, against 6-11 MB for series up to 256 KiB.  The
+# largest series of the corpus at its own orders counts about 50 KB.
+_STORE_BYTES = 16 << 20
+_ENTRY_BYTES = 256 << 10
+_SLOT_BYTES = 36
+
+
+def _series_bytes(s):
+    """The bytes the process memo counts for the series s, at least what
+    its numerator vectors take."""
+    return sum(_SLOT_BYTES * len(v) + sum(map(int.bit_length, v)) * 2 // 15
+               for v in (s._re, s._im) if v is not None)
+
+
+class _Store:
+    """The process memo: every engine call's series, keyed by the engine
+    (the function the call's row names, looked up when called, so that a
+    rebound engine has entries of its own) and the folded arguments, at
+    the highest order asked, within ``budget`` bytes (``_series_bytes``).
+    A hit is the kept series truncated, which is the call itself: an
+    engine's terms are exact, the same at any order, and a series is kept
+    only when it reaches the order asked, as a call at a lower order then
+    does too.  (Not so for g at an order at or below 0, where its Eulerian
+    loop's partial products can be zero to a lower precision, by more at
+    a lower order: the plan makes those calls itself.)  The least recently
+    used entries go first; a series larger than ``most`` bytes, or one that
+    an engine raised for, is not kept.  Nothing is locked: one thread at a
+    time may evaluate."""
+
+    __slots__ = ("budget", "most", "entries", "bytes")
+
+    def __init__(self, budget, most):
+        self.budget, self.most = budget, most
+        self.entries = OrderedDict()    # key -> (series, bytes), least recently used first
+        self.bytes = 0
+
+    def call(self, engine, args, w):
+        """engine(*args, w), from the memo when it holds the call at w or higher."""
+        key = (engine, *args)
+        entry = self.entries.get(key)
+        if entry is not None and qle(w, entry[0].prec):
+            self.entries.move_to_end(key)
+            return entry[0].truncate(w)
+        s = engine(*args, w)
+        if s.prec == w:
+            self._keep(key, s)
+        return s
+
+    def _keep(self, key, s):
+        size = _series_bytes(s)
+        if size > self.most:
+            return
+        old = self.entries.pop(key, None)
+        if old is not None:
+            self.bytes -= old[1]
+        self.entries[key] = s, size
+        self.bytes += size
+        while self.bytes > self.budget:
+            self.bytes -= self.entries.popitem(last=False)[1][1]
+
+    def clear(self):
+        self.entries.clear()
+        self.bytes = 0
+
+
+_store = _Store(_STORE_BYTES, _ENTRY_BYTES)
+
 
 class _Plan:
     """One evaluation pass over an AST: the form of each node, valuations
@@ -652,13 +733,12 @@ class _Plan:
     def __init__(self):
         # id(node) -> valuation, folded call arguments, the node and its
         # form, its grid; the AST outlives the plan, which keeps the nodes
-        # it makes.  (engine, folded arguments) -> a theta or a bilateral
-        # sum at the highest order asked.
+        # it makes.  The engines' series outlive it too, in the process
+        # memo (``_store``).
         self._vals = {}
         self._args = {}
         self._forms = {}
         self._grids = {}
-        self._memo = {}
 
     def valuation(self, node):
         """The valuation of ``node`` (see above), from those of its parts."""
@@ -1009,14 +1089,10 @@ class _Plan:
         if name in _EXPANSIONS:  # its form is the call when it fails to expand
             return self.series(self._expand(node), w)
         owner, attr = FUNCTIONS[name][1]
-        args = self._fold_args(node)
-        if name not in _MEMO:
-            return getattr(owner, attr)(*args, w)
-        key = (attr, *args)
-        s = self._memo.get(key)
-        if s is None or s.prec is not None and qlt(s.prec, w):
-            s = self._memo[key] = getattr(owner, attr)(*args, w)
-        return s.truncate(w)
+        engine, args = getattr(owner, attr), self._fold_args(node)
+        if name == "g" and w[0] <= 0:  # its precision may fall short there (see _Store)
+            return engine(*args, w)
+        return _store.call(engine, args, w)
 
 
 def _divided(node, dens):

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from qmock import dsl
 from qmock._rational import rat
 from qmock.catalog import (
     nu3,
@@ -464,6 +465,32 @@ def test_full_corpus_json_is_pinned(full_corpus_run):
     _, reports, _ = full_corpus_run
     text = json.dumps([r.to_dict(stable=True) for r in reports], sort_keys=True) + "\n"
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == SHIPPED_CORPUS_JSON_SHA256
+
+
+def test_full_corpus_twice_in_one_process():
+    # the second pass, in reverse order, is served from the process memo
+    # that the first one filled: its verdicts are byte for byte the same,
+    # every call of it is a hit, and no kept series changes under a later
+    # operation that shares its vectors
+    records = parse_corpus(shipped_corpus_path().read_text(encoding="utf-8"))
+    kept = {}   # id -> (series, its _key() when first kept)
+    digests = []
+    for recs in (records, records[::-1]):
+        reports = []
+        for rec in recs:
+            reports += run_corpus([rec], jobs=1)
+            for s, _ in dsl._store.entries.values():
+                if id(s) not in kept:
+                    kept[id(s)] = s, s._key()
+        assert {r.status for r in reports} == {"PASS"}
+        reports.sort(key=lambda r: r.id)
+        text = json.dumps([r.to_dict(stable=True) for r in reports], sort_keys=True) + "\n"
+        digests.append(hashlib.sha256(text.encode("ascii")).hexdigest())
+        if len(digests) == 1:
+            first = {key: id(s) for key, (s, _) in dsl._store.entries.items()}
+    assert digests == [SHIPPED_CORPUS_JSON_SHA256] * 2
+    assert {key: id(s) for key, (s, _) in dsl._store.entries.items()} == first and len(first) > 600
+    assert all(s._key() == key for s, key in kept.values())
 
 
 # SHA-256 of `qmock corpus --json --stable --order 80` over the 45 `appell-*`

@@ -14,7 +14,7 @@ import importlib.util
 import pathlib
 
 from qmock import appell, catalog, dsl, hecke, series, theta
-from qmock._rational import rat
+from qmock._rational import as_pair, rat
 from qmock.dsl import (
     FUNCTIONS,
     Add,
@@ -453,7 +453,10 @@ class TestThetaMemo:
     def test_lower_order_is_the_earlier_result_truncated(self, text, monkeypatch):
         node = parse(text)
         orders = [(40, 3), (7, 2), (40, 3), (-3, 4), (50, 1)]
-        want = [dsl._Plan().series(node, w) for w in orders]
+        want = []
+        for w in orders:
+            dsl._store.clear()  # each a fresh call, not a hit
+            want.append(dsl._Plan().series(node, w))
         calls = []
         inner = theta.jacobi_theta
         monkeypatch.setattr(theta, "jacobi_theta", lambda *args: calls.append(args) or inner(*args))
@@ -484,6 +487,162 @@ class TestThetaMemo:
         assert 0 < len(made) < len(asked)
         monkeypatch.undo()
         assert got == retry_evaluate(node, 25)
+
+
+class TestProcessMemo:
+    """Every engine call is kept per process (``dsl._store``), keyed by the
+    engine and the folded arguments: a hit equals the call, in value and
+    precision, and the memo keeps within its byte budget."""
+
+    def _fresh(self, node, order):
+        dsl._store.clear()
+        return evaluate(node, order)
+
+    def test_calls_of_one_engine_attribute_are_kept_apart(self):
+        # every catalog row's engine is the attribute `at` of its entry; j
+        # and m's bilateral sum take the same x and b here
+        texts = ["phi(q)", "psi(q)", "nu(q)", "phi(-q)", "psi(q^(1/2))",
+                 "j(q^(1/2),q)", "poch_inf(q^(1/2),q)", "g(q^(1/2),q)", "f(1,2,1,q^(1/2),q^(1/3),q)"]
+        nodes = [parse(t) for t in texts]
+        nodes.append(Call(dsl._BILATERAL, tuple(map(parse, ("q^(1/2)", "q", "q^(1/3)")))))
+        order = 12
+        dsl._store.clear()
+        first = [evaluate(n, order) for n in nodes]
+        again = [evaluate(n, order) for n in reversed(nodes)][::-1]
+        assert len(dsl._store.entries) == len(nodes)
+        fresh = [self._fresh(n, order) for n in nodes]
+        assert first == fresh and again == fresh
+        assert len(set(map(hash, fresh))) == len(nodes)
+        assert not evaluate(parse("phi(q) - psi(q)"), order).is_zero()
+
+    def test_a_rebound_engine_has_entries_of_its_own(self, monkeypatch):
+        node = parse("j(q,q^3) + phi(q)")
+        want = evaluate(node, 15)            # kept under the shipped engines
+        scaled = evaluate(parse("2*j(q,q^3) + 3*phi(q)"), 15)
+        inner, entry = theta.jacobi_theta, catalog.CATALOG["phi"]
+        at = entry.at
+        calls = []
+        monkeypatch.setattr(theta, "jacobi_theta",
+                            lambda x, b, w: calls.append(w) or QSeries.constant(2) * inner(x, b, w))
+        monkeypatch.setitem(vars(entry), "at", lambda u, w: calls.append(w) or QSeries.constant(3) * at(u, w))
+        assert evaluate(node, 15) == scaled and len(calls) == 2
+        assert evaluate(node, 15) == scaled and len(calls) == 2    # the rebound engines' own entries
+        monkeypatch.undo()
+        assert evaluate(node, 15) == want
+
+    # arguments for the fuzz: coefficients, exponents and bases
+    COEFFS = [1, -1, 2, Fraction(1, 2), -3, GaussianRational(1, 1)]
+
+    def _monomial(self, rnd, low=-6):
+        return mono(rnd.choice(self.COEFFS), Fraction(rnd.randint(low, 6), rnd.choice([1, 2, 3, 5])))
+
+    def _base(self, rnd):
+        return mono(rnd.choice([1, -1, 2]), Fraction(rnd.randint(1, 4), rnd.choice([1, 2, 3])))
+
+    def _call(self, rnd, kind):
+        """A random call of ``kind`` with its arguments folded, as the plan
+        makes it (the bilateral sum at the reduced z)."""
+        if kind == "theta":
+            return Call("j", (self._monomial(rnd), self._base(rnd)))
+        while kind == "bilateral":
+            x, b, z = self._monomial(rnd), self._base(rnd), self._monomial(rnd)
+            try:
+                return Call(dsl._BILATERAL, (x, b, appell.reduced_z(x, b, z)))
+            except series.DegenerateZ:  # x*z or z an integral power of b
+                continue
+        if kind == "g":
+            return Call("g", (self._monomial(rnd), self._base(rnd)))
+        if kind == "f":
+            abc = [Literal(GaussianRational(rnd.randint(*ends))) for ends in ((1, 3), (0, 3), (1, 3))]
+            return Call("f", (*abc, self._monomial(rnd, 0), self._monomial(rnd, 0), self._base(rnd)))
+        if kind == "catalog":
+            return Call(rnd.choice(sorted(catalog.CATALOG)), (self._base(rnd),))
+        return Call("poch_inf", (self._monomial(rnd, 1), self._base(rnd)))
+
+    KINDS = ["theta", "bilateral", "g", "f", "catalog", "poch"]
+
+    def test_a_hit_is_the_call(self, monkeypatch):
+        # a call at a lower order than one kept is served from the memo,
+        # and equals the engine's own call there in value and precision
+        rnd = random.Random(2608)
+        hits = dict.fromkeys(self.KINDS, 0)
+        for case in range(360):
+            monkeypatch.undo()
+            dsl._store.clear()
+            kind = self.KINDS[case % len(self.KINDS)]
+            node = self._call(rnd, kind)
+            owner, attr = FUNCTIONS[node.name][1]
+            engine, args = getattr(owner, attr), dsl._Plan()._fold_args(node)
+            made = []
+            monkeypatch.setitem(vars(owner), attr, lambda *a: made.append(1) or engine(*a))
+            high = as_pair(Fraction(rnd.randint(-4, 30), rnd.choice([1, 2, 3])))
+            try:
+                want = engine(*args, high)
+            except dsl.EVALUATION_ERRORS as exc:
+                with pytest.raises(type(exc)):
+                    dsl._Plan().series(node, high)
+                assert not dsl._store.entries
+                continue
+            assert dsl._Plan().series(node, high) == want
+            for _ in range(2):
+                w = as_pair(rat(*high) - Fraction(rnd.randint(0, 24), rnd.choice([1, 2, 3])))
+                before = len(made)
+                got = dsl._Plan().series(node, w)
+                want = engine(*args, w)
+                assert got == want and got.prec == want.prec, (node, high, w)
+                hits[kind] += len(made) == before
+        assert min(hits.values()) >= 20, hits
+
+    def test_the_tally_stays_within_the_budget(self):
+        # calls drawn from 30, each asked again at higher orders, so that
+        # entries are both replaced and evicted
+        rnd = random.Random(1604)
+        store = dsl._Store(6000, 6000)
+        pool = [(self._monomial(rnd), self._base(rnd)) for _ in range(30)]
+        for _ in range(300):
+            args = rnd.choice(pool)
+            w = as_pair(Fraction(rnd.randint(1, 40), rnd.choice([1, 2])))
+            assert store.call(theta.jacobi_theta, args, w) == theta.jacobi_theta(*args, w)
+            assert store.bytes == sum(n for _, n in store.entries.values()) <= store.budget
+        assert 0 < len(store.entries) < len(set(pool))
+
+    def test_a_series_short_of_its_order_is_not_kept(self):
+        def halved(k, w):   # known below w/2 only
+            return QSeries.constant(k, rat(*w) / 2)
+
+        store = dsl._Store(1 << 20, 1 << 20)
+        assert store.call(halved, (1,), (10, 1)).precision == 5 and not store.entries
+        assert store.call(halved, (1,), (8, 1)).precision == 4
+
+    def test_the_least_recently_used_entry_goes_first(self):
+        def const(k, w):
+            return QSeries.constant(k, rat(*w))
+
+        one = dsl._series_bytes(const(1, (5, 1)))
+        store = dsl._Store(2 * one, one)
+        for k in (1, 2, 1, 3):
+            store.call(const, (k,), (5, 1))
+        assert list(store.entries) == [(const, 1), (const, 3)] and store.bytes == 2 * one
+
+    def test_an_oversized_series_is_returned_not_kept(self):
+        store = dsl._Store(1 << 20, 200)
+        args, low, high = (qpow(1), qpow(3)), (2, 1), (60, 1)
+        small = store.call(theta.jacobi_theta, args, low)
+        assert dsl._series_bytes(small) <= 200 and store.bytes == dsl._series_bytes(small)
+        big = store.call(theta.jacobi_theta, args, high)
+        assert big == theta.jacobi_theta(*args, high) and dsl._series_bytes(big) > 200
+        # the smaller entry is kept, and still serves its order
+        assert store.entries[(theta.jacobi_theta, *args)][0] is small
+        assert store.bytes == dsl._series_bytes(small)
+
+    def test_an_engine_that_raises_stores_nothing(self):
+        store = dsl._Store(1 << 20, 1 << 20)
+        x, b = qpow(Fraction(1, 2)), qpow(1)
+        with pytest.raises(series.DegenerateZ):
+            store.call(appell._bilateral_sum, (x, b, x), (10, 1))
+        with pytest.raises(ValueError):
+            store.call(hecke.f_abc, (0, 1, 1, x, x, b), (10, 1))
+        assert not store.entries and store.bytes == 0
 
 
 class TestDivisionByFactors:

@@ -3,14 +3,16 @@ pairs, exponents and precisions as (num, den) pairs.  They must agree with
 the ground types, and the hot paths must do no Fraction arithmetic."""
 
 import fractions
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from qmock import dsl, theta
-from qmock._rational import (GaussianRational, QMonomial, as_pair, decimal_int, decimal_text, json_pair, mono,
-                             qadd, qdiv, qle, qlt, qmax, qmin, qmul, qpow, qrat, qsub)
+from qmock._rational import (GaussianRational, QMonomial, _gaussian_pow, as_pair, decimal_int, decimal_text,
+                             json_pair, mono, qadd, qdiv, qle, qlt, qmax, qmin, qmul, qpow, qrat, qsub,
+                             triple_pow, triple_reduce)
 from qmock.series import FractionalExponent, product_precision
 
 import oracles
@@ -181,3 +183,25 @@ class TestDecimalText:
         assert json_pair(Fraction(10 ** 4300 - 1)) == [10 ** 4300 - 1, 1]  # 4300 digits: a number
         assert json_pair(Fraction(1, 10 ** 4300)) == [1, oracles.decimal_digits(10 ** 4300)]
         assert json_pair(Fraction(-(10 ** 4300))) == [oracles.decimal_digits(-(10 ** 4300)), 1]
+
+
+class TestTriplePow:
+    def test_real_path_against_the_gaussian_loop(self):
+        # a real coefficient takes (re^n, 0, den^n), of its reciprocal for
+        # n < 0: the same value as the Gaussian loop, reduced, over a
+        # positive denominator
+        rnd = random.Random(297)
+        for _ in range(3000):
+            r = rnd.choice([1, -1]) * rnd.randint(1, 10 ** rnd.randint(0, 8))
+            d = rnd.randint(1, 10 ** rnd.randint(0, 8))
+            g = math.gcd(r, d)
+            r, d = r // g, d // g
+            n = rnd.randint(-30, 30)
+            got = triple_pow((r, 0, d), n)
+            want = _gaussian_pow(r, 0, d, n)
+            assert got == triple_reduce(want) and got[1] == 0 and got[2] > 0, (r, d, n)
+            assert Fraction(got[0], got[2]) == Fraction(r, d) ** n
+        for t in ((0, 0, 1), (0, 0, 3)):
+            with pytest.raises(ZeroDivisionError):
+                triple_pow(t, -1)
+            assert triple_pow(t, 2) == _gaussian_pow(*t, 2)
