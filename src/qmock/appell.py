@@ -12,16 +12,15 @@ is not negative, for r >= r0 = 1 - floor((X + Z)/B), and at
 E(r) - K = E(r - 1) - X below r0: the summands that start below an order
 are two theta windows of E cut at r0, the sum starts at E at its vertex
 clamped to either side of r0, and the terms at the ends and the vertex of
-each window bound the lattice of their geometric runs.  For b's, z's and
-x*z's coefficients 1 or -1 each lead and ratio is a sign of the parities
-of r and binom(r, 2), and each run two strided slices of +-1 in one
-vector, unless a summand's one term c/(1 - c') at K = 0 keeps the sum on
-the general path.  The division by
-j(z; b) is not made here: the DSL plan expands a call of m into its
-bilateral sum over j(z; b), so that the m's of one sum that share a theta,
-and the theta quotients beside them, are divided by it once
-(``dsl._Plan``).  The universal mock theta function g is summed by the
-Eulerian loop of the catalog series, ``series.eulerian_terms``, on the
+each window bound the lattice of their geometric runs.  Summand r is led
+by the theta term r of (z; b), ``theta.theta_terms``, a sign for b's and
+z's coefficients 1 or -1, and its run goes into one lattice with the others
+by ``series.geometric_runs``, which twists a run of ratio 1 or -1 without a
+multiply.  The division by j(z; b) is not made here: the DSL plan expands a
+call of m into its bilateral sum over j(z; b), so that the m's of one sum
+that share a theta, and the theta quotients beside them, are divided by it
+once (``dsl._Plan``).  The universal mock theta function g is summed by the
+Eulerian loop of the catalog series, ``series.eulerian_sum``, on the
 integer grid of x and b, its steps the paper's closed forms in n: step n
 divides by 1 - x*b^n and 1 - b^n/x.  For x = ±q^a and b's coefficient ±1
 every coefficient is a unit, and the loop divides by each Pochhammer factor
@@ -34,15 +33,12 @@ evaluated here by ``dsl.evaluate`` like any DSL expression.
 
 from __future__ import annotations
 
-from math import gcd
-
 from ._rational import Q0, as_pair, qadd, qdiv, qmax, qpair, qrat, rat
 from .blocks import BLOCKS
 from .nodes import Call
 from .series import (DegenerateX, DegenerateZ, InsufficientPrecision, PoleAtOne, _first_slot,
-                     _make, _slots, eulerian_terms, exponent_grid, geometric_runs, span_slots,
-                     sum_lattices, triple_mul, triple_pow)
-from .theta import as_base, theta_exponent, theta_window, window_ends
+                     eulerian_sum, exponent_grid, geometric_runs, span_slots, triple_mul, triple_pow)
+from .theta import as_base, theta_exponent, theta_terms, theta_window, window_ends
 # Unused here, but perfbench/tracer.py's check_bindings probes this name in
 # this module to confirm its wrappers reach every binding.
 from .theta import jacobi_theta  # noqa: F401
@@ -140,8 +136,7 @@ def _bilateral_sum(x, base, z, work):
     K > 0, -c*c'^(-j-1) at E - (j+1)*K for K < 0 (the expansion inside the
     unit disk), one term c/(1 - c') for K = 0.  The runs of the summands
     that start below ``work``, the r of the two windows of ``_summands``,
-    go into one lattice: as signs (``_sign_runs``) for b's, z's and x*z's
-    coefficients 1 or -1 and no K = 0, else by ``geometric_runs``."""
+    go into one lattice by ``geometric_runs``."""
     work = as_pair(work)
     L, B, X, Z = exponent_grid(base, x, z)
     top = _first_slot(work, L)
@@ -152,52 +147,15 @@ def _bilateral_sum(x, base, z, work):
     ks = [B * (r - 1) + X + Z for r in ends]
     starts = [theta_exponent(B, Z, r) - min(k, 0) for r, k in zip(ends, ks)]
     span_slots([t for e, k in zip(starts, ks) for t in (e, e + abs(k)) if t < top])
-    cb, cz, cxz = base.triple, z.triple, triple_mul(x.triple, z.triple)
-    # K = 0 only at r0, and there only when B divides X + Z
-    if ((X + Z) % B or r0 not in upper) and all([c[1:] == (0, 1) and c[0] in (1, -1) for c in (cb, cz, cxz)]):
-        return _sign_runs(L, B, X, Z, (*lower, *upper), top, min(starts, default=0),
-                          int(cb[0] < 0), int(cz[0] < 0), int(cxz[0] < 0), work)
-    return geometric_runs(L, [_summand_run(B, X, Z, r, cb, cz, cxz) for r in (*lower, *upper)], work)
+    rs, cb, cxz = (*lower, *upper), base.triple, triple_mul(x.triple, z.triple)
+    leads = theta_terms(z.triple, cb, rs)
+    return geometric_runs(L, [_summand_run(B, X, Z, r, lead, cb, cxz) for r, lead in zip(rs, leads)], work)
 
 
-def _sign_runs(L, B, X, Z, rs, top, lo, nb, nz, nxz, work):
-    """The runs of the summands ``rs`` below ``top``, from their least
-    start ``lo``, for b, z and x*z of sign (-1)^nb, (-1)^nz, (-1)^nxz and
-    no K = 0: summand r's lead is negative for r + nb*binom(r, 2) + nz*r
-    odd and its ratio for nb*(r - 1) + nxz odd, and for K < 0 the run
-    starts at E - K, step -K, its lead negated and times the ratio.  A
-    first pass finds the lattice of ``sum_lattices``, the second adds each
-    run as two slices of stride 2K, of the lead's sign and its next term's."""
-    hi, step = lo, 0
-    for r in rs:
-        e, k = B * (r * (r - 1) // 2) + Z * r, B * (r - 1) + X + Z
-        if k < 0:
-            e, k = e - k, -k
-        n = (top - 1 - e) // k
-        step = gcd(step, e - lo, k if n else 0)
-        hi = max(hi, e + n * k)
-    step = step or 1
-    re = [0] * _slots((hi - lo) // step + 1)
-    for r in rs:
-        binom = r * (r - 1) // 2
-        e, k = B * binom + Z * r, B * (r - 1) + X + Z
-        neg, flip = (r ^ (nb & binom) ^ (nz & r)) & 1, ((nb & (r - 1)) ^ nxz) & 1
-        if k < 0:
-            e, k, neg = e - k, -k, neg ^ 1 ^ flip
-        # for a run of one term the stride reaches past the end
-        i, s = (e - lo) // step, -(-k // step)
-        re[i::2 * s] = map((1 - 2 * neg).__add__, re[i::2 * s])
-        re[i + s::2 * s] = map((1 - 2 * (neg ^ flip)).__add__, re[i + s::2 * s])
-    return _make(L, lo, step, re, None, 1, work)
-
-
-def _summand_run(B, X, Z, r, cb, cz, cxz):
-    """Summand r of the bilateral sum as a run (x, s, lead, ratio) of
-    ``geometric_runs``."""
-    binom = r * (r - 1) // 2
-    e, k = B * binom + Z * r, B * (r - 1) + X + Z
-    lr, li, ld = triple_mul(triple_pow(cb, binom), triple_pow(cz, r))
-    lead = (-lr, -li, ld) if r & 1 else (lr, li, ld)
+def _summand_run(B, X, Z, r, lead, cb, cxz):
+    """Summand r of the bilateral sum, led by the theta term r of (z; b),
+    as a run (x, s, lead, ratio) of ``geometric_runs``."""
+    e, k = theta_exponent(B, Z, r), B * (r - 1) + X + Z
     ratio = triple_mul(triple_pow(cb, r - 1), cxz)
     if k > 0:
         return e, k, lead, ratio
@@ -225,11 +183,11 @@ def universal_g_start(x, base):
 def universal_g_eulerian(x, base, order):
     """g(x, b) = x^(-1) (-1 + sum_n b^(n^2) / ((x;b)_(n+1) (b/x;b)_n)),
 
-    through ``series.eulerian_terms`` on the grid of x and b: step 0
+    through ``series.eulerian_sum`` on the grid of x and b: step 0
     divides by 1 - x, and step n by 1 - x*b^n and 1 - b^n/x, on one packed
     integer when x's and b's coefficients are 1 or -1 and on the vectors
-    otherwise, and the sum less 1 is divided by x on its lattice.  Each
-    step and weight is a function of n alone, by one power of b.
+    otherwise, and the sum less 1 is divided by x.  Each step and weight is
+    a function of n alone, by one power of b.
     """
     base = as_base(base)
     order = as_pair(order)
@@ -249,12 +207,10 @@ def universal_g_eulerian(x, base, order):
         return B * n * n, triple_pow(cb, n * n)
 
     try:
-        parts, p = eulerian_terms(L, weight, factors, qadd(order, qmax(x.pair, Q0)))
+        S = eulerian_sum(L, weight, factors, qadd(order, qmax(x.pair, Q0)))
     except PoleAtOne:
         raise DegenerateX(f"Pochhammer factor of g({x}, {base}) vanishes")
-    # the sum less 1, as one more part of the lattice, over x
-    total = sum_lattices(parts + [(L, 0, 1, [-1], None, 1)], p)
-    return total.mul_monomial(x.inverse()).truncate(order)
+    return (S - 1).mul_monomial(x.inverse()).truncate(order)
 
 
 def _block(name, values, order):

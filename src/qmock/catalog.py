@@ -3,8 +3,8 @@ keyed by their DSL names.  Their alternate forms (through g and m) are
 stanzas of the shipped corpus.
 
 Every generator takes a truncation order and returns the exact expansion
-below it from the Eulerian loop ``series.eulerian_terms``, the loop of the
-universal mock theta function g too, on the integer grid.  Every
+below it from one call of the Eulerian loop ``series.eulerian_sum``, the
+loop of the universal mock theta function g too, on the integer grid.  Every
 coefficient is 1 or -1, so the loop runs on packed integers: the
 Pochhammer product is one integer, extended one factor 1 + q^k or 1 - q^k
 at a time, dividing by it a few shift-adds and multiplying by it one, and
@@ -18,7 +18,7 @@ from __future__ import annotations
 # names in this module to confirm its wrappers reach every binding.
 from .appell import appell_m, eval_with_retry, universal_g_eulerian  # noqa: F401
 from ._rational import as_pair, qdiv, qmul
-from .series import eulerian_terms, sum_lattices
+from .series import eulerian_sum
 
 __all__ = [
     "psi3",
@@ -39,8 +39,8 @@ _MINUS_ONE = (-1, 0, 1)
 def _sum(weight, factors, order, divide=True):
     """sum_n q^weight(n) P_n below ``order``, P_n the product of the factors
     1 - c*q^k for the pairs (k, c) of factors(n) so far, divided or
-    multiplied in (``series.eulerian_terms``)."""
-    return sum_lattices(*eulerian_terms(1, lambda n: (weight(n), _ONE), factors, order, divide))
+    multiplied in (``series.eulerian_sum``)."""
+    return eulerian_sum(1, lambda n: (weight(n), _ONE), factors, order, divide)
 
 
 def _plus(*ks):

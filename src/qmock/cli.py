@@ -153,7 +153,8 @@ def cmd_corpus(args):
         text = shipped_corpus_path().read_text(encoding="utf-8")
     else:
         try:
-            with open(args.path, encoding="utf-8") as fh:
+            # utf-8-sig: an editor's byte-order mark is not corpus content
+            with open(args.path, encoding="utf-8-sig") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             print(f"cannot read corpus: {exc}", file=sys.stderr)

@@ -1255,7 +1255,7 @@ def parse_corpus(text):
         lhs = <expression>
         rhs = <expression>
 
-    Lines beginning with ``#`` are comments."""
+    Each key appears once per stanza; lines beginning with ``#`` are comments."""
     records = []
     seen = set()
     current = None
@@ -1316,6 +1316,8 @@ def parse_corpus(text):
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key != "id" and key in current:
+            raise CorpusSyntaxError(f"identity {current['id']!r} sets {key!r} twice", lineno)
         if key == "anchor":
             if len(value) < 2 or value[0] != '"' or value[-1] != '"':
                 raise CorpusSyntaxError("anchor must be a quoted string", lineno)

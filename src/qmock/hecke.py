@@ -5,14 +5,15 @@ term (-1)^(r+s) x^r y^s b^(a*binom(r,2) + b*r*s + c*binom(s,2)).  By the
 flip identity f(x, y) = -b^(a+b+c)/(xy) f(b^(2a+b)/x, b^(2c+b)/y)
 (Hickerson-Mortenson, Proc. LMS 109, 2014) the second quadrant is the
 first at the flipped arguments, shifted and scaled.  Row r of the first is
-the lead (-x)^r b^(a*binom(r,2)) times the partial theta sum of y*b^(b*r)
-over b^c, whose terms below the order are one window of s >= 0
-(``theta_window``); term s is the lead times (-y)^s b^(b*r*s + c*binom(s,2)),
-its coefficient a function of (r, s) alone.  Past the vertex of column 0
-the exponent grows with r in every column, so the rows stop at the first
-empty one there and no term is dropped.  The terms at the ends and the
-vertex of column 0 and of row 0, and the corner r + s <= 2, bound the
-lattice before any row is formed.
+the theta term r of (x; b^a), (-x)^r b^(a*binom(r,2)), times the partial
+theta sum of (y*b^(b*r); b^c), whose terms below the order are one window of
+s >= 0 (``theta_window``); both come from ``theta.theta_terms``, so term s
+is the lead times (-y)^s b^(b*r*s + c*binom(s,2)), its coefficient a
+function of (r, s) alone.  Past the vertex of column 0 the exponent grows
+with r in every column, so the rows stop at the first empty one there and
+no term is dropped.  The terms at the ends and the vertex of column 0 and
+of row 0, and the corner r + s <= 2, bound the lattice before any row is
+formed.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from itertools import count
 
 from ._rational import as_pair
 from .series import _first_slot, exponent_grid, lattice_series, span_slots, triple_mul, triple_pow
-from .theta import as_base, theta_exponent, theta_window, window_ends
+from .theta import as_base, theta_exponent, theta_terms, theta_window, window_ends
 
 __all__ = ["f_abc"]
 
@@ -58,9 +59,9 @@ def _quadrant(a, b, c, grid, coeffs, top):
     below top, for the exponents grid = (eb, ex, ey) of the base, x
     and y times L and their coefficients (re, im, den)."""
     eb, ex, ey = grid
-    cb, (xr, xi, xd), (yr, yi, yd) = coeffs
-    nx, ny = (-xr, -xi, xd), (-yr, -yi, yd)
+    cb, cx, cy = coeffs
     A, C = a * eb, c * eb
+    ca, cc = triple_pow(cb, a), triple_pow(cb, c)
 
     def row(r):
         """Row r's exponents e + C*binom(s, 2) + X*s as (e, X, its s >= 0 below top)."""
@@ -84,7 +85,6 @@ def _quadrant(a, b, c, grid, coeffs, top):
             if r > row_limit:
                 return points
             continue
-        lead = triple_mul(triple_pow(nx, r), triple_pow(cb, a * (r * (r - 1) // 2)))
-        points += [(e + C * binom + X * s,
-                    triple_mul(lead, triple_mul(triple_pow(ny, s), triple_pow(cb, b * r * s + c * binom))))
-                   for s in ss for binom in (s * (s - 1) // 2,)]
+        lead, = theta_terms(cx, ca, (r,))
+        terms = theta_terms(triple_mul(cy, triple_pow(cb, b * r)), cc, ss)
+        points += [(e + C * (s * (s - 1) // 2) + X * s, triple_mul(lead, t)) for s, t in zip(ss, terms)]

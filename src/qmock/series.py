@@ -29,17 +29,17 @@ codec with the same offset arithmetic.  A factor 1 - c*q^k is never
 expanded: multiplying by it is one shifted add, and dividing by it one pass
 over the lattice, a few list maps per block of k slots.  The Eulerian sums
 sum_n weight(n) * P_n of the universal mock theta function and the catalog
-run on one integer grid, with integer exponents and (re, im, den)
-coefficient triples throughout.  When every coefficient is 1 or -1, P_n
-and the sum are one packed integer each, in the slots of the Kronecker
-products: a factor is a few big-int shift-adds and a term one, and the sum
-is unpacked once.  Otherwise P_n is a series like any other, each factor
-one such pass or shifted add and one ``_make``, and the weighted terms go
-into one vector at the end.  No
-rational number is built per term, nor for the precision bookkeeping:
-``prec``, ``low()`` and every order a method takes or passes on are
-(num, den) pairs of ``qmock._rational``, and ``precision`` and
-``low_degree()`` give them in the ground type.  ``QSeries.terms`` is a
+are one call of ``eulerian_sum`` each, on one integer grid, with integer
+exponents and (re, im, den) coefficient triples throughout.  When every
+coefficient is 1 or -1, P_n and the sum are one packed integer each, in
+the slots of the Kronecker products: a factor is a few big-int shift-adds
+and a term one, and the sum is unpacked once.  Otherwise P_n is a series
+like any other, each factor one such pass or shifted add and one
+``_make``, and the weighted terms go into one vector at the end, the
+series ``eulerian_sum`` returns.  No rational number is built per term,
+nor for the precision bookkeeping: ``prec``, ``low()`` and every order a
+method takes or passes on are (num, den) pairs of ``qmock._rational``,
+and ``precision`` and ``low_degree()`` give them in the ground type.  ``QSeries.terms`` is a
 read-only view {exponent: GaussianRational} of the same series, boxed
 when first read.
 """
@@ -688,9 +688,9 @@ def sum_series(parts, precision=None):
     return sum_lattices([(s._L, s._lo, s._step, s._re, s._im, s._den) for s in live], p)
 
 
-def eulerian_terms(L, weight, factors, order, divide=True):
-    """(parts, precision): the terms of sum_{n >= 0} weight(n) * P_n below
-    ``order`` as lattice parts of ``sum_lattices``, and the sum's precision.
+def eulerian_sum(L, weight, factors, order, divide=True):
+    """sum_{n >= 0} weight(n) * P_n below ``order``, at the precision its
+    terms are known to.
 
     P_n is P_(n-1) (the exact 1 for n = 0) divided by, or if not
     ``divide`` multiplied by, 1 - c*q^(k/L) for each pair (k, c) of
@@ -709,10 +709,10 @@ def eulerian_terms(L, weight, factors, order, divide=True):
     follows.
 
     A sum whose steps are all unit steps (``_unit_steps``) runs on packed
-    integers (``_packed_terms``) into one part.  Any other holds P_n as a
-    series, stepped by ``QSeries._over_one_minus`` or ``_times_one_minus``
-    per factor, and each weighted term is one part on the grid of P_n and
-    1/L."""
+    integers (``_packed_terms``) into one lattice part.  Any other holds P_n
+    as a series, stepped by ``QSeries._over_one_minus`` or
+    ``_times_one_minus`` per factor, and each weighted term is one part on
+    the grid of P_n and 1/L; the parts are summed in one vector."""
     order = as_pair(order)
     top = _first_slot(order, L)
     parts, precision = [], order
@@ -720,7 +720,7 @@ def eulerian_terms(L, weight, factors, order, divide=True):
     if unit:
         if len(unit[0]) > 1:
             parts.append(_packed_terms(*unit, L, top, divide))
-        return parts, precision
+        return sum_lattices(parts, precision)
 
     def reaches(P, e):
         """True when q^(e/L) * P starts at or past the order (an exact zero
@@ -749,7 +749,7 @@ def eulerian_terms(L, weight, factors, order, divide=True):
             re, im = _scale(P._re, P._im, cw[0], cw[1])
             parts.append((G, P._lo * f + e * (G // L), P._step * f, re, im, P._den * cw[2]))
         n, step = n + 1, after
-    return parts, precision
+    return sum_lattices(parts, precision)
 
 
 _UNITS = ((1, 0, 1), (-1, 0, 1))

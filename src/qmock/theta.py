@@ -12,8 +12,10 @@ sum (quadratic exponent growth gives O(sqrt(order)) terms), written term
 by term into one lattice vector; its terms below the order, like those of
 each row of a Hecke-type sum, are one window solved in closed form
 (``theta_window``), so a sum too long to allocate fails before any term is
-formed.  Exponents, orders and coefficients are integer pairs and triples
-throughout (``qmock._rational``).
+formed.  The coefficient (-x)^n * b^binom(n, 2) of a theta term is formed
+in one place, ``theta_terms``, for j, for the rows of a Hecke-type sum and
+for the summands of an Appell-Lerch sum.  Exponents, orders and
+coefficients are integer pairs and triples throughout (``qmock._rational``).
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "pochhammer_finite",
     "pochhammer_infinite",
     "jacobi_theta",
+    "theta_terms",
     "theta_window",
     "J",
     "Jbar",
@@ -166,15 +169,26 @@ def theta_start(x, base):
     return qpair(min(e0, e1), L)
 
 
+def theta_terms(cx, cb, ns):
+    """The coefficients (-x)^n * b^binom(n, 2) of the theta terms n of
+    ``ns``, for the coefficient triples cx of x and cb of b: one (re, im,
+    den) triple each.  For cx and cb 1 or -1 each is a sign, of the
+    parities of n and binom(n, 2)."""
+    if cx[1:] == cb[1:] == (0, 1) and cx[0] in (1, -1) and cb[0] in (1, -1):
+        flip_n, flip_binom, signs = int(cx[0] == 1), int(cb[0] == -1), ((1, 0, 1), (-1, 0, 1))
+        return [signs[((flip_n & n) ^ (flip_binom & (n * (n - 1) // 2))) & 1] for n in ns]
+    nx = (-cx[0], -cx[1], cx[2])
+    return [triple_mul(triple_pow(nx, n), triple_pow(cb, n * (n - 1) // 2)) for n in ns]
+
+
 def jacobi_theta(x, base, order):
     """j(x; b) as the bilateral sum of (-1)^n b^binom(n,2) x^n below ``order``.
 
     Term n sits at the exponent E(n)/L, E(n) = B*binom(n, 2) + X*n, and
     the terms below the order are the n of one interval around the vertex
     of E.  Each coefficient is its closed form (-x)^n * b^binom(n, 2) in
-    x's and b's coefficients, a function of n alone; for x and b's
-    coefficients 1 or -1 it is a sign.  The terms are written into one
-    lattice vector of step gcd(B, X)."""
+    x's and b's coefficients (``theta_terms``), a function of n alone.  The
+    terms are written into one lattice vector of step gcd(B, X)."""
     base = as_base(base)
     order = as_pair(order)
     if base.pair[0] <= 0:
@@ -186,35 +200,22 @@ def jacobi_theta(x, base, order):
     if not window:
         return QSeries.zero(order)
     e_low = min(theta_exponent(B, X, low), theta_exponent(B, X, low + 1))
-    first, last = window[0], window[-1]
     h = gcd(B, X)
     Bh, Xh = B // h, X // h
-    origin = e_low // h
-    size = _slots((max(theta_exponent(B, X, first), theta_exponent(B, X, last)) - e_low) // h + 1)
-    cx, cb = x.triple, base.triple
-    if cx[1:] == cb[1:] == (0, 1) and abs(cx[0]) == abs(cb[0]) == 1:
-        # term n is (-x)^n * b^binom(n, 2), a sign
-        flip_n, flip_binom = int(cx[0] == 1), int(cb[0] == -1)
-        re = [0] * size
-        for n in window:
-            binom = n * (n - 1) // 2
-            i = Bh * binom + Xh * n - origin
-            if ((flip_n & n) ^ (flip_binom & binom)) & 1:
-                re[i] -= 1
-            else:
-                re[i] += 1
-        return _make(L, e_low, h, re, None, 1, order)
-    nx = (-cx[0], -cx[1], cx[2])
-    terms = [(Bh * binom + Xh * n - origin, triple_mul(triple_pow(nx, n), triple_pow(cb, binom)))
-             for n in window for binom in (n * (n - 1) // 2,)]
-    den = lcm(*[d for _, (_, _, d) in terms])
+    first = theta_exponent(B, X, window[0])
+    size = _slots((max(first, theta_exponent(B, X, window[-1])) - e_low) // h + 1)
+    coeffs = theta_terms(x.triple, base.triple, window)
+    den = lcm(*[d for _, _, d in coeffs])
     re = [0] * size
-    im = [0] * size if any([c[1] for _, c in terms]) else None
-    for i, (r, j, d) in terms:
+    im = [0] * size if any([c[1] for c in coeffs]) else None
+    # term n + 1 lies E(n + 1) - E(n) = B*n + X past term n
+    i = (first - e_low) // h
+    for n, (r, j, d) in zip(window, coeffs):
         f = den // d
         re[i] += r * f
         if im is not None:
             im[i] += j * f
+        i += Bh * n + Xh
     return _make(L, e_low, h, re, im, den, order)
 
 

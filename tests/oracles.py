@@ -109,6 +109,12 @@ def bilateral_theta(x_coeff, x_exp, base_exp, order, span=200, base_coeff=1):
     return out if pairs else {e: r for e, (r, _) in out.items()}
 
 
+def theta_term_gaussian(x, b, n):
+    """(-x)^n * b^binom(n, 2), the coefficient of theta term n of j(x; b),
+    for GaussianRational x and b, in GaussianRational arithmetic."""
+    return (-x) ** n * b ** (n * (n - 1) // 2)
+
+
 def unit_fraction_expand(c, k, order):
     """1/(1 - c*q^k) below ``order``, term by term: the constant 1 for
     c = 0, the geometric series for k > 0, the constant 1/(1 - c) for
@@ -583,7 +589,7 @@ def universal_g_via_m(x, base, order):
 
 
 def eulerian_sum_stepwise(weight, factors, order, divide=True):
-    """sum_n weight(n) * P_n below ``order`` as ``series.eulerian_terms``
+    """sum_n weight(n) * P_n below ``order`` as ``series.eulerian_sum``
     defines it, forming every P_n, the one of the term that stops the sum
     included, with each factor 1 - m expanded and multiplied in."""
     order = rat(order)

@@ -267,24 +267,12 @@ class TestAgainstPairwiseLoopsAtScaledBases(TestAgainstPairwiseLoops):
 
 
 class TestAgainstPairwiseLoopsAtUnitArguments(TestAgainstPairwiseLoops):
-    """The same checks with every x and z of coefficient 1 or -1, where the
-    bilateral sum of m takes its sign path whenever no summand has K = 0:
-    a lead or ratio of the wrong sign changes the series here."""
+    """The same checks with every x and z of coefficient 1 or -1, where
+    each summand of m is led by a sign of ``theta.theta_terms`` and its run
+    twisted by a ratio of 1 or -1: a lead or ratio of the wrong sign
+    changes the series here."""
 
     COEFFS = [GaussianRational(1), GaussianRational(-1)]
-
-    def test_sign_path_forms_no_runs(self, monkeypatch):
-        # the sign path writes its runs itself; without this pin a silent
-        # fallback to geometric_runs would pass every value test
-        calls = []
-        inner = appell.geometric_runs
-        monkeypatch.setattr(appell, "geometric_runs", lambda *args: calls.append(1) or inner(*args))
-        for base in self.BASES:
-            for z in (qpow(R(1, 3)), mono(-1, R(4, 9))):
-                appell._bilateral_sum(mono(-1, R(2, 5)), base, z, 12)
-        assert not calls
-        appell._bilateral_sum(mono(-1, R(2, 5)), qpow(1), mono(2, R(1, 3)), 12)
-        assert calls
 
 
 class TestBlocksAgainstHandCoded:

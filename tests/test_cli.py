@@ -181,6 +181,21 @@ class TestCorpus:
         code, _, err = run(capsys, "corpus", str(path))
         assert code == 2
 
+    def test_byte_order_mark_ignored(self, capsys, tmp_path):
+        path = tmp_path / "bom.qid"
+        path.write_text(SMALL_CORPUS.lstrip(), encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        code, out, _ = run(capsys, "corpus", str(path))
+        assert code == 0
+        assert "PASS 2 / FAIL 0 / ERROR 0" in out
+
+    def test_repeated_key_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "twice.qid"
+        path.write_text('[identity a]\nanchor = "x"\norder = 5\nlhs = q\nlhs = q^2\nrhs = q^2\n')
+        code, out, err = run(capsys, "corpus", str(path))
+        assert code == 2
+        assert "PASS" not in out and "sets 'lhs' twice" in err
+
     def test_deep_stanza_exit_2(self, capsys, tmp_path):
         path = tmp_path / "deep.qid"
         path.write_text(SMALL_CORPUS + f'\n[identity deep]\nanchor = "x"\norder = 5\nlhs = {DEEP}\nrhs = q\n')

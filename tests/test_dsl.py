@@ -1038,6 +1038,11 @@ class TestCorpusFormat:
         with pytest.raises(CorpusSyntaxError):
             parse_corpus("[identity a]\nanchor = \"x\"\nlhs = q\nrhs = q\n")
 
+    def test_repeated_key_rejected(self):
+        # a second lhs must not silently replace the first
+        with pytest.raises(CorpusSyntaxError, match=r"line 5: identity 'a' sets 'lhs' twice"):
+            parse_corpus('[identity a]\nanchor = "x"\norder = 5\nlhs = q\nlhs = q^2\nrhs = q^2\n')
+
     def test_bad_expression_rejected(self):
         with pytest.raises(CorpusSyntaxError):
             parse_corpus('[identity a]\nanchor = "x"\norder = 5\nlhs = q^(\nrhs = q\n')

@@ -1000,13 +1000,13 @@ class TestEulerianSum:
 
     @staticmethod
     def _on_sixths(weight, factors, order, divide):
-        """``series.eulerian_terms`` of monomials whose exponents lie on
-        the grid 1/6, summed."""
+        """``series.eulerian_sum`` of monomials whose exponents lie on
+        the grid 1/6."""
         def term(m):
             return m.pair[0] * (6 // m.pair[1]), m.triple
 
-        return series.sum_lattices(*series.eulerian_terms(
-            6, lambda n: term(weight(n)), lambda n: [term(m) for m in factors(n)], order, divide))
+        return series.eulerian_sum(
+            6, lambda n: term(weight(n)), lambda n: [term(m) for m in factors(n)], order, divide)
 
     def test_against_every_product_formed(self):
         # factors that start below zero, products that are zero to their
@@ -1043,7 +1043,7 @@ class TestEulerianSum:
 
 
 class TestPackedEulerianLoop:
-    """Unit sums of ``series.eulerian_terms`` (every coefficient 1 or -1,
+    """Unit sums of ``series.eulerian_sum`` (every coefficient 1 or -1,
     integer exponents, positive factors, weights from 0 up that do not
     fall) run on packed integers.  Each is checked against the same sum on
     the vector path, forced by making ``series._unit_steps`` find no unit
@@ -1069,7 +1069,7 @@ class TestPackedEulerianLoop:
         with pytest.MonkeyPatch.context() as mp:
             if vector:
                 mp.setattr(series, "_unit_steps", lambda *args: False)
-            return series.sum_lattices(*series.eulerian_terms(L, w, f, order, divide)), calls
+            return series.eulerian_sum(L, w, f, order, divide), calls
 
     @staticmethod
     def _oracle(L, weight, factors, order, divide):

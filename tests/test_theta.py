@@ -7,7 +7,7 @@ from math import isqrt
 
 import pytest
 
-from qmock._rational import qrat
+from qmock._rational import gaussian, qrat
 from qmock.appell import appell_m
 from qmock.dsl import IdentityRecord, evaluate, parse, verify_identity
 from qmock.hecke import f_abc
@@ -20,6 +20,7 @@ from qmock.theta import (
     pochhammer_finite,
     pochhammer_infinite,
     theta_start,
+    theta_terms,
     theta_window,
 )
 
@@ -34,6 +35,7 @@ from oracles import (
     poly_one,
     product_side_pochhammer,
     series_to_dict,
+    theta_term_gaussian,
 )
 
 
@@ -250,6 +252,37 @@ class TestJacobiTheta:
         got = appell_m(qpow(Fraction(1, 3)), big, qpow(Fraction(1, 2)), 3)
         assert got == appell_m_pairwise(qpow(Fraction(1, 3)), big, qpow(Fraction(1, 2)), 3)
         assert f_abc(1, 1, 1, qpow(1), qpow(1), big, 3) == f_abc_via_quadrants(1, 1, 1, qpow(1), qpow(1), big, 3)
+
+
+class TestThetaTerms:
+    """``theta_terms`` against the coefficient (-x)^n * b^binom(n, 2) in
+    GaussianRational arithmetic, for coefficients of x and b that are 1 or
+    -1 (the sign path), rationals, powers of 2 and Gaussian rationals."""
+
+    KINDS = {
+        "unit": [(1, 0, 1), (-1, 0, 1)],
+        "rational": [(3, 0, 5), (-7, 0, 2), (5, 0, 1), (-2, 0, 9), (2, 0, 2)],
+        "power of 2": [(1 << k, 0, 1) for k in (1, 3, 7)] + [(-1, 0, 1 << k) for k in (1, 4, 9)],
+        "gaussian": [(1, 1, 1), (0, 1, 1), (0, -1, 1), (2, -3, 5), (-1, 4, 3)],
+    }
+
+    def test_against_gaussian_oracle(self):
+        rnd = random.Random(2027)
+        kinds = list(self.KINDS)
+        seen = set()
+        for _ in range(2000):
+            kx, kb = rnd.choice(kinds), rnd.choice(kinds)
+            cx, cb = rnd.choice(self.KINDS[kx]), rnd.choice(self.KINDS[kb])
+            ns = [rnd.randint(-40, 40) for _ in range(rnd.randint(0, 4))]
+            got = theta_terms(cx, cb, ns)
+            assert len(got) == len(ns)
+            x, b = gaussian(cx), gaussian(cb)
+            for n, t in zip(ns, got):
+                assert t[2] > 0 and gaussian(t) == theta_term_gaussian(x, b, n), (cx, cb, n, t)
+                if kx == kb == "unit":
+                    assert t in ((1, 0, 1), (-1, 0, 1))
+            seen.add((kx, kb))
+        assert len(seen) == len(kinds) ** 2
 
 
 class TestThetaWindow:
