@@ -1,11 +1,14 @@
 """The theta-times-m and theta-quotient blocks of the f_{a,b,c} theorems
 (Hickerson-Mortenson, Proc. LMS 109, 2014) as DSL templates: each takes its
 folded arguments and returns an AST of j and m calls, monomials and
-arithmetic, which ``dsl.evaluate`` plans like any other expression.  The
-monomials are computed in integers (``qmock._rational.QMonomial``) and
-stand in the AST as they are, as call arguments and as factors.  A theta
-denominator that vanishes identically is refused while the AST is built."""
+arithmetic, which ``dsl.evaluate`` plans like any other expression.  A
+block's terms are a plain chain of ``Add`` nodes, which the plan opens
+into one sum of signed terms however long it is.  The monomials are
+computed in integers (``qmock._rational.QMonomial``) and stand in the AST
+as they are, as call arguments and as factors.  A theta denominator that
+vanishes identically is refused while the AST is built."""
 
+from functools import reduce
 from math import gcd
 
 from . import theta
@@ -29,15 +32,6 @@ def _den(x, b, exc=DegenerateDenominator):
     return _j(x, b)
 
 
-def _total(terms):
-    """The sum of the nodes ``terms``, as a balanced tree so that a long
-    block nests no deeper than its logarithm."""
-    while len(terms) > 1:
-        terms = [Add(*terms[i:i + 2]) if i + 1 < len(terms) else terms[i]
-                 for i in range(0, len(terms), 2)]
-    return terms[0]
-
-
 def _check_diagonal(a, b, c):
     if a < 1 or c < 1:
         raise ValueError(f"need a > 0 and c > 0, got {(a, b, c)}")
@@ -57,7 +51,7 @@ def _g_abc(a, b, c, x, y, base, z1, z0):
             m_arg = -(base ** m_exp) * ((-v) ** aa) * ((-u) ** (-b))
             terms.append(Mul(shift, Mul(_j(base ** (b * t) * u, base ** aa),
                                         _m(m_arg, base ** (aa * D), zz))))
-    return _total(terms)
+    return reduce(Add, terms)
 
 
 def _h_abc(a, b, c, x, y, base, z1, z0):
@@ -101,7 +95,7 @@ def _theta_np(n, p, x, y, base):
                         * ((-x) ** (n + p)) * ((-y) ** (-n)), b_big)
             terms.append(Div(Mul(lead, Mul(j1, j2)), Mul(den1, den2)))
     jm3 = Pow(_j(b_big, base ** (3 * N_big)), 3)  # J_{N}^3, N = p^2 (2n + p)
-    return Div(Mul(_total(terms), jm3), _den(-(base ** 0), base ** (n * p * (2 * n + p))))
+    return Div(Mul(reduce(Add, terms), jm3), _den(-(base ** 0), base ** (n * p * (2 * n + p))))
 
 
 def _theta_abc(a, b, c, x, y, base):
@@ -135,7 +129,7 @@ def _theta_abc(a, b, c, x, y, base):
                 den1 = _den((base ** (d2 * (e + 1) - cb1)) * (-x) * ((-y) ** (-bc)), b_M)
                 den2 = _den((base ** (d1 * (d + 1) - cb2)) * ((-x) ** (-ba)) * (-y), b_M)
                 terms.append(Div(Mul(lead, Mul(Mul(j1, j2), j3)), Mul(den1, den2)))
-    return Mul(_total(terms), Pow(_j(b_M, base ** (3 * M)), 3))
+    return Mul(reduce(Add, terms), Pow(_j(b_M, base ** (3 * M)), 3))
 
 
 def _msplit_rhs(n, x, base, z, zp):
@@ -160,8 +154,8 @@ def _msplit_rhs(n, x, base, z, zp):
         den2 = _den((base ** r) * z, b_n)
         corr.append(Div(Mul(lead, Mul(j1, j2)), Mul(den1, den2)))
     jn3 = Pow(_j(b_n, base ** (3 * n)), 3)
-    return Add(_total(split),
-               Mul(zp, Div(Mul(_total(corr), jn3), Mul(jxz, jzp))))
+    return Add(reduce(Add, split),
+               Mul(zp, Div(Mul(reduce(Add, corr), jn3), Mul(jxz, jzp))))
 
 
 # name -> block template; msplit_rhs is not a DSL function

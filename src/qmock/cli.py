@@ -103,9 +103,14 @@ def cmd_verify(args):
 def _verify_payload(record):
     """The one place a record is verified, in this process or in a pool
     worker: a record sent to a worker carries its expressions' text and no
-    ASTs, and is parsed here; returns its report."""
+    ASTs, and is parsed here; returns its report, an ERROR one for text
+    that does not parse."""
     if record.lhs is None:
-        record = dataclasses.replace(record, lhs=parse(record.lhs_text), rhs=parse(record.rhs_text))
+        try:
+            record = dataclasses.replace(record, lhs=parse(record.lhs_text), rhs=parse(record.rhs_text))
+        except ExpressionSyntaxError as exc:
+            return VerificationReport(id=record.id, status="ERROR", anchor=record.anchor,
+                                      detail=f"{type(exc).__name__}: {exc}")
     return verify_identity(record)
 
 

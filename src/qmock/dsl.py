@@ -43,6 +43,7 @@ import re
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice
 from math import lcm
 from operator import itemgetter
@@ -53,7 +54,7 @@ from ._rational import (Q0, Q1, RAT, ZERO, as_pair, as_triple, decimal_int, deci
                         triple_mul, triple_pow, triple_reduce)
 from . import appell, catalog, hecke, theta
 from .blocks import BLOCKS
-from .nodes import Add, Call, Div, Literal, Mul, Neg, Pow, QPow, Sub
+from .nodes import Add, Call, Div, Literal, Mul, Neg, Pow, QPow, Sub, Sum
 from .series import (
     GaussianRational,
     GR_I,
@@ -64,6 +65,7 @@ from .series import (
     QSeriesError,
     product_precision,
     qpow,
+    sum_series,
 )
 
 __all__ = [
@@ -446,6 +448,9 @@ def _literal_text(value):
     return f"({re_part} {sign} {im_part})" if re_part else f"({sign}{im_part})"
 
 
+_INFIX = {Add: " + ", Sub: " - ", Mul: "*", Div: "/"}
+
+
 def to_text(node):
     """Canonical text for an AST; parse(to_text(x)) is structurally x for
     every AST the parser itself can produce."""
@@ -458,14 +463,15 @@ def to_text(node):
         if is_integer(e) and e >= 0:
             return f"q^{decimal_text(e)}"
         return f"q^({decimal_text(e)})"
-    if isinstance(node, Add):
-        return f"({to_text(node.left)} + {to_text(node.right)})"
-    if isinstance(node, Sub):
-        return f"({to_text(node.left)} - {to_text(node.right)})"
-    if isinstance(node, Mul):
-        return f"({to_text(node.left)}*{to_text(node.right)})"
-    if isinstance(node, Div):
-        return f"({to_text(node.left)}/{to_text(node.right)})"
+    if type(node) in _INFIX:
+        # a chain of one precedence in one pair of parentheses, walked down
+        # its left spine in this frame; a right operand keeps its own
+        level = (Add, Sub) if type(node) in (Add, Sub) else (Mul, Div)
+        rights = []
+        while type(node) in level:
+            rights.append(_INFIX[type(node)] + to_text(node.right))
+            node = node.left
+        return f"({to_text(node)}{''.join(reversed(rights))})"
     if isinstance(node, Neg):
         return f"(-{to_text(node.operand)})"
     if isinstance(node, Pow):
@@ -570,14 +576,15 @@ def _fold_int(node):
 # in which division comes last: a call of m or of a block sum is its
 # expansion, m's being its bilateral sum over j(z; b); a divisor that is a
 # product or a quotient is split, so that each of its factors is its own
-# divisor; a product with a quotient factor is one quotient; and the
-# quotients of a sum that share a theta divisor are one quotient by it.
-# Valuations are those of the forms.  A call with an engine is made once
-# per process (``_Store``): the theta functions j, J, JB and Jm once per
-# distinct j(x; b), whatever name calls it, the bilateral sums once per
-# m(x, b, z), and g, f, the catalog series and the Pochhammer products once
-# per folded arguments, each at the highest order asked so far, and a lower
-# order is that truncated.
+# divisor; a product with a quotient factor is one quotient; and a sum is
+# one ``Sum`` of signed terms, however its Add, Sub and Neg nodes and the
+# sums of its block calls nest, in which the quotients that share a theta
+# divisor are one quotient by it.  Valuations are those of the forms.  A
+# call with an engine is made once per process (``_Store``): the theta
+# functions j, J, JB and Jm once per distinct j(x; b), whatever name calls
+# it, the bilateral sums once per m(x, b, z), and g, f, the catalog series
+# and the Pochhammer products once per folded arguments, each at the
+# highest order asked so far, and a lower order is that truncated.
 
 
 def _target(w, other, own):
@@ -753,8 +760,8 @@ class _Plan:
             val = node.pair, True
         elif isinstance(node := self._form(node), Neg):
             val = self.valuation(node.operand)
-        elif isinstance(node, (Add, Sub)):
-            val = _val_sum(self.valuation(node.left), self.valuation(node.right))
+        elif isinstance(node, Sum):
+            val = reduce(_val_sum, [self.valuation(t) for _, t in node.terms])
         elif isinstance(node, Mul):
             val = _val_product(self.valuation(node.left), self.valuation(node.right))
         elif isinstance(node, Div):
@@ -796,16 +803,14 @@ class _Plan:
         if type(node) is QMonomial:
             return QSeries.from_monomial(node)
         node = self._form(node)
-        if isinstance(node, Add):
-            return self.series(node.left, w) + self.series(node.right, w)
-        if isinstance(node, Sub):
-            return self.series(node.left, w) - self.series(node.right, w)
+        if isinstance(node, Sum):
+            return sum_series([self.series(t, w) if sign > 0 else -self.series(t, w)
+                               for sign, t in node.terms])
         if isinstance(node, Neg):
             return -self.series(node.operand, w)
         if isinstance(node, (Mul, Div)):
-            # a*b or a/b known below w, in this frame so that a long product
-            # nests no deeper than a long sum.  A factor without a valuation
-            # is evaluated first, so that where it starts is known when its
+            # a*b or a/b known below w.  A factor without a valuation is
+            # evaluated first, so that where it starts is known when its
             # partner's order is set.
             a, b = node.left, node.right
             get_a, get_b = self.series, self.series
@@ -844,7 +849,7 @@ class _Plan:
         elif kind is Mul or kind is Neg:
             form = self._product(node)
         elif kind is Add or kind is Sub:
-            form = self._gather(node)
+            form = self._gather([(1, node)])
         else:  # a call of m or of a block sum
             try:
                 expansion = self._expand(node)
@@ -899,7 +904,7 @@ class _Plan:
         times dense."""
         if self._grid(quotient) % self._grid(c) == 0 or type(c) is Div:
             return True
-        return type(c) in (Add, Sub) and any(type(t) is Div for _, t in self._terms(c)[0])
+        return type(c) is Sum and any(type(t) is Div for _, t in c.terms)
 
     def _grid(self, node):
         """The least common denominator L of the exponents that ``node`` is
@@ -907,7 +912,9 @@ class _Plan:
         key = id(node)
         if key not in self._grids:
             node = self._form(node)
-            if isinstance(node, (Add, Sub, Mul, Div)):
+            if isinstance(node, Sum):
+                grid = lcm(*[self._grid(t) for _, t in node.terms])
+            elif isinstance(node, (Mul, Div)):
                 grid = lcm(self._grid(node.left), self._grid(node.right))
             elif isinstance(node, (Neg, Pow)):
                 grid = self._grid(node.operand if isinstance(node, Neg) else node.base)
@@ -929,17 +936,15 @@ class _Plan:
             self._grids[key] = grid
         return self._grids[key]
 
-    def _gather(self, node):
-        """The sum ``node`` with its quotients by one theta as one quotient:
-        a/d ± b/d is (a ± b)/d, for the divisors of ``_theta_key`` keyed by
-        their (x, b), so that d is divided by once.  A term's divisors are
-        the thetas it is divided by last; the one that the most terms
-        share goes last of all, so that a/(d*e) + b/(d*f) is
-        (a/e + b/f)/d.  A sum with no shared theta is its own form, and so
-        is each sum inside it."""
-        terms, inner = self._terms(node)
-        parts = [(sign, term, *self._divisors(term)) for sign, term in terms]
-        gathered = False
+    def _gather(self, terms):
+        """The sum of the (sign, node) pairs ``terms`` as one ``Sum`` of
+        their terms' forms (``_terms``), with its quotients by one theta as
+        one quotient: a/d ± b/d is (a ± b)/d, for the divisors of
+        ``_theta_key`` keyed by their (x, b), so that d is divided by once.
+        A term's divisors are the thetas it is divided by last; the one that
+        the most terms share goes last of all, so that a/(d*e) + b/(d*f) is
+        (a/e + b/f)/d.  A sum gathered into one term is that term."""
+        parts = [(sign, term, *self._divisors(term)) for sign, term in self._terms(terms)]
         while True:
             count = {}
             for *_, dens in parts:
@@ -958,37 +963,31 @@ class _Plan:
                     num.append((sign, _divided(core, dens[:i] + dens[i + 1:])))
                 else:
                     rest.append(part)
-            term = Div(self._form(_signed_sum(num, [])), den)
+            term = Div(self._gather(num), den)
             parts = rest + [(1, term, *self._divisors(term))]
-            gathered = True
-        if gathered:
-            inner = []
-            node = _signed_sum([(sign, term) for sign, term, _, _ in parts], inner)
-        for n in inner:
-            self._forms[id(n)] = n, n
-        return node
+        if len(parts) == 1:  # the terms gathered into one, added with sign 1
+            return parts[0][1]
+        return Sum(tuple([(sign, term) for sign, term, _, _ in parts]))
 
-    def _terms(self, node):
-        """The signed terms of the sum ``node``, each in its form, and the
-        sums passed through on the way; a term whose form is a sum, such as
-        a block call's, is passed through too."""
-        terms, inner, stack = [], [], [(1, node)]
+    def _terms(self, terms):
+        """The (sign, node) pairs ``terms`` with every sum in them opened,
+        walked with a stack: an Add, a Sub, a Neg and a node whose form is a
+        ``Sum`` (such as a block call's) give their terms, the signs
+        multiplied.  Every other term comes back in its form, in order."""
+        out, stack = [], terms[::-1]
         while stack:
             sign, n = stack.pop()
             kind = type(n)
             if kind is Add or kind is Sub:
-                inner.append(n)
                 stack.append((-sign if kind is Sub else sign, n.right))
                 stack.append((sign, n.left))
             elif kind is Neg:
                 stack.append((-sign, n.operand))
+            elif type(f := self._form(n)) is Sum:
+                stack += [(sign * s, t) for s, t in reversed(f.terms)]
             else:
-                f = self._form(n)
-                if f is not n and type(f) in (Add, Sub, Neg):
-                    stack.append((sign, f))
-                else:
-                    terms.append((sign, f))
-        return terms, inner
+                out.append((sign, f))
+        return out
 
     def _divisors(self, term):
         """(core, dens): the term is core divided by the thetas of dens,
@@ -1101,20 +1100,6 @@ def _divided(node, dens):
     for _, den in reversed(dens):
         node = Div(node, den)
     return node
-
-
-def _signed_sum(terms, inner):
-    """The sum of the (sign, node) pairs ``terms``, as a balanced tree whose
-    sums are appended to ``inner``."""
-    while len(terms) > 1:
-        paired = []
-        for (s, a), (t, b) in zip(terms[::2], terms[1::2]):
-            node = Add(a, b) if s == t else Sub(a, b)
-            inner.append(node)
-            paired.append((s, node))
-        terms = paired + terms[len(paired) * 2:]
-    sign, node = terms[0]
-    return node if sign > 0 else Neg(node)
 
 
 def _eval(node, order):

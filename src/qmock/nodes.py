@@ -1,6 +1,8 @@
 """The AST of the identity DSL (``qmock.dsl``): constants, powers of q,
 arithmetic and function calls.  The ASTs of the block templates
-(``qmock.blocks``) also hold monomials, ``QMonomial``, as leaves.
+(``qmock.blocks``) also hold monomials, ``QMonomial``, as leaves.  The
+parser and the templates write a sum as binary ``Add`` and ``Sub`` nodes;
+only the evaluator's plan makes a ``Sum``, one node of signed terms.
 
 The nodes are immutable and compare, hash, print and pickle by their
 fields, as frozen dataclasses do; they are plain classes with slots, whose
@@ -85,6 +87,13 @@ class Neg(_Node):
         _set_operand(self, operand)
 
 
+class Sum(_Node):
+    __slots__ = _names = ("terms",)  # a tuple of (sign, node) pairs, each sign 1 or -1
+
+    def __init__(self, terms):
+        _set_terms(self, terms)
+
+
 class Pow(_Node):
     __slots__ = _names = ("base", "exponent")  # exponent: an int
 
@@ -105,5 +114,6 @@ _set_value = Literal.value.__set__
 _set_q_exponent = QPow.exponent.__set__
 _set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
 _set_operand = Neg.operand.__set__
+_set_terms = Sum.terms.__set__
 _set_base, _set_exponent = Pow.base.__set__, Pow.exponent.__set__
 _set_name, _set_args = Call.name.__set__, Call.args.__set__

@@ -9,7 +9,7 @@ import pytest
 
 from qmock import cli, hecke
 from qmock.cli import main
-from qmock.dsl import parse_corpus
+from qmock.dsl import Neg, parse, parse_corpus
 
 import oracles
 
@@ -40,6 +40,10 @@ BAD_ORDERS = ["abc", "0", "-2", "1/0", "1_0", "\u0663"]
 
 def long_sum(n):
     return "+".join(["q"] * n)
+
+
+def long_product(n):
+    return "*".join(["q"] * n)
 
 
 FAILING_CORPUS = SMALL_CORPUS + """
@@ -94,8 +98,14 @@ class TestExpand:
         assert code == 3
         assert "LatticeTooLarge" in err
 
-    def test_too_long_sum_exit_3(self, capsys):
-        code, _, err = run(capsys, "expand", long_sum(1200), "--order", "5")
+    def test_long_sum_exit_0(self, capsys):
+        # a sum is one node of the plan however many terms it has
+        code, out, _ = run(capsys, "expand", long_sum(3000), "--order", "5")
+        assert code == 0
+        assert out.strip() == "3000*q"
+
+    def test_too_long_product_exit_3(self, capsys):
+        code, _, err = run(capsys, "expand", long_product(1200), "--order", "5")
         assert code == 3
         assert "RecursionError" in err
 
@@ -204,13 +214,13 @@ class TestCorpus:
         assert "'deep'" in err and "nested too deeply" in err
 
     def test_too_long_stanza_errors_alone(self, capsys, tmp_path):
-        # 1200 terms are too deep to evaluate; 400 evaluate, and a worker
-        # process gets their text, which it parses, not their AST, which is
-        # too deep to pickle
+        # sums of 400 and 1200 terms evaluate, a product of 1200 factors is
+        # too deep to; a worker process gets their text, which it parses,
+        # not their AST, which is too deep to pickle
         stanzas = "".join(
             f'\n[identity sum-{n}]\nanchor = "x"\norder = 5\nlhs = {long_sum(n)}\nrhs = {n}q\n'
             for n in (400, 1200)
-        )
+        ) + f'\n[identity product-1200]\nanchor = "x"\norder = 5\nlhs = {long_product(1200)}\nrhs = 0\n'
         path = tmp_path / "long.qid"
         path.write_text(FAILING_CORPUS + stanzas)
         for jobs in ("1", "2"):
@@ -219,9 +229,9 @@ class TestCorpus:
             reports = {r["id"]: r for r in json.loads(out)}
             assert {i: r["status"] for i, r in reports.items()} == {
                 "pass-1": "PASS", "pass-2": "PASS", "planted": "FAIL",
-                "sum-400": "PASS", "sum-1200": "ERROR",
+                "sum-400": "PASS", "sum-1200": "PASS", "product-1200": "ERROR",
             }
-            assert reports["sum-1200"]["detail"].startswith("RecursionError")
+            assert reports["product-1200"]["detail"].startswith("RecursionError")
 
     def test_bad_block_stanza_errors_alone(self, capsys, tmp_path):
         # theta_np with p = 0 has no cells to sum
@@ -267,6 +277,34 @@ class TestCorpus:
                    for jobs in (1, 2)]
         assert reports[0] == reports[1]
         assert [r["status"] for r in reports[1]] == ["PASS", "PASS", "FAIL"]
+
+    def test_long_records_without_text_reach_workers(self):
+        # a long sum built in code prints as one flat chain, which a worker
+        # parses and this process prints at any length
+        records = [dataclasses.replace(r, lhs=parse(long_sum(n)), rhs=parse(f"{n}q"),
+                                       id=f"sum-{n}", lhs_text="", rhs_text="")
+                   for r in parse_corpus(SMALL_CORPUS)[:1] for n in (300, 1200)]
+        reports = [[r.to_dict(stable=True) for r in cli.run_corpus(records, jobs=jobs)]
+                   for jobs in (1, 2)]
+        assert reports[0] == reports[1]
+        assert [r["status"] for r in reports[1]] == ["PASS", "PASS"]
+
+    def test_text_that_does_not_parse_errs_alone(self):
+        # 300 signs built in code print as 300 nested parentheses, past
+        # the parser's depth: the worker reports that stanza an ERROR, and
+        # the others keep their verdicts
+        lhs = parse("q")
+        for _ in range(300):
+            lhs = Neg(lhs)
+        first, second, planted = parse_corpus(FAILING_CORPUS)
+        deep = dataclasses.replace(first, id="deep", lhs=lhs, lhs_text="", rhs_text="")
+        reports = {r.id: r for r in cli.run_corpus([first, deep, second, planted], jobs=2)}
+        assert {i: r.status for i, r in reports.items()} == {
+            "pass-1": "PASS", "pass-2": "PASS", "planted": "FAIL", "deep": "ERROR",
+        }
+        assert reports["deep"].detail == ("ExpressionSyntaxError: line 1, column 201: "
+                                          "expression nested too deeply")
+        assert reports["deep"].anchor == "pentagonal equals itself"
 
     def test_crashed_worker_errs_pending_stanzas(self, monkeypatch):
         # a stub pool: the planted stanza's worker "dies", which breaks the

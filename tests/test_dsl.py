@@ -15,6 +15,7 @@ import pathlib
 
 from qmock import appell, catalog, dsl, hecke, series, theta
 from qmock._rational import as_pair, rat
+from qmock.nodes import Sum
 from qmock.dsl import (
     FUNCTIONS,
     Add,
@@ -196,12 +197,37 @@ def _random_ast(rnd, depth=0, dens=(1, 2, 7)):
     return Call("negq", (_random_ast(rnd, depth + 1, dens),))
 
 
+def _spine(node):
+    """The left spine of a chain of binary nodes: the (type, right
+    operand) pairs from the top down, and the node at its foot."""
+    out = []
+    while type(node) in (Add, Sub, Mul, Div):
+        out.append((type(node), node.right))
+        node = node.left
+    return out, node
+
+
 class TestPrintRoundTrip:
     def test_200_random_asts(self):
         rnd = random.Random(616)
         for _ in range(200):
             ast = _random_ast(rnd)
             assert parse(to_text(ast)) == ast
+
+    @pytest.mark.parametrize("ops, other", [((Add, Sub), Mul), ((Mul, Div), Sub)])
+    def test_long_chains_print_flat(self, ops, other):
+        # a left-leaning chain of 1500 operators of one precedence prints in
+        # one pair of parentheses; right operands keep theirs, a chain of
+        # either precedence among them
+        rnd = random.Random(2811)
+        q, two = QPow(rat(1)), Literal(GaussianRational(2))
+        leaves = [q, two, Call("Jm", (two,)), Neg(q), ops[1](q, two), other(two, q)]
+        node = other(q, two)
+        for _ in range(1500):
+            node = rnd.choice(ops)(node, rnd.choice(leaves))
+        text = to_text(node)
+        assert text.startswith("((") and len(text) < 20000
+        assert _spine(parse(text)) == _spine(node)
 
 
 class TestEvaluate:
@@ -783,7 +809,11 @@ class TestDivisionByFactors:
         if isinstance(node, Mul):
             assert isinstance(form, Mul) and isinstance(dsl._Plan()._form(node.left), Div)
         else:
-            assert form is node
+            # one Sum of the two quotients as written, the same objects
+            assert type(form) is Sum and len(form.terms) == 2
+            (s, a), (t, b) = form.terms
+            assert (s, t) == (1, -1 if isinstance(node, Sub) else 1)
+            assert a is node.left and b is node.right
         assert evaluate(node, 6) == retry_evaluate(node, 6)
 
     def test_recurrences_of_the_shipped_stanzas(self, monkeypatch):
@@ -845,6 +875,38 @@ class TestDivisionByFactors:
         assert slots == [30]
         monkeypatch.undo()
         assert got == retry_evaluate(parse(text), 30) and got.precision == 30
+
+
+class TestSumForm:
+    """The plan holds a sum as one ``Sum`` of signed terms, however its
+    Add, Sub and Neg nodes and its block calls' sums nest."""
+
+    def test_nested_signs_flatten(self):
+        a, b, c, d = (Call("Jm", (Literal(GaussianRational(k)),)) for k in (1, 2, 3, 4))
+        form = dsl._Plan()._form(parse("Jm(1) - (Jm(2) - Jm(3)) + -Jm(4)"))
+        assert form == Sum(((1, a), (-1, b), (1, c), (-1, d)))
+
+    @pytest.mark.parametrize("text, sign", [
+        ("q - h_abc(1,2,2,q^(1/7),q^(3/7),q,-1,-1)", -1),
+        ("q - (-h_abc(1,2,2,q^(1/7),q^(3/7),q,-1,-1))", 1),
+    ])
+    def test_block_terms_flatten(self, text, sign):
+        # h_abc's two theta-times-m terms, each one quotient by its own
+        # theta, are terms of the sum around the call
+        node = parse(text)
+        form = dsl._Plan()._form(node)
+        assert type(form) is Sum and form.terms[0] == (1, QPow(rat(1)))
+        assert [(s, type(t)) for s, t in form.terms[1:]] == [(sign, Div), (sign, Div)]
+        assert evaluate(node, 6) == retry_evaluate(node, 6)
+
+    def test_one_vector_per_sum(self, monkeypatch):
+        # a sum of 3000 terms is one node, evaluated by one sum_series
+        summed = []
+        inner = dsl.sum_series
+        monkeypatch.setattr(dsl, "sum_series", lambda parts: summed.append(len(parts)) or inner(parts))
+        out = evaluate(parse("+".join(["q"] * 3000)), 5)
+        assert summed == [3000]
+        assert series_to_dict(out) == {1: 3000} and out.precision == 5
 
 
 class TestOrderAgreement:
