@@ -116,10 +116,19 @@ def _verify_payload(record):
 
 def _as_text(record):
     """The record as a worker gets it: its text, which pickles at any depth,
-    without the ASTs, which do not."""
-    return dataclasses.replace(record, lhs=None, rhs=None,
-                               lhs_text=record.lhs_text or to_text(record.lhs),
-                               rhs_text=record.rhs_text or to_text(record.rhs))
+    without the ASTs, which do not.  None for a record without text whose
+    ASTs do not print, or print as text that does not parse back: such a
+    record is verified here, with its ASTs."""
+    texts = []
+    for text, ast in ((record.lhs_text, record.lhs), (record.rhs_text, record.rhs)):
+        if not text:
+            try:
+                text = to_text(ast)
+                parse(text)
+            except (RecursionError, ExpressionSyntaxError):
+                return None
+        texts.append(text)
+    return dataclasses.replace(record, lhs=None, rhs=None, lhs_text=texts[0], rhs_text=texts[1])
 
 
 def _pool_report(future, record):
@@ -138,9 +147,11 @@ def run_corpus(records, order_override=None, jobs=1):
         records = [dataclasses.replace(rec, order=order_override) for rec in records]
     if jobs > 1 and len(records) > 1:
         # a fork pool starts all its workers at the first submit
+        payloads = [_as_text(rec) for rec in records]
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(records))) as pool:
-            futures = [pool.submit(_verify_payload, _as_text(rec)) for rec in records]
-            reports = [_pool_report(f, rec) for f, rec in zip(futures, records)]
+            futures = [None if p is None else pool.submit(_verify_payload, p) for p in payloads]
+            reports = [_verify_payload(rec) if f is None else _pool_report(f, rec)
+                       for f, rec in zip(futures, records)]
     else:
         reports = [_verify_payload(rec) for rec in records]
     return sorted(reports, key=lambda r: r.id)

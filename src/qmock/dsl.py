@@ -22,10 +22,10 @@ lists and unary minus signs nest at most ``MAX_DEPTH`` levels, counted
 together.  Integers of any length are read and printed exactly
 (``_rational.decimal_int`` and ``decimal_text``).
 
-The parser's ASTs hold ground rationals; below it, the folded arguments of
-a call are integer monomials, triples and pairs, and the plan's
-valuations and working orders are pairs (``qmock._rational``), so an
-evaluation does no rational arithmetic.
+The parser's ASTs hold ground rationals.  An evaluation plans its AST in
+one walk, one step per node, a subtree of monomials being one monomial
+step; the folded arguments, valuations and working orders are integer
+monomials, triples and pairs (``qmock._rational``): no rational arithmetic.
 
 Every call that has an engine (the thetas, m's bilateral sums, g, f, the
 catalog series and the Pochhammer products) goes through one process memo,
@@ -54,7 +54,7 @@ from ._rational import (Q0, Q1, RAT, ZERO, as_pair, as_triple, decimal_int, deci
                         triple_mul, triple_pow, triple_reduce)
 from . import appell, catalog, hecke, theta
 from .blocks import BLOCKS
-from .nodes import Add, Call, Div, Literal, Mul, Neg, Pow, QPow, Sub, Sum
+from .nodes import Add, Call, Div, Literal, Mul, Neg, Pow, QPow, Sub
 from .series import (
     GaussianRational,
     GR_I,
@@ -100,11 +100,15 @@ __all__ = [
 
 class ExpressionSyntaxError(QSeriesError):
     def __init__(self, message, line=1, col=1, expected=()):
+        self.message = message
         self.line = line
         self.col = col
         self.expected = tuple(expected)
         hint = f" (expected one of: {', '.join(self.expected)})" if self.expected else ""
         super().__init__(f"line {line}, column {col}: {message}{hint}")
+
+    def __reduce__(self):  # rebuilt from its parts: args holds the formatted text
+        return type(self), (self.message, self.line, self.col, self.expected)
 
 
 class UnknownFunction(ExpressionSyntaxError):
@@ -127,8 +131,12 @@ EVALUATION_ERRORS = (QSeriesError, ValueError, ZeroDivisionError, OverflowError,
 
 class CorpusSyntaxError(QSeriesError):
     def __init__(self, message, line):
+        self.message = message
         self.line = line
         super().__init__(f"corpus line {line}: {message}")
+
+    def __reduce__(self):
+        return type(self), (self.message, self.line)
 
 
 # A theta call's folded arguments -> the (x, b) of the j(x; b) it is, which
@@ -489,25 +497,26 @@ def to_text(node):
 # constant folding for argument slots
 
 def _fold_monomial(node):
-    if type(node) is QMonomial:  # as a block template writes it
+    kind = type(node)
+    if kind is QPow:
+        return qpow(node.exponent)
+    if kind is QMonomial:  # as a block template writes it
         return node
-    if isinstance(node, Mul) and isinstance(node.left, Literal) \
-            and isinstance(node.right, QPow) and node.left.value:
-        return QMonomial(node.left.value, node.right.exponent)  # c*q^e
-    if isinstance(node, (Literal, Add, Sub)):  # a constant, such as 1+i
+    if kind is Mul:
+        a, b = node.left, node.right
+        if type(a) is Literal and type(b) is QPow and a.value:
+            return QMonomial(a.value, b.exponent)  # c*q^e
+        return _fold_monomial(a) * _fold_monomial(b)
+    if kind is Neg:
+        return -_fold_monomial(node.operand)
+    if kind is Literal or kind is Add or kind is Sub:  # a constant, such as 1+i
         r, i, d = _fold_const(node)
         if not r and not i:
             raise EvaluationError("monomial argument must be nonzero")
         return monomial(triple_reduce((r, i, d)), Q0)
-    if isinstance(node, QPow):
-        return qpow(node.exponent)
-    if isinstance(node, Neg):
-        return -_fold_monomial(node.operand)
-    if isinstance(node, Mul):
-        return _fold_monomial(node.left) * _fold_monomial(node.right)
-    if isinstance(node, Div):
+    if kind is Div:
         return _fold_monomial(node.left) * _fold_monomial(node.right).inverse()
-    if isinstance(node, Pow):
+    if kind is Pow:
         return _fold_monomial(node.base) ** node.exponent
     raise EvaluationError(
         f"expected a constant monomial (c*q^e), got expression {to_text(node)!r}"
@@ -524,21 +533,22 @@ def _fold_base(node):
 def _fold_const(node):
     """Constant value of a q-free subexpression (zero allowed), as an
     (re, im, den) triple."""
-    if isinstance(node, Literal):
+    kind = type(node)
+    if kind is Literal:
         return as_triple(node.value)
-    if isinstance(node, Neg):
+    if kind is Neg:
         r, i, d = _fold_const(node.operand)
         return -r, -i, d
-    if isinstance(node, (Add, Sub)):
+    if kind is Add or kind is Sub:
         (ar, ai, ad), (br, bi, bd) = _fold_const(node.left), _fold_const(node.right)
-        if isinstance(node, Sub):
+        if kind is Sub:
             br, bi = -br, -bi
         return ar * bd + br * ad, ai * bd + bi * ad, ad * bd
-    if isinstance(node, Mul):
+    if kind is Mul:
         return triple_mul(_fold_const(node.left), _fold_const(node.right))
-    if isinstance(node, Div):
+    if kind is Div:
         return triple_mul(_fold_const(node.left), triple_pow(_fold_const(node.right), -1))
-    if isinstance(node, Pow):
+    if kind is Pow:
         return triple_pow(_fold_const(node.base), node.exponent)
     raise EvaluationError(f"expected a constant, got expression {to_text(node)!r}")
 
@@ -561,30 +571,32 @@ def _fold_int(node):
 # --------------------------------------------------------------------------
 # evaluation
 #
-# One pass plans the working order of every node.  A valuation is a pair
-# (v, exact): the node's series starts exactly at q^v when exact is true, at
-# q^v or later otherwise; a node without a valuation (None) has no known
-# lower bound.  Exponents v and working orders are (num, den) pairs.
-# Valuations are found bottom up without evaluating anything.
+# One walk builds the plan of an AST (``_Plan.step``), one step per node:
+# its kind, its parts, its valuation and its grid, all found when it is
+# built.  A valuation is a pair (v, exact): the step's series starts
+# exactly at q^v when exact is true, at q^v or later otherwise; None is no
+# known lower bound.  Exponents v and working orders are (num, den) pairs.
 # Working orders go top down: a product a*b known below w asks a for
 # w - v(b) and then b for w - low(a), where low(a) is where the evaluated a
 # starts (its precision, if it is zero below it); a divisor with an exact
 # valuation d is asked for its inverse's order plus 2d.  Each factor is
 # asked at least for its own valuation, so even a factor that comes back
 # zero starts no lower than its bound.
-# The plan evaluates each node in its form (``_Plan._form``), an equal AST
-# in which division comes last: a call of m or of a block sum is its
-# expansion, m's being its bilateral sum over j(z; b); a divisor that is a
-# product or a quotient is split, so that each of its factors is its own
-# divisor; a product with a quotient factor is one quotient; and a sum is
-# one ``Sum`` of signed terms, however its Add, Sub and Neg nodes and the
-# sums of its block calls nest, in which the quotients that share a theta
-# divisor are one quotient by it.  Valuations are those of the forms.  A
-# call with an engine is made once per process (``_Store``): the theta
-# functions j, J, JB and Jm once per distinct j(x; b), whatever name calls
-# it, the bilateral sums once per m(x, b, z), and g, f, the catalog series
-# and the Pochhammer products once per folded arguments, each at the
-# highest order asked so far, and a lower order is that truncated.
+# A step is its node's form, an equal expression in which division comes
+# last: monomials, their products, quotients, negations and powers, and a
+# nonzero sum of constants are one monomial, which shifts and scales the
+# other factor of a product or a quotient (``QSeries.mul_monomial``); a
+# call of m or of a block sum is its expansion, m's being its bilateral sum
+# over j(z; b); a divisor written as a product or a quotient is split, so
+# that each of its factors is its own divisor; a product with a quotient
+# factor is one quotient; and a sum is one step of signed terms, however
+# its Add, Sub and Neg nodes and the sums of its block calls nest, in which
+# the quotients that share a theta divisor are one quotient by it.  A call
+# with an engine is made once per process (``_Store``): the theta functions
+# j, J, JB and Jm once per distinct j(x; b), whatever name calls it, the
+# bilateral sums once per m(x, b, z), and g, f, the catalog series and the
+# Pochhammer products once per folded arguments, each at the highest order
+# asked so far, and a lower order is that truncated.
 
 
 def _target(w, other, own):
@@ -626,7 +638,8 @@ def _val_power(a, k):
 
 class _Reciprocal:
     """1/den known below ``order``, kept as the divisor: a product with it
-    is one ``QSeries.divide``, and no inverse is formed for it."""
+    is one ``QSeries.divide`` (``_Plan._product``), and no inverse is formed
+    for it."""
 
     __slots__ = ("den", "order")
 
@@ -644,19 +657,16 @@ class _Reciprocal:
         return self.den.invert(order=self.order)
 
 
-def _times(x, y):
-    """x*y, where a _Reciprocal factor divides the other."""
-    if isinstance(y, _Reciprocal):
-        x, y = y, x
-    if isinstance(x, _Reciprocal):
-        return y.divide(x.den, x.order)
-    return x * y
-
-
-# the node types that _Plan._form may rewrite
-_REWRITTEN = (Div, Mul, Neg, Add, Sub, Call)
-
 _FOLD = {"m": _fold_monomial, "b": _fold_base, "r": _fold_rational, "n": _fold_int}
+
+
+def _fold_args(node):
+    """A call's arguments folded by the kinds of its row's slots; a theta
+    call's are the (x, b) of the j(x; b) it is (``_THETAS``)."""
+    name = node.name
+    args = [_FOLD[kind](arg) for kind, arg in zip(FUNCTIONS[name][0], node.args)]
+    return _symmetric(*_THETAS[name](*args)) if name in _THETAS else args
+
 
 # The process memo's budget in bytes; the largest series it keeps; and
 # what it counts for a numerator beside its bits, 4 bytes per 30 of them: a
@@ -732,219 +742,227 @@ class _Store:
 _store = _Store(_STORE_BYTES, _ENTRY_BYTES)
 
 
+# the kinds of plan step (``_Step``)
+_MONO, _ZERO, _SCALE, _MUL, _DIV, _NEG, _POW, _SUM, _CALL, _FAIL = (
+    "mono", "zero", "scale", "mul", "div", "neg", "pow", "sum", "call", "fail")
+
+
+class _Step:
+    """A node in its form (see above): its kind, valuation, grid (the least
+    common denominator L of the exponents it is built from: its series lies
+    on the grid 1/L or a coarser one) and parts, by kind: mono, left the
+    monomial; zero, a zero constant; scale, left a step, right the monomial
+    that multiplies it; mul and div, left and right the factors or numerator
+    and divisor; neg, left the operand; pow, left the base, right the int
+    exponent; sum, left its (sign, step) pairs; call, the name, left the
+    folded arguments (a theta's (x, b)) or subq's and negq's argument, right
+    subq's power (negq's 1); fail, left the error evaluating it raises."""
+
+    __slots__ = ("kind", "val", "grid", "left", "right", "name")
+
+    def __init__(self, kind, val, grid, left=None, right=None, name=None):
+        self.kind, self.val, self.grid = kind, val, grid
+        self.left, self.right, self.name = left, right, name
+
+
+def _mono(m):
+    return _Step(_MONO, (m.pair, True), m.pair[1], m)
+
+
+def _scaled(s, m):
+    """s times the monomial m, one step however many monomials scale s."""
+    if s.kind is _SCALE:
+        s, m = s.left, s.right * m
+    val = None if s.val is None else (qadd(s.val[0], m.pair), s.val[1])
+    return _Step(_SCALE, val, lcm(s.grid, m.pair[1]), s, m)
+
+
+def _last(den):
+    """True when a quotient by ``den`` may be divided last: den's valuation
+    is exact and not positive.  Any other divisor keeps its place."""
+    val = den.val
+    return val is not None and val[1] and val[0][0] <= 0
+
+
+def _joins(c, quotient):
+    """True when the factor c may join the numerator of ``quotient``: c lies
+    on its grid, or c is a quotient or a sum with a quotient term, whose
+    product with the quotient would be dense times dense."""
+    if quotient.grid % c.grid == 0 or c.kind is _DIV:
+        return True
+    return c.kind is _SUM and any(t.kind is _DIV for _, t in c.left)
+
+
+def _neg(s):
+    """-s: a monomial negated, and -(a/b) is (-a)/b for a divisor b that may
+    go last (``_last``)."""
+    if s.kind is _MONO:
+        return _mono(-s.left)
+    if s.kind is _DIV and _last(s.right):
+        return _div(_neg(s.left), s.right)
+    return _Step(_NEG, s.val, s.grid, s)
+
+
+def _mul(a, c):
+    """a*c: a quotient factor takes the other into its numerator, (a/b)*c
+    and c*(a/b) being (a*c)/b, for a divisor b that may go last (``_last``)
+    and a factor c that may join it (``_joins``), and a monomial factor
+    scales the other.  So a constant, a monomial, a theta or the bilateral
+    sum of an m on the quotient's grid joins the numerator, and (a/b)*(c/d)
+    is (a*c)/(b*d): no product of two quotients is formed."""
+    if a.kind is _MONO and c.kind is _MONO:
+        return _mono(a.left * c.left)
+    if a.kind is _DIV and _last(a.right) and _joins(c, a):
+        return _div(_mul(a.left, c), a.right)
+    if c.kind is _DIV and _last(c.right) and _joins(a, c):
+        return _div(_mul(a, c.left), c.right)
+    if c.kind is _MONO or a.kind is _MONO:
+        return _scaled(a, c.left) if c.kind is _MONO else _scaled(c, a.left)
+    return _Step(_MUL, _val_product(a.val, c.val), lcm(a.grid, c.grid), a, c)
+
+
+def _div(a, b):
+    """a/b: by a monomial, a scaled by its inverse."""
+    if b.kind is _MONO:
+        m = b.left.inverse()
+        return _mono(a.left * m) if a.kind is _MONO else _scaled(a, m)
+    return _Step(_DIV, _val_product(a.val, _val_inverse(b.val)), lcm(a.grid, b.grid), a, b)
+
+
+def _pow(base, k):
+    """base^k: a monomial's is one while its coefficient is small; a larger
+    one keeps the path of a power, which cuts its base below the order."""
+    if base.kind is _MONO:
+        r, i, d = base.left.triple
+        if abs(k) * max((abs(r) + abs(i)).bit_length(), d.bit_length()) <= 1 << 16:
+            return _mono(base.left ** k)
+    return _Step(_POW, _val_power(base.val, k), base.grid, base, k)
+
+
+def _divisors(term):
+    """(core, dens): the term is core divided by the thetas of dens that may
+    go last (``_last``), (key, divisor) pairs from the last inwards, each
+    keyed by the integers of its (x, b)."""
+    dens = []
+    while term.kind is _DIV:
+        den = term.right
+        if den.kind is not _CALL or den.name not in _THETAS or not _last(den):
+            break
+        x, b = den.left
+        dens.append(((x.triple, x.pair, b.triple, b.pair), den))
+        term = term.left
+    return term, dens
+
+
 class _Plan:
-    """One evaluation pass over an AST: the form of each node, valuations
-    memoized per node, and each node's series at the working order its
-    parent asks for."""
+    """One evaluation pass: ``step`` builds the plan of an AST in one walk,
+    and ``series`` evaluates a step at the working order asked of it.  A
+    plan keeps nothing: the engines' series live in ``_store``."""
 
-    def __init__(self):
-        # id(node) -> valuation, folded call arguments, the node and its
-        # form, its grid; the AST outlives the plan, which keeps the nodes
-        # it makes.  The engines' series outlive it too, in the process
-        # memo (``_store``).
-        self._vals = {}
-        self._args = {}
-        self._forms = {}
-        self._grids = {}
+    __slots__ = ()
 
-    def valuation(self, node):
-        """The valuation of ``node`` (see above), from those of its parts."""
-        key = id(node)
-        if key in self._vals:
-            return self._vals[key]
-        if isinstance(node, Literal):
-            val = (Q0, True) if node.value else None  # 0 starts nowhere
-        elif isinstance(node, QPow):
-            val = as_pair(node.exponent), True
-        elif type(node) is QMonomial:
-            val = node.pair, True
-        elif isinstance(node := self._form(node), Neg):
-            val = self.valuation(node.operand)
-        elif isinstance(node, Sum):
-            val = reduce(_val_sum, [self.valuation(t) for _, t in node.terms])
-        elif isinstance(node, Mul):
-            val = _val_product(self.valuation(node.left), self.valuation(node.right))
-        elif isinstance(node, Div):
-            val = _val_product(self.valuation(node.left),
-                               _val_inverse(self.valuation(node.right)))
-        elif isinstance(node, Pow):
-            val = _val_power(self.valuation(node.base), node.exponent)
-        elif isinstance(node, Call):
-            try:
-                val = self._call_valuation(node)
-            except EVALUATION_ERRORS:
-                val = None  # evaluating the call raises the error
-        else:
-            raise TypeError(f"not an AST node: {node!r}")
-        self._vals[key] = val
-        return val
-
-    def _call_valuation(self, node):
-        name, args = node.name, node.args
-        if name == "subq":
-            k = _fold_rational(args[1])
-            val = self.valuation(args[0])
-            return None if val is None or k[0] <= 0 else (qmul(val[0], k), val[1])
-        if name == "negq":
-            return self.valuation(args[0])
-        row = FUNCTIONS.get(name)  # an unknown name fails when evaluated
-        if row is None or row[2] is None:
-            return None
-        start, exact = row[2]
-        v = start(*self._fold_args(node))
-        return None if v is None else (v, exact)
-
-    def series(self, node, w):
-        """``node`` as a series known below w (or exact)."""
-        if isinstance(node, Literal):
-            return QSeries.constant(node.value)
-        if isinstance(node, QPow):
-            return QSeries.from_monomial(qpow(node.exponent))
-        if type(node) is QMonomial:
-            return QSeries.from_monomial(node)
-        node = self._form(node)
-        if isinstance(node, Sum):
-            return sum_series([self.series(t, w) if sign > 0 else -self.series(t, w)
-                               for sign, t in node.terms])
-        if isinstance(node, Neg):
-            return -self.series(node.operand, w)
-        if isinstance(node, (Mul, Div)):
-            # a*b or a/b known below w.  A factor without a valuation is
-            # evaluated first, so that where it starts is known when its
-            # partner's order is set.
-            a, b = node.left, node.right
-            get_a, get_b = self.series, self.series
-            vb = self.valuation(b)
-            if isinstance(node, Div):
-                get_b, vb = self._reciprocal, _val_inverse(vb)
-            va, vb = _bound(self.valuation(a)), _bound(vb)
-            if vb is None and va is not None:
-                a, va, get_a, b, vb, get_b = b, vb, get_b, a, va, get_a
-            sa = get_a(a, _target(w, vb, va))
-            sb = get_b(b, _target(w, sa.low(), vb))
-            if vb is None:
-                p = product_precision(sa.prec, sa.low(), sb.prec, sb.low())
-                if p is not None and qlt(p, w):
-                    # neither factor had a valuation: b's start now sets
-                    # a's order, before the product is formed
-                    sa = get_a(a, _target(w, sb.low(), va))
-            return _times(sa, sb)
-        if isinstance(node, Pow):
-            return self._power(node.base, node.exponent, w)
-        if isinstance(node, Call):
-            return self._call(node, w)
+    def step(self, node):
+        """The step of ``node`` (see above), built from its parts' steps."""
+        kind = type(node)
+        if kind is Call:
+            return self._call_step(node)
+        if kind is Mul:
+            return _mul(self.step(node.left), self.step(node.right))
+        if kind is Div:
+            return self._divide(self.step(node.left), node.right)
+        if kind is Add or kind is Sub:
+            return self._sum(node)
+        if kind is QPow:
+            return _mono(qpow(node.exponent))
+        if kind is Literal:
+            t = as_triple(node.value)
+            return _mono(monomial(triple_reduce(t), Q0)) if t[0] or t[1] else _Step(_ZERO, None, 1)
+        if kind is Neg:
+            return _neg(self.step(node.operand))
+        if kind is Pow:
+            return _pow(self.step(node.base), node.exponent)
+        if kind is QMonomial:  # as a block template writes it
+            return _mono(node)
         raise TypeError(f"not an AST node: {node!r}")
 
-    def _form(self, node):
-        """``node`` as the plan evaluates it (see above), each rewrite made
-        once per node."""
-        kind = type(node)
-        if kind is Call and node.name not in _EXPANSIONS or kind not in _REWRITTEN:
-            return node
-        key = id(node)
-        if key in self._forms:
-            return self._forms[key][1]
-        if kind is Div:
-            form = self._split(node)
-        elif kind is Mul or kind is Neg:
-            form = self._product(node)
-        elif kind is Add or kind is Sub:
-            form = self._gather([(1, node)])
-        else:  # a call of m or of a block sum
-            try:
-                expansion = self._expand(node)
-            except EVALUATION_ERRORS:
-                form = node  # evaluating the call raises the error
+    def _call_step(self, node):
+        """A call's step, for m and a block sum their expansion's; a call that
+        does not fold, expand or name a row fails."""
+        name, args = node.name, node.args
+        try:
+            if name not in FUNCTIONS:
+                raise EvaluationError(f"no evaluator for function {name!r}")
+            if name == "subq" or name == "negq":  # q -> q^k or -q in the argument
+                k, folded = _fold_rational(args[1]) if name == "subq" else Q1, None
             else:
-                form = self._form(expansion)
-        # the node is kept with its form, so that no node the plan makes
-        # and drops leaves its id to another
-        self._forms[key] = node, form
-        return form
+                folded = _fold_args(node)
+                expansion = name in _EXPANSIONS and _EXPANSIONS[name](*folded)
+        except EVALUATION_ERRORS as exc:
+            return _Step(_FAIL, None, 1, exc, name=name)
+        if folded is None:
+            arg = self.step(args[0])
+            val = None if arg.val is None or k[0] <= 0 else (qmul(arg.val[0], k), arg.val[1])
+            return _Step(_CALL, val, arg.grid * k[1], arg, k, name)
+        if expansion:
+            return self.step(expansion)
+        start = FUNCTIONS[name][2]
+        try:
+            v = None if start is None else start[0](*folded)
+        except EVALUATION_ERRORS:
+            v = None  # evaluating the call raises the error
+        grid = lcm(*[a.pair[1] for a in folded if type(a) is QMonomial])
+        return _Step(_CALL, None if v is None else (v, start[1]), grid, folded, name=name)
 
-    def _split(self, node):
-        """The quotient ``node`` with a divisor that is no product or
-        quotient: a/(b*c) is (a/b)/c and a/(b/c) is (a*c)/b, so that each
-        factor of a divisor is divided by on its own and their product is
-        never formed.  The divisor as written is split, not its form, so
-        that a call of m keeps its path as a divisor."""
-        a, b = node.left, node.right
-        while isinstance(b, (Mul, Div)):
-            a, b = (Div(a, b.left), b.right) if isinstance(b, Mul) else (Mul(a, b.right), b.left)
-        return node if b is node.right else Div(a, b)
+    def _divide(self, a, den):
+        """a/den, the divisor as written split, a/(b*c) being (a/b)/c and
+        a/(b/c) being (a*c)/b, so that no product of divisors is formed.  A
+        call of m keeps its path as a divisor: its expansion is not split."""
+        if type(den) is Mul:
+            return self._divide(self._divide(a, den.left), den.right)
+        if type(den) is Div:
+            return self._divide(_mul(a, self.step(den.right)), den.left)
+        return _div(a, self.step(den))
 
-    def _last(self, den):
-        """True when a quotient by ``den`` may be divided last: den's
-        valuation is exact and not positive.  Any other divisor keeps its
-        place."""
-        val = self.valuation(den)
-        return val is not None and val[1] and val[0][0] <= 0
+    def _sum(self, node):
+        """A sum's step (``_gather``); a nonzero sum of constants is one."""
+        terms = self._terms([(1, node)])
+        if all(t.kind is _MONO and t.left.pair == Q0 for _, t in terms):
+            r, i, d = 0, 0, 1
+            for sign, t in terms:
+                tr, ti, td = t.left.triple
+                r, i, d = r * td + sign * tr * d, i * td + sign * ti * d, d * td
+            if r or i:
+                return _mono(monomial(triple_reduce((r, i, d)), Q0))
+        return self._gather(terms)
 
-    def _product(self, node):
-        """A product with a quotient factor as one quotient: (a/b)*c and
-        c*(a/b) are (a*c)/b, and -(a/b) is (-a)/b, for a divisor b that may
-        go last (``_last``) and a factor c that may join it (``_joins``).
-        So a constant, a monomial, a theta or the bilateral sum of an m on
-        the quotient's grid joins the numerator, and (a/b)*(c/d) is
-        (a*c)/(b*d): no product of two quotients is formed."""
-        if type(node) is Neg:
-            f = self._form(node.operand)
-            return Div(Neg(f.left), f.right) if type(f) is Div and self._last(f.right) else node
-        a, c = self._form(node.left), self._form(node.right)
-        if type(a) is Div and self._last(a.right) and self._joins(c, a):
-            return Div(Mul(a.left, c), a.right)
-        if type(c) is Div and self._last(c.right) and self._joins(a, c):
-            return Div(Mul(a, c.left), c.right)
-        return node
-
-    def _joins(self, c, quotient):
-        """True when the factor c may join the numerator of ``quotient``:
-        c lies on its grid (``_grid``), or c is a quotient or a sum with a
-        quotient term, whose product with the quotient would be dense
-        times dense."""
-        if self._grid(quotient) % self._grid(c) == 0 or type(c) is Div:
-            return True
-        return type(c) is Sum and any(type(t) is Div for _, t in c.terms)
-
-    def _grid(self, node):
-        """The least common denominator L of the exponents that ``node`` is
-        built from: its series lies on the grid 1/L or a coarser one."""
-        key = id(node)
-        if key not in self._grids:
-            node = self._form(node)
-            if isinstance(node, Sum):
-                grid = lcm(*[self._grid(t) for _, t in node.terms])
-            elif isinstance(node, (Mul, Div)):
-                grid = lcm(self._grid(node.left), self._grid(node.right))
-            elif isinstance(node, (Neg, Pow)):
-                grid = self._grid(node.operand if isinstance(node, Neg) else node.base)
-            elif isinstance(node, QPow):
-                grid = as_pair(node.exponent)[1]
-            elif type(node) is QMonomial:
-                grid = node.pair[1]
-            elif isinstance(node, Call):
-                try:
-                    if node.name in ("subq", "negq"):  # q -> q^k or -q
-                        k = _fold_rational(node.args[1])[1] if node.name == "subq" else 1
-                        grid = self._grid(node.args[0]) * k
-                    else:
-                        grid = lcm(*[a.pair[1] for a in self._fold_args(node) if type(a) is QMonomial])
-                except EVALUATION_ERRORS:
-                    grid = 1  # evaluating the call raises the error
+    def _terms(self, items):
+        """The (sign, node or step) pairs ``items`` as (sign, step) pairs, in
+        order, walked with a stack that opens every Add, Sub, Neg and sum or
+        negation step (such as a block call's sum), the signs multiplied."""
+        out, stack = [], items[::-1]
+        while stack:
+            sign, n = stack.pop()
+            kind = type(n)
+            if kind is Add or kind is Sub:
+                stack.append((-sign if kind is Sub else sign, n.right))
+                stack.append((sign, n.left))
+            elif kind is Neg:
+                stack.append((-sign, n.operand))
+            elif (s := n if kind is _Step else self.step(n)).kind is _SUM:
+                stack += [(sign * t, u) for t, u in reversed(s.left)]
+            elif s.kind is _NEG:
+                stack.append((-sign, s.left))
             else:
-                grid = 1
-            self._grids[key] = grid
-        return self._grids[key]
+                out.append((sign, s))
+        return out
 
     def _gather(self, terms):
-        """The sum of the (sign, node) pairs ``terms`` as one ``Sum`` of
-        their terms' forms (``_terms``), with its quotients by one theta as
-        one quotient: a/d ± b/d is (a ± b)/d, for the divisors of
-        ``_theta_key`` keyed by their (x, b), so that d is divided by once.
-        A term's divisors are the thetas it is divided by last; the one that
-        the most terms share goes last of all, so that a/(d*e) + b/(d*f) is
-        (a/e + b/f)/d.  A sum gathered into one term is that term."""
-        parts = [(sign, term, *self._divisors(term)) for sign, term in self._terms(terms)]
+        """The sum of the (sign, step) pairs ``terms`` as one step, its quotients
+        by one theta (``_divisors``) as one quotient, a/d ± b/d being (a ± b)/d,
+        so that d is divided by once.  The divisor that the most terms share
+        goes last of all: a/(d*e) + b/(d*f) is (a/e + b/f)/d.  A sum gathered
+        into one term is that term."""
+        parts = [(sign, term, *_divisors(term)) for sign, term in terms]
         while True:
             count = {}
             for *_, dens in parts:
@@ -960,60 +978,72 @@ class _Plan:
                 if best in keys:
                     i = keys.index(best)
                     den = dens[i][1]
-                    num.append((sign, _divided(core, dens[:i] + dens[i + 1:])))
+                    for _, d in reversed(dens[:i] + dens[i + 1:]):  # the first one last
+                        core = _div(core, d)
+                    num.append((sign, core))
                 else:
                     rest.append(part)
-            term = Div(self._gather(num), den)
-            parts = rest + [(1, term, *self._divisors(term))]
+            term = _div(self._gather(self._terms(num)), den)
+            parts = rest + [(1, term, *_divisors(term))]
         if len(parts) == 1:  # the terms gathered into one, added with sign 1
             return parts[0][1]
-        return Sum(tuple([(sign, term) for sign, term, _, _ in parts]))
+        terms = tuple([(sign, term) for sign, term, _, _ in parts])
+        val = reduce(_val_sum, [t.val for _, t in terms])
+        return _Step(_SUM, val, lcm(*[t.grid for _, t in terms]), terms)
 
-    def _terms(self, terms):
-        """The (sign, node) pairs ``terms`` with every sum in them opened,
-        walked with a stack: an Add, a Sub, a Neg and a node whose form is a
-        ``Sum`` (such as a block call's) give their terms, the signs
-        multiplied.  Every other term comes back in its form, in order."""
-        out, stack = [], terms[::-1]
-        while stack:
-            sign, n = stack.pop()
-            kind = type(n)
-            if kind is Add or kind is Sub:
-                stack.append((-sign if kind is Sub else sign, n.right))
-                stack.append((sign, n.left))
-            elif kind is Neg:
-                stack.append((-sign, n.operand))
-            elif type(f := self._form(n)) is Sum:
-                stack += [(sign * s, t) for s, t in reversed(f.terms)]
-            else:
-                out.append((sign, f))
-        return out
+    def series(self, step, w):
+        """``step`` as a series known below w (or exact)."""
+        kind = step.kind
+        if kind is _CALL or kind is _FAIL:
+            return self._call(step, w)
+        if kind is _SUM:
+            return sum_series([self.series(t, w) if sign > 0 else -self.series(t, w)
+                               for sign, t in step.left])
+        if kind is _MUL or kind is _DIV:
+            return self._product(step, w)
+        if kind is _SCALE:
+            m = step.right
+            return self.series(step.left, _target(w, m.pair, _bound(step.left.val))).mul_monomial(m)
+        if kind is _MONO:
+            return QSeries.from_monomial(step.left)
+        if kind is _NEG:
+            return -self.series(step.left, w)
+        if kind is _POW:
+            return self._power(step.left, step.right, w)
+        return QSeries.zero()
 
-    def _divisors(self, term):
-        """(core, dens): the term is core divided by the thetas of dens,
-        (key, divisor) pairs from the one divided by last inwards."""
-        dens = []
-        while type(term) is Div:
-            key = self._theta_key(term.right)
-            if key is None:
-                break
-            dens.append((key, term.right))
-            term = self._form(term.left)
-        return term, dens
-
-    def _theta_key(self, den):
-        """The (x, b) of a theta divisor that a sum may gather by, or None:
-        a theta call whose arguments fold and which may go last."""
-        if type(den) is not Call or den.name not in _THETAS or not self._last(den):
-            return None
-        return self._fold_args(den)
+    def _product(self, step, w):
+        """a*b or a/b known below w.  A factor without a valuation is
+        evaluated first, so that where it starts is known when its partner's
+        order is set.  A monomial over b is b's inverse scaled."""
+        a, b = step.left, step.right
+        get_a, get_b = self.series, self.series
+        vb = b.val
+        if step.kind is _DIV:
+            vb = _val_inverse(vb)
+            if a.kind is _MONO:
+                return self._inverse(b, _target(w, a.left.pair, _bound(vb))).mul_monomial(a.left)
+            get_b = self._reciprocal
+        va, vb = _bound(a.val), _bound(vb)
+        if vb is None and va is not None:
+            a, va, get_a, b, vb, get_b = b, vb, get_b, a, va, get_a
+        sa = get_a(a, _target(w, vb, va))
+        sb = get_b(b, _target(w, sa.low(), vb))
+        if vb is None:
+            p = product_precision(sa.prec, sa.low(), sb.prec, sb.low())
+            if p is not None and qlt(p, w):
+                # neither factor had a valuation: b's start now sets a's
+                # order, before the product is formed
+                sa = get_a(a, _target(w, sb.low(), va))
+        x, y = (sb, sa) if type(sa) is _Reciprocal else (sa, sb)  # y divides x if a reciprocal
+        return x.divide(y.den, y.order) if type(y) is _Reciprocal else x * y
 
     def _power(self, base, k, w):
         """base^k known below w: the base, or its inverse for k < 0, is
         asked for w less (|k| - 1) times where it starts, and cut there,
         so that an exact base is not raised to its full degree."""
         get = self._inverse if k < 0 else self.series
-        val = self.valuation(base)
+        val = base.val
         v = _bound(_val_inverse(val) if k < 0 else val)
         n = abs(k)
         t = w if v is None else _target(w, qmul(v, n - 1), v)
@@ -1025,87 +1055,64 @@ class _Plan:
             s = get(base, t).truncate(t)
         return s ** n
 
-    def _inverse(self, node, w):
-        """1/node known below w."""
-        return self._reciprocal(node, w).inverse()
+    def _inverse(self, step, w):
+        """1/step known below w."""
+        return self._reciprocal(step, w).inverse()
 
-    def _reciprocal(self, node, w):
-        """1/node known below w, as the divisor that a product divides by."""
-        val = self.valuation(node)
+    def _reciprocal(self, step, w):
+        """1/step known below w, as the divisor that a product divides by."""
+        val = step.val
         if val is not None and val[1]:
             d = val[0]  # asked past d, the divisor's leading term shows
-            den = self.series(node, qmax(qadd(w, qmul(d, 2)), qadd(d, Q1)))
+            den = self.series(step, qmax(qadd(w, qmul(d, 2)), qadd(d, Q1)))
         else:
-            den = self._eval_divisor(node, w, _bound(val))
+            den = self._eval_divisor(step, w, _bound(val))
         return _Reciprocal(den, w)
 
-    def _eval_divisor(self, node, w, v):
-        """A divisor whose valuations give no exact start: a sum whose
-        leading terms may cancel, such as m(..) - m(..), or one built on m
-        or g (whose start they only bound) or on f (whose start they do not
-        know), a block sum's expansion included.  It is evaluated as though
-        it started at its bound v, if it has one.  While it is zero to its
-        precision, its start lies at or past that, so it is evaluated again
-        at 2t + 1, three times at most, before inverting it fails with
-        ZeroSeries; once its start d shows, it is evaluated once more if its
-        precision falls short of w + 2d, which the inverse known below w
-        needs."""
+    def _eval_divisor(self, step, w, v):
+        """A divisor whose valuation gives no exact start (a sum whose leading
+        terms may cancel, such as m(..) - m(..), or one built on m, g or f),
+        evaluated as though it started at its bound v, if it has one.  While
+        it is zero to its precision it is evaluated again at 2t + 1, three
+        times at most, before inverting it fails with ZeroSeries; once its
+        start d shows, once more if its precision falls short of w + 2d,
+        which the inverse known below w needs."""
         t = w if v is None else qmax(qadd(w, qmul(v, 2)), qadd(v, Q1))
-        den = self.series(node, t)
+        den = self.series(step, t)
         for _ in range(3):
             if not den.is_zero() or den.prec is None:
                 break
             t = qadd(qmul(qmax(t, Q0), 2), Q1)
-            den = self.series(node, t)
+            den = self.series(step, t)
         if den.is_zero() or den.prec is None:
             return den
         need = qadd(w, qmul(den.low(), 2))
-        return den if qle(need, den.prec) else self.series(node, need)
+        return den if qle(need, den.prec) else self.series(step, need)
 
-    def _fold_args(self, node):
-        key = id(node)
-        if key not in self._args:
-            kinds = FUNCTIONS[node.name][0]
-            args = [_FOLD[kind](arg) for kind, arg in zip(kinds, node.args)]
-            self._args[key] = _symmetric(*_THETAS[node.name](*args)) if node.name in _THETAS else args
-        return self._args[key]
-
-    def _expand(self, node):
-        """The AST that a call of m or of a block sum expands to."""
-        return _EXPANSIONS[node.name](*self._fold_args(node))
-
-    def _call(self, node, w):
-        name, args = node.name, node.args
+    def _call(self, step, w):
+        """A call step's series: a fail step raises its error."""
+        name = step.name
+        if step.kind is _FAIL:
+            raise step.left
         if name == "subq":
-            k = _fold_rational(args[1])
+            k = step.right
             if k[0] <= 0:
                 raise NonPositivePower(f"subq power must be positive, got {decimal_text(qrat(k))}")
-            return self.series(args[0], qdiv(w, k)).substitute_power(k)
+            return self.series(step.left, qdiv(w, k)).substitute_power(k)
         if name == "negq":
-            return self.series(args[0], w).negate_base()
-        if name not in FUNCTIONS:
-            raise EvaluationError(f"no evaluator for function {name!r}")
-        if name in _EXPANSIONS:  # its form is the call when it fails to expand
-            return self.series(self._expand(node), w)
+            return self.series(step.left, w).negate_base()
         owner, attr = FUNCTIONS[name][1]
-        engine, args = getattr(owner, attr), self._fold_args(node)
+        engine = getattr(owner, attr)
         if name == "g" and w[0] <= 0:  # its precision may fall short there (see _Store)
-            return engine(*args, w)
-        return _store.call(engine, args, w)
-
-
-def _divided(node, dens):
-    """``node`` divided by the divisors of dens, (key, divisor) pairs, the
-    first one last."""
-    for _, den in reversed(dens):
-        node = Div(node, den)
-    return node
+            return engine(*step.left, w)
+        return _store.call(engine, step.left, w)
 
 
 def _eval(node, order):
     """One evaluation pass: ``node`` as a series known below ``order``, every
     subexpression at the working order the plan gives it."""
-    return _Plan().series(node, as_pair(order))
+    plan = _Plan()
+    return plan.series(plan.step(node), as_pair(order))
 
 
 def evaluate(node, order):

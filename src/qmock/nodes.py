@@ -1,14 +1,14 @@
 """The AST of the identity DSL (``qmock.dsl``): constants, powers of q,
 arithmetic and function calls.  The ASTs of the block templates
 (``qmock.blocks``) also hold monomials, ``QMonomial``, as leaves.  The
-parser and the templates write a sum as binary ``Add`` and ``Sub`` nodes;
-only the evaluator's plan makes a ``Sum``, one node of signed terms.
+parser and the templates write a sum as binary ``Add`` and ``Sub`` nodes,
+which the evaluator's plan opens into one step of signed terms.
 
 The nodes are immutable and compare, hash, print and pickle by their
 fields, as frozen dataclasses do; they are plain classes with slots, whose
 definition costs far less at import than a dataclass's.  Each node's
 ``__init__`` stores its fields through their slot descriptors, since
-assignment is closed to everyone else: the parser and the evaluator's plan
+assignment is closed to everyone else: the parser and the block templates
 build thousands of nodes per corpus, and a generic loop over the field
 names took about twice as long."""
 
@@ -87,13 +87,6 @@ class Neg(_Node):
         _set_operand(self, operand)
 
 
-class Sum(_Node):
-    __slots__ = _names = ("terms",)  # a tuple of (sign, node) pairs, each sign 1 or -1
-
-    def __init__(self, terms):
-        _set_terms(self, terms)
-
-
 class Pow(_Node):
     __slots__ = _names = ("base", "exponent")  # exponent: an int
 
@@ -114,6 +107,5 @@ _set_value = Literal.value.__set__
 _set_q_exponent = QPow.exponent.__set__
 _set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
 _set_operand = Neg.operand.__set__
-_set_terms = Sum.terms.__set__
 _set_base, _set_exponent = Pow.base.__set__, Pow.exponent.__set__
 _set_name, _set_args = Call.name.__set__, Call.args.__set__

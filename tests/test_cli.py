@@ -290,14 +290,11 @@ class TestCorpus:
         assert [r["status"] for r in reports[1]] == ["PASS", "PASS"]
 
     def test_text_that_does_not_parse_errs_alone(self):
-        # 300 signs built in code print as 300 nested parentheses, past
-        # the parser's depth: the worker reports that stanza an ERROR, and
-        # the others keep their verdicts
-        lhs = parse("q")
-        for _ in range(300):
-            lhs = Neg(lhs)
+        # a record whose text nests 300 signs in parentheses, past the
+        # parser's depth: the worker reports that stanza an ERROR, and the
+        # others keep their verdicts
         first, second, planted = parse_corpus(FAILING_CORPUS)
-        deep = dataclasses.replace(first, id="deep", lhs=lhs, lhs_text="", rhs_text="")
+        deep = dataclasses.replace(first, id="deep", lhs_text="(-" * 300 + "q" + ")" * 300)
         reports = {r.id: r for r in cli.run_corpus([first, deep, second, planted], jobs=2)}
         assert {i: r.status for i, r in reports.items()} == {
             "pass-1": "PASS", "pass-2": "PASS", "planted": "FAIL", "deep": "ERROR",
@@ -305,6 +302,22 @@ class TestCorpus:
         assert reports["deep"].detail == ("ExpressionSyntaxError: line 1, column 201: "
                                           "expression nested too deeply")
         assert reports["deep"].anchor == "pentagonal equals itself"
+
+    @pytest.mark.parametrize("depth", [300, 1200])
+    def test_deep_records_without_text_are_verified_here(self, depth):
+        # 300 signs built in code print as text too deep to parse, and 1200
+        # too deep to print: either record is verified in this process with
+        # its ASTs, as at --jobs 1, beside a shipped stanza in the pool
+        shipped = parse_corpus(cli.shipped_corpus_path().read_text(encoding="utf-8"))[0]
+        lhs = parse("q")
+        for _ in range(depth):
+            lhs = Neg(lhs)
+        deep = dataclasses.replace(shipped, id="deep", lhs=lhs, rhs=parse("q"), order=5,
+                                   lhs_text="", rhs_text="")
+        reports = [[r.to_dict(stable=True) for r in cli.run_corpus([shipped, deep], jobs=jobs)]
+                   for jobs in (1, 2)]
+        assert reports[0] == reports[1]
+        assert [(r["id"], r["status"]) for r in reports[1]] == [("deep", "PASS"), (shipped.id, "PASS")]
 
     def test_crashed_worker_errs_pending_stanzas(self, monkeypatch):
         # a stub pool: the planted stanza's worker "dies", which breaks the

@@ -15,7 +15,6 @@ import pathlib
 
 from qmock import appell, catalog, dsl, hecke, series, theta
 from qmock._rational import as_pair, rat
-from qmock.nodes import Sum
 from qmock.dsl import (
     FUNCTIONS,
     Add,
@@ -52,6 +51,24 @@ from qmock.series import (
 
 import oracles
 from oracles import retry_evaluate, series_to_dict
+
+
+def planned(node, w):
+    """``node`` as one plan evaluates it at the working order w, a pair."""
+    plan = dsl._Plan()
+    return plan.series(plan.step(node), w)
+
+
+def built_steps(monkeypatch):
+    """(node, step) for every step that ``_Plan.step`` builds from here on."""
+    built, inner = [], dsl._Plan.step
+
+    def step(plan, node):
+        built.append((node, inner(plan, node)))
+        return built[-1][1]
+
+    monkeypatch.setattr(dsl._Plan, "step", step)
+    return built
 
 
 class TestParse:
@@ -482,12 +499,13 @@ class TestThetaMemo:
         want = []
         for w in orders:
             dsl._store.clear()  # each a fresh call, not a hit
-            want.append(dsl._Plan().series(node, w))
+            want.append(planned(node, w))
         calls = []
         inner = theta.jacobi_theta
         monkeypatch.setattr(theta, "jacobi_theta", lambda *args: calls.append(args) or inner(*args))
         plan = dsl._Plan()
-        got = [plan.series(node, w) for w in orders]
+        step = plan.step(node)
+        got = [plan.series(step, w) for w in orders]
         assert got == want and [s.precision for s in got] == [s.precision for s in want]
         # the last order is higher than any asked before it
         assert [args[2] for args in calls] == [(40, 3), (50, 1)]
@@ -598,7 +616,7 @@ class TestProcessMemo:
             kind = self.KINDS[case % len(self.KINDS)]
             node = self._call(rnd, kind)
             owner, attr = FUNCTIONS[node.name][1]
-            engine, args = getattr(owner, attr), dsl._Plan()._fold_args(node)
+            engine, args = getattr(owner, attr), dsl._fold_args(node)
             made = []
             monkeypatch.setitem(vars(owner), attr, lambda *a: made.append(1) or engine(*a))
             high = as_pair(Fraction(rnd.randint(-4, 30), rnd.choice([1, 2, 3])))
@@ -606,14 +624,14 @@ class TestProcessMemo:
                 want = engine(*args, high)
             except dsl.EVALUATION_ERRORS as exc:
                 with pytest.raises(type(exc)):
-                    dsl._Plan().series(node, high)
+                    planned(node, high)
                 assert not dsl._store.entries
                 continue
-            assert dsl._Plan().series(node, high) == want
+            assert planned(node, high) == want
             for _ in range(2):
                 w = as_pair(rat(*high) - Fraction(rnd.randint(0, 24), rnd.choice([1, 2, 3])))
                 before = len(made)
-                got = dsl._Plan().series(node, w)
+                got = planned(node, w)
                 want = engine(*args, w)
                 assert got == want and got.prec == want.prec, (node, high, w)
                 hits[kind] += len(made) == before
@@ -674,7 +692,8 @@ class TestProcessMemo:
 class TestDivisionByFactors:
     """a/(b*c*...) is divided by each factor in turn, and a/(b/c) is
     (a*c)/b: equal in value and precision to a times the inverse of the
-    divisor, with one ``QSeries.divide`` per factor."""
+    divisor, with one ``QSeries.divide`` per factor that is no monomial (a
+    monomial factor scales a by its inverse)."""
 
     M_CALLS = ["m(q^5,q^12,q^2)", "m(-q^(1/3), q, q^(1/2))", "m(q^(1/2), q^2, (1+i)*q)"]
 
@@ -711,8 +730,8 @@ class TestDivisionByFactors:
         assert min(seen.values()) >= 5, seen
 
     @pytest.mark.parametrize("text, divides", [
-        ("Jm(1)/(j(q^(1/2),q)*JB(1,3)*q^(1/3)*Jm(2))", 4),
-        ("Jm(1)/((2+i)*j(-2*q^(-1/2),q^2))", 2),
+        ("Jm(1)/(j(q^(1/2),q)*JB(1,3)*q^(1/3)*Jm(2))", 3),
+        ("Jm(1)/((2+i)*j(-2*q^(-1/2),q^2))", 1),
         ("Jm(1)/(Jm(2)/JB(1,3))", 1),
         ("Jm(1)/(Jm(2)/(JB(1,3)*Jm(3)))", 1),
         ("Jm(1)/(Jm(2)*Jm(3)/(JB(1,3)*Jm(4)))", 2),
@@ -795,25 +814,27 @@ class TestDivisionByFactors:
         assert min(seen.values()) >= 5 and seen["fewer divisions"] >= 60, seen
 
     @pytest.mark.parametrize("text", [
-        "(Jm(1)/(q+q^2))*Jm(2)", "(Jm(1)/(j(q,q^3)*q^(1/2)))*Jm(2)",
+        "(Jm(1)/(q+q^2))*Jm(2)", "(Jm(1)/(j(q,q^3)*(q^(1/2)+q^(3/2))))*Jm(2)",
         "(Jm(1)/(j(q,q^3) - 1))*Jm(2)", "(Jm(1)/m(q,q^12,q^2))*Jm(2)",
         "(Jm(1)/f(1,2,1,q^(1/5),q^(2/5),q))*Jm(2)",
         "Jm(1)/(q+q^2) + Jm(2)/(q+q^2)", "Jm(1)/(j(q,q^3) - 1) - Jm(2)/(j(q,q^3) - 1)",
     ])
-    def test_divisors_that_keep_their_place(self, text):
+    def test_divisors_that_keep_their_place(self, text, monkeypatch):
         # a divisor that starts above q^0, whose leading terms may cancel
         # or without a valuation is not moved: the product keeps its
         # quotient factor, and a sum its quotients
         node = parse(text)
-        form = dsl._Plan()._form(node)
+        built = built_steps(monkeypatch)
+        form = dsl._Plan().step(node)
+        steps = {id(n): step for n, step in built}
         if isinstance(node, Mul):
-            assert isinstance(form, Mul) and isinstance(dsl._Plan()._form(node.left), Div)
+            assert form.kind == "mul" and steps[id(node.left)].kind == "div"
         else:
-            # one Sum of the two quotients as written, the same objects
-            assert type(form) is Sum and len(form.terms) == 2
-            (s, a), (t, b) = form.terms
+            # one sum of the two quotients as written, the same objects
+            assert form.kind == "sum" and len(form.left) == 2
+            (s, a), (t, b) = form.left
             assert (s, t) == (1, -1 if isinstance(node, Sub) else 1)
-            assert a is node.left and b is node.right
+            assert a is steps[id(node.left)] and b is steps[id(node.right)]
         assert evaluate(node, 6) == retry_evaluate(node, 6)
 
     def test_recurrences_of_the_shipped_stanzas(self, monkeypatch):
@@ -878,13 +899,15 @@ class TestDivisionByFactors:
 
 
 class TestSumForm:
-    """The plan holds a sum as one ``Sum`` of signed terms, however its
-    Add, Sub and Neg nodes and its block calls' sums nest."""
+    """The plan holds a sum as one step of signed terms, however its Add,
+    Sub and Neg nodes and its block calls' sums nest."""
 
-    def test_nested_signs_flatten(self):
+    def test_nested_signs_flatten(self, monkeypatch):
         a, b, c, d = (Call("Jm", (Literal(GaussianRational(k)),)) for k in (1, 2, 3, 4))
-        form = dsl._Plan()._form(parse("Jm(1) - (Jm(2) - Jm(3)) + -Jm(4)"))
-        assert form == Sum(((1, a), (-1, b), (1, c), (-1, d)))
+        built = built_steps(monkeypatch)
+        form = dsl._Plan().step(parse("Jm(1) - (Jm(2) - Jm(3)) + -Jm(4)"))
+        steps = {n: step for n, step in built if type(n) is Call}
+        assert form.kind == "sum" and form.left == ((1, steps[a]), (-1, steps[b]), (1, steps[c]), (-1, steps[d]))
 
     @pytest.mark.parametrize("text, sign", [
         ("q - h_abc(1,2,2,q^(1/7),q^(3/7),q,-1,-1)", -1),
@@ -894,9 +917,9 @@ class TestSumForm:
         # h_abc's two theta-times-m terms, each one quotient by its own
         # theta, are terms of the sum around the call
         node = parse(text)
-        form = dsl._Plan()._form(node)
-        assert type(form) is Sum and form.terms[0] == (1, QPow(rat(1)))
-        assert [(s, type(t)) for s, t in form.terms[1:]] == [(sign, Div), (sign, Div)]
+        form = dsl._Plan().step(node)
+        assert form.kind == "sum" and form.left[0][0] == 1 and form.left[0][1].left == qpow(1)
+        assert [(s, t.kind) for s, t in form.left[1:]] == [(sign, "div"), (sign, "div")]
         assert evaluate(node, 6) == retry_evaluate(node, 6)
 
     def test_one_vector_per_sum(self, monkeypatch):
@@ -907,6 +930,142 @@ class TestSumForm:
         out = evaluate(parse("+".join(["q"] * 3000)), 5)
         assert summed == [3000]
         assert series_to_dict(out) == {1: 3000} and out.precision == 5
+
+
+class TestMonomialSteps:
+    """Monomials and their products, quotients, negations and integer powers
+    are one monomial step (``_fold_monomial`` folds the same subtrees), by
+    which the plan shifts and scales the other factor of a product or a
+    quotient: equal in value and precision to the retry oracle, which forms
+    a series for every node."""
+
+    COEFFS = ["", "-", "2*", "(1/2)*", "(-3/4)*", "i*", "(2+i)*", "(1-2*i)*", "(1+i-i)*"]
+    ZEROS = ["0*q", "(1-1)*q", "0", "(2-1-1)*q^(1/3)", "q*(i-i)"]
+    OTHERS = ["Jm(1)", "j(q^(1/2),q)", "(1+q^(1/3))", "psi(q)", "m(q^(1/3),q,q^(1/2))", "1/(1-q)",
+              "(q^(-1)+2*q)"]
+
+    def _monomial(self, rnd, depth=0):
+        """A random subtree of monomials, as text."""
+        kind = rnd.choice(["leaf", "leaf", "mul", "div", "neg", "pow"] if depth < 3 else ["leaf"])
+        if kind == "leaf":
+            e = Fraction(rnd.randint(-6, 6), rnd.choice([1, 1, 2, 3, 5]))
+            c = rnd.choice(self.COEFFS)
+            return rnd.choice([f"{c}q^({e})", f"{c}q", (c[:-1] or "1") + "*q^0", c[:-1] or "3"])
+        a = self._monomial(rnd, depth + 1)
+        if kind == "neg":
+            return f"-({a})"
+        if kind == "pow":
+            return f"({a})^({rnd.choice([-3, -2, -1, 0, 2, 3])})"
+        return f"({a}){'*' if kind == 'mul' else '/'}({self._monomial(rnd, depth + 1)})"
+
+    def _expression(self, rnd, kind):
+        m, x, y = self._monomial(rnd), rnd.choice(self.OTHERS), rnd.choice(self.OTHERS)
+        if kind == "zero":
+            return f"({rnd.choice(self.ZEROS)})*{x} + ({m})"
+        if kind == "times":
+            return rnd.choice([f"({m})*{x}", f"{x}*({m})", f"({m})*({self._monomial(rnd)})*{x}"])
+        if kind == "over monomial":
+            return rnd.choice([f"{x}/({m})", f"({x} - {y})/({m})", f"{x}/(({m})*{y})"])
+        if kind == "monomial over":
+            return rnd.choice([f"({m})/{x}", f"({m})/({x} + {y})", f"({m})/(({m})*{x})"])
+        if kind == "subq":
+            k = rnd.choice(["2", "1/2", "3/2"])
+            return rnd.choice([f"subq(({m})*{x}, {k})", f"subq({m}, {k})", f"negq(({m})*Jm(1))"])
+        # theta quotients that the plan divides last, gathered by their theta
+        return (f"({m})*Jm(1)/j(q,q^3) + Jm(2)*({self._monomial(rnd)})/j(q^2,q^3)"
+                f" - ({m})*(Jm(3)/j(q,q^3))/({self._monomial(rnd)})")
+
+    KINDS = ["zero", "times", "over monomial", "monomial over", "subq", "quotients"]
+
+    def test_monomial_subtrees_are_one_step(self):
+        rnd = random.Random(2929)
+        for _ in range(300):
+            node = parse(self._monomial(rnd))
+            step = dsl._Plan().step(node)
+            assert step.kind == "mono" and step.left == dsl._fold_monomial(node), to_text(node)
+        for text in self.ZEROS:  # a zero constant keeps the path of a series
+            assert dsl._Plan().step(parse(text)).kind != "mono"
+
+    def test_against_the_retry_oracle(self, monkeypatch):
+        rnd = random.Random(2930)
+        seen = dict.fromkeys(self.KINDS + ["error"], 0)
+        one_term = []
+        invert, power = QSeries.invert, QSeries.__pow__
+        monkeypatch.setattr(QSeries, "invert", lambda s, order=None: (
+            len(s._re) == 1 and s.prec is None and one_term.append(s)) or invert(s, order))
+        monkeypatch.setattr(QSeries, "__pow__", lambda s, k: (
+            len(s._re) == 1 and s.prec is None and one_term.append(s)) or power(s, k))
+        for case in range(180):
+            kind = self.KINDS[case % len(self.KINDS)]
+            node = parse(self._expression(rnd, kind))
+            for order in (6, Fraction(7, 2)):
+                try:
+                    want = retry_evaluate(node, order)
+                except QSeriesError as exc:
+                    with pytest.raises(type(exc)):
+                        evaluate(node, order)
+                    seen["error"] += 1
+                    continue
+                one_term.clear()
+                got = evaluate(node, order)
+                assert got == want and got.precision == want.precision, (to_text(node), order)
+                assert not one_term, (to_text(node), order)   # no monomial inverted or raised
+            seen[kind] += 1
+        assert min(seen[kind] for kind in self.KINDS) == 30 and seen["error"] >= 1, seen
+
+
+class TestPlannerWork:
+    """What the plan does for the shipped corpus: one step per AST node at
+    most, and no monomial made a series to be inverted or raised."""
+
+    @staticmethod
+    def _records():
+        from qmock.cli import shipped_corpus_path
+
+        return parse_corpus(shipped_corpus_path().read_text(encoding="utf-8"))
+
+    @staticmethod
+    def _count_nodes(node):
+        """The nodes of ``node``, its calls' arguments and the expansions of
+        its calls of m and of the block sums included."""
+        count, stack = 0, [node]
+        while stack:
+            n = stack.pop()
+            count += 1
+            if type(n) in (Add, Sub, Mul, Div):
+                stack += [n.left, n.right]
+            elif type(n) in (Neg, Pow):
+                stack.append(n.operand if type(n) is Neg else n.base)
+            elif type(n) is Call:
+                stack += n.args
+                if n.name in dsl._EXPANSIONS:
+                    stack.append(dsl._EXPANSIONS[n.name](*dsl._fold_args(n)))
+        return count
+
+    def test_one_step_per_node(self, monkeypatch):
+        built = built_steps(monkeypatch)
+        for rec in self._records():
+            built.clear()
+            assert verify_identity(rec).status == "PASS", rec.id
+            nodes = [node for node, _ in built]   # kept alive, so no id is reused
+            assert len({id(node) for node in nodes}) == len(nodes), rec.id
+            assert len(nodes) <= self._count_nodes(Sub(rec.lhs, rec.rhs)), rec.id
+
+    def test_no_monomial_is_inverted_or_raised(self, monkeypatch):
+        # what is still one term is a theta cut below its order: the cube
+        # of j(b^N; b^(3N)) in theta_np and theta_abc, which is 1 there, and
+        # a divisor evaluated to order 1 because its quotient's numerator is
+        # zero to the order, whose inverse starts past the order
+        inverted, raised = [], []
+        invert, power = QSeries.invert, QSeries.__pow__
+        monkeypatch.setattr(QSeries, "invert", lambda s, order=None: (
+            len(s._re) == 1 and inverted.append((s, invert(s, order)))) or invert(s, order))
+        monkeypatch.setattr(QSeries, "__pow__", lambda s, k: (
+            len(s._re) == 1 and raised.append(s)) or power(s, k))
+        assert {verify_identity(rec).status for rec in self._records()} == {"PASS"}
+        assert all(s.prec is not None and inverse.is_zero() for s, inverse in inverted)
+        assert all(s.prec is not None and series_to_dict(s) == {0: 1} for s in raised)
+        assert len(inverted) <= 12 and len(raised) <= 6
 
 
 class TestOrderAgreement:
@@ -1112,6 +1271,29 @@ class TestCorpusFormat:
     def test_fractional_order(self):
         recs = parse_corpus('[identity a]\nanchor = "x"\norder = 5/2\nlhs = q\nrhs = q\n')
         assert recs[0].order == Fraction(5, 2)
+
+    def test_syntax_errors_survive_a_pickle_round_trip(self):
+        # as one that crosses from a pool worker does: the message, the
+        # position and the expected tokens come back as they were
+        errors = [ExpressionSyntaxError("bad", 2, 5), ExpressionSyntaxError("bad", 3, 7, ("EOF", ")")),
+                  UnknownFunction("unknown name 'x'", 1, 4), ArityError("J takes 2 arguments, got 1", 1, 1)]
+        for _ in range(2):
+            try:
+                parse("q +")
+            except ExpressionSyntaxError as exc:
+                errors.append(exc)
+            try:
+                parse_corpus('[identity a]\nanchor = "x"\nlhs = q\nrhs = q\n')
+            except CorpusSyntaxError as exc:
+                errors.append(exc)
+        errors.append(CorpusSyntaxError("bad", 3))
+        for exc in errors:
+            back = pickle.loads(pickle.dumps(exc))
+            assert type(back) is type(exc) and str(back) == str(exc) and back.line == exc.line
+            if isinstance(exc, ExpressionSyntaxError):
+                assert (back.col, back.expected) == (exc.col, exc.expected)
+        assert str(errors[0]) == "line 2, column 5: bad"
+        assert str(errors[-1]) == "corpus line 3: bad"
 
 
 class TestShippedCorpus:
