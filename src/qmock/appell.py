@@ -206,8 +206,8 @@ def universal_g_eulerian(x, base, order):
     def weight(n):
         return B * n * n, triple_pow(cb, n * n)
 
-    try:
-        S = eulerian_sum(L, weight, factors, qadd(order, qmax(x.pair, Q0)))
+    try:  # summed to at least q^(1/L), where the loop's stop is exact
+        S = eulerian_sum(L, weight, factors, qmax(qadd(order, qmax(x.pair, Q0)), (1, L)))
     except PoleAtOne:
         raise DegenerateX(f"Pochhammer factor of g({x}, {base}) vanishes")
     return (S - 1).mul_monomial(x.inverse()).truncate(order)

@@ -24,7 +24,8 @@ together.  Integers of any length are read and printed exactly
 
 The parser's ASTs hold ground rationals.  An evaluation plans its AST in
 one walk, one step per node, a subtree of monomials being one monomial
-step; the folded arguments, valuations and working orders are integer
+step, and a call's arguments folded from their steps in the same walk;
+the folded arguments, valuations and working orders are integer
 monomials, triples and pairs (``qmock._rational``): no rational arithmetic.
 
 Every call that has an engine (the thetas, m's bilateral sums, g, f, the
@@ -50,8 +51,8 @@ from operator import itemgetter
 from typing import Optional
 
 from ._rational import (Q0, Q1, RAT, ZERO, as_pair, as_triple, decimal_int, decimal_text, is_integer,
-                        json_pair, monomial, qadd, qdiv, qle, qlt, qmax, qmul, qpair, qrat, qsub, rat,
-                        triple_mul, triple_pow, triple_reduce)
+                        json_pair, monomial, qadd, qdiv, qle, qlt, qmax, qmul, qrat, qsub, rat,
+                        triple_reduce)
 from . import appell, catalog, hecke, theta
 from .blocks import BLOCKS
 from .nodes import Add, Call, Div, Literal, Mul, Neg, Pow, QPow, Sub
@@ -494,81 +495,6 @@ def to_text(node):
 
 
 # --------------------------------------------------------------------------
-# constant folding for argument slots
-
-def _fold_monomial(node):
-    kind = type(node)
-    if kind is QPow:
-        return qpow(node.exponent)
-    if kind is QMonomial:  # as a block template writes it
-        return node
-    if kind is Mul:
-        a, b = node.left, node.right
-        if type(a) is Literal and type(b) is QPow and a.value:
-            return QMonomial(a.value, b.exponent)  # c*q^e
-        return _fold_monomial(a) * _fold_monomial(b)
-    if kind is Neg:
-        return -_fold_monomial(node.operand)
-    if kind is Literal or kind is Add or kind is Sub:  # a constant, such as 1+i
-        r, i, d = _fold_const(node)
-        if not r and not i:
-            raise EvaluationError("monomial argument must be nonzero")
-        return monomial(triple_reduce((r, i, d)), Q0)
-    if kind is Div:
-        return _fold_monomial(node.left) * _fold_monomial(node.right).inverse()
-    if kind is Pow:
-        return _fold_monomial(node.base) ** node.exponent
-    raise EvaluationError(
-        f"expected a constant monomial (c*q^e), got expression {to_text(node)!r}"
-    )
-
-
-def _fold_base(node):
-    m = _fold_monomial(node)
-    if m.pair[0] <= 0:
-        raise EvaluationError(f"base argument must have positive exponent, got {m}")
-    return m
-
-
-def _fold_const(node):
-    """Constant value of a q-free subexpression (zero allowed), as an
-    (re, im, den) triple."""
-    kind = type(node)
-    if kind is Literal:
-        return as_triple(node.value)
-    if kind is Neg:
-        r, i, d = _fold_const(node.operand)
-        return -r, -i, d
-    if kind is Add or kind is Sub:
-        (ar, ai, ad), (br, bi, bd) = _fold_const(node.left), _fold_const(node.right)
-        if kind is Sub:
-            br, bi = -br, -bi
-        return ar * bd + br * ad, ai * bd + bi * ad, ad * bd
-    if kind is Mul:
-        return triple_mul(_fold_const(node.left), _fold_const(node.right))
-    if kind is Div:
-        return triple_mul(_fold_const(node.left), triple_pow(_fold_const(node.right), -1))
-    if kind is Pow:
-        return triple_pow(_fold_const(node.base), node.exponent)
-    raise EvaluationError(f"expected a constant, got expression {to_text(node)!r}")
-
-
-def _fold_rational(node):
-    """A real constant, as a pair."""
-    r, i, d = _fold_const(node)
-    if i:
-        raise EvaluationError(f"expected a rational constant, got {to_text(node)!r}")
-    return qpair(r, d)
-
-
-def _fold_int(node):
-    n, d = _fold_rational(node)
-    if d != 1:
-        raise EvaluationError(f"expected an integer, got {to_text(node)!r}")
-    return n
-
-
-# --------------------------------------------------------------------------
 # evaluation
 #
 # One walk builds the plan of an AST (``_Plan.step``), one step per node:
@@ -585,18 +511,21 @@ def _fold_int(node):
 # A step is its node's form, an equal expression in which division comes
 # last: monomials, their products, quotients, negations and powers, and a
 # nonzero sum of constants are one monomial, which shifts and scales the
-# other factor of a product or a quotient (``QSeries.mul_monomial``); a
+# other factor of a product or a quotient (``QSeries.mul_monomial``), and
+# a zero constant, times, over or negated by one, or a zero sum of
+# constants, is zero; a call's arguments are the monomials or constants of
+# their steps, by the kinds of its row's slots (``_Plan._argument``); a
 # call of m or of a block sum is its expansion, m's being its bilateral sum
-# over j(z; b); a divisor written as a product or a quotient is split, so
-# that each of its factors is its own divisor; a product with a quotient
-# factor is one quotient; and a sum is one step of signed terms, however
-# its Add, Sub and Neg nodes and the sums of its block calls nest, in which
-# the quotients that share a theta divisor are one quotient by it.  A call
-# with an engine is made once per process (``_Store``): the theta functions
-# j, J, JB and Jm once per distinct j(x; b), whatever name calls it, the
-# bilateral sums once per m(x, b, z), and g, f, the catalog series and the
-# Pochhammer products once per folded arguments, each at the highest order
-# asked so far, and a lower order is that truncated.
+# over j(z; b); a divisor written as a product or a quotient (not by zero)
+# is split, so that each of its factors is its own divisor; a product with
+# a quotient factor is one quotient; and a sum is one step of signed
+# terms, however its Add, Sub and Neg nodes and the sums of its block calls
+# nest, in which the quotients that share a theta divisor are one quotient
+# by it.  A call with an engine is made once per process (``_Store``): the
+# theta functions j, J, JB and Jm once per distinct j(x; b), whatever name
+# calls it, the bilateral sums once per m(x, b, z), and g, f, the catalog
+# series and the Pochhammer products once per folded arguments, each at
+# the highest order asked so far, and a lower order is that truncated.
 
 
 def _target(w, other, own):
@@ -657,17 +586,6 @@ class _Reciprocal:
         return self.den.invert(order=self.order)
 
 
-_FOLD = {"m": _fold_monomial, "b": _fold_base, "r": _fold_rational, "n": _fold_int}
-
-
-def _fold_args(node):
-    """A call's arguments folded by the kinds of its row's slots; a theta
-    call's are the (x, b) of the j(x; b) it is (``_THETAS``)."""
-    name = node.name
-    args = [_FOLD[kind](arg) for kind, arg in zip(FUNCTIONS[name][0], node.args)]
-    return _symmetric(*_THETAS[name](*args)) if name in _THETAS else args
-
-
 # The process memo's budget in bytes; the largest series it keeps; and
 # what it counts for a numerator beside its bits, 4 bytes per 30 of them: a
 # list slot and an int's header.  A large series kept pins the heap it was
@@ -696,12 +614,9 @@ class _Store:
     A hit is the kept series truncated, which is the call itself: an
     engine's terms are exact, the same at any order, and a series is kept
     only when it reaches the order asked, as a call at a lower order then
-    does too.  (Not so for g at an order at or below 0, where its Eulerian
-    loop's partial products can be zero to a lower precision, by more at
-    a lower order: the plan makes those calls itself.)  The least recently
-    used entries go first; a series larger than ``most`` bytes, or one that
-    an engine raised for, is not kept.  Nothing is locked: one thread at a
-    time may evaluate."""
+    does too.  The least recently used entries go first; a series larger
+    than ``most`` bytes, or one that an engine raised for, is not kept.
+    Nothing is locked: one thread at a time may evaluate."""
 
     __slots__ = ("budget", "most", "entries", "bytes")
 
@@ -745,6 +660,7 @@ _store = _Store(_STORE_BYTES, _ENTRY_BYTES)
 # the kinds of plan step (``_Step``)
 _MONO, _ZERO, _SCALE, _MUL, _DIV, _NEG, _POW, _SUM, _CALL, _FAIL = (
     "mono", "zero", "scale", "mul", "div", "neg", "pow", "sum", "call", "fail")
+_MONO_OR_ZERO = (_MONO, _ZERO)
 
 
 class _Step:
@@ -767,6 +683,10 @@ class _Step:
 
 def _mono(m):
     return _Step(_MONO, (m.pair, True), m.pair[1], m)
+
+
+# the step of a zero constant, which no step changes
+_NOUGHT = _Step(_ZERO, None, 1)
 
 
 def _scaled(s, m):
@@ -794,10 +714,12 @@ def _joins(c, quotient):
 
 
 def _neg(s):
-    """-s: a monomial negated, and -(a/b) is (-a)/b for a divisor b that may
-    go last (``_last``)."""
+    """-s: a monomial negated, zero itself, and -(a/b) is (-a)/b for a
+    divisor b that may go last (``_last``)."""
     if s.kind is _MONO:
         return _mono(-s.left)
+    if s.kind is _ZERO:
+        return s
     if s.kind is _DIV and _last(s.right):
         return _div(_neg(s.left), s.right)
     return _Step(_NEG, s.val, s.grid, s)
@@ -809,9 +731,12 @@ def _mul(a, c):
     and a factor c that may join it (``_joins``), and a monomial factor
     scales the other.  So a constant, a monomial, a theta or the bilateral
     sum of an m on the quotient's grid joins the numerator, and (a/b)*(c/d)
-    is (a*c)/(b*d): no product of two quotients is formed."""
+    is (a*c)/(b*d): no product of two quotients is formed.  A product of
+    monomials is one, and zero times a monomial or zero is zero."""
     if a.kind is _MONO and c.kind is _MONO:
         return _mono(a.left * c.left)
+    if a.kind in _MONO_OR_ZERO and c.kind in _MONO_OR_ZERO:
+        return _NOUGHT
     if a.kind is _DIV and _last(a.right) and _joins(c, a):
         return _div(_mul(a.left, c), a.right)
     if c.kind is _DIV and _last(c.right) and _joins(a, c):
@@ -822,21 +747,57 @@ def _mul(a, c):
 
 
 def _div(a, b):
-    """a/b: by a monomial, a scaled by its inverse."""
+    """a/b: by a monomial, a scaled by its inverse, zero being zero."""
     if b.kind is _MONO:
         m = b.left.inverse()
-        return _mono(a.left * m) if a.kind is _MONO else _scaled(a, m)
+        return _mono(a.left * m) if a.kind is _MONO else a if a.kind is _ZERO else _scaled(a, m)
     return _Step(_DIV, _val_product(a.val, _val_inverse(b.val)), lcm(a.grid, b.grid), a, b)
 
 
 def _pow(base, k):
-    """base^k: a monomial's is one while its coefficient is small; a larger
-    one keeps the path of a power, which cuts its base below the order."""
+    """base^k: a monomial's is one while its coefficient is a unit or keeps
+    at most 2^16 bits (|k| times its base's), zero's is zero, or 1 for
+    k = 0; any other keeps the path of a power, which cuts its base below
+    the order."""
     if base.kind is _MONO:
         r, i, d = base.left.triple
-        if abs(k) * max((abs(r) + abs(i)).bit_length(), d.bit_length()) <= 1 << 16:
+        if d == 1 and abs(r) + abs(i) == 1 \
+                or abs(k) * max((abs(r) + abs(i)).bit_length(), d.bit_length()) <= 1 << 16:
             return _mono(base.left ** k)
+    if base.kind is _ZERO and k >= 0:
+        return _mono(qpow(0)) if k == 0 else base
     return _Step(_POW, _val_power(base.val, k), base.grid, base, k)
+
+
+def _unfolded(step, constant):
+    """Why an argument's step did not fold: in a ``constant`` slot, a
+    division by zero in a step built of monomials and zeros alone; else a
+    power of a monomial past the bound of ``_pow`` in its arithmetic, sums
+    included.  None for neither."""
+    zero, bound, other, stack = False, None, False, [step]
+    while stack:
+        s = stack.pop()
+        kind = s.kind
+        if kind is _MUL or kind is _DIV:
+            stack += [s.left, s.right]
+            zero = zero or kind is _DIV and s.right.kind is _ZERO
+        elif kind is _POW and s.left.kind is _ZERO:
+            zero = True
+        elif kind is _POW and s.left.kind is _MONO:
+            bound = s
+        elif kind is _SCALE or kind is _NEG or kind is _POW:
+            stack.append(s.left)
+        elif kind is _SUM:
+            other = True
+            stack += [t for _, t in s.left]
+        elif kind not in _MONO_OR_ZERO:
+            other = True
+    if constant and zero and not other:
+        return ZeroDivisionError("inverse of zero")
+    if bound is not None:
+        return EvaluationError(
+            f"({bound.left.left})^{bound.right} is past the 2^16-bit bound of a folded coefficient")
+    return None
 
 
 def _divisors(term):
@@ -867,7 +828,10 @@ class _Plan:
         if kind is Call:
             return self._call_step(node)
         if kind is Mul:
-            return _mul(self.step(node.left), self.step(node.right))
+            a, b = node.left, node.right
+            if type(a) is Literal and type(b) is QPow and a.value:  # c*q^e as the parser writes it
+                return _mono(QMonomial(a.value, b.exponent))
+            return _mul(self.step(a), self.step(b))
         if kind is Div:
             return self._divide(self.step(node.left), node.right)
         if kind is Add or kind is Sub:
@@ -876,7 +840,7 @@ class _Plan:
             return _mono(qpow(node.exponent))
         if kind is Literal:
             t = as_triple(node.value)
-            return _mono(monomial(triple_reduce(t), Q0)) if t[0] or t[1] else _Step(_ZERO, None, 1)
+            return _mono(monomial(triple_reduce(t), Q0)) if t[0] or t[1] else _NOUGHT
         if kind is Neg:
             return _neg(self.step(node.operand))
         if kind is Pow:
@@ -893,9 +857,9 @@ class _Plan:
             if name not in FUNCTIONS:
                 raise EvaluationError(f"no evaluator for function {name!r}")
             if name == "subq" or name == "negq":  # q -> q^k or -q in the argument
-                k, folded = _fold_rational(args[1]) if name == "subq" else Q1, None
+                k, folded = self._argument("r", args[1]) if name == "subq" else Q1, None
             else:
-                folded = _fold_args(node)
+                folded = self._fold_args(node)
                 expansion = name in _EXPANSIONS and _EXPANSIONS[name](*folded)
         except EVALUATION_ERRORS as exc:
             return _Step(_FAIL, None, 1, exc, name=name)
@@ -913,26 +877,62 @@ class _Plan:
         grid = lcm(*[a.pair[1] for a in folded if type(a) is QMonomial])
         return _Step(_CALL, None if v is None else (v, start[1]), grid, folded, name=name)
 
+    def _fold_args(self, node):
+        """A call's arguments folded by the kinds of its row's slots; a theta
+        call's are the (x, b) of the j(x; b) it is (``_THETAS``)."""
+        name = node.name
+        args = [self._argument(kind, arg) for kind, arg in zip(FUNCTIONS[name][0], node.args)]
+        return _symmetric(*_THETAS[name](*args)) if name in _THETAS else args
+
+    def _argument(self, kind, node):
+        """The argument ``node`` of a slot of ``kind`` folded from its step:
+        the monomial of a mono step (m), one of positive exponent (b), or
+        its constant coefficient, real, as a pair (r) or an int (n), which a
+        zero step is too.  A block template's monomial is its own step."""
+        s = None if type(node) is QMonomial else self.step(node)
+        step, m = (_MONO, node) if s is None else (s.kind, s.left)
+        if kind == "m" or kind == "b":
+            if step is _MONO and (kind == "m" or m.pair[0] > 0):
+                return m
+            if step is _MONO:
+                raise EvaluationError(f"base argument must have positive exponent, got {m}")
+            if step is _ZERO:
+                raise EvaluationError("monomial argument must be nonzero")
+            raise _unfolded(s, False) or EvaluationError(
+                f"expected a constant monomial (c*q^e), got expression {to_text(node)!r}")
+        if step is not _ZERO and (step is not _MONO or m.pair != Q0):
+            raise _unfolded(s, True) or EvaluationError(f"expected a constant, got expression {to_text(node)!r}")
+        r, i, d = m.triple if step is _MONO else (0, 0, 1)
+        if i:
+            raise EvaluationError(f"expected a rational constant, got {to_text(node)!r}")
+        if kind == "n" and d != 1:
+            raise EvaluationError(f"expected an integer, got {to_text(node)!r}")
+        return r if kind == "n" else (r, d)
+
     def _divide(self, a, den):
         """a/den, the divisor as written split, a/(b*c) being (a/b)/c and
-        a/(b/c) being (a*c)/b, so that no product of divisors is formed.  A
-        call of m keeps its path as a divisor: its expansion is not split."""
+        a/(b/c) being (a*c)/b for c not zero, so that no product of divisors
+        is formed.  A call of m keeps its path as a divisor: its expansion
+        is not split."""
         if type(den) is Mul:
             return self._divide(self._divide(a, den.left), den.right)
         if type(den) is Div:
-            return self._divide(_mul(a, self.step(den.right)), den.left)
+            c = self.step(den.right)
+            if c.kind is _ZERO:  # b/0 stays a division by zero
+                return _div(a, _div(self.step(den.left), c))
+            return self._divide(_mul(a, c), den.left)
         return _div(a, self.step(den))
 
     def _sum(self, node):
-        """A sum's step (``_gather``); a nonzero sum of constants is one."""
+        """A sum's step (``_gather``); a sum of constants is one, a zero
+        step if it is zero."""
         terms = self._terms([(1, node)])
-        if all(t.kind is _MONO and t.left.pair == Q0 for _, t in terms):
+        if all(t.kind is _ZERO or t.kind is _MONO and t.left.pair == Q0 for _, t in terms):
             r, i, d = 0, 0, 1
             for sign, t in terms:
-                tr, ti, td = t.left.triple
+                tr, ti, td = t.left.triple if t.kind is _MONO else (0, 0, 1)
                 r, i, d = r * td + sign * tr * d, i * td + sign * ti * d, d * td
-            if r or i:
-                return _mono(monomial(triple_reduce((r, i, d)), Q0))
+            return _mono(monomial(triple_reduce((r, i, d)), Q0)) if r or i else _NOUGHT
         return self._gather(terms)
 
     def _terms(self, items):
@@ -1102,10 +1102,7 @@ class _Plan:
         if name == "negq":
             return self.series(step.left, w).negate_base()
         owner, attr = FUNCTIONS[name][1]
-        engine = getattr(owner, attr)
-        if name == "g" and w[0] <= 0:  # its precision may fall short there (see _Store)
-            return engine(*step.left, w)
-        return _store.call(engine, step.left, w)
+        return _store.call(getattr(owner, attr), step.left, w)
 
 
 def _eval(node, order):

@@ -2,10 +2,11 @@
 
 Everything here but the pairwise Appell-Lerch and universal-g loops, the
 three cross-check forms after them (the triple product, the quadrant sum
-and g through m), the retry evaluator and the hand-coded block sums at the
-end works on plain
-{exponent: Fraction} dicts and stays deliberately independent of the
-package's series engine, so agreement is a two-sided check.
+and g through m), the argument folder (on ASTs, in exact GaussianRational
+arithmetic), the retry evaluator and the hand-coded block sums at the end
+works on plain {exponent: Fraction} dicts and stays deliberately
+independent of the package's series engine, so agreement is a two-sided
+check.
 """
 
 from fractions import Fraction
@@ -612,6 +613,75 @@ def eulerian_sum_stepwise(weight, factors, order, divide=True):
         n += 1
 
 
+# -- argument folding ----------------------------------------------------------
+#
+# A call's argument slot folded on its AST in exact GaussianRational and
+# Fraction arithmetic, with no bound on a coefficient's size.  A node folds
+# to c*q^e, c zero for zero, to NOT_A_MONOMIAL if it holds a call or a sum
+# that is not of constants, else to DIVIDES_BY_ZERO if it holds a quotient
+# by zero or zero to a negative power.  A monomial slot (m) takes a
+# nonzero monomial, a base slot (b) one with e > 0, a constant slot (r) a
+# real constant and an integer slot (n) an integer; any other argument is
+# an EvaluationError, but a division by zero in a constant or an integer
+# slot, which is a ZeroDivisionError.
+
+NOT_A_MONOMIAL, DIVIDES_BY_ZERO = "not a monomial", "divides by zero"
+
+
+def fold_exact(node):
+    """``node`` as a (coefficient, exponent) pair of a GaussianRational and
+    a Fraction, or one of the two marks above."""
+    kind = type(node)
+    if kind is dsl.Literal:
+        return node.value, Fraction(0)
+    if kind is dsl.QPow:
+        return GaussianRational(1), node.exponent
+    if kind is QMonomial:
+        return node.coeff, node.exp
+    if kind is dsl.Call:
+        return NOT_A_MONOMIAL
+    if kind is dsl.Neg:
+        a = fold_exact(node.operand)
+        return a if isinstance(a, str) else (-a[0], a[1])
+    if kind is dsl.Pow:
+        a, k = fold_exact(node.base), node.exponent
+        if isinstance(a, str):
+            return a
+        if not a[0]:
+            return DIVIDES_BY_ZERO if k < 0 else (GaussianRational(0 if k else 1), Fraction(0))
+        return a[0] ** k, a[1] * k
+    a, b = fold_exact(node.left), fold_exact(node.right)
+    if NOT_A_MONOMIAL in (a, b):
+        return NOT_A_MONOMIAL
+    if kind is dsl.Add or kind is dsl.Sub:   # a sum of constants alone
+        if DIVIDES_BY_ZERO in (a, b) or (a[0] and a[1]) or (b[0] and b[1]):
+            return NOT_A_MONOMIAL
+        return (a[0] + b[0] if kind is dsl.Add else a[0] - b[0]), Fraction(0)
+    if DIVIDES_BY_ZERO in (a, b) or (kind is dsl.Div and not b[0]):
+        return DIVIDES_BY_ZERO
+    if kind is dsl.Mul:
+        return a[0] * b[0], a[1] + b[1]
+    return a[0] / b[0], a[1] - b[1]
+
+
+def fold_argument(kind, node):
+    """The argument ``node`` of a slot of ``kind`` folded: a QMonomial (m,
+    b), a Fraction (r) or an int (n)."""
+    value = fold_exact(node)
+    if value == DIVIDES_BY_ZERO and kind in ("r", "n"):
+        raise ZeroDivisionError("inverse of zero")
+    if isinstance(value, str):
+        raise dsl.EvaluationError(f"{value}: {dsl.to_text(node)}")
+    c, e = value
+    if kind in ("m", "b"):
+        if not c or kind == "b" and e <= 0:
+            raise dsl.EvaluationError(f"not a {'base' if kind == 'b' else 'monomial'}: {dsl.to_text(node)}")
+        return QMonomial(c, e)
+    if c and e or c.im or kind == "n" and c.re.denominator != 1:
+        raise dsl.EvaluationError(f"not a {'rational' if kind == 'r' else 'integer'}: {dsl.to_text(node)}")
+    return c.re if kind == "r" else int(c.re)
+
+
 # -- the retry evaluator ---------------------------------------------------------
 #
 # The DSL's evaluator before it planned its working orders: every node is
@@ -674,13 +744,13 @@ def _retry_divisor(node, w):
 def _retry_call(node, w):
     name, args = node.name, node.args
     if name == "subq":
-        k = rat(*dsl._fold_rational(args[1]))    # a (num, den) pair
+        k = fold_argument("r", args[1])
         if k <= 0:
             raise NonPositivePower(f"subq power must be positive, got {k}")
         return _retry_eval(args[0], w / k).substitute_power(k)
     if name == "negq":
         return _retry_eval(args[0], w).negate_base()
-    values = [dsl._FOLD[kind](arg) for kind, arg in zip(dsl.FUNCTIONS[name][0], args)]
+    values = [fold_argument(kind, arg) for kind, arg in zip(dsl.FUNCTIONS[name][0], args)]
     if name in BLOCKS:
         return BLOCKS[name](*values, w)
     return _ENGINES[name](*values, w)

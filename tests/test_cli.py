@@ -3,6 +3,7 @@
 import concurrent.futures
 import dataclasses
 import json
+import time
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -108,6 +109,16 @@ class TestExpand:
         code, _, err = run(capsys, "expand", long_product(1200), "--order", "5")
         assert code == 3
         assert "RecursionError" in err
+
+    @pytest.mark.parametrize("text", ["J(3^100000000, 5)", "j((3*q)^100000000, q)", "j(2^70000*q, q)"])
+    def test_huge_power_in_an_argument_exit_3(self, capsys, text):
+        # an argument is folded from its step, where a power of a monomial
+        # is one monomial only while its coefficient keeps 2^16 bits
+        start = time.perf_counter()
+        code, out, err = run(capsys, "expand", text, "--order", "3")
+        assert time.perf_counter() - start < 5
+        assert code == 3 and not out
+        assert err.startswith("evaluation error: EvaluationError: ") and "2^16-bit bound" in err
 
     def test_zero_divisor_exit_3(self, capsys):
         # the divisor cancels at every order it is evaluated at
@@ -247,6 +258,20 @@ class TestCorpus:
                 "pass-1": "PASS", "pass-2": "PASS", "planted": "FAIL", "bad-block": "ERROR",
             }
             assert reports["bad-block"]["detail"] == "ValueError: need n > 0 and p > 0, got (1, 0)"
+
+    def test_huge_power_stanza_errors_alone(self, capsys, tmp_path):
+        stanza = '\n[identity huge-power]\nanchor = "x"\norder = 3\nlhs = J(3^100000000, 5)\nrhs = 1\n'
+        path = tmp_path / "huge.qid"
+        path.write_text(FAILING_CORPUS + stanza)
+        for jobs in ("1", "2"):
+            code, out, _ = run(capsys, "corpus", str(path), "--json", "--stable", "--jobs", jobs)
+            assert code == 1
+            reports = {r["id"]: r for r in json.loads(out)}
+            assert {i: r["status"] for i, r in reports.items()} == {
+                "pass-1": "PASS", "pass-2": "PASS", "planted": "FAIL", "huge-power": "ERROR",
+            }
+            assert reports["huge-power"]["detail"] == (
+                "EvaluationError: (3)^100000000 is past the 2^16-bit bound of a folded coefficient")
 
     def test_out_of_memory_stanza_errors_alone(self, capsys, tmp_path, monkeypatch):
         # an engine that runs out of memory fails its own stanza and the run

@@ -616,7 +616,7 @@ class TestProcessMemo:
             kind = self.KINDS[case % len(self.KINDS)]
             node = self._call(rnd, kind)
             owner, attr = FUNCTIONS[node.name][1]
-            engine, args = getattr(owner, attr), dsl._fold_args(node)
+            engine, args = getattr(owner, attr), dsl._Plan()._fold_args(node)
             made = []
             monkeypatch.setitem(vars(owner), attr, lambda *a: made.append(1) or engine(*a))
             high = as_pair(Fraction(rnd.randint(-4, 30), rnd.choice([1, 2, 3])))
@@ -696,6 +696,12 @@ class TestDivisionByFactors:
     monomial factor scales a by its inverse)."""
 
     M_CALLS = ["m(q^5,q^12,q^2)", "m(-q^(1/3), q, q^(1/2))", "m(q^(1/2), q^2, (1+i)*q)"]
+
+    @pytest.mark.parametrize("text", ["Jm(1)/(Jm(2)/0)", "2/(1/(1-1))", "q/(Jm(1)/(0*q))"])
+    def test_a_quotient_by_zero_is_not_split(self, text):
+        # a/(b/0) is not (a*0)/b, which would be zero
+        with pytest.raises(series.ZeroSeries):
+            evaluate(parse(text), 4)
 
     def _factor(self, rnd):
         kind = rnd.choice(["j", "j", "Jm", "JB", "gaussian", "monomial", "m"])
@@ -934,7 +940,7 @@ class TestSumForm:
 
 class TestMonomialSteps:
     """Monomials and their products, quotients, negations and integer powers
-    are one monomial step (``_fold_monomial`` folds the same subtrees), by
+    are one monomial step (the one ``oracles.fold_argument`` folds them to), by
     which the plan shifts and scales the other factor of a product or a
     quotient: equal in value and precision to the retry oracle, which forms
     a series for every node."""
@@ -982,7 +988,7 @@ class TestMonomialSteps:
         for _ in range(300):
             node = parse(self._monomial(rnd))
             step = dsl._Plan().step(node)
-            assert step.kind == "mono" and step.left == dsl._fold_monomial(node), to_text(node)
+            assert step.kind == "mono" and step.left == oracles.fold_argument("m", node), to_text(node)
         for text in self.ZEROS:  # a zero constant keeps the path of a series
             assert dsl._Plan().step(parse(text)).kind != "mono"
 
@@ -1014,6 +1020,87 @@ class TestMonomialSteps:
         assert min(seen[kind] for kind in self.KINDS) == 30 and seen["error"] >= 1, seen
 
 
+class TestArgumentFolding:
+    """Every slot kind folded from its argument's step (``_Plan._argument``)
+    against the exact folder of ``oracles.fold_argument``: the same value
+    or an error of the same class, but where a power of a monomial is past
+    the plan's 2^16-bit bound, which the plan refuses by name."""
+
+    LEAVES = ["0", "1", "3", "i", "(2+i)", "q", "2*q", "q^(1/2)", "(1/2)*q^(-2)", "q^0",
+              "(1-1)", "(2-1-1)", "0*q", "(1/2+1/2)", "(1/2-3/2*i)", "(i-i)*q", "Jm(1)", "(1+q)"]
+    BIG = 70000
+
+    def _argument(self, rnd, big, depth=0):
+        """A random argument as text; one power in it at most may be BIG."""
+        kind = rnd.choice(["leaf", "leaf", "add", "sub", "mul", "div", "neg", "pow"]) if depth < 3 else "leaf"
+        if kind == "leaf":
+            return rnd.choice(self.LEAVES)
+        a = self._argument(rnd, big, depth + 1)
+        if kind == "neg":
+            return f"-({a})"
+        if kind == "pow":
+            k = rnd.choice([-2, -1, 0, 2, 3])
+            if not big and rnd.random() < 0.1:
+                big.append(k := self.BIG)
+            return f"({a})^({k})"
+        op = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[kind]
+        return f"({a}){op}({self._argument(rnd, big, depth + 1)})"
+
+    def test_against_the_exact_folder(self):
+        rnd = random.Random(3030)
+        seen = {}
+        for case in range(2400):
+            kind = "mbrn"[case % 4]
+            big = []
+            node = parse(self._argument(rnd, big))
+            try:
+                want = oracles.fold_argument(kind, node)
+            except (EvaluationError, ZeroDivisionError) as exc:
+                want = type(exc)
+            try:
+                got = dsl._Plan()._argument(kind, node)
+            except (EvaluationError, ZeroDivisionError) as exc:
+                if "2^16-bit bound" in str(exc):   # the one difference: the plan's bound
+                    assert type(exc) is EvaluationError and big, to_text(node)
+                    seen["bound"] = seen.get("bound", 0) + 1
+                    continue
+                got = type(exc)
+            if kind == "r" and type(got) is tuple:
+                got = rat(*got)
+            assert got == want, (kind, to_text(node))
+            outcome = want.__name__ if isinstance(want, type) else "zero" if not want else "value"
+            seen[kind, outcome] = seen.get((kind, outcome), 0) + 1
+        for kind in "mbrn":
+            assert seen[kind, "value"] >= 20 and seen[kind, "EvaluationError"] >= 20, seen
+        for kind in "rn":
+            assert seen[kind, "zero"] >= 20 and seen[kind, "ZeroDivisionError"] >= 20, seen
+        assert seen["bound"] >= 10, seen
+
+    def test_a_unit_to_any_power_is_one_monomial(self):
+        # a power of a coefficient 1, -1, i or -i stays within any bound
+        plan = dsl._Plan()
+        assert plan._argument("m", parse("(-q)^100001")) == -qpow(100001)
+        assert plan._argument("b", parse("(i*q^(1/2))^200002")) == -qpow(100001)
+        assert plan._argument("n", parse("(-1)^1000001")) == -1
+
+    def test_gaussian_constant_sums(self):
+        # a constant sum folds in every slot that takes its value: a
+        # Gaussian coefficient in a monomial slot, a real one in a constant
+        # slot, an integer in an integer slot; one that cancels is zero
+        plan = dsl._Plan()
+        assert plan._argument("m", parse("(1/2-3/2*i)*q^(1/3)")) == series.mono(
+            GaussianRational(Fraction(1, 2), Fraction(-3, 2)), Fraction(1, 3))
+        assert plan._argument("b", parse("(1+i+1-i)*q")) == series.mono(2, 1)
+        assert plan._argument("r", parse("1/2+1/3")) == (5, 6)
+        assert plan._argument("n", parse("(2+i)*(2-i)")) == 5
+        assert plan._argument("r", parse("(1-1)*2")) == (0, 1)
+        assert plan._argument("n", parse("-(1/2-1/2)")) == 0
+        for kind, text in (("m", "1-1"), ("b", "(i-i)*q"), ("r", "1/2+i"), ("n", "1/2+1/3"),
+                           ("r", "1+q"), ("m", "q+q")):
+            with pytest.raises(EvaluationError):
+                plan._argument(kind, parse(text))
+
+
 class TestPlannerWork:
     """What the plan does for the shipped corpus: one step per AST node at
     most, and no monomial made a series to be inverted or raised."""
@@ -1039,7 +1126,7 @@ class TestPlannerWork:
             elif type(n) is Call:
                 stack += n.args
                 if n.name in dsl._EXPANSIONS:
-                    stack.append(dsl._EXPANSIONS[n.name](*dsl._fold_args(n)))
+                    stack.append(dsl._EXPANSIONS[n.name](*dsl._Plan()._fold_args(n)))
         return count
 
     def test_one_step_per_node(self, monkeypatch):
